@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costmodel import ShapeParams, flop_ratio, predict_run_flops
+from .costmodel import ShapeParams, flop_ratio
 from .engines import ENGINES, Instance, Workload, infer
 from .errors import ConfigError, ResourceLimitError
 from .model import ModelConfig, WeightSet, init_weights
@@ -207,7 +207,3 @@ def run_bench(config: BenchConfig) -> LatencyReport:
         if config.model.d_model == config.shape.d:
             report.analytic_flop_ratio = flop_ratio(config.model, config.shape)
     return report
-
-
-def predicted_flops(config: BenchConfig, engine: str) -> int:
-    return predict_run_flops(config.model, config.shape, engine)["total"]

@@ -416,9 +416,14 @@ def _encode_flops(config: ModelConfig, n_pass: int, length: int) -> dict[str, in
 
 
 def _decode_flops(
-    config: ModelConfig, streams: int, owners: int, prefix: int, m: int, n_t: int
+    config: ModelConfig, streams: int, owners: int, prefix: int, m: int, n_t: int,
+    all_logits: bool = False,
 ) -> dict[str, int]:
-    """Mirror of a full decode: cross-K/V projection, prefill, n_t-1 steps."""
+    """Mirror of a full decode: cross-K/V projection, prefill, n_t-1 steps.
+
+    ``all_logits`` mirrors ``decoder_prefill(return_all_logits=True)``: the
+    vocabulary head runs on every prefix position instead of the last one.
+    """
     d, dff, h, v = config.d_model, config.d_ff, config.n_heads, config.vocab_size
     layers = config.n_dec_layers
     if n_t == 0:
@@ -441,7 +446,7 @@ def _decode_flops(
         + 7 * total_rows * d
     )
     ffn = layers * (4 * total_rows * d * dff + total_rows * dff + 7 * total_rows * d)
-    head = (1 + steps) * 2 * streams * d * v
+    head = ((prefix if all_logits else 1) + steps) * 2 * streams * d * v
     return {
         "embedding": 2 * total_rows * d + head,  # sqrt(d) scale plus position add
         "decoder_self": dec_self,

@@ -169,7 +169,11 @@ def _decode_lockstep(
     sink: CounterSink,
     record_logits: bool = False,
     corrupt_shared_kv: bool = False,
-) -> tuple[list[list[int]], int, int, list[np.ndarray] | None]:
+) -> tuple[
+    list[list[int]], int, int, list[np.ndarray] | None, dict[str, tuple[int, int, int]]
+]:
+    """Greedy lockstep decode; returns (outputs, steps, wasted stream-steps,
+    logits trace, counter totals after the cross-K/V projection)."""
     n_streams = memories.shape[0] * kv_group
     outputs: list[list[int]] = [[] for _ in range(n_streams)]
     if max_new == 0:

@@ -6,11 +6,19 @@ dimension ``d/h`` and all heads projected jointly through ``d x d``
 matrices, ReLU feed-forward sublayers, a final layer norm per stack, and
 a linear vocabulary head.
 
-The decoder runs incrementally against a :class:`KVCacheSet`: self-attention
-keys/values are appended one position per active stream, cross-attention
-keys/values are projected once from the encoder output ``M`` and owned
-either per stream or per instance (the latter is what lets several decode
-streams share one broadcast cache).
+Each sublayer body (pre-norm attention, pre-norm feed-forward) is written
+once and shared by the encoder and decoder stacks.  The decoder runs
+incrementally against a :class:`KVCacheSet`: self-attention keys/values
+are appended one position per active stream, cross-attention keys/values
+are projected once from the encoder output ``M`` and owned either per
+stream or per instance (the latter is what lets several decode streams
+share one broadcast cache).
+
+Training runs this same forward: ``encode_batch`` and ``decoder_prefill``
+take an optional activation ``tape`` (a list the sublayers append their
+inputs and intermediates to), and :mod:`multiprompt.training` holds only
+the loss and the exact backward over that tape.  Without a tape nothing
+is recorded.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, LengthError, MaskError, ShapeError
+from .errors import ConfigError, LengthError, ShapeError
 from .kernels import CounterSink, F32
 
 # Reserved vocabulary ids, in every model regardless of size.
@@ -194,67 +202,7 @@ def init_weights(config: ModelConfig, seed: int) -> WeightSet:
     )
 
 
-# -- attention -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AttentionMask:
-    """Boolean visibility matrix [query_len, key_len]; True means visible."""
-
-    allowed: np.ndarray
-
-    @classmethod
-    def causal(cls, n: int) -> "AttentionMask":
-        return cls(np.tril(np.ones((n, n), dtype=bool)))
-
-    @classmethod
-    def full(cls, n: int, m: int) -> "AttentionMask":
-        return cls(np.ones((n, m), dtype=bool))
-
-
-def attention(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    w_o: np.ndarray,
-    mask: AttentionMask | None,
-    n_heads: int,
-    sink: CounterSink,
-) -> np.ndarray:
-    """Scaled dot-product attention over already-projected q/k/v.
-
-    Computes ``softmax(q kT / sqrt(d/h)) v`` per head on the joint
-    dimension ``d`` and applies the output projection ``w_o``.  Masked
-    positions receive exactly zero attention weight; a query row with no
-    visible keys raises :class:`MaskError`.
-    """
-    q = np.asarray(q)
-    k = np.asarray(k)
-    v = np.asarray(v)
-    n, d = q.shape
-    m = k.shape[0]
-    if k.shape != (m, d) or v.shape != (m, d):
-        raise ShapeError(f"attention: q is {q.shape}, k is {k.shape}, v is {v.shape}")
-    if w_o.shape != (d, d):
-        raise ShapeError(f"attention: w_o is {w_o.shape}, want ({d}, {d})")
-    if d % n_heads != 0:
-        raise ShapeError(f"attention: d={d} not divisible by n_heads={n_heads}")
-    if mask is not None and mask.allowed.shape != (n, m):
-        raise ShapeError(
-            f"attention: mask is {mask.allowed.shape}, want ({n}, {m})"
-        )
-    dh = d // n_heads
-    out = np.empty((n, d), dtype=F32)
-    for h in range(n_heads):
-        sl = slice(h * dh, (h + 1) * dh)
-        scores = kernels.matmul(q[:, sl], np.ascontiguousarray(k[:, sl].T), sink)
-        scores = kernels.scale(scores, 1.0 / math.sqrt(dh), sink)
-        probs = kernels.softmax_rows(scores, sink, mask=None if mask is None else mask.allowed)
-        out[:, sl] = kernels.matmul(probs, v[:, sl], sink)
-    return kernels.matmul(out, w_o, sink)
-
-
-# -- encoder ----------------------------------------------------------------
+# -- embedding and attention ---------------------------------------------------
 
 
 def _validate_tokens(config: ModelConfig, tokens: np.ndarray, what: str) -> np.ndarray:
@@ -297,7 +245,8 @@ def _multihead(
     than once per stream (the broadcast at the heart of the shared-cache
     path).  Returns ``[G, nq, d]`` concatenated over heads, before any
     output projection.  ``mask_rows`` is an optional bool ``[nq, m]`` mask
-    applied identically to every slice.
+    applied identically to every slice.  ``internals``, when given, receives
+    the head-folded ``q4``/``k4``/``v4`` and ``probs`` the backward needs.
     """
     g, nq, d = x_q.shape
     owners, m, _ = k.shape
@@ -325,9 +274,85 @@ def _multihead(
     return np.ascontiguousarray(ctx).reshape(g, nq, d)
 
 
-def _project_rows(x: np.ndarray, w: np.ndarray, sink: CounterSink) -> np.ndarray:
-    """[rows, d] @ [d, out] with the weight matrix read once for all rows."""
-    return kernels.matmul(x, w, sink)
+# -- sublayers ----------------------------------------------------------------
+
+
+def _attention_sublayer(
+    config: ModelConfig,
+    attn: AttentionWeights,
+    x: np.ndarray,
+    n_seq: int,
+    component: str,
+    sink: CounterSink,
+    *,
+    kv: tuple[np.ndarray, np.ndarray] | None = None,
+    kv_group: int = 1,
+    cache: tuple[np.ndarray, np.ndarray, np.ndarray, int] | None = None,
+    mask_rows: np.ndarray | None = None,
+    tape: list[dict] | None = None,
+) -> np.ndarray:
+    """Pre-norm attention sublayer ``x + attend(LN(x) W_q, K, V) W_o``.
+
+    ``x`` is ``[n_seq * nq, d]``, ``nq`` rows per sequence.  Without ``kv``
+    the sublayer attends to itself: K/V are projected from the same normed
+    rows, and with ``cache = (k_cache, v_cache, write_rows, start)`` they are
+    first written at ``start`` for the streams in ``write_rows``, then every
+    cached position up to them is attended.  Cross-attention passes
+    precomputed ``kv`` slices ``[owners, m, d]``, each shared by ``kv_group``
+    consecutive sequences.  A ``tape`` receives the activations the exact
+    backward needs; without one nothing is recorded.
+    """
+    d = config.d_model
+    nq = x.shape[0] // n_seq
+    with sink.scope(component):
+        normed = kernels.layer_norm(x, attn.gain, sink)
+        q = kernels.matmul(normed, attn.w_q, sink).reshape(n_seq, nq, d)
+        if kv is None:
+            k = kernels.matmul(normed, attn.w_k, sink).reshape(n_seq, nq, d)
+            v = kernels.matmul(normed, attn.w_v, sink).reshape(n_seq, nq, d)
+            kv = (k, v)
+            if cache is not None:
+                k_cache, v_cache, write_rows, start = cache
+                k_cache[write_rows, start : start + nq] = k[write_rows]
+                v_cache[write_rows, start : start + nq] = v[write_rows]
+                # frozen streams keep zero K/V at dead positions; their own
+                # output is never sampled so the garbage attention is inert
+                kv = (k_cache[:, : start + nq], v_cache[:, : start + nq])
+        internals = None if tape is None else {}
+        keys, values = kv
+        ctx = _multihead(q, keys, values, config.n_heads, sink, mask_rows, kv_group, internals)
+        ctx = ctx.reshape(x.shape)
+        out = kernels.add(x, kernels.matmul(ctx, attn.w_o, sink), sink)
+    if tape is not None:
+        tape.append(dict(internals, x_in=x, normed=normed, ctx=ctx))
+    return out
+
+
+def _ffn_sublayer(
+    ffn: FeedForwardWeights, x: np.ndarray, sink: CounterSink, tape: list[dict] | None
+) -> np.ndarray:
+    """Pre-norm feed-forward sublayer ``x + relu(LN(x) W_in) W_out``."""
+    with sink.scope("feed_forward"):
+        normed = kernels.layer_norm(x, ffn.gain, sink)
+        pre = kernels.matmul(normed, ffn.w_in, sink)
+        hid = kernels.relu(pre, sink)
+        out = kernels.add(x, kernels.matmul(hid, ffn.w_out, sink), sink)
+    if tape is not None:
+        tape.append(dict(x_in=x, normed=normed, pre=pre, hid=hid))
+    return out
+
+
+def _final_norm(
+    x: np.ndarray, gain: np.ndarray, sink: CounterSink, tape: list[dict] | None
+) -> np.ndarray:
+    with sink.scope("other"):
+        normed = kernels.layer_norm(x, gain, sink)
+    if tape is not None:
+        tape.append(dict(x_in=x, normed=normed))
+    return normed
+
+
+# -- encoder ------------------------------------------------------------------
 
 
 def encode_batch(
@@ -335,12 +360,15 @@ def encode_batch(
     weights: WeightSet,
     sequences: list[np.ndarray],
     sink: CounterSink,
+    tape: list[dict] | None = None,
 ) -> np.ndarray:
     """Encoder forward over ``b`` equal-length sequences; returns ``[b, L, d]``.
 
     Projections and norms are row-stacked across the batch so each weight
     matrix is read once per call; attention mixes positions only within a
-    sequence, so batching never changes any instance's output.
+    sequence, so batching never changes any instance's output.  With a
+    ``tape``, records one entry per sublayer (attention, feed-forward per
+    layer) and a last one for the final norm.
     """
     if not sequences:
         raise LengthError("encoder batch is empty")
@@ -349,26 +377,14 @@ def encode_batch(
     if len(lengths) != 1:
         raise ShapeError(f"encoder batch has mixed lengths {sorted(lengths)}")
     b, n = len(toks), toks[0].size
-    d = config.d_model
     flat_tokens = np.concatenate(toks)
     flat_pos = np.tile(np.arange(n), b)
     x = _embed(weights, flat_tokens, flat_pos, sink)  # [b*n, d]
     for layer in weights.enc_layers:
-        with sink.scope("encoder_self"):
-            normed = kernels.layer_norm(x, layer.attn.gain, sink)
-            q = _project_rows(normed, layer.attn.w_q, sink).reshape(b, n, d)
-            k = _project_rows(normed, layer.attn.w_k, sink).reshape(b, n, d)
-            v = _project_rows(normed, layer.attn.w_v, sink).reshape(b, n, d)
-            ctx = _multihead(q, k, v, config.n_heads, sink, mask_rows=None)
-            proj = _project_rows(ctx.reshape(b * n, d), layer.attn.w_o, sink)
-            x = kernels.add(x, proj, sink)
-        with sink.scope("feed_forward"):
-            normed = kernels.layer_norm(x, layer.ffn.gain, sink)
-            hidden = kernels.relu(_project_rows(normed, layer.ffn.w_in, sink), sink)
-            proj = _project_rows(hidden, layer.ffn.w_out, sink)
-            x = kernels.add(x, proj, sink)
-    x = kernels.layer_norm(x, weights.enc_final_gain, sink)
-    return x.reshape(b, n, d)
+        x = _attention_sublayer(config, layer.attn, x, b, "encoder_self", sink, tape=tape)
+        x = _ffn_sublayer(layer.ffn, x, sink, tape)
+    x = _final_norm(x, weights.enc_final_gain, sink, tape)
+    return x.reshape(b, n, config.d_model)
 
 
 def encoder_forward(
@@ -401,18 +417,11 @@ class KVCacheSet:
     cross_k: list[np.ndarray]
     cross_v: list[np.ndarray]
     length: int = 0
-    written_len: np.ndarray = field(default=None)  # type: ignore[assignment]
     active: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        if self.written_len is None:
-            self.written_len = np.zeros(self.n_streams, dtype=np.int64)
         if self.active is None:
             self.active = np.ones(self.n_streams, dtype=bool)
-
-    @property
-    def cross_owners(self) -> int:
-        return self.cross_k[0].shape[0]
 
 
 def init_decode_state(
@@ -434,16 +443,13 @@ def init_decode_state(
     n_streams = owners * streams_per_memory
     if capacity > config.max_len:
         raise LengthError(f"decoder capacity {capacity} exceeds max_len {config.max_len}")
+    # one stacked matmul per weight: each matrix is read once for all owners
+    rows = memories.reshape(owners * m, d)
     cross_k, cross_v = [], []
     with sink.scope("decoder_cross"):
         for layer in weights.dec_layers:
-            ks = np.empty((owners, m, d), dtype=F32)
-            vs = np.empty((owners, m, d), dtype=F32)
-            for o in range(owners):
-                ks[o] = kernels.matmul(memories[o], layer.cross_attn.w_k, sink)
-                vs[o] = kernels.matmul(memories[o], layer.cross_attn.w_v, sink)
-            cross_k.append(ks)
-            cross_v.append(vs)
+            cross_k.append(kernels.matmul(rows, layer.cross_attn.w_k, sink).reshape(owners, m, d))
+            cross_v.append(kernels.matmul(rows, layer.cross_attn.w_v, sink).reshape(owners, m, d))
     return KVCacheSet(
         n_streams=n_streams,
         capacity=capacity,
@@ -460,64 +466,28 @@ def _decoder_sublayers(
     weights: WeightSet,
     state: KVCacheSet,
     x: np.ndarray,
-    p: int,
     write_rows: np.ndarray,
-    causal_rows: np.ndarray | None,
+    mask_rows: np.ndarray | None,
     sink: CounterSink,
+    tape: list[dict] | None,
 ) -> np.ndarray:
     """Shared body of prefill and single-step decode.
 
     ``x`` is ``[S*p, d]`` for ``p`` new positions per stream starting at
     ``state.length``; self-attention K/V rows are written for streams in
-    ``write_rows`` only.
+    ``write_rows`` only.  ``mask_rows`` is ``[p, length + p]`` or None.
     """
     s = state.n_streams
-    d = config.d_model
-    start = state.length
-    total = start + p
     for li, layer in enumerate(weights.dec_layers):
-        with sink.scope("decoder_self"):
-            normed = kernels.layer_norm(x, layer.self_attn.gain, sink)
-            q = _project_rows(normed, layer.self_attn.w_q, sink)
-            k = _project_rows(normed, layer.self_attn.w_k, sink)
-            v = _project_rows(normed, layer.self_attn.w_v, sink)
-            k3 = k.reshape(s, p, d)
-            v3 = v.reshape(s, p, d)
-            state.self_k[li][write_rows, start:total] = k3[write_rows]
-            state.self_v[li][write_rows, start:total] = v3[write_rows]
-            # frozen streams keep zero K/V at dead positions; their own
-            # output is never sampled so the garbage attention is inert
-            keys = state.self_k[li][:, :total]
-            vals = state.self_v[li][:, :total]
-            mask = None
-            if causal_rows is not None:
-                mask = np.concatenate(
-                    [np.ones((p, start), dtype=bool), causal_rows], axis=1
-                )
-            ctx = _multihead(
-                q.reshape(s, p, d), keys, vals, config.n_heads, sink, mask_rows=mask
-            )
-            proj = _project_rows(ctx.reshape(s * p, d), layer.self_attn.w_o, sink)
-            x = kernels.add(x, proj, sink)
-        with sink.scope("decoder_cross"):
-            normed = kernels.layer_norm(x, layer.cross_attn.gain, sink)
-            q = _project_rows(normed, layer.cross_attn.w_q, sink)
-            ctx = _multihead(
-                q.reshape(s, p, d),
-                state.cross_k[li],
-                state.cross_v[li],
-                config.n_heads,
-                sink,
-                mask_rows=None,
-                kv_group=state.kv_group,
-            )
-            proj = _project_rows(ctx.reshape(s * p, d), layer.cross_attn.w_o, sink)
-            x = kernels.add(x, proj, sink)
-        with sink.scope("feed_forward"):
-            normed = kernels.layer_norm(x, layer.ffn.gain, sink)
-            hidden = kernels.relu(_project_rows(normed, layer.ffn.w_in, sink), sink)
-            proj = _project_rows(hidden, layer.ffn.w_out, sink)
-            x = kernels.add(x, proj, sink)
+        x = _attention_sublayer(
+            config, layer.self_attn, x, s, "decoder_self", sink, mask_rows=mask_rows,
+            cache=(state.self_k[li], state.self_v[li], write_rows, state.length), tape=tape,
+        )
+        x = _attention_sublayer(
+            config, layer.cross_attn, x, s, "decoder_cross", sink,
+            kv=(state.cross_k[li], state.cross_v[li]), kv_group=state.kv_group, tape=tape,
+        )
+        x = _ffn_sublayer(layer.ffn, x, sink, tape)
     return x
 
 
@@ -528,12 +498,15 @@ def decoder_prefill(
     token_block: np.ndarray,
     sink: CounterSink,
     return_all_logits: bool = False,
+    tape: list[dict] | None = None,
 ) -> np.ndarray:
     """Process ``p`` known positions per stream in one causal pass.
 
     ``token_block`` is ``[S, p]``.  Fills cache positions
     ``length .. length+p-1`` and returns the last position's logits
-    ``[S, vocab]`` (or all positions ``[S, p, vocab]``).
+    ``[S, vocab]`` (or all positions ``[S, p, vocab]``).  With a ``tape``,
+    records one entry per sublayer (self, cross, feed-forward per layer)
+    and a last one for the final norm.
     """
     token_block = np.asarray(token_block, dtype=np.int64)
     s, p = token_block.shape
@@ -548,14 +521,11 @@ def decoder_prefill(
     d = config.d_model
     pos = np.tile(np.arange(state.length, state.length + p), s)
     x = _embed(weights, token_block.reshape(-1), pos, sink)
-    causal = np.tril(np.ones((p, p), dtype=bool))
-    x = _decoder_sublayers(
-        config, weights, state, x, p, np.arange(s), causal, sink
-    )
+    # row i sees every cached position and the new positions up to its own
+    causal = np.tri(p, state.length + p, state.length, dtype=bool)
+    x = _decoder_sublayers(config, weights, state, x, np.arange(s), causal, sink, tape)
     state.length += p
-    state.written_len[:] = state.length
-    with sink.scope("other"):
-        x = kernels.layer_norm(x, weights.dec_final_gain, sink)
+    x = _final_norm(x, weights.dec_final_gain, sink, tape)
     with sink.scope("embedding"):
         if return_all_logits:
             logits = kernels.matmul(x, weights.head, sink)
@@ -588,10 +558,8 @@ def decoder_step(
     pos = np.full(s, state.length)
     x = _embed(weights, new_tokens, pos, sink)
     write_rows = np.flatnonzero(state.active)
-    x = _decoder_sublayers(config, weights, state, x, 1, write_rows, None, sink)
+    x = _decoder_sublayers(config, weights, state, x, write_rows, None, sink, None)
     state.length += 1
-    state.written_len[state.active] = state.length
-    with sink.scope("other"):
-        x = kernels.layer_norm(x, weights.dec_final_gain, sink)
+    x = _final_norm(x, weights.dec_final_gain, sink, None)
     with sink.scope("embedding"):
         return kernels.matmul(x, weights.head, sink)

@@ -7,9 +7,13 @@ every shared input once per prompt.  The prompt-in-decoder layout keeps
 one encoder pass per instance and trains all of the instance's decoder
 streams against that single shared encoding.
 
-The backward pass is exact and runs through the same counted kernels as
-the forward pass (matrix multiplies, softmax/layer-norm/relu backward),
-so per-epoch training flops are measured rather than estimated.  Gradient
+The forward pass is the inference forward itself: ``encode_batch``,
+``init_decode_state`` and an all-positions ``decoder_prefill`` from
+:mod:`multiprompt.model`, run with activation tapes.  This module holds
+only the loss and the backward.  The backward pass is exact and runs
+through the same counted kernels as the forward pass (matrix multiplies,
+softmax/layer-norm/relu backward), so per-epoch training flops are
+measured rather than estimated.  Gradient
 buffer accumulation (the ``+=`` into weight-gradient arrays) is plain
 numpy and is not counted; it is linear in parameter count and negligible
 next to the matmul terms.
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .costmodel import _encode_flops
+from .costmodel import _decode_flops, _encode_flops
 from .engines import PID, PIE, Instance, Workload, infer
 from .errors import ConfigError, TrainingError
 from .kernels import CounterSink, F32
@@ -32,9 +36,13 @@ from .model import (
     BOS,
     EOS,
     SEP,
+    AttentionWeights,
+    FeedForwardWeights,
     ModelConfig,
     WeightSet,
-    _multihead,
+    decoder_prefill,
+    encode_batch,
+    init_decode_state,
 )
 
 # -- synthetic decomposable task ----------------------------------------------
@@ -213,44 +221,94 @@ def pie_batches(
 
 
 def _attn_backward(
-    d_out: np.ndarray,
-    mh: dict,
-    n_heads: int,
-    kv_group: int,
-    dh_scale: float,
-    sink: CounterSink,
+    d_out: np.ndarray, mh: dict, n_heads: int, sink: CounterSink
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward of :func:`multiprompt.model._multihead`.
 
-    ``d_out`` is ``[G, nq, d]`` matching the forward output; returns
-    ``(d_q rows [G*nq, d], d_k [owners, m, d], d_v [owners, m, d])``.
+    ``d_out`` is ``[G*nq, d]`` rows matching the forward output; returns
+    ``(d_q rows [G*nq, d], d_k [owners*m, d], d_v [owners*m, d])``.
     """
-    g, nq, d = d_out.shape
     q4, k4, v4, probs = mh["q4"], mh["k4"], mh["v4"], mh["probs"]
     oh, gq, dh = q4.shape
     owners = oh // n_heads
+    d = n_heads * dh
     m = k4.shape[2]
-    d_ctx = d_out.reshape(owners, kv_group * nq, n_heads, dh).transpose(0, 2, 1, 3)
+    d_ctx = d_out.reshape(owners, gq, n_heads, dh).transpose(0, 2, 1, 3)
     d_ctx = np.ascontiguousarray(d_ctx).reshape(oh, gq, dh)
     d_probs = kernels.bmm(d_ctx, np.ascontiguousarray(v4.transpose(0, 2, 1)), sink)
     d_v4 = kernels.bmm(np.ascontiguousarray(probs.transpose(0, 2, 1)), d_ctx, sink)
     d_scores = kernels.softmax_rows_backward(
         probs.reshape(oh * gq, m), d_probs.reshape(oh * gq, m), sink
     )
-    d_scores = kernels.scale(d_scores, dh_scale, sink).reshape(oh, gq, m)
+    d_scores = kernels.scale(d_scores, 1.0 / math.sqrt(dh), sink).reshape(oh, gq, m)
     d_q4 = kernels.bmm(d_scores, np.ascontiguousarray(k4.transpose(0, 2, 1)), sink)
     d_k4 = kernels.bmm(np.ascontiguousarray(d_scores.transpose(0, 2, 1)), q4, sink)
     d_q = d_q4.reshape(owners, n_heads, gq, dh).transpose(0, 2, 1, 3)
-    d_q = np.ascontiguousarray(d_q).reshape(g * nq, d)
+    d_q = np.ascontiguousarray(d_q).reshape(owners * gq, d)
     d_k = d_k4.reshape(owners, n_heads, m, dh).transpose(0, 2, 1, 3)
-    d_k = np.ascontiguousarray(d_k).reshape(owners, m, d)
+    d_k = np.ascontiguousarray(d_k).reshape(owners * m, d)
     d_v = d_v4.reshape(owners, n_heads, m, dh).transpose(0, 2, 1, 3)
-    d_v = np.ascontiguousarray(d_v).reshape(owners, m, d)
+    d_v = np.ascontiguousarray(d_v).reshape(owners * m, d)
     return d_q, d_k, d_v
 
 
 def _t(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.T)
+
+
+def _attention_backward(
+    name: str,
+    component: str,
+    attn: AttentionWeights,
+    t: dict,
+    dx: np.ndarray,
+    self_kv: bool,
+    n_heads: int,
+    grads: dict[str, np.ndarray],
+    sink: CounterSink,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Backward of ``model._attention_sublayer`` from its taped activations.
+
+    Returns ``(dx, d_k, d_v)``: the gradient at the sublayer input and at
+    the attended K/V rows.  With ``self_kv`` the K/V were projected from the
+    sublayer's own normed input, so their weight gradients and their share
+    of the input gradient are taken here; otherwise the caller owns them.
+    """
+    with sink.scope(component):
+        grads[f"{name}.w_o"] += kernels.matmul(_t(t["ctx"]), dx, sink)
+        d_ctx = kernels.matmul(dx, _t(attn.w_o), sink)
+        d_q, d_k, d_v = _attn_backward(d_ctx, t, n_heads, sink)
+        normed = t["normed"]
+        grads[f"{name}.w_q"] += kernels.matmul(_t(normed), d_q, sink)
+        d_normed = kernels.matmul(d_q, _t(attn.w_q), sink)
+        if self_kv:
+            grads[f"{name}.w_k"] += kernels.matmul(_t(normed), d_k, sink)
+            grads[f"{name}.w_v"] += kernels.matmul(_t(normed), d_v, sink)
+            d_normed = kernels.add(d_normed, kernels.matmul(d_k, _t(attn.w_k), sink), sink)
+            d_normed = kernels.add(d_normed, kernels.matmul(d_v, _t(attn.w_v), sink), sink)
+        d_ln, dg = kernels.layer_norm_backward(t["x_in"], attn.gain, d_normed, sink)
+        grads[f"{name}.gain"] += dg
+        return kernels.add(dx, d_ln, sink), d_k, d_v
+
+
+def _ffn_backward(
+    name: str,
+    ffn: FeedForwardWeights,
+    t: dict,
+    dx: np.ndarray,
+    grads: dict[str, np.ndarray],
+    sink: CounterSink,
+) -> np.ndarray:
+    """Backward of ``model._ffn_sublayer``; returns the input gradient."""
+    with sink.scope("feed_forward"):
+        grads[f"{name}.w_out"] += kernels.matmul(_t(t["hid"]), dx, sink)
+        d_hid = kernels.matmul(dx, _t(ffn.w_out), sink)
+        d_pre = kernels.relu_backward(t["pre"], d_hid, sink)
+        grads[f"{name}.w_in"] += kernels.matmul(_t(t["normed"]), d_pre, sink)
+        d_normed = kernels.matmul(d_pre, _t(ffn.w_in), sink)
+        d_ln, dg = kernels.layer_norm_backward(t["x_in"], ffn.gain, d_normed, sink)
+        grads[f"{name}.gain"] += dg
+        return kernels.add(dx, d_ln, sink)
 
 
 def training_forward_backward(
@@ -261,12 +319,15 @@ def training_forward_backward(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """One exact forward/backward over a uniform batch; returns (loss, grads).
 
-    Cross-entropy is averaged over positions whose loss mask is set (targets
-    that are output tokens, never prompt tokens); decoder streams of one
-    group share a single encoder forward and their memory gradients sum.
+    The forward is the inference forward (``encode_batch``,
+    ``init_decode_state``, an all-positions ``decoder_prefill``) recording
+    activations on two tapes.  Cross-entropy is averaged over positions
+    whose loss mask is set (targets that are output tokens, never prompt
+    tokens); decoder streams of one group share a single encoder forward
+    and their memory gradients sum.
     """
-    d, h = config.d_model, config.n_heads
-    dh_scale = 1.0 / math.sqrt(config.head_dim)
+    h = config.n_heads
+    emb_scale = math.sqrt(config.d_model)
     n_groups = len(batch.enc_inputs)
     group = batch.group_size
     n_streams = n_groups * group
@@ -274,118 +335,22 @@ def training_forward_backward(
         raise ConfigError(
             f"batch has {len(batch.streams)} streams, expected {n_groups}x{group}"
         )
-    le = batch.enc_inputs[0].size
     t_dec = batch.streams[0].tokens.size
-    re, rd = n_groups * le, n_streams * t_dec
+    rd = n_streams * t_dec
 
     grads = {name: np.zeros_like(arr) for name, arr in weights.named_arrays()}
 
-    # ---- encoder forward
-    emb_scale = math.sqrt(d)
-    enc_tokens = np.concatenate(batch.enc_inputs)
-    enc_pos = np.tile(np.arange(le), n_groups)
-    with sink.scope("embedding"):
-        x = kernels.gather_rows(weights.embedding, enc_tokens, sink)
-        x = kernels.scale(x, emb_scale, sink)
-        x = kernels.add(x, weights.positions[enc_pos], sink)
-    enc_tape = []
-    for layer in weights.enc_layers:
-        t: dict = {}
-        with sink.scope("encoder_self"):
-            t["x_in"] = x
-            normed = kernels.layer_norm(x, layer.attn.gain, sink)
-            t["normed"] = normed
-            q = kernels.matmul(normed, layer.attn.w_q, sink)
-            k = kernels.matmul(normed, layer.attn.w_k, sink)
-            v = kernels.matmul(normed, layer.attn.w_v, sink)
-            mh: dict = {}
-            ctx = _multihead(
-                q.reshape(n_groups, le, d), k.reshape(n_groups, le, d),
-                v.reshape(n_groups, le, d), h, sink, None, internals=mh,
-            ).reshape(re, d)
-            t["mh"], t["ctx"] = mh, ctx
-            x = kernels.add(x, kernels.matmul(ctx, layer.attn.w_o, sink), sink)
-        with sink.scope("feed_forward"):
-            t["x_mid"] = x
-            normed2 = kernels.layer_norm(x, layer.ffn.gain, sink)
-            t["normed2"] = normed2
-            pre = kernels.matmul(normed2, layer.ffn.w_in, sink)
-            t["pre"] = pre
-            hid = kernels.relu(pre, sink)
-            t["hid"] = hid
-            x = kernels.add(x, kernels.matmul(hid, layer.ffn.w_out, sink), sink)
-        enc_tape.append(t)
-    enc_final_in = x
-    with sink.scope("other"):
-        memory_flat = kernels.layer_norm(x, weights.enc_final_gain, sink)
-
-    # ---- cross-attention K/V (shared per group)
-    cross_kv = []
-    with sink.scope("decoder_cross"):
-        for layer in weights.dec_layers:
-            cross_kv.append(
-                {
-                    "k": kernels.matmul(memory_flat, layer.cross_attn.w_k, sink),
-                    "v": kernels.matmul(memory_flat, layer.cross_attn.w_v, sink),
-                }
-            )
-
-    # ---- decoder forward
+    # ---- forward: the inference forward, recorded on tapes
+    enc_tape: list[dict] = []
+    dec_tape: list[dict] = []
+    memory = encode_batch(config, weights, batch.enc_inputs, sink, tape=enc_tape)
+    state = init_decode_state(config, weights, memory, group, t_dec, sink)
     dec_tokens = np.stack([s.tokens for s in batch.streams])
+    logits = decoder_prefill(
+        config, weights, state, dec_tokens, sink, return_all_logits=True, tape=dec_tape
+    ).reshape(rd, config.vocab_size)
     targets = np.stack([s.targets for s in batch.streams]).reshape(-1)
     loss_mask = np.stack([s.loss_mask for s in batch.streams]).reshape(-1)
-    dec_pos = np.tile(np.arange(t_dec), n_streams)
-    with sink.scope("embedding"):
-        x = kernels.gather_rows(weights.embedding, dec_tokens.reshape(-1), sink)
-        x = kernels.scale(x, emb_scale, sink)
-        x = kernels.add(x, weights.positions[dec_pos], sink)
-    causal = np.tril(np.ones((t_dec, t_dec), dtype=bool))
-    dec_tape = []
-    for li, layer in enumerate(weights.dec_layers):
-        t = {}
-        with sink.scope("decoder_self"):
-            t["x_in"] = x
-            normed = kernels.layer_norm(x, layer.self_attn.gain, sink)
-            t["normed"] = normed
-            q = kernels.matmul(normed, layer.self_attn.w_q, sink)
-            k = kernels.matmul(normed, layer.self_attn.w_k, sink)
-            v = kernels.matmul(normed, layer.self_attn.w_v, sink)
-            mh = {}
-            ctx = _multihead(
-                q.reshape(n_streams, t_dec, d), k.reshape(n_streams, t_dec, d),
-                v.reshape(n_streams, t_dec, d), h, sink, causal, internals=mh,
-            ).reshape(rd, d)
-            t["mh_self"], t["ctx_self"] = mh, ctx
-            x = kernels.add(x, kernels.matmul(ctx, layer.self_attn.w_o, sink), sink)
-        with sink.scope("decoder_cross"):
-            t["x_mid1"] = x
-            normed_c = kernels.layer_norm(x, layer.cross_attn.gain, sink)
-            t["normed_c"] = normed_c
-            q_c = kernels.matmul(normed_c, layer.cross_attn.w_q, sink)
-            mh_c: dict = {}
-            ctx_c = _multihead(
-                q_c.reshape(n_streams, t_dec, d),
-                cross_kv[li]["k"].reshape(n_groups, le, d),
-                cross_kv[li]["v"].reshape(n_groups, le, d),
-                h, sink, None, kv_group=group, internals=mh_c,
-            ).reshape(rd, d)
-            t["mh_cross"], t["ctx_cross"] = mh_c, ctx_c
-            x = kernels.add(x, kernels.matmul(ctx_c, layer.cross_attn.w_o, sink), sink)
-        with sink.scope("feed_forward"):
-            t["x_mid2"] = x
-            normed2 = kernels.layer_norm(x, layer.ffn.gain, sink)
-            t["normed2"] = normed2
-            pre = kernels.matmul(normed2, layer.ffn.w_in, sink)
-            t["pre"] = pre
-            hid = kernels.relu(pre, sink)
-            t["hid"] = hid
-            x = kernels.add(x, kernels.matmul(hid, layer.ffn.w_out, sink), sink)
-        dec_tape.append(t)
-    dec_final_in = x
-    with sink.scope("other"):
-        final = kernels.layer_norm(x, weights.dec_final_gain, sink)
-    with sink.scope("embedding"):
-        logits = kernels.matmul(final, weights.head, sink)
 
     # ---- loss and logits gradient
     n_count = int(loss_mask.sum())
@@ -401,99 +366,55 @@ def training_forward_backward(
     if not math.isfinite(loss):
         raise TrainingError("non-finite loss")
 
-    # ---- decoder backward
+    # ---- decoder backward; the tape holds (self, cross, ffn) per layer, then the final norm
+    final = dec_tape[-1]
     with sink.scope("embedding"):
-        grads["head"] += kernels.matmul(_t(final), d_logits, sink)
+        grads["head"] += kernels.matmul(_t(final["normed"]), d_logits, sink)
         d_final = kernels.matmul(d_logits, _t(weights.head), sink)
     with sink.scope("other"):
-        dx, dg = kernels.layer_norm_backward(dec_final_in, weights.dec_final_gain, d_final, sink)
+        dx, dg = kernels.layer_norm_backward(final["x_in"], weights.dec_final_gain, d_final, sink)
         grads["dec_final_gain"] += dg
-    d_memory = np.zeros_like(memory_flat)
+    memory_rows = enc_tape[-1]["normed"]
+    d_memory = np.zeros_like(memory_rows)
     for li in reversed(range(config.n_dec_layers)):
         layer = weights.dec_layers[li]
-        t = dec_tape[li]
-        with sink.scope("feed_forward"):
-            grads[f"dec.{li}.ffn.w_out"] += kernels.matmul(_t(t["hid"]), dx, sink)
-            d_hid = kernels.matmul(dx, _t(layer.ffn.w_out), sink)
-            d_pre = kernels.relu_backward(t["pre"], d_hid, sink)
-            grads[f"dec.{li}.ffn.w_in"] += kernels.matmul(_t(t["normed2"]), d_pre, sink)
-            d_normed2 = kernels.matmul(d_pre, _t(layer.ffn.w_in), sink)
-            d_ln, dg = kernels.layer_norm_backward(t["x_mid2"], layer.ffn.gain, d_normed2, sink)
-            grads[f"dec.{li}.ffn.gain"] += dg
-            dx = kernels.add(dx, d_ln, sink)
+        t_self, t_cross, t_ffn = dec_tape[3 * li : 3 * li + 3]
+        dx = _ffn_backward(f"dec.{li}.ffn", layer.ffn, t_ffn, dx, grads, sink)
+        dx, d_k, d_v = _attention_backward(
+            f"dec.{li}.cross", "decoder_cross", layer.cross_attn, t_cross, dx, False, h,
+            grads, sink,
+        )
         with sink.scope("decoder_cross"):
-            grads[f"dec.{li}.cross.w_o"] += kernels.matmul(_t(t["ctx_cross"]), dx, sink)
-            d_ctx = kernels.matmul(dx, _t(layer.cross_attn.w_o), sink)
-            d_q, d_k, d_v = _attn_backward(
-                d_ctx.reshape(n_streams, t_dec, d), t["mh_cross"], h, group, dh_scale, sink
-            )
-            grads[f"dec.{li}.cross.w_q"] += kernels.matmul(_t(t["normed_c"]), d_q, sink)
-            d_normed_c = kernels.matmul(d_q, _t(layer.cross_attn.w_q), sink)
-            d_kv_rows = d_k.reshape(re, d)
-            grads[f"dec.{li}.cross.w_k"] += kernels.matmul(_t(memory_flat), d_kv_rows, sink)
-            d_memory += kernels.matmul(d_kv_rows, _t(layer.cross_attn.w_k), sink)
-            d_vv_rows = d_v.reshape(re, d)
-            grads[f"dec.{li}.cross.w_v"] += kernels.matmul(_t(memory_flat), d_vv_rows, sink)
-            d_memory += kernels.matmul(d_vv_rows, _t(layer.cross_attn.w_v), sink)
-            d_ln, dg = kernels.layer_norm_backward(t["x_mid1"], layer.cross_attn.gain, d_normed_c, sink)
-            grads[f"dec.{li}.cross.gain"] += dg
-            dx = kernels.add(dx, d_ln, sink)
-        with sink.scope("decoder_self"):
-            grads[f"dec.{li}.self.w_o"] += kernels.matmul(_t(t["ctx_self"]), dx, sink)
-            d_ctx = kernels.matmul(dx, _t(layer.self_attn.w_o), sink)
-            d_q, d_k, d_v = _attn_backward(
-                d_ctx.reshape(n_streams, t_dec, d), t["mh_self"], h, 1, dh_scale, sink
-            )
-            d_k_rows, d_v_rows = d_k.reshape(rd, d), d_v.reshape(rd, d)
-            grads[f"dec.{li}.self.w_q"] += kernels.matmul(_t(t["normed"]), d_q, sink)
-            grads[f"dec.{li}.self.w_k"] += kernels.matmul(_t(t["normed"]), d_k_rows, sink)
-            grads[f"dec.{li}.self.w_v"] += kernels.matmul(_t(t["normed"]), d_v_rows, sink)
-            d_normed = kernels.matmul(d_q, _t(layer.self_attn.w_q), sink)
-            d_normed = kernels.add(d_normed, kernels.matmul(d_k_rows, _t(layer.self_attn.w_k), sink), sink)
-            d_normed = kernels.add(d_normed, kernels.matmul(d_v_rows, _t(layer.self_attn.w_v), sink), sink)
-            d_ln, dg = kernels.layer_norm_backward(t["x_in"], layer.self_attn.gain, d_normed, sink)
-            grads[f"dec.{li}.self.gain"] += dg
-            dx = kernels.add(dx, d_ln, sink)
+            grads[f"dec.{li}.cross.w_k"] += kernels.matmul(_t(memory_rows), d_k, sink)
+            d_memory += kernels.matmul(d_k, _t(layer.cross_attn.w_k), sink)
+            grads[f"dec.{li}.cross.w_v"] += kernels.matmul(_t(memory_rows), d_v, sink)
+            d_memory += kernels.matmul(d_v, _t(layer.cross_attn.w_v), sink)
+        dx, _, _ = _attention_backward(
+            f"dec.{li}.self", "decoder_self", layer.self_attn, t_self, dx, True, h, grads, sink
+        )
     with sink.scope("embedding"):
         kernels.scatter_add_rows(
             grads["embedding"], dec_tokens.reshape(-1), kernels.scale(dx, emb_scale, sink), sink
         )
 
-    # ---- encoder backward (memory gradient fans in from every decoder layer)
+    # ---- encoder backward (memory gradient fans in from every decoder layer);
+    # the tape holds (attn, ffn) per layer, then the final norm
     with sink.scope("other"):
-        dx, dg = kernels.layer_norm_backward(enc_final_in, weights.enc_final_gain, d_memory, sink)
+        dx, dg = kernels.layer_norm_backward(
+            enc_tape[-1]["x_in"], weights.enc_final_gain, d_memory, sink
+        )
         grads["enc_final_gain"] += dg
     for li in reversed(range(config.n_enc_layers)):
         layer = weights.enc_layers[li]
-        t = enc_tape[li]
-        with sink.scope("feed_forward"):
-            grads[f"enc.{li}.ffn.w_out"] += kernels.matmul(_t(t["hid"]), dx, sink)
-            d_hid = kernels.matmul(dx, _t(layer.ffn.w_out), sink)
-            d_pre = kernels.relu_backward(t["pre"], d_hid, sink)
-            grads[f"enc.{li}.ffn.w_in"] += kernels.matmul(_t(t["normed2"]), d_pre, sink)
-            d_normed2 = kernels.matmul(d_pre, _t(layer.ffn.w_in), sink)
-            d_ln, dg = kernels.layer_norm_backward(t["x_mid"], layer.ffn.gain, d_normed2, sink)
-            grads[f"enc.{li}.ffn.gain"] += dg
-            dx = kernels.add(dx, d_ln, sink)
-        with sink.scope("encoder_self"):
-            grads[f"enc.{li}.attn.w_o"] += kernels.matmul(_t(t["ctx"]), dx, sink)
-            d_ctx = kernels.matmul(dx, _t(layer.attn.w_o), sink)
-            d_q, d_k, d_v = _attn_backward(
-                d_ctx.reshape(n_groups, le, d), t["mh"], h, 1, dh_scale, sink
-            )
-            d_k_rows, d_v_rows = d_k.reshape(re, d), d_v.reshape(re, d)
-            grads[f"enc.{li}.attn.w_q"] += kernels.matmul(_t(t["normed"]), d_q, sink)
-            grads[f"enc.{li}.attn.w_k"] += kernels.matmul(_t(t["normed"]), d_k_rows, sink)
-            grads[f"enc.{li}.attn.w_v"] += kernels.matmul(_t(t["normed"]), d_v_rows, sink)
-            d_normed = kernels.matmul(d_q, _t(layer.attn.w_q), sink)
-            d_normed = kernels.add(d_normed, kernels.matmul(d_k_rows, _t(layer.attn.w_k), sink), sink)
-            d_normed = kernels.add(d_normed, kernels.matmul(d_v_rows, _t(layer.attn.w_v), sink), sink)
-            d_ln, dg = kernels.layer_norm_backward(t["x_in"], layer.attn.gain, d_normed, sink)
-            grads[f"enc.{li}.attn.gain"] += dg
-            dx = kernels.add(dx, d_ln, sink)
+        t_attn, t_ffn = enc_tape[2 * li : 2 * li + 2]
+        dx = _ffn_backward(f"enc.{li}.ffn", layer.ffn, t_ffn, dx, grads, sink)
+        dx, _, _ = _attention_backward(
+            f"enc.{li}.attn", "encoder_self", layer.attn, t_attn, dx, True, h, grads, sink
+        )
     with sink.scope("embedding"):
         kernels.scatter_add_rows(
-            grads["embedding"], enc_tokens, kernels.scale(dx, emb_scale, sink), sink
+            grads["embedding"], np.concatenate(batch.enc_inputs),
+            kernels.scale(dx, emb_scale, sink), sink,
         )
     return loss, grads
 
@@ -597,25 +518,6 @@ def evaluate_exact_match(
     return hits / total
 
 
-def _full_decoder_forward_flops(
-    config: ModelConfig, n_streams: int, t_dec: int, m: int, owners: int
-) -> int:
-    d, dff, h, v = config.d_model, config.d_ff, config.n_heads, config.vocab_size
-    rows = n_streams * t_dec
-    layers = config.n_dec_layers
-    self_part = layers * (
-        8 * rows * d * d + 4 * n_streams * t_dec * t_dec * d
-        + 5 * n_streams * h * t_dec * t_dec + 7 * rows * d
-    )
-    kv = layers * 4 * owners * m * d * d
-    cross = kv + layers * (
-        4 * rows * d * d + 4 * n_streams * t_dec * m * d + 5 * n_streams * h * t_dec * m
-        + 7 * rows * d
-    )
-    ffn = layers * (4 * rows * d * dff + rows * dff + 7 * rows * d)
-    return self_part + cross + ffn + 2 * rows * d + 6 * rows * d + 2 * rows * d * v
-
-
 @dataclass(frozen=True)
 class ToyTrainingSpec:
     """Frozen defaults that reach full held-out exact match with plain SGD."""
@@ -673,12 +575,10 @@ def predicted_training_flop_ratio(config: ModelConfig, task: SyntheticTask) -> f
     u = task.n_prompts
     ans = task.answer_len
     pie_enc_len = task.n_s + 1 + task.prompt_len
-    pie = _encode_flops(config, u, pie_enc_len)
-    pie_total = sum(pie.values()) + _full_decoder_forward_flops(
-        config, u, 1 + ans, pie_enc_len, u
+    pie_total = sum(_encode_flops(config, u, pie_enc_len).values()) + sum(
+        _decode_flops(config, u, u, 1 + ans, pie_enc_len, 1, all_logits=True).values()
     )
-    pid = _encode_flops(config, 1, task.n_s)
-    pid_total = sum(pid.values()) + _full_decoder_forward_flops(
-        config, u, task.prompt_len + ans, task.n_s, 1
+    pid_total = sum(_encode_flops(config, 1, task.n_s).values()) + sum(
+        _decode_flops(config, u, 1, task.prompt_len + ans, task.n_s, 1, all_logits=True).values()
     )
     return pie_total / pid_total

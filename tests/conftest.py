@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from multiprompt.kernels import CounterSink
@@ -21,8 +20,3 @@ def tiny_weights(tiny_config):
 @pytest.fixture
 def sink():
     return CounterSink()
-
-
-def random_tokens(rng, n, vocab_size):
-    """Content tokens only (ids past the reserved range)."""
-    return rng.integers(4, vocab_size, size=n, dtype=np.int64)

@@ -8,7 +8,15 @@ import pytest
 from multiprompt import costmodel as cm
 from multiprompt.engines import Instance, Workload, pid_infer, pie_infer
 from multiprompt.errors import ConfigError
-from multiprompt.model import ModelConfig, init_weights
+from multiprompt.kernels import CounterSink
+from multiprompt.model import (
+    ModelConfig,
+    decoder_prefill,
+    encode_batch,
+    init_decode_state,
+    init_weights,
+)
+from multiprompt.training import make_synthetic_task, pid_batches, pie_batches
 
 
 def shape(**kw):
@@ -328,3 +336,28 @@ def test_appendixb_attention_flops_match_engine_exactly_for_pid():
         + 7 * s.U * s.b * (s.n_p + s.n_t - 1) * s.d
     )
     assert per_layer["decoder_self"] * layers == decode_self - elementwise_self
+
+
+@pytest.mark.parametrize("build", [pie_batches, pid_batches])
+def test_all_positions_forward_matches_mirror_exactly(build):
+    # the training forward: encode, project cross K/V, prefill every position
+    config = CALIBRATION_CONFIG
+    task = make_synthetic_task(0, n_prompts=3, n_s=8, vocab_size=config.vocab_size,
+                               n_instances=20)
+    batch = build(list(task.train), 2, np.random.default_rng(0))[0]
+    weights = init_weights(config, seed=0)
+    sink = CounterSink()
+    memory = encode_batch(config, weights, batch.enc_inputs, sink)
+    owners, m, _ = memory.shape
+    t_dec = batch.streams[0].tokens.size
+    state = init_decode_state(config, weights, memory, batch.group_size, t_dec, sink)
+    tokens = np.stack([st.tokens for st in batch.streams])
+    decoder_prefill(config, weights, state, tokens, sink, return_all_logits=True)
+    predicted = cm._encode_flops(config, owners, m)
+    decode = cm._decode_flops(
+        config, len(batch.streams), owners, t_dec, m, 1, all_logits=True
+    )
+    for label, flops in decode.items():
+        predicted[label] = predicted.get(label, 0) + flops
+    measured = {label: f for label, (f, _, _) in sink.component_totals().items()}
+    assert measured == predicted

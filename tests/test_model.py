@@ -10,9 +10,8 @@ from multiprompt.errors import ConfigError, LengthError, MaskError
 from multiprompt.kernels import CounterSink
 from multiprompt.model import (
     BOS,
-    AttentionMask,
     ModelConfig,
-    attention,
+    _multihead,
     decoder_prefill,
     decoder_step,
     encode_batch,
@@ -21,9 +20,17 @@ from multiprompt.model import (
     init_weights,
 )
 
-from conftest import random_tokens
-
 F32 = np.float32
+
+
+def random_tokens(rng, n, vocab_size):
+    """Content tokens only (ids past the reserved range)."""
+    return rng.integers(4, vocab_size, size=n, dtype=np.int64)
+
+
+def attend(q, k, v, w_o, mask_rows, n_heads, sink):
+    """One sequence through the engines' attention core, then ``@ w_o``."""
+    return _multihead(q[None], k[None], v[None], n_heads, sink, mask_rows)[0] @ w_o
 
 
 # -- init_weights -----------------------------------------------------------
@@ -62,7 +69,7 @@ def test_attention_single_key_ignores_query(sink):
     w_o = rng.uniform(-1, 1, (4, 4)).astype(F32)
     for qscale in (0.0, 1.0, 50.0):
         q = np.full((1, 4), qscale, dtype=F32)
-        out = attention(q, np.ones((1, 4), dtype=F32), v, w_o, None, 1, sink)
+        out = attend(q, np.ones((1, 4), dtype=F32), v, w_o, None, 1, sink)
         np.testing.assert_allclose(out, v @ w_o, atol=1e-6)
 
 
@@ -71,7 +78,7 @@ def test_attention_scalar_oracle(sink):
     q = np.array([[10.0, 0.0]], dtype=F32)
     k = np.array([[10.0, 0.0], [0.0, 10.0]], dtype=F32)
     v = np.eye(2, dtype=F32)
-    out = attention(q, k, v, np.eye(2, dtype=F32), None, 1, sink)
+    out = attend(q, k, v, np.eye(2, dtype=F32), None, 1, sink)
     z = 100.0 / math.sqrt(2.0)
     w1 = 1.0 / (1.0 + math.exp(-z))
     np.testing.assert_allclose(out, [[w1, 1.0 - w1]], atol=1e-6)
@@ -81,17 +88,17 @@ def test_attention_scalar_oracle(sink):
 def test_attention_fully_masked_row_errors(sink):
     q = np.zeros((2, 4), dtype=F32)
     kv = np.ones((3, 4), dtype=F32)
-    mask = AttentionMask(np.array([[True, True, True], [False, False, False]]))
+    mask = np.array([[True, True, True], [False, False, False]])
     with pytest.raises(MaskError):
-        attention(q, kv, kv, np.eye(4, dtype=F32), mask, 2, sink)
+        attend(q, kv, kv, np.eye(4, dtype=F32), mask, 2, sink)
 
 
 def test_attention_rows_sum_to_one_under_causal_mask(sink):
     # masked softmax rows remain probability vectors over visible keys
     rng = np.random.default_rng(1)
     x = rng.uniform(-2, 2, (5, 8)).astype(F32)
-    mask = AttentionMask.causal(5)
-    out = attention(x, x, x, np.eye(8, dtype=F32), mask, 2, sink)
+    mask = np.tril(np.ones((5, 5), dtype=bool))
+    out = attend(x, x, x, np.eye(8, dtype=F32), mask, 2, sink)
     assert np.isfinite(out).all()
 
 
@@ -211,4 +218,46 @@ def test_frozen_stream_cache_rows_unchanged(tiny_config, tiny_weights):
     before = state.self_k[0][1].copy()
     decoder_step(tiny_config, tiny_weights, state, np.array([5, 5]), CounterSink())
     np.testing.assert_array_equal(state.self_k[0][1], before)
-    assert state.written_len[1] == 1 and state.written_len[0] == 2
+    assert np.abs(state.self_k[0][0, 1]).max() > 0  # active stream wrote position 1
+    assert not state.self_k[0][1, 1].any()  # frozen stream's position 1 stays zero
+
+
+def test_init_decode_state_reads_each_cross_weight_once(tiny_config, tiny_weights):
+    # one stacked projection per weight: 2 matmuls per layer, each reading
+    # all owners' memory rows plus the d x d weight exactly once
+    owners, m, d = 3, 5, tiny_config.d_model
+    memories = np.ones((owners, m, d), dtype=F32)
+    sink = CounterSink()
+    init_decode_state(tiny_config, tiny_weights, memories, 2, 8, sink)
+    layers = tiny_config.n_dec_layers
+    _, bytes_read, _ = sink.component_totals()["decoder_cross"]
+    assert bytes_read == 8 * layers * (owners * m * d + d * d)
+
+
+@pytest.mark.parametrize("group", [1, 2])
+def test_tape_changes_nothing(tiny_config, tiny_weights, group):
+    rng = np.random.default_rng(11)
+    seqs = [random_tokens(rng, 6, tiny_config.vocab_size) for _ in range(2)]
+    block = random_tokens(rng, 2 * group * 4, tiny_config.vocab_size).reshape(2 * group, 4)
+
+    def forward(enc_tape, dec_tape):
+        sink = CounterSink()
+        memory = encode_batch(tiny_config, tiny_weights, seqs, sink, tape=enc_tape)
+        state = init_decode_state(tiny_config, tiny_weights, memory, group, 4, sink)
+        logits = decoder_prefill(
+            tiny_config, tiny_weights, state, block, sink, return_all_logits=True, tape=dec_tape
+        )
+        return memory, logits, state, sink
+
+    memory, logits, state, sink = forward(None, None)
+    enc_tape, dec_tape = [], []
+    t_memory, t_logits, t_state, t_sink = forward(enc_tape, dec_tape)
+    np.testing.assert_array_equal(memory, t_memory)
+    np.testing.assert_array_equal(logits, t_logits)
+    for a, b in zip(state.self_k + state.self_v, t_state.self_k + t_state.self_v):
+        np.testing.assert_array_equal(a, b)
+    assert sink.component_totals() == t_sink.component_totals()
+    assert sink.kind_totals() == t_sink.kind_totals()
+    # one entry per sublayer, then one for the final norm
+    assert len(enc_tape) == 2 * tiny_config.n_enc_layers + 1
+    assert len(dec_tape) == 3 * tiny_config.n_dec_layers + 1
