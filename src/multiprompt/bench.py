@@ -150,7 +150,13 @@ def _time_once(engine: str, model: ModelConfig, weights: WeightSet, wl: Workload
 
 
 def run_bench(config: BenchConfig) -> LatencyReport:
-    """Paired timings on identical workloads, one engine at a time."""
+    """Paired timings on identical workloads, engines interleaved rep by rep.
+
+    Every repetition times each engine once per batch size, and the engine
+    that goes first alternates, so drift in the host hits all engines
+    alike.  The "single" series is the batch-1 series: it is timed once
+    and serves both the single-instance and the batch-1 figures.
+    """
     guard_batch = max(config.batch_sizes)
     estimated = estimate_run_bytes(config.model, config.shape, guard_batch)
     if estimated > config.mem_cap_bytes:
@@ -164,29 +170,28 @@ def run_bench(config: BenchConfig) -> LatencyReport:
         repetitions=config.repetitions,
         warmup=config.warmup,
     )
-    single_wl = workload_from_shape(config.shape, config.seed, batch=1)
-    batch_wls = {
+    workloads = {
         b: workload_from_shape(config.shape, config.seed, batch=b)
-        for b in config.batch_sizes
+        for b in sorted({1, *config.batch_sizes})
     }
+    for _ in range(config.warmup):
+        for engine in config.engines:
+            _time_once(engine, config.model, weights, workloads[1])
+    per_instance = {(e, b): [] for e in config.engines for b in workloads}
+    last = {}
+    for rep in range(config.repetitions):
+        order = config.engines if rep % 2 == 0 else config.engines[::-1]
+        for b, wl in workloads.items():
+            for engine in order:
+                seconds, last[engine, b] = _time_once(engine, config.model, weights, wl)
+                per_instance[engine, b].append(seconds / b)
     for engine in config.engines:
-        for _ in range(config.warmup):
-            _time_once(engine, config.model, weights, single_wl)
-        times = []
-        last = None
-        for _ in range(config.repetitions):
-            seconds, last = _time_once(engine, config.model, weights, single_wl)
-            times.append(seconds)
+        times = per_instance[engine, 1]
         mean = statistics.fmean(times)
         std = statistics.pstdev(times)
-        batched: dict[int, float] = {}
-        for b, wl in batch_wls.items():
-            runs = []
-            for _ in range(config.repetitions):
-                seconds, _ = _time_once(engine, config.model, weights, wl)
-                runs.append(seconds / b)
-            batched[b] = statistics.median(runs)
+        batched = {b: statistics.median(per_instance[engine, b]) for b in config.batch_sizes}
         optimal_batch = min(batched, key=batched.get)
+        single = last[engine, 1]
         report.engines[engine] = EngineTiming(
             engine=engine,
             single_mean_s=mean,
@@ -195,8 +200,8 @@ def run_bench(config: BenchConfig) -> LatencyReport:
             batched_per_instance_s=batched,
             optimal_batch=optimal_batch,
             optimal_per_instance_s=batched[optimal_batch],
-            total_flops=last.counters.flops,
-            token_checksum=_checksum(last.flat_outputs()),
+            total_flops=single.counters.flops,
+            token_checksum=_checksum(single.flat_outputs()),
             unstable=std > 0.5 * mean,
         )
     if "pie" in report.engines and "pid" in report.engines:

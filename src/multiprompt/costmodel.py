@@ -399,12 +399,13 @@ def roofline_estimate(cost: CostBreakdown, hw: HardwareProfile) -> RooflineEstim
 def _encode_flops(config: ModelConfig, n_pass: int, length: int) -> dict[str, int]:
     d, dff, h = config.d_model, config.d_ff, config.n_heads
     rows = n_pass * length
-    # per sublayer: norm 6/elt, residual add 1/elt on top of the matmuls
+    # per sublayer: norm 6/elt, residual add 1/elt on top of the matmuls;
+    # attention adds the 1/sqrt(dh) query scale 1/elt and softmax 4/score
     enc_self = config.n_enc_layers * (
         8 * rows * d * d
         + 4 * n_pass * length * length * d
-        + 5 * n_pass * h * length * length
-        + 7 * rows * d
+        + 4 * n_pass * h * length * length
+        + 8 * rows * d
     )
     ffn = config.n_enc_layers * (4 * rows * d * dff + rows * dff + 7 * rows * d)
     return {
@@ -435,15 +436,15 @@ def _decode_flops(
     self_keys = prefix * prefix + steps * prefix + steps * (steps + 1) // 2
     total_rows = streams * (prefix + steps)
     dec_self = layers * (
-        8 * total_rows * d * d + 4 * streams * self_keys * d + 5 * streams * h * self_keys
-        + 7 * total_rows * d
+        8 * total_rows * d * d + 4 * streams * self_keys * d + 4 * streams * h * self_keys
+        + 8 * total_rows * d
     )
     cross_q = prefix + steps
     dec_cross = kv_init + layers * (
         4 * total_rows * d * d
         + 4 * streams * cross_q * m * d
-        + 5 * streams * h * cross_q * m
-        + 7 * total_rows * d
+        + 4 * streams * h * cross_q * m
+        + 8 * total_rows * d
     )
     ffn = layers * (4 * total_rows * d * dff + total_rows * dff + 7 * total_rows * d)
     head = ((prefix if all_logits else 1) + steps) * 2 * streams * d * v

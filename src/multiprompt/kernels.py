@@ -189,19 +189,20 @@ def softmax_rows(a: np.ndarray, sink: CounterSink, mask: np.ndarray | None = Non
     if a.size == 0:
         return a.copy()
     if mask is None:
-        row_max = a.max(axis=1, keepdims=True)
-        e = np.exp(a - row_max)
+        e = a - a.max(axis=1, keepdims=True)
     else:
         if not mask.any(axis=1).all():
             bad = int(np.flatnonzero(~mask.any(axis=1))[0])
             raise MaskError(f"softmax row {bad} has no visible entries")
-        neg = np.where(mask, a, -np.inf)
-        row_max = neg.max(axis=1, keepdims=True)
+        row_max = a.max(axis=1, keepdims=True, where=mask, initial=-np.inf)
         # exponentiate only visible lanes; hidden ones may exceed the
         # visible row max and would overflow
-        e = np.exp(np.where(mask, a - row_max, -np.inf)).astype(F32)
-    out = (e / e.sum(axis=1, keepdims=True)).astype(F32)
-    return _check_finite(out, "softmax")
+        e = np.full(a.shape, -np.inf, dtype=F32)
+        np.subtract(a, row_max, out=e, where=mask)
+    # one float32 temporary: exponentiated and normalized in place
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return _check_finite(e, "softmax")
 
 
 def softmax_rows_backward(
@@ -247,12 +248,14 @@ def layer_norm(a: np.ndarray, gain: np.ndarray, sink: CounterSink) -> np.ndarray
         raise ShapeError(f"layer_norm gain must be float32, got {gain.dtype}")
     sink.add("layer_norm", 6 * n * m, 4 * (n * m + m), 4 * n * m)
     with np.errstate(over="ignore"):
-        mu = a.mean(axis=1, keepdims=True)
-        var = a.var(axis=1, keepdims=True)
+        # the centred rows serve the variance and then become the output
+        out = a - a.sum(axis=1, keepdims=True) / m
+        var = np.square(out).sum(axis=1, keepdims=True) / m
     if var.size and not np.isfinite(var).all():
         raise FloatingPointError("layer_norm row variance overflowed float32")
-    out = ((a - mu) / np.sqrt(var + LN_EPS)).astype(F32) * gain
-    return _check_finite(out.astype(F32), "layer_norm")
+    out /= np.sqrt(var + LN_EPS)
+    out *= gain
+    return _check_finite(out, "layer_norm")
 
 
 def layer_norm_backward(
@@ -306,7 +309,7 @@ def scale(a: np.ndarray, factor: float, sink: CounterSink) -> np.ndarray:
         raise ShapeError(f"scale: a must be float32, got {a.dtype}")
     size = a.size
     sink.add("scale", size, 4 * size, 4 * size)
-    return _check_finite((a * F32(factor)).astype(F32), "scale")
+    return _check_finite(a * F32(factor), "scale")
 
 
 def relu(a: np.ndarray, sink: CounterSink) -> np.ndarray:

@@ -227,51 +227,56 @@ def _embed(weights: WeightSet, tokens_flat: np.ndarray, pos_flat: np.ndarray, si
         return kernels.add(x, weights.positions[pos_flat], sink)
 
 
+def _fold_heads(rows: np.ndarray, groups: int, n_heads: int) -> np.ndarray:
+    """``[groups * n, d]`` rows to head-major ``[groups * h, n, d/h]``."""
+    n = rows.shape[0] // groups
+    dh = rows.shape[1] // n_heads
+    x = rows.reshape(groups, n, n_heads, dh).transpose(0, 2, 1, 3)
+    return x.reshape(groups * n_heads, n, dh)
+
+
+def _unfold_heads(x4: np.ndarray, n_heads: int) -> np.ndarray:
+    """Inverse of :func:`_fold_heads`: ``[groups * h, n, dh]`` to ``[groups * n, h * dh]``."""
+    gh, n, dh = x4.shape
+    groups = gh // n_heads
+    x = x4.reshape(groups, n_heads, n, dh).transpose(0, 2, 1, 3)
+    return x.reshape(groups * n, n_heads * dh)
+
+
 def _multihead(
-    x_q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    n_heads: int,
+    q4: np.ndarray,
+    k4: np.ndarray,
+    v4: np.ndarray,
     sink: CounterSink,
-    mask_rows: np.ndarray | None,
-    kv_group: int = 1,
+    mask_rows: np.ndarray | None = None,
     internals: dict | None = None,
 ) -> np.ndarray:
-    """Stream-batched attention core on 3-D tensors.
+    """Attention core on head-folded tensors: ``softmax(q4 k4) v4`` per slice.
 
-    ``x_q`` is ``[G, nq, d]`` queries; ``k``/``v`` are ``[O, m, d]`` with
-    ``O * kv_group == G``: consecutive runs of ``kv_group`` query slices
-    share one k/v slice, so a shared slice is read once per owner rather
-    than once per stream (the broadcast at the heart of the shared-cache
-    path).  Returns ``[G, nq, d]`` concatenated over heads, before any
-    output projection.  ``mask_rows`` is an optional bool ``[nq, m]`` mask
-    applied identically to every slice.  ``internals``, when given, receives
-    the head-folded ``q4``/``k4``/``v4`` and ``probs`` the backward needs.
+    ``q4`` is ``[O*h, r, dh]``: for each of ``O`` key/value owners and each
+    head, the ``r`` query rows of every sequence that owner serves, already
+    scaled by ``1/sqrt(dh)``.  ``k4`` is ``[O*h, dh, m]`` (keys stored
+    transposed) and ``v4`` is ``[O*h, m, dh]``; both may be strided views
+    of a cache, which the products read in place.  A slice shared by
+    several sequences is therefore read once per owner rather than once
+    per stream (the broadcast at the heart of the shared-cache path).
+    Returns the head-folded context ``[O*h, r, dh]``.  ``mask_rows`` is an
+    optional bool ``[nq, m]`` mask applied to every run of ``nq`` query
+    rows.  ``internals``, when given, receives ``q4``/``k4``/``v4`` and
+    ``probs`` for the backward.
     """
-    g, nq, d = x_q.shape
-    owners, m, _ = k.shape
-    dh = d // n_heads
-    # fold heads into the batch dimension: [O*h, ...]
-    q4 = x_q.reshape(owners, kv_group * nq, n_heads, dh).transpose(0, 2, 1, 3)
-    q4 = np.ascontiguousarray(q4).reshape(owners * n_heads, kv_group * nq, dh)
-    k4 = k.reshape(owners, m, n_heads, dh).transpose(0, 2, 3, 1)
-    k4 = np.ascontiguousarray(k4).reshape(owners * n_heads, dh, m)
-    v4 = v.reshape(owners, m, n_heads, dh).transpose(0, 2, 1, 3)
-    v4 = np.ascontiguousarray(v4).reshape(owners * n_heads, m, dh)
+    slices, rows, m = q4.shape[0], q4.shape[1], k4.shape[2]
     scores = kernels.bmm(q4, k4, sink)
-    scores = kernels.scale(scores, 1.0 / math.sqrt(dh), sink)
-    flat = scores.reshape(owners * n_heads * kv_group * nq, m)
+    flat = scores.reshape(slices * rows, m)
     if mask_rows is None:
         probs = kernels.softmax_rows(flat, sink)
     else:
-        tiled = np.broadcast_to(mask_rows, (owners * n_heads * kv_group, nq, m))
-        probs = kernels.softmax_rows(flat, sink, mask=np.ascontiguousarray(tiled).reshape(flat.shape))
-    probs = probs.reshape(owners * n_heads, kv_group * nq, m)
-    ctx = kernels.bmm(probs, v4, sink)
+        tiled = np.broadcast_to(mask_rows, (flat.shape[0] // mask_rows.shape[0], *mask_rows.shape))
+        probs = kernels.softmax_rows(flat, sink, mask=tiled.reshape(flat.shape))
+    probs = probs.reshape(slices, rows, m)
     if internals is not None:
         internals.update(q4=q4, k4=k4, v4=v4, probs=probs)
-    ctx = ctx.reshape(owners, n_heads, kv_group * nq, dh).transpose(0, 2, 1, 3)
-    return np.ascontiguousarray(ctx).reshape(g, nq, d)
+    return kernels.bmm(probs, v4, sink)
 
 
 # -- sublayers ----------------------------------------------------------------
@@ -293,35 +298,42 @@ def _attention_sublayer(
 ) -> np.ndarray:
     """Pre-norm attention sublayer ``x + attend(LN(x) W_q, K, V) W_o``.
 
-    ``x`` is ``[n_seq * nq, d]``, ``nq`` rows per sequence.  Without ``kv``
-    the sublayer attends to itself: K/V are projected from the same normed
-    rows, and with ``cache = (k_cache, v_cache, write_rows, start)`` they are
-    first written at ``start`` for the streams in ``write_rows``, then every
-    cached position up to them is attended.  Cross-attention passes
-    precomputed ``kv`` slices ``[owners, m, d]``, each shared by ``kv_group``
-    consecutive sequences.  A ``tape`` receives the activations the exact
-    backward needs; without one nothing is recorded.
+    ``x`` is ``[n_seq * nq, d]``, ``nq`` rows per sequence.  The queries
+    are scaled by ``1/sqrt(dh)`` (``n_seq * nq * d`` elements, not one per
+    score).  Without ``kv`` the sublayer attends to itself: K/V are
+    projected from the same normed rows, and with ``cache = (k_cache,
+    v_cache, write_rows, start)`` (head-major ``[n_seq*h, dh, capacity]``
+    and ``[n_seq*h, capacity, dh]``) they are first written at ``start``
+    for the streams in ``write_rows``, then every cached position up to
+    them is attended in place.  Cross-attention passes precomputed
+    head-major ``kv`` (``[owners*h, dh, m]``, ``[owners*h, m, dh]``), each
+    owner shared by ``kv_group`` consecutive sequences.  A ``tape``
+    receives the activations the exact backward needs; without one
+    nothing is recorded.
     """
-    d = config.d_model
+    h, dh = config.n_heads, config.head_dim
     nq = x.shape[0] // n_seq
     with sink.scope(component):
         normed = kernels.layer_norm(x, attn.gain, sink)
-        q = kernels.matmul(normed, attn.w_q, sink).reshape(n_seq, nq, d)
+        q = kernels.scale(kernels.matmul(normed, attn.w_q, sink), 1.0 / math.sqrt(dh), sink)
         if kv is None:
-            k = kernels.matmul(normed, attn.w_k, sink).reshape(n_seq, nq, d)
-            v = kernels.matmul(normed, attn.w_v, sink).reshape(n_seq, nq, d)
-            kv = (k, v)
-            if cache is not None:
+            k = kernels.matmul(normed, attn.w_k, sink).reshape(n_seq, nq, h, dh)
+            v = kernels.matmul(normed, attn.w_v, sink).reshape(n_seq, nq, h, dh)
+            # head-major [S, h, dh, nq] keys and [S, h, nq, dh] values
+            k, v = k.transpose(0, 2, 3, 1), v.transpose(0, 2, 1, 3)
+            if cache is None:
+                kv = (k.reshape(n_seq * h, dh, nq), v.reshape(n_seq * h, nq, dh))
+            else:
                 k_cache, v_cache, write_rows, start = cache
-                k_cache[write_rows, start : start + nq] = k[write_rows]
-                v_cache[write_rows, start : start + nq] = v[write_rows]
+                end = start + nq
+                k_cache.reshape(n_seq, h, dh, -1)[write_rows, :, :, start:end] = k[write_rows]
+                v_cache.reshape(n_seq, h, -1, dh)[write_rows, :, start:end] = v[write_rows]
                 # frozen streams keep zero K/V at dead positions; their own
                 # output is never sampled so the garbage attention is inert
-                kv = (k_cache[:, : start + nq], v_cache[:, : start + nq])
+                kv = (k_cache[:, :, :end], v_cache[:, :end])
         internals = None if tape is None else {}
-        keys, values = kv
-        ctx = _multihead(q, keys, values, config.n_heads, sink, mask_rows, kv_group, internals)
-        ctx = ctx.reshape(x.shape)
+        q4 = _fold_heads(q, n_seq // kv_group, h)
+        ctx = _unfold_heads(_multihead(q4, *kv, sink, mask_rows, internals), h)
         out = kernels.add(x, kernels.matmul(ctx, attn.w_o, sink), sink)
     if tape is not None:
         tape.append(dict(internals, x_in=x, normed=normed, ctx=ctx))
@@ -401,12 +413,16 @@ def encoder_forward(
 class KVCacheSet:
     """Per-run decoder caches for ``n_streams`` lockstep streams.
 
-    ``self_k``/``self_v`` hold one ``[S, capacity, d]`` array per decoder
-    layer; ``length`` positions are filled.  ``cross_k``/``cross_v`` hold
-    the encoder-side projections, one ``[owners, m, d]`` array per layer:
-    ``owners == n_streams`` when every stream carries its own copy, and
-    ``owners == n_streams / kv_group`` when ``kv_group`` consecutive
-    streams share (and broadcast) one slice.
+    Every cache is head-major, in the layout the attention products
+    consume, so decoding never re-lays one out: slice ``i * h + j`` holds
+    head ``j`` of stream (or owner) ``i``, keys are stored transposed.
+    ``self_k`` holds one ``[S*h, dh, capacity]`` and ``self_v`` one
+    ``[S*h, capacity, dh]`` array per decoder layer; ``length`` positions
+    are filled.  ``cross_k`` (``[owners*h, dh, m]``) and ``cross_v``
+    (``[owners*h, m, dh]``) hold the encoder-side projections, one array
+    per layer: ``owners == n_streams`` when every stream carries its own
+    copy, and ``owners == n_streams / kv_group`` when ``kv_group``
+    consecutive streams share (and broadcast) one slice.
     """
 
     n_streams: int
@@ -437,9 +453,13 @@ def init_decode_state(
     ``memories`` is ``[owners, m, d]``; each memory serves
     ``streams_per_memory`` consecutive streams through one shared slice.
     Pass ``streams_per_memory=1`` with one memory per stream for fully
-    replicated caches.
+    replicated caches.  Heads are folded here, once per run: cross K is
+    stored as ``[owners*h, dh, m]`` and cross V as ``[owners*h, m, dh]``;
+    the self caches are allocated as ``[S*h, dh, capacity]`` and
+    ``[S*h, capacity, dh]`` (see :class:`KVCacheSet`).
     """
     owners, m, d = memories.shape
+    h, dh = config.n_heads, config.head_dim
     n_streams = owners * streams_per_memory
     if capacity > config.max_len:
         raise LengthError(f"decoder capacity {capacity} exceeds max_len {config.max_len}")
@@ -448,14 +468,15 @@ def init_decode_state(
     cross_k, cross_v = [], []
     with sink.scope("decoder_cross"):
         for layer in weights.dec_layers:
-            cross_k.append(kernels.matmul(rows, layer.cross_attn.w_k, sink).reshape(owners, m, d))
-            cross_v.append(kernels.matmul(rows, layer.cross_attn.w_v, sink).reshape(owners, m, d))
+            k4 = _fold_heads(kernels.matmul(rows, layer.cross_attn.w_k, sink), owners, h)
+            cross_k.append(np.ascontiguousarray(k4.transpose(0, 2, 1)))
+            cross_v.append(_fold_heads(kernels.matmul(rows, layer.cross_attn.w_v, sink), owners, h))
     return KVCacheSet(
         n_streams=n_streams,
         capacity=capacity,
         kv_group=streams_per_memory,
-        self_k=[np.zeros((n_streams, capacity, d), dtype=F32) for _ in weights.dec_layers],
-        self_v=[np.zeros((n_streams, capacity, d), dtype=F32) for _ in weights.dec_layers],
+        self_k=[np.zeros((n_streams * h, dh, capacity), dtype=F32) for _ in weights.dec_layers],
+        self_v=[np.zeros((n_streams * h, capacity, dh), dtype=F32) for _ in weights.dec_layers],
         cross_k=cross_k,
         cross_v=cross_v,
     )

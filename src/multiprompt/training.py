@@ -40,6 +40,8 @@ from .model import (
     FeedForwardWeights,
     ModelConfig,
     WeightSet,
+    _fold_heads,
+    _unfold_heads,
     decoder_prefill,
     encode_batch,
     init_decode_state,
@@ -223,37 +225,27 @@ def pie_batches(
 def _attn_backward(
     d_out: np.ndarray, mh: dict, n_heads: int, sink: CounterSink
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward of :func:`multiprompt.model._multihead`.
+    """Backward of the head-folded attention of ``model._attention_sublayer``.
 
-    ``d_out`` is ``[G*nq, d]`` rows matching the forward output; returns
-    ``(d_q rows [G*nq, d], d_k [owners*m, d], d_v [owners*m, d])``.
+    ``d_out`` is ``[O*r, d]`` rows matching the context rows; ``mh`` holds
+    the taped ``q4 [O*h, r, dh]`` (already scaled by ``1/sqrt(dh)``),
+    ``k4 [O*h, dh, m]``, ``v4 [O*h, m, dh]`` and ``probs``.  Returns the
+    gradient at the unscaled query rows ``[O*r, d]`` and at the attended
+    K/V rows ``[O*m, d]`` each.
     """
     q4, k4, v4, probs = mh["q4"], mh["k4"], mh["v4"], mh["probs"]
     oh, gq, dh = q4.shape
-    owners = oh // n_heads
-    d = n_heads * dh
     m = k4.shape[2]
-    d_ctx = d_out.reshape(owners, gq, n_heads, dh).transpose(0, 2, 1, 3)
-    d_ctx = np.ascontiguousarray(d_ctx).reshape(oh, gq, dh)
-    d_probs = kernels.bmm(d_ctx, np.ascontiguousarray(v4.transpose(0, 2, 1)), sink)
-    d_v4 = kernels.bmm(np.ascontiguousarray(probs.transpose(0, 2, 1)), d_ctx, sink)
+    d_ctx = _fold_heads(d_out, oh // n_heads, n_heads)
+    d_probs = kernels.bmm(d_ctx, v4.transpose(0, 2, 1), sink)
+    d_v4 = kernels.bmm(probs.transpose(0, 2, 1), d_ctx, sink)
     d_scores = kernels.softmax_rows_backward(
         probs.reshape(oh * gq, m), d_probs.reshape(oh * gq, m), sink
-    )
-    d_scores = kernels.scale(d_scores, 1.0 / math.sqrt(dh), sink).reshape(oh, gq, m)
-    d_q4 = kernels.bmm(d_scores, np.ascontiguousarray(k4.transpose(0, 2, 1)), sink)
-    d_k4 = kernels.bmm(np.ascontiguousarray(d_scores.transpose(0, 2, 1)), q4, sink)
-    d_q = d_q4.reshape(owners, n_heads, gq, dh).transpose(0, 2, 1, 3)
-    d_q = np.ascontiguousarray(d_q).reshape(owners * gq, d)
-    d_k = d_k4.reshape(owners, n_heads, m, dh).transpose(0, 2, 1, 3)
-    d_k = np.ascontiguousarray(d_k).reshape(owners * m, d)
-    d_v = d_v4.reshape(owners, n_heads, m, dh).transpose(0, 2, 1, 3)
-    d_v = np.ascontiguousarray(d_v).reshape(owners * m, d)
-    return d_q, d_k, d_v
-
-
-def _t(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a.T)
+    ).reshape(oh, gq, m)
+    d_q4 = kernels.bmm(d_scores, k4.transpose(0, 2, 1), sink)
+    d_k4 = kernels.bmm(d_scores.transpose(0, 2, 1), q4, sink)
+    d_q = kernels.scale(_unfold_heads(d_q4, n_heads), 1.0 / math.sqrt(dh), sink)
+    return d_q, _unfold_heads(d_k4, n_heads), _unfold_heads(d_v4, n_heads)
 
 
 def _attention_backward(
@@ -275,17 +267,17 @@ def _attention_backward(
     of the input gradient are taken here; otherwise the caller owns them.
     """
     with sink.scope(component):
-        grads[f"{name}.w_o"] += kernels.matmul(_t(t["ctx"]), dx, sink)
-        d_ctx = kernels.matmul(dx, _t(attn.w_o), sink)
+        grads[f"{name}.w_o"] += kernels.matmul(t["ctx"].T, dx, sink)
+        d_ctx = kernels.matmul(dx, attn.w_o.T, sink)
         d_q, d_k, d_v = _attn_backward(d_ctx, t, n_heads, sink)
         normed = t["normed"]
-        grads[f"{name}.w_q"] += kernels.matmul(_t(normed), d_q, sink)
-        d_normed = kernels.matmul(d_q, _t(attn.w_q), sink)
+        grads[f"{name}.w_q"] += kernels.matmul(normed.T, d_q, sink)
+        d_normed = kernels.matmul(d_q, attn.w_q.T, sink)
         if self_kv:
-            grads[f"{name}.w_k"] += kernels.matmul(_t(normed), d_k, sink)
-            grads[f"{name}.w_v"] += kernels.matmul(_t(normed), d_v, sink)
-            d_normed = kernels.add(d_normed, kernels.matmul(d_k, _t(attn.w_k), sink), sink)
-            d_normed = kernels.add(d_normed, kernels.matmul(d_v, _t(attn.w_v), sink), sink)
+            grads[f"{name}.w_k"] += kernels.matmul(normed.T, d_k, sink)
+            grads[f"{name}.w_v"] += kernels.matmul(normed.T, d_v, sink)
+            d_normed = kernels.add(d_normed, kernels.matmul(d_k, attn.w_k.T, sink), sink)
+            d_normed = kernels.add(d_normed, kernels.matmul(d_v, attn.w_v.T, sink), sink)
         d_ln, dg = kernels.layer_norm_backward(t["x_in"], attn.gain, d_normed, sink)
         grads[f"{name}.gain"] += dg
         return kernels.add(dx, d_ln, sink), d_k, d_v
@@ -301,11 +293,11 @@ def _ffn_backward(
 ) -> np.ndarray:
     """Backward of ``model._ffn_sublayer``; returns the input gradient."""
     with sink.scope("feed_forward"):
-        grads[f"{name}.w_out"] += kernels.matmul(_t(t["hid"]), dx, sink)
-        d_hid = kernels.matmul(dx, _t(ffn.w_out), sink)
+        grads[f"{name}.w_out"] += kernels.matmul(t["hid"].T, dx, sink)
+        d_hid = kernels.matmul(dx, ffn.w_out.T, sink)
         d_pre = kernels.relu_backward(t["pre"], d_hid, sink)
-        grads[f"{name}.w_in"] += kernels.matmul(_t(t["normed"]), d_pre, sink)
-        d_normed = kernels.matmul(d_pre, _t(ffn.w_in), sink)
+        grads[f"{name}.w_in"] += kernels.matmul(t["normed"].T, d_pre, sink)
+        d_normed = kernels.matmul(d_pre, ffn.w_in.T, sink)
         d_ln, dg = kernels.layer_norm_backward(t["x_in"], ffn.gain, d_normed, sink)
         grads[f"{name}.gain"] += dg
         return kernels.add(dx, d_ln, sink)
@@ -369,8 +361,8 @@ def training_forward_backward(
     # ---- decoder backward; the tape holds (self, cross, ffn) per layer, then the final norm
     final = dec_tape[-1]
     with sink.scope("embedding"):
-        grads["head"] += kernels.matmul(_t(final["normed"]), d_logits, sink)
-        d_final = kernels.matmul(d_logits, _t(weights.head), sink)
+        grads["head"] += kernels.matmul(final["normed"].T, d_logits, sink)
+        d_final = kernels.matmul(d_logits, weights.head.T, sink)
     with sink.scope("other"):
         dx, dg = kernels.layer_norm_backward(final["x_in"], weights.dec_final_gain, d_final, sink)
         grads["dec_final_gain"] += dg
@@ -385,10 +377,10 @@ def training_forward_backward(
             grads, sink,
         )
         with sink.scope("decoder_cross"):
-            grads[f"dec.{li}.cross.w_k"] += kernels.matmul(_t(memory_rows), d_k, sink)
-            d_memory += kernels.matmul(d_k, _t(layer.cross_attn.w_k), sink)
-            grads[f"dec.{li}.cross.w_v"] += kernels.matmul(_t(memory_rows), d_v, sink)
-            d_memory += kernels.matmul(d_v, _t(layer.cross_attn.w_v), sink)
+            grads[f"dec.{li}.cross.w_k"] += kernels.matmul(memory_rows.T, d_k, sink)
+            d_memory += kernels.matmul(d_k, layer.cross_attn.w_k.T, sink)
+            grads[f"dec.{li}.cross.w_v"] += kernels.matmul(memory_rows.T, d_v, sink)
+            d_memory += kernels.matmul(d_v, layer.cross_attn.w_v.T, sink)
         dx, _, _ = _attention_backward(
             f"dec.{li}.self", "decoder_self", layer.self_attn, t_self, dx, True, h, grads, sink
         )

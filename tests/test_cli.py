@@ -75,6 +75,36 @@ def test_bench_tokens_deterministic_across_runs(capsys, tmp_path):
     assert sums1 == sums2
 
 
+def test_run_bench_interleaves_engines_and_reuses_batch1_series(monkeypatch):
+    from types import SimpleNamespace
+
+    from multiprompt import bench
+    from multiprompt.costmodel import MODEL_PRESETS, ShapeParams
+
+    calls = []
+
+    def fake_time_once(engine, model, weights, wl):
+        calls.append((engine, wl.batch_size))
+        seconds = len(calls) * (1.0 if engine == "pie" else 0.5)
+        result = SimpleNamespace(counters=SimpleNamespace(flops=7), flat_outputs=lambda: [[2]])
+        return seconds, result
+
+    monkeypatch.setattr(bench, "_time_once", fake_time_once)
+    shape = ShapeParams(U=2, b=1, n_s=8, n_t=2, n_p=0, d=64, h=4)
+    report = bench.run_bench(bench.BenchConfig(
+        model=MODEL_PRESETS["toy"], shape=shape, repetitions=3, warmup=1, batch_sizes=(1, 2),
+    ))
+    # warm-up, then per rep each batch size once per engine, first engine alternating
+    assert calls == [
+        ("pie", 1), ("pid", 1),
+        ("pie", 1), ("pid", 1), ("pie", 2), ("pid", 2),
+        ("pid", 1), ("pie", 1), ("pid", 2), ("pie", 2),
+        ("pie", 1), ("pid", 1), ("pie", 2), ("pid", 2),
+    ]
+    for timing in report.engines.values():
+        assert timing.single_median_s == timing.batched_per_instance_s[1]
+
+
 def test_verify_subset_deterministic_json(capsys):
     argv = [
         "verify", "--checks", "counter_additivity,intensity_formulas,flop_ratio_presets",

@@ -332,8 +332,8 @@ def test_appendixb_attention_flops_match_engine_exactly_for_pid():
     # equals the cells exactly; verify through the full mirror instead
     decode_self = predicted["decode"]["decoder_self"]
     elementwise_self = layers * (
-        5 * s.U * s.b * s.h * (s.n_p * s.n_p + (s.n_t - 1) * s.n_p + s.n_t * (s.n_t - 1) // 2)
-        + 7 * s.U * s.b * (s.n_p + s.n_t - 1) * s.d
+        4 * s.U * s.b * s.h * (s.n_p * s.n_p + (s.n_t - 1) * s.n_p + s.n_t * (s.n_t - 1) // 2)
+        + 8 * s.U * s.b * (s.n_p + s.n_t - 1) * s.d
     )
     assert per_layer["decoder_self"] * layers == decode_self - elementwise_self
 

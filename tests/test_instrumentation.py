@@ -183,8 +183,9 @@ def test_shared_kv_bytes_per_step_exact(tiny_config):
     layers = config.n_dec_layers
     s_streams, b = u, 1
     assert replicated - shared == 8 * (s_streams - b) * d * m * layers
-    # reconstruct the full closed form for the shared path
+    # reconstruct the full closed form for the shared path; the 1/sqrt(dh)
+    # scale reads the S*d query rows, softmax and P@V read the S*h*m scores
     expected_shared = layers * (
-        24 * s_streams * d + 4 * d + 8 * d * d + 8 * b * d * m + 12 * s_streams * h * m
+        28 * s_streams * d + 4 * d + 8 * d * d + 8 * b * d * m + 8 * s_streams * h * m
     )
     assert shared == expected_shared

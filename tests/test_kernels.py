@@ -301,3 +301,93 @@ def test_counters_monotone_within_run():
         kernels.matmul(a, a, sink)
         seen.append((sink.flops, sink.bytes_read, sink.bytes_written))
     assert seen == sorted(seen)
+
+
+# -- finite checks: negative controls -------------------------------------------
+
+HUGE = F32(1e30)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda s: kernels.matmul(np.full((1, 1), HUGE), np.full((1, 1), HUGE), s),
+         "matmul produced non-finite values"),
+        (lambda s: kernels.bmm(np.full((2, 1, 1), HUGE), np.full((2, 1, 1), HUGE), s),
+         "bmm produced non-finite values"),
+        (lambda s: kernels.softmax_rows(np.array([[0.0, np.nan]], dtype=F32), s),
+         "softmax produced non-finite values"),
+        (lambda s: kernels.softmax_rows(
+            np.array([[0.0, np.nan]], dtype=F32), s, mask=np.array([[True, True]])),
+         "softmax produced non-finite values"),
+        (lambda s: kernels.layer_norm(
+            np.array([[1.0, np.inf, 2.0]], dtype=F32), np.ones(3, dtype=F32), s),
+         "layer_norm row variance overflowed float32"),
+        (lambda s: kernels.layer_norm(
+            np.array([[0.0, 1e30], [1.0, 2.0]], dtype=F32), np.ones(2, dtype=F32), s),
+         "layer_norm row variance overflowed float32"),
+        (lambda s: kernels.layer_norm(
+            np.array([[0.0, 1.0]], dtype=F32), np.array([np.inf, 1.0], dtype=F32), s),
+         "layer_norm produced non-finite values"),
+        (lambda s: kernels.add(np.full((2, 2), F32(3e38)), np.full((2, 2), F32(3e38)), s),
+         "add produced non-finite values"),
+        (lambda s: kernels.scale(np.full((2, 2), HUGE), 1e10, s),
+         "scale produced non-finite values"),
+    ],
+    ids=[
+        "matmul", "bmm", "softmax_nan", "softmax_masked_nan", "layer_norm_inf_row",
+        "layer_norm_variance_overflow", "layer_norm_inf_gain", "add", "scale",
+    ],
+)
+def test_finite_checks_raise(call, message):
+    with np.errstate(all="ignore"):
+        with pytest.raises(FloatingPointError, match=f"^{message}$"):
+            call(CounterSink())
+
+
+def test_softmax_masked_nan_in_hidden_lane_is_inert():
+    # a hidden lane never reaches the exponent, so its NaN cannot leak
+    a = np.array([[0.0, np.nan, math.log(3.0)]], dtype=F32)
+    out = kernels.softmax_rows(a, CounterSink(), mask=np.array([[True, False, True]]))
+    np.testing.assert_allclose(out, [[0.25, 0.0, 0.75]], atol=1e-6)
+
+
+# -- in-place kernels equal the textbook formulas bit for bit ----------------------
+
+
+def textbook_softmax(a, mask=None):
+    if mask is None:
+        e = np.exp(a - a.max(axis=1, keepdims=True))
+    else:
+        row_max = np.where(mask, a, -np.inf).max(axis=1, keepdims=True)
+        e = np.exp(np.where(mask, a - row_max, -np.inf)).astype(F32)
+    return (e / e.sum(axis=1, keepdims=True)).astype(F32)
+
+
+def textbook_layer_norm(a, gain):
+    mu = a.mean(axis=1, keepdims=True)
+    var = a.var(axis=1, keepdims=True)
+    return (((a - mu) / np.sqrt(var + kernels.LN_EPS)).astype(F32) * gain).astype(F32)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    m=st.integers(1, 70),
+    magnitude=st.sampled_from([1e-3, 1.0, 30.0, 1e4]),
+    seed=st.integers(0, 2**31),
+)
+def test_kernels_bit_identical_to_textbook_formulas(n, m, magnitude, seed):
+    rng = np.random.default_rng(seed)
+    a = (rng.standard_normal((n, m)) * magnitude + rng.standard_normal((n, 1))).astype(F32)
+    gain = rng.uniform(0.5, 1.5, size=m).astype(F32)
+    mask = rng.random((n, m)) < 0.7
+    mask[np.arange(n), rng.integers(0, m, size=n)] = True  # every row keeps a visible lane
+    factor = float(rng.uniform(0.01, 3.0))
+    sink = CounterSink()
+    assert np.array_equal(kernels.softmax_rows(a, sink), textbook_softmax(a))
+    assert np.array_equal(kernels.softmax_rows(a, sink, mask=mask), textbook_softmax(a, mask))
+    assert np.array_equal(kernels.layer_norm(a, gain, sink), textbook_layer_norm(a, gain))
+    assert np.array_equal(kernels.scale(a, factor, sink), (a * F32(factor)).astype(F32))
+    for out in (kernels.softmax_rows(a, sink), kernels.layer_norm(a, gain, sink)):
+        assert out.dtype == F32

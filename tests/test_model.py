@@ -11,7 +11,9 @@ from multiprompt.kernels import CounterSink
 from multiprompt.model import (
     BOS,
     ModelConfig,
+    _fold_heads,
     _multihead,
+    _unfold_heads,
     decoder_prefill,
     decoder_step,
     encode_batch,
@@ -29,8 +31,16 @@ def random_tokens(rng, n, vocab_size):
 
 
 def attend(q, k, v, w_o, mask_rows, n_heads, sink):
-    """One sequence through the engines' attention core, then ``@ w_o``."""
-    return _multihead(q[None], k[None], v[None], n_heads, sink, mask_rows)[0] @ w_o
+    """One sequence through the engines' attention core, then ``@ w_o``.
+
+    Queries are scaled by ``1/sqrt(dh)`` and heads folded exactly as the
+    attention sublayer does before it calls the core.
+    """
+    dh = q.shape[1] // n_heads
+    q4 = _fold_heads(q * F32(1.0 / math.sqrt(dh)), 1, n_heads)
+    k4 = _fold_heads(k, 1, n_heads).transpose(0, 2, 1)
+    v4 = _fold_heads(v, 1, n_heads)
+    return _unfold_heads(_multihead(q4, k4, v4, sink, mask_rows), n_heads) @ w_o
 
 
 # -- init_weights -----------------------------------------------------------
@@ -215,11 +225,13 @@ def test_frozen_stream_cache_rows_unchanged(tiny_config, tiny_weights):
     state = init_decode_state(tiny_config, tiny_weights, memory, 1, 16, CounterSink())
     decoder_step(tiny_config, tiny_weights, state, np.array([BOS, BOS]), CounterSink())
     state.active[1] = False
-    before = state.self_k[0][1].copy()
+    h = tiny_config.n_heads
+    # head-major caches: stream 1 owns key slices h..2h-1, positions on the last axis
+    before = state.self_k[0][h : 2 * h].copy()
     decoder_step(tiny_config, tiny_weights, state, np.array([5, 5]), CounterSink())
-    np.testing.assert_array_equal(state.self_k[0][1], before)
-    assert np.abs(state.self_k[0][0, 1]).max() > 0  # active stream wrote position 1
-    assert not state.self_k[0][1, 1].any()  # frozen stream's position 1 stays zero
+    np.testing.assert_array_equal(state.self_k[0][h : 2 * h], before)
+    assert np.abs(state.self_k[0][:h, :, 1]).max() > 0  # active stream wrote position 1
+    assert not state.self_k[0][h : 2 * h, :, 1].any()  # frozen stream's position 1 stays zero
 
 
 def test_init_decode_state_reads_each_cross_weight_once(tiny_config, tiny_weights):
@@ -232,6 +244,29 @@ def test_init_decode_state_reads_each_cross_weight_once(tiny_config, tiny_weight
     layers = tiny_config.n_dec_layers
     _, bytes_read, _ = sink.component_totals()["decoder_cross"]
     assert bytes_read == 8 * layers * (owners * m * d + d * d)
+
+
+@pytest.mark.parametrize("group", [1, 3])
+def test_attention_reads_caches_in_place(tiny_config, tiny_weights, group):
+    # the taped K/V operands are the caches themselves, not re-laid-out
+    # copies; with shared cross K/V (group > 1, the prompt-in-decoder case)
+    # one batched product per owner reads each owner's slice once
+    rng = np.random.default_rng(12)
+    b, h = 2, tiny_config.n_heads
+    seqs = [random_tokens(rng, 7, tiny_config.vocab_size) for _ in range(b)]
+    memory = encode_batch(tiny_config, tiny_weights, seqs, CounterSink())
+    state = init_decode_state(tiny_config, tiny_weights, memory, group, 6, CounterSink())
+    block = random_tokens(rng, b * group * 3, tiny_config.vocab_size).reshape(b * group, 3)
+    tape: list[dict] = []
+    decoder_prefill(tiny_config, tiny_weights, state, block, CounterSink(), tape=tape)
+    for li in range(tiny_config.n_dec_layers):
+        t_self, t_cross = tape[3 * li], tape[3 * li + 1]
+        assert np.shares_memory(t_self["k4"], state.self_k[li])
+        assert np.shares_memory(t_self["v4"], state.self_v[li])
+        assert np.shares_memory(t_cross["k4"], state.cross_k[li])
+        assert np.shares_memory(t_cross["v4"], state.cross_v[li])
+        assert t_cross["k4"].shape[0] == b * h
+        assert t_self["k4"].shape[0] == b * group * h
 
 
 @pytest.mark.parametrize("group", [1, 2])
