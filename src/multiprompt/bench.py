@@ -102,20 +102,16 @@ class LatencyReport:
         }
 
 
-def workload_from_shape(shape: ShapeParams, seed: int, batch: int | None = None) -> Workload:
-    """Random content tokens shaped like the workload (synthetic stand-in)."""
-    rng = np.random.default_rng(seed)
-    b = batch if batch is not None else shape.b
-    vocab_low, vocab_high = 4, 96  # matches the toy model preset vocabulary
+def random_workload(
+    rng: np.random.Generator, vocab_size: int, u: int, b: int, n_s: int, n_p: int, n_t: int
+) -> Workload:
+    """Random content tokens (ids 4 to ``vocab_size - 1``) in the workload's shape."""
     instances = []
     for _ in range(b):
-        x = rng.integers(vocab_low, vocab_high, size=shape.n_s, dtype=np.int64)
-        prompts = tuple(
-            rng.integers(vocab_low, vocab_high, size=shape.n_p, dtype=np.int64)
-            for _ in range(shape.U)
-        )
+        x = rng.integers(4, vocab_size, size=n_s, dtype=np.int64)
+        prompts = tuple(rng.integers(4, vocab_size, size=n_p, dtype=np.int64) for _ in range(u))
         instances.append(Instance(x=x, prompts=prompts))
-    return Workload(instances=tuple(instances), max_new_tokens=shape.n_t)
+    return Workload(instances=tuple(instances), max_new_tokens=n_t)
 
 
 def estimate_run_bytes(model: ModelConfig, shape: ShapeParams, batch: int) -> int:
@@ -170,8 +166,12 @@ def run_bench(config: BenchConfig) -> LatencyReport:
         repetitions=config.repetitions,
         warmup=config.warmup,
     )
+    shape = config.shape
     workloads = {
-        b: workload_from_shape(config.shape, config.seed, batch=b)
+        b: random_workload(
+            np.random.default_rng(config.seed), config.model.vocab_size,
+            shape.U, b, shape.n_s, shape.n_p, shape.n_t,
+        )
         for b in sorted({1, *config.batch_sizes})
     }
     for _ in range(config.warmup):

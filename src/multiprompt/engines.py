@@ -1,18 +1,22 @@
 """The two inference configurations over one shared input.
 
-``pie_infer`` encodes the shared input together with each prompt (one
-encoder pass per prompt per instance) and decodes every stream against its
-own cross-attention cache.  ``pid_infer`` encodes the shared input once
-per instance, prefills the prompts in the decoder, and broadcasts one
+Both engines run the same model; they differ only in where the prompts
+go, and :func:`_layout` is the one place that knows it.  ``pie_infer``
+encodes the shared input together with each prompt (one encoder pass per
+prompt per instance) and decodes every stream against its own
+cross-attention cache.  ``pid_infer`` encodes the shared input once per
+instance, prefills the prompts in the decoder, and broadcasts one
 cross-attention K/V slice per instance across all of that instance's
 decode streams.
 
-Both engines decode greedily in lockstep: all streams advance one token
+One function, :func:`_decode`, runs either layout: it encodes, builds the
+caches and decodes greedily in lockstep, all streams advancing one token
 per step through the same batched kernels.  Streams that emit the end
 token are frozen (their caches stop growing and their outputs stop), but
 they keep flowing through the batched compute; those wasted stream-steps
 are reported separately so counter totals stay comparable to fixed-length
-accounting.
+accounting.  :func:`reference_decode`, the cache-free oracle, takes the
+same layout but decodes on its own, one stream at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .model import (
     BOS,
     EOS,
     SEP,
-    KVCacheSet,
     ModelConfig,
     WeightSet,
     decoder_prefill,
@@ -42,8 +45,8 @@ PIE, PID = "pie", "pid"
 ENGINES = (PIE, PID)
 
 __all__ = [
-    "PIE", "PID", "ENGINES", "Instance", "Workload", "DecodeResult", "KVCacheSet",
-    "greedy_step", "pie_infer", "pid_infer", "infer", "reference_decode",
+    "PIE", "PID", "ENGINES", "Instance", "Workload", "DecodeResult",
+    "greedy_step", "pie_encoder_input", "pie_infer", "pid_infer", "infer", "reference_decode",
 ]
 
 
@@ -130,18 +133,11 @@ def greedy_step(logits: np.ndarray) -> np.ndarray:
 
 def _provenance(config: ModelConfig, workload: Workload, engine: str) -> dict[str, Any]:
     return {
-        "engine": engine,
-        "U": workload.n_prompts,
-        "b": workload.batch_size,
-        "n_s": workload.input_len,
-        "n_p": workload.prompt_len,
-        "n_t": workload.max_new_tokens,
-        "d": config.d_model,
-        "h": config.n_heads,
-        "d_ff": config.d_ff,
+        "engine": engine, "U": workload.n_prompts, "b": workload.batch_size,
+        "n_s": workload.input_len, "n_p": workload.prompt_len, "n_t": workload.max_new_tokens,
+        "d": config.d_model, "h": config.n_heads, "d_ff": config.d_ff,
         "vocab_size": config.vocab_size,
-        "n_enc_layers": config.n_enc_layers,
-        "n_dec_layers": config.n_dec_layers,
+        "n_enc_layers": config.n_enc_layers, "n_dec_layers": config.n_dec_layers,
     }
 
 
@@ -150,81 +146,106 @@ def _delta(
     before: dict[str, tuple[int, int, int]],
     provenance: dict[str, Any],
 ) -> CounterSet:
-    after = sink.component_totals()
     totals = {}
-    for label, (f, br, bw) in after.items():
-        f0, br0, bw0 = before.get(label, (0, 0, 0))
-        if (f - f0, br - br0, bw - bw0) != (0, 0, 0):
-            totals[label] = (f - f0, br - br0, bw - bw0)
+    for label, now in sink.component_totals().items():
+        diff = tuple(a - b for a, b in zip(now, before.get(label, (0, 0, 0))))
+        if any(diff):
+            totals[label] = diff
     return CounterSet.from_totals(totals, provenance)
-
-
-def _decode_lockstep(
-    config: ModelConfig,
-    weights: WeightSet,
-    memories: np.ndarray,
-    kv_group: int,
-    prefix_block: np.ndarray,
-    max_new: int,
-    sink: CounterSink,
-    record_logits: bool = False,
-    corrupt_shared_kv: bool = False,
-) -> tuple[
-    list[list[int]], int, int, list[np.ndarray] | None, dict[str, tuple[int, int, int]]
-]:
-    """Greedy lockstep decode; returns (outputs, steps, wasted stream-steps,
-    logits trace, counter totals after the cross-K/V projection)."""
-    n_streams = memories.shape[0] * kv_group
-    outputs: list[list[int]] = [[] for _ in range(n_streams)]
-    if max_new == 0:
-        return outputs, 0, 0, ([] if record_logits else None), sink.component_totals()
-    p = prefix_block.shape[1]
-    capacity = p + max_new - 1
-    state = init_decode_state(config, weights, memories, kv_group, capacity, sink)
-    if corrupt_shared_kv:
-        # debug fault injection: perturbing the shared value slices visibly
-        # shifts every context vector (a uniform key shift would cancel in
-        # softmax), giving the broadcast-equivalence check a negative control
-        for v in state.cross_v:
-            v += F32(0.125)
-    after_init = sink.component_totals()
-    trace: list[np.ndarray] | None = [] if record_logits else None
-    logits = decoder_prefill(config, weights, state, prefix_block, sink)
-    last_tokens = np.ascontiguousarray(prefix_block[:, -1])
-    steps = 0
-    wasted = 0
-    for step in range(max_new):
-        if step > 0:
-            wasted += int((~state.active).sum())
-            logits = decoder_step(config, weights, state, last_tokens, sink)
-        if trace is not None:
-            trace.append(logits.copy())
-        steps += 1
-        chosen = greedy_step(logits)
-        for s in np.flatnonzero(state.active):
-            outputs[s].append(int(chosen[s]))
-        last_tokens = np.where(state.active, chosen, last_tokens)
-        state.active &= chosen != EOS
-        if not state.active.any():
-            break
-    return outputs, steps, wasted, trace, after_init
 
 
 def _regroup(flat: list[list[int]], b: int, u: int) -> list[list[list[int]]]:
     return [[flat[i * u + j] for j in range(u)] for i in range(b)]
 
 
-def _pie_encoder_inputs(workload: Workload) -> list[np.ndarray]:
-    seqs = []
-    for inst in workload.instances:
-        x = np.asarray(inst.x, dtype=np.int64)
-        for z in inst.prompts:
-            z = np.asarray(z, dtype=np.int64)
-            if z.size:
-                seqs.append(np.concatenate([x, [SEP], z]))
-            else:
-                seqs.append(x)
-    return seqs
+def pie_encoder_input(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """What the encoder sees under pie: ``x ‖ SEP ‖ z``, or ``x`` for an empty prompt."""
+    return np.concatenate([x, [SEP], z]) if z.size else x
+
+
+def _layout(engine: str, workload: Workload) -> tuple[list[np.ndarray], np.ndarray, int]:
+    """Where ``engine`` puts the prompts: ``(encoder inputs, prefix block [S, p], kv_group)``.
+
+    Stream ``s`` (instance-major, ``S = b·U``) starts from ``prefix[s]`` and
+    attends to the encoding of input ``s // kv_group``.  pie encodes every
+    (instance, prompt) pair and starts each stream at the begin token; pid
+    encodes each shared input once and prefills the prompts (the begin
+    token when prompts are empty), so ``U`` streams share one encoding.
+    """
+    xs = [np.asarray(inst.x, dtype=np.int64) for inst in workload.instances]
+    zs = [np.asarray(z, dtype=np.int64) for inst in workload.instances for z in inst.prompts]
+    bos = np.full((len(zs), 1), BOS, dtype=np.int64)
+    if engine == PIE:
+        return [pie_encoder_input(xs[s // workload.n_prompts], z) for s, z in enumerate(zs)], bos, 1
+    if engine == PID:
+        return xs, (np.stack(zs) if workload.prompt_len else bos), workload.n_prompts
+    raise ConfigError(f"unknown engine {engine!r}; choose from {ENGINES}")
+
+
+def _decode(
+    engine: str,
+    config: ModelConfig,
+    weights: WeightSet,
+    workload: Workload,
+    sink: CounterSink | None = None,
+    record_logits: bool = False,
+    ablate_shared_cross: bool = False,
+    corrupt_shared_kv: bool = False,
+) -> DecodeResult:
+    """Encode, then decode all streams greedily in lockstep with K/V caches."""
+    sink = sink if sink is not None else CounterSink()
+    encoder_inputs, prefix, kv_group = _layout(engine, workload)
+    enc_len, p, n_t = encoder_inputs[0].size, prefix.shape[1], workload.max_new_tokens
+    if enc_len > config.max_len:
+        raise LengthError(f"encoder input of {enc_len} tokens exceeds max_len {config.max_len}")
+    if n_t and p + n_t - 1 > config.max_len:
+        raise LengthError(f"decoder needs {p + n_t - 1} positions, max_len is {config.max_len}")
+    prov = _provenance(config, workload, engine)
+    before = sink.component_totals()
+    memories = encode_batch(config, weights, encoder_inputs, sink)
+    encode_counters = _delta(sink, before, prov)
+    if ablate_shared_cross:
+        # the broadcast-equivalence ablation: one explicit cross-K/V copy per stream
+        memories = np.repeat(memories, kv_group, axis=0)
+        kv_group = 1
+    outputs: list[list[int]] = [[] for _ in range(len(prefix))]
+    trace: list[np.ndarray] | None = [] if record_logits else None
+    steps = wasted = 0
+    after_init = sink.component_totals()
+    if n_t:
+        state = init_decode_state(config, weights, memories, kv_group, p + n_t - 1, sink)
+        if corrupt_shared_kv:
+            # debug fault: shifting the shared value slices moves every context vector (a
+            # uniform key shift would cancel in softmax); the broadcast check's negative control
+            for v in state.cross_v:
+                v += F32(0.125)
+        after_init = sink.component_totals()
+        logits = decoder_prefill(config, weights, state, prefix, sink)
+        last_tokens = np.ascontiguousarray(prefix[:, -1])
+        for steps in range(1, n_t + 1):
+            if steps > 1:
+                wasted += int((~state.active).sum())
+                logits = decoder_step(config, weights, state, last_tokens, sink)
+            if trace is not None:
+                trace.append(logits.copy())
+            chosen = greedy_step(logits)
+            for s in np.flatnonzero(state.active):
+                outputs[s].append(int(chosen[s]))
+            last_tokens = np.where(state.active, chosen, last_tokens)
+            state.active &= chosen != EOS
+            if not state.active.any():
+                break
+    return DecodeResult(
+        engine=engine,
+        outputs=_regroup(outputs, workload.batch_size, workload.n_prompts),
+        steps_taken=steps,
+        counters=_delta(sink, before, prov),
+        encode_counters=encode_counters,
+        step_counters=_delta(sink, after_init, prov),
+        encoder_passes=len(encoder_inputs),
+        wasted_stream_steps=wasted,
+        logits_trace=trace,
+    )
 
 
 def pie_infer(
@@ -239,35 +260,7 @@ def pie_infer(
     Every decode stream owns a replicated cross-attention cache; decoding
     starts from a begin-of-sequence token.
     """
-    sink = sink if sink is not None else CounterSink()
-    b, u = workload.batch_size, workload.n_prompts
-    enc_len = workload.input_len + (workload.prompt_len + 1 if workload.prompt_len else 0)
-    if enc_len > config.max_len:
-        raise LengthError(f"encoder input of {enc_len} tokens exceeds max_len {config.max_len}")
-    if workload.max_new_tokens > config.max_len:
-        raise LengthError(
-            f"max_new_tokens {workload.max_new_tokens} exceeds max_len {config.max_len}"
-        )
-    prov = _provenance(config, workload, PIE)
-    before = sink.component_totals()
-    memories = encode_batch(config, weights, _pie_encoder_inputs(workload), sink)
-    encode_counters = _delta(sink, before, prov)
-    prefix = np.full((b * u, 1), BOS, dtype=np.int64)
-    flat, steps, wasted, trace, after_init = _decode_lockstep(
-        config, weights, memories, 1, prefix, workload.max_new_tokens, sink,
-        record_logits=record_logits,
-    )
-    return DecodeResult(
-        engine=PIE,
-        outputs=_regroup(flat, b, u),
-        steps_taken=steps,
-        counters=_delta(sink, before, prov),
-        encode_counters=encode_counters,
-        step_counters=_delta(sink, after_init, prov),
-        encoder_passes=b * u,
-        wasted_stream_steps=wasted,
-        logits_trace=trace,
-    )
+    return _decode(PIE, config, weights, workload, sink, record_logits)
 
 
 def pid_infer(
@@ -288,58 +281,16 @@ def pid_infer(
     (the broadcast-equivalence ablation); ``corrupt_shared_kv=True`` is a
     debug fault that perturbs the shared slices.
     """
-    sink = sink if sink is not None else CounterSink()
-    b, u = workload.batch_size, workload.n_prompts
-    if workload.input_len > config.max_len:
-        raise LengthError(
-            f"encoder input of {workload.input_len} tokens exceeds max_len {config.max_len}"
-        )
-    prefix_len = max(workload.prompt_len, 1)
-    if workload.max_new_tokens and prefix_len + workload.max_new_tokens - 1 > config.max_len:
-        raise LengthError(
-            f"decoder needs {prefix_len + workload.max_new_tokens - 1} positions, "
-            f"max_len is {config.max_len}"
-        )
-    prov = _provenance(config, workload, PID)
-    before = sink.component_totals()
-    memories = encode_batch(
-        config, weights, [np.asarray(inst.x, dtype=np.int64) for inst in workload.instances], sink
-    )
-    encode_counters = _delta(sink, before, prov)
-    if workload.prompt_len:
-        prefix = np.stack(
-            [np.asarray(z, dtype=np.int64) for inst in workload.instances for z in inst.prompts]
-        )
-    else:
-        prefix = np.full((b * u, 1), BOS, dtype=np.int64)
-    if ablate_shared_cross:
-        memories = np.repeat(memories, u, axis=0)
-        kv_group = 1
-    else:
-        kv_group = u
-    flat, steps, wasted, trace, after_init = _decode_lockstep(
-        config, weights, memories, kv_group, prefix, workload.max_new_tokens, sink,
-        record_logits=record_logits, corrupt_shared_kv=corrupt_shared_kv,
-    )
-    return DecodeResult(
-        engine=PID,
-        outputs=_regroup(flat, b, u),
-        steps_taken=steps,
-        counters=_delta(sink, before, prov),
-        encode_counters=encode_counters,
-        step_counters=_delta(sink, after_init, prov),
-        encoder_passes=b,
-        wasted_stream_steps=wasted,
-        logits_trace=trace,
+    return _decode(
+        PID, config, weights, workload, sink, record_logits, ablate_shared_cross, corrupt_shared_kv
     )
 
 
 def infer(engine: str, config: ModelConfig, weights: WeightSet, workload: Workload, **kw) -> DecodeResult:
+    """Run ``engine`` with the keyword options its entry point accepts."""
     if engine == PIE:
         return pie_infer(config, weights, workload, **kw)
-    if engine == PID:
-        return pid_infer(config, weights, workload, **kw)
-    raise ConfigError(f"unknown engine {engine!r}; choose from {ENGINES}")
+    return _decode(engine, config, weights, workload, **kw)
 
 
 def reference_decode(
@@ -356,55 +307,33 @@ def reference_decode(
     every emitted token.  Used in tests to pin down the cached engines.
     """
     sink = sink if sink is not None else CounterSink()
-    b, u = workload.batch_size, workload.n_prompts
+    encoder_inputs, prefix, kv_group = _layout(engine, workload)
     prov = _provenance(config, workload, f"reference-{engine}")
     before = sink.component_totals()
-    if engine == PIE:
-        memories = encode_batch(config, weights, _pie_encoder_inputs(workload), sink)
-        owner_of_stream = list(range(b * u))
-        prefixes = [[BOS] for _ in range(b * u)]
-        passes = b * u
-    elif engine == PID:
-        memories = encode_batch(
-            config, weights, [np.asarray(i.x, dtype=np.int64) for i in workload.instances], sink
-        )
-        owner_of_stream = [i for i in range(b) for _ in range(u)]
-        if workload.prompt_len:
-            prefixes = [list(map(int, z)) for inst in workload.instances for z in inst.prompts]
-        else:
-            prefixes = [[BOS] for _ in range(b * u)]
-        passes = b
-    else:
-        raise ConfigError(f"unknown engine {engine!r}; choose from {ENGINES}")
+    memories = encode_batch(config, weights, encoder_inputs, sink)
     encode_counters = _delta(sink, before, prov)
     after_encode = sink.component_totals()
     flat: list[list[int]] = []
-    max_steps = 0
-    for s in range(b * u):
-        toks = list(prefixes[s])
+    for s, toks in enumerate(prefix):
+        memory = memories[s // kv_group][None]
         out: list[int] = []
         for _ in range(workload.max_new_tokens):
-            state = init_decode_state(
-                config, weights, memories[owner_of_stream[s]][None], 1, len(toks), sink
-            )
-            logits = decoder_prefill(
-                config, weights, state, np.asarray([toks], dtype=np.int64), sink
-            )
+            state = init_decode_state(config, weights, memory, 1, toks.size, sink)
+            logits = decoder_prefill(config, weights, state, toks[None], sink)
             tok = int(greedy_step(logits)[0])
             out.append(tok)
             if tok == EOS:
                 break
-            toks.append(tok)
-        max_steps = max(max_steps, len(out))
+            toks = np.append(toks, tok)
         flat.append(out)
     return DecodeResult(
         engine=f"reference-{engine}",
-        outputs=_regroup(flat, b, u),
-        steps_taken=max_steps,
+        outputs=_regroup(flat, workload.batch_size, workload.n_prompts),
+        steps_taken=max(map(len, flat)),
         counters=_delta(sink, before, prov),
         encode_counters=encode_counters,
         step_counters=_delta(sink, after_encode, prov),
-        encoder_passes=passes,
+        encoder_passes=len(encoder_inputs),
         wasted_stream_steps=0,
         logits_trace=None,
     )

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .errors import IntensityError
-from .kernels import COMPONENTS, CounterSink
+from .kernels import COMPONENTS
 
 _ATTENTION_COMPONENTS = ("encoder_self", "decoder_self", "decoder_cross")
 
@@ -45,13 +45,6 @@ class CounterSet:
         unknown = set(self.components) - set(COMPONENTS)
         if unknown:
             raise ValueError(f"unknown component labels: {sorted(unknown)}")
-
-    @classmethod
-    def from_sink(cls, sink: CounterSink, provenance: Mapping[str, Any] | None = None) -> "CounterSet":
-        comps = {
-            label: ComponentCounters(*vals) for label, vals in sink.component_totals().items()
-        }
-        return cls(components=comps, provenance=dict(provenance or {}))
 
     @classmethod
     def from_totals(

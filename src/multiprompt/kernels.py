@@ -49,12 +49,12 @@ class CounterSink:
 
     Attribution: kernel calls are tagged with the component label of the
     innermost enclosing :meth:`scope` block (``"other"`` at top level).
-    Per-kernel-kind subtotals are kept as well so the analytic cost model
-    can be calibrated against matrix-multiply traffic alone.
+    Counts are kept per (component, kernel kind); the component and run
+    totals are sums over them, so the analytic cost model can also be
+    calibrated against matrix-multiply traffic alone.
     """
 
     def __init__(self) -> None:
-        self._components: dict[str, list[int]] = {}
         self._kinds: dict[tuple[str, str], list[int]] = {}
         self._scope_stack: list[str] = []
 
@@ -62,19 +62,23 @@ class CounterSink:
 
     @property
     def flops(self) -> int:
-        return sum(v[0] for v in self._components.values())
+        return sum(v[0] for v in self._kinds.values())
 
     @property
     def bytes_read(self) -> int:
-        return sum(v[1] for v in self._components.values())
+        return sum(v[1] for v in self._kinds.values())
 
     @property
     def bytes_written(self) -> int:
-        return sum(v[2] for v in self._components.values())
+        return sum(v[2] for v in self._kinds.values())
 
     def component_totals(self) -> dict[str, tuple[int, int, int]]:
         """(flops, bytes_read, bytes_written) per component label."""
-        return {k: (v[0], v[1], v[2]) for k, v in self._components.items()}
+        totals: dict[str, tuple[int, int, int]] = {}
+        for (label, _), (f, br, bw) in self._kinds.items():
+            f0, br0, bw0 = totals.get(label, (0, 0, 0))
+            totals[label] = (f0 + f, br0 + br, bw0 + bw)
+        return totals
 
     def kind_totals(self) -> dict[tuple[str, str], tuple[int, int, int]]:
         """Subtotals keyed by (component, kernel kind)."""
@@ -98,19 +102,13 @@ class CounterSink:
             self._scope_stack.pop()
 
     def add(self, kind: str, flops: int, bytes_read: int, bytes_written: int) -> None:
-        label = self.current_component
-        cell = self._components.setdefault(label, [0, 0, 0])
+        cell = self._kinds.setdefault((self.current_component, kind), [0, 0, 0])
         cell[0] += flops
         cell[1] += bytes_read
         cell[2] += bytes_written
-        kcell = self._kinds.setdefault((label, kind), [0, 0, 0])
-        kcell[0] += flops
-        kcell[1] += bytes_read
-        kcell[2] += bytes_written
 
     def reset(self) -> None:
         """Zero all counters.  Only legal between runs."""
-        self._components.clear()
         self._kinds.clear()
 
 

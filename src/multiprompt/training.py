@@ -29,13 +29,12 @@ import numpy as np
 
 from . import kernels
 from .costmodel import _decode_flops, _encode_flops
-from .engines import PID, PIE, Instance, Workload, infer
+from .engines import PID, PIE, Instance, Workload, infer, pie_encoder_input
 from .errors import ConfigError, TrainingError
 from .kernels import CounterSink, F32
 from .model import (
     BOS,
     EOS,
-    SEP,
     AttentionWeights,
     FeedForwardWeights,
     ModelConfig,
@@ -202,8 +201,7 @@ def pie_batches(
     for ex in examples:
         x = np.asarray(ex.instance.x, dtype=np.int64)
         for z, ans in zip(ex.instance.prompts, ex.answers):
-            enc = np.concatenate([x, [SEP], np.asarray(z, dtype=np.int64)])
-            flat.append((enc, ans))
+            flat.append((pie_encoder_input(x, np.asarray(z, dtype=np.int64)), ans))
     order = rng.permutation(len(flat))
     per_batch = batch_instances * (len(examples[0].answers) if examples else 1)
     batches = []

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import costmodel as cm
 from . import reference
-from .bench import BenchConfig, run_bench, workload_from_shape
-from .engines import Workload, pid_infer, pie_infer, reference_decode
+from .bench import BenchConfig, random_workload, run_bench
+from .engines import pid_infer, pie_infer, reference_decode
 from .instrumentation import CounterSet, compare, measured_intensity
 from .kernels import CounterSink
 from .model import ModelConfig, init_weights, decoder_prefill, decoder_step, encoder_forward, init_decode_state
@@ -52,24 +52,13 @@ def _toy_model(d=64, h=4, layers=2, vocab=96, max_len=640) -> ModelConfig:
     )
 
 
-def _random_workload(rng, config, u, b, n_s, n_p, max_new) -> Workload:
-    from .engines import Instance
-
-    instances = []
-    for _ in range(b):
-        x = rng.integers(4, config.vocab_size, size=n_s, dtype=np.int64)
-        prompts = tuple(
-            rng.integers(4, config.vocab_size, size=n_p, dtype=np.int64) for _ in range(u)
-        )
-        instances.append(Instance(x=x, prompts=prompts))
-    return Workload(instances=tuple(instances), max_new_tokens=max_new)
-
-
 def _full_length_run(config, shape: cm.ShapeParams, engine_fn, base_seed, tries=40):
     for offset in range(tries):
         rng = np.random.default_rng(base_seed + 1000 + offset)
         weights = init_weights(config, seed=base_seed + offset)
-        wl = _random_workload(rng, config, shape.U, shape.b, shape.n_s, shape.n_p, shape.n_t)
+        wl = random_workload(
+            rng, config.vocab_size, shape.U, shape.b, shape.n_s, shape.n_p, shape.n_t
+        )
         res = engine_fn(config, weights, wl)
         if all(len(seq) == shape.n_t for seq in res.flat_outputs()):
             return res
@@ -94,7 +83,7 @@ def check_broadcast_equivalence(seed: int, fault: str | None = None) -> CheckRes
         n_p = int(rng.choice([0, 2, 4]))
         config = _toy_model(d=d, h=h, layers=2, max_len=256)
         weights = init_weights(config, seed=seed + i)
-        wl = _random_workload(rng, config, u, b, n_s, n_p, max_new=6)
+        wl = random_workload(rng, config.vocab_size, u, b, n_s, n_p, n_t=6)
         shared = pid_infer(
             config, weights, wl, record_logits=True,
             corrupt_shared_kv=fault == FAULT_CORRUPT_SHARED_KV,
@@ -124,7 +113,7 @@ def check_encoder_sharing(seed: int) -> CheckResult:
     for u in (2, 8):
         for n_p in (0, 4):
             n_s = 128
-            wl = _random_workload(rng, config, u, 1, n_s, n_p, max_new=1)
+            wl = random_workload(rng, config.vocab_size, u, 1, n_s, n_p, n_t=1)
             pie = pie_infer(config, weights, wl)
             pid = pid_infer(config, weights, wl)
             ratio = pie.encode_counters.flops / pid.encode_counters.flops
@@ -218,7 +207,7 @@ def check_incremental_vs_reference(seed: int) -> CheckResult:
     for i in range(5):
         rng = np.random.default_rng(seed + i)
         weights = init_weights(config, seed=seed + i)
-        wl = _random_workload(rng, config, 2, 1, 8, 2, max_new=6)
+        wl = random_workload(rng, config.vocab_size, 2, 1, 8, 2, n_t=6)
         for engine, runner in (("pie", pie_infer), ("pid", pid_infer)):
             fast = runner(config, weights, wl)
             slow = reference_decode(config, weights, wl, engine)
@@ -315,8 +304,8 @@ def check_counter_additivity(seed: int) -> CheckResult:
     config = _toy_model(d=16, h=2, layers=1, vocab=23, max_len=64)
     weights = init_weights(config, seed=seed)
     rng = np.random.default_rng(seed)
-    wl_a = _random_workload(rng, config, 2, 1, 8, 2, 3)
-    wl_b = _random_workload(rng, config, 3, 2, 8, 0, 4)
+    wl_a = random_workload(rng, config.vocab_size, 2, 1, 8, 2, 3)
+    wl_b = random_workload(rng, config.vocab_size, 3, 2, 8, 0, 4)
     ra = pie_infer(config, weights, wl_a)
     rb = pie_infer(config, weights, wl_b)
     sink = CounterSink()
@@ -339,7 +328,7 @@ def check_component_attribution(seed: int) -> CheckResult:
     config = _toy_model()
     weights = init_weights(config, seed=seed)
     rng = np.random.default_rng(seed)
-    wl = _random_workload(rng, config, 4, 2, 32, 4, 6)
+    wl = random_workload(rng, config.vocab_size, 4, 2, 32, 4, 6)
     shares = {}
     ok = True
     for engine, runner in (("pie", pie_infer), ("pid", pid_infer)):
@@ -356,7 +345,7 @@ def check_cross_intensity_direction(seed: int) -> CheckResult:
     config = _toy_model()
     weights = init_weights(config, seed=seed)
     rng = np.random.default_rng(seed)
-    wl = _random_workload(rng, config, 4, 1, 64, 0, 8)
+    wl = random_workload(rng, config.vocab_size, 4, 1, 64, 0, 8)
     pie = pie_infer(config, weights, wl)
     pid = pid_infer(config, weights, wl)
     pie_i = measured_intensity(pie.step_counters, "decoder_cross")
@@ -372,7 +361,7 @@ def check_greedy_determinism(seed: int) -> CheckResult:
     config = _toy_model(d=32, h=2)
     weights = init_weights(config, seed=seed)
     rng = np.random.default_rng(seed)
-    wl = _random_workload(rng, config, 4, 2, 16, 2, 6)
+    wl = random_workload(rng, config.vocab_size, 4, 2, 16, 2, 6)
     first = pid_infer(config, weights, wl).outputs
     second = pid_infer(config, weights, wl).outputs
     with ThreadPoolExecutor(max_workers=2) as pool:

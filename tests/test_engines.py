@@ -8,6 +8,7 @@ from multiprompt.engines import (
     Instance,
     Workload,
     greedy_step,
+    infer,
     pid_infer,
     pie_infer,
     reference_decode,
@@ -109,6 +110,59 @@ def test_overlength_raises(setup):
     wl2 = make_workload(rng, config, n_s=config.max_len + 1)
     with pytest.raises(LengthError):
         pid_infer(config, weights, wl2)
+
+
+def test_pie_decode_longer_than_max_len_raises_before_any_kernel(setup):
+    config, weights, rng = setup
+    wl = make_workload(rng, config, b=1, u=2, n_p=2, max_new=config.max_len + 1)
+    sink = CounterSink()
+    with pytest.raises(LengthError):
+        pie_infer(config, weights, wl, sink=sink)
+    assert sink.kind_totals() == {}
+
+
+def test_pid_prefix_plus_decode_past_max_len_raises_before_any_kernel(setup):
+    config, weights, rng = setup
+    n_p = 4
+    wl = make_workload(rng, config, b=1, u=2, n_p=n_p, max_new=config.max_len - n_p + 2)
+    sink = CounterSink()
+    with pytest.raises(LengthError):
+        pid_infer(config, weights, wl, sink=sink)
+    assert sink.kind_totals() == {}
+
+
+def test_pid_decodes_at_the_exact_length_boundary(tiny_config, tiny_weights):
+    # the last fed-back token sits at position n_p + n_t - 2, the last slot;
+    # these weights decode to the cap, so that slot is really used
+    n_p = 4
+    wl = make_workload(
+        np.random.default_rng(42), tiny_config, b=1, u=2, n_p=n_p,
+        max_new=tiny_config.max_len - n_p + 1,
+    )
+    res = pid_infer(tiny_config, tiny_weights, wl)
+    assert res.steps_taken == wl.max_new_tokens
+    assert res.outputs == reference_decode(tiny_config, tiny_weights, wl, "pid").outputs
+
+
+@pytest.mark.parametrize("run", ["infer", "reference_decode"])
+def test_unknown_engine_raises_config_error_before_any_kernel(setup, run):
+    config, weights, rng = setup
+    wl = make_workload(rng, config)
+    sink = CounterSink()
+    with pytest.raises(ConfigError, match="unknown engine"):
+        if run == "infer":
+            infer("pix", config, weights, wl, sink=sink)
+        else:
+            reference_decode(config, weights, wl, "pix", sink=sink)
+    assert sink.kind_totals() == {}
+
+
+@pytest.mark.parametrize("engine", ["pie", "pid"])
+def test_reference_encoder_passes_match_engine(setup, engine):
+    config, weights, rng = setup
+    wl = make_workload(rng, config, b=3, u=2, max_new=2)
+    cached = infer(engine, config, weights, wl)
+    assert reference_decode(config, weights, wl, engine).encoder_passes == cached.encoder_passes
 
 
 # -- determinism and equivariance ----------------------------------------------
