@@ -147,12 +147,9 @@ def cmd_cost(parser, args) -> int:
         for mode in (cm.TABLE1, cm.APPENDIX_B):
             bd = breakdowns[engine][mode]
             print(f"\n[{engine} / {mode}]  (memory in symbols, x4 for bytes)")
-            print(f"  {'component':<22}{'memory':>14}{'operations':>16}{'attn flops/layer':>18}")
+            print(f"  {'component':<22}{'memory':>14}{'operations':>16}")
             for comp, cell in bd["components"].items():
-                print(
-                    f"  {comp:<22}{cell['memory_symbols']:>14}{cell['ops_symbols']:>16}"
-                    f"{cell['attention_flops_per_layer']:>18}"
-                )
+                print(f"  {comp:<22}{cell['memory_symbols']:>14}{cell['ops_symbols']:>16}")
         print(f"  inverse intensity: " + ", ".join(
             f"{k}={v:.6g}" for k, v in intensity[engine].items()
         ))
@@ -171,7 +168,6 @@ def cmd_cost(parser, args) -> int:
                         "memory_symbols": cell["memory_symbols"],
                         "ops_symbols": cell["ops_symbols"],
                         "bytes": cell["bytes"],
-                        "attention_flops_per_layer": cell["attention_flops_per_layer"],
                         "inverse_intensity": "",
                         "roofline_seconds": roofline[engine]["components"]
                         .get(comp, {})

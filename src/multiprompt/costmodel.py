@@ -1,6 +1,6 @@
 """Closed-form cost model: memory access, operation counts, intensity, roofline.
 
-Three layers of fidelity, from coarse to exact:
+Two layers of fidelity, from coarse to exact:
 
 1. Symbol cells (``table1_counts``): per-component memory-access and
    operation counts in symbol units, the granularity used for the
@@ -11,12 +11,10 @@ Three layers of fidelity, from coarse to exact:
    decode steps.  Memory symbols convert to bytes at 4 bytes per float32
    symbol (``BYTES_PER_SYMBOL``); operation symbols convert to flops at
    2 flops per multiply-add (``FLOPS_PER_MAC``).
-2. Per-layer attention flops (also on the breakdown): matrix-multiply
-   flop counts that mirror the engine's kernel calls, used to check the
-   analytic model against instrumented counters.
-3. ``predict_run_flops``: an exact mirror of every kernel call an engine
+2. ``predict_run_flops``: an exact mirror of every kernel call an engine
    run makes (projections, attention dots, softmax, norms, embeddings,
-   vocabulary head), for counter calibration and whole-model flop ratios.
+   vocabulary head), checked for integer equality against the
+   instrumented counters and used for whole-model flop ratios.
 """
 
 from __future__ import annotations
@@ -138,11 +136,10 @@ BUILTIN_PROFILES = {
 
 @dataclass(frozen=True)
 class ComponentCost:
-    """One table cell pair plus the engine-mirroring attention flops."""
+    """One table cell pair: memory access and operations in symbol units."""
 
     memory_symbols: int
     ops_symbols: int
-    attention_flops_per_layer: int
 
     @property
     def bytes(self) -> int:
@@ -169,14 +166,6 @@ class CostBreakdown:
     def total_ops_symbols(self) -> int:
         return sum(c.ops_symbols for c in self.components.values())
 
-    def attention_flops_per_layer(self) -> dict[str, int]:
-        """Prompt-phase rows folded into their base component."""
-        out: dict[str, int] = {}
-        for label, cost in self.components.items():
-            base = label.replace("_prompt", "")
-            out[base] = out.get(base, 0) + cost.attention_flops_per_layer
-        return out
-
     def to_dict(self) -> dict:
         return {
             "engine": self.engine,
@@ -188,7 +177,6 @@ class CostBreakdown:
                     "memory_symbols": c.memory_symbols,
                     "ops_symbols": c.ops_symbols,
                     "bytes": c.bytes,
-                    "attention_flops_per_layer": c.attention_flops_per_layer,
                 }
                 for label, c in sorted(self.components.items())
             },
@@ -199,36 +187,12 @@ class CostBreakdown:
         }
 
 
-def _causal_attn_flops(positions: int, d: int) -> int:
-    """Matmul flops for incrementally decoded self-attention over ``positions`` tokens.
-
-    Projections Q/K/V/O are ``8*T*d^2``; with one position processed per
-    step the score and context products touch ``T*(T+1)/2`` query-key pairs
-    at ``4*d`` flops each.
-    """
-    return 8 * positions * d * d + 2 * d * positions * (positions + 1)
-
-
-def _prefill_self_attn_flops(streams: int, p: int, d: int) -> int:
-    """Matmul flops for a causal prefill: the kernels compute the full
-    ``p x p`` score matrix and let the mask zero the upper triangle, so the
-    mirrored count uses ``p**2`` pairs rather than ``p*(p+1)/2``."""
-    return streams * (8 * p * d * d + 4 * p * p * d)
-
-
-def _cross_attn_flops(query_positions: int, m: int, d: int) -> int:
-    """Per-stream matmul flops of cross-attention queries (K/V projection excluded)."""
-    return 4 * query_positions * d * d + 4 * query_positions * m * d
-
-
 def table1_counts(shape: ShapeParams, engine: str, mode: str = TABLE1) -> CostBreakdown:
     """Per-component memory access and operation counts for one engine.
 
-    Symbol cells follow the analytic comparison table exactly; the
-    ``attention_flops_per_layer`` field carries the matching matrix-multiply
-    flop count for one layer of the owning stack (softmax, scaling, and
-    norms excluded, which is why instrumented counters run a few percent
-    above these values).
+    Symbol cells follow the analytic comparison table exactly and carry no
+    flop count of their own; the exact per-component flops of a whole run
+    are :func:`predict_run_flops`.
     """
     if engine not in (PIE, PID):
         raise ConfigError(f"unknown engine {engine!r}")
@@ -237,6 +201,7 @@ def table1_counts(shape: ShapeParams, engine: str, mode: str = TABLE1) -> CostBr
     U, b, n_s, n_t, n_p, d = shape.U, shape.b, shape.n_s, shape.n_t, shape.n_p, shape.d
     streams = U * b
     enc_len = n_s + n_p if (mode == APPENDIX_B and engine == PIE) else n_s
+    prompt_phase = engine == PID and mode == APPENDIX_B and n_p > 0
     comps: dict[str, ComponentCost] = {}
 
     # encoder self-attention
@@ -244,46 +209,31 @@ def table1_counts(shape: ShapeParams, engine: str, mode: str = TABLE1) -> CostBr
     comps["encoder_self"] = ComponentCost(
         memory_symbols=passes * enc_len * d + d * d,
         ops_symbols=passes * enc_len * d * d,
-        attention_flops_per_layer=passes * (8 * enc_len * d * d + 4 * enc_len * enc_len * d),
     )
 
     # decoder self-attention (output phase; identical cells for both engines)
-    if engine == PID and mode == APPENDIX_B and n_p > 0:
+    if prompt_phase:
         comps["decoder_self_prompt"] = ComponentCost(
             memory_symbols=streams * n_p * d + d * d,
             ops_symbols=streams * n_p * d * d,
-            attention_flops_per_layer=_prefill_self_attn_flops(streams, n_p, d),
         )
-        out_steps = n_t - 1
-        self_out_flops = streams * (
-            8 * out_steps * d * d + 4 * d * (out_steps * n_p + n_t * (n_t - 1) // 2)
-        )
-    else:
-        self_out_flops = streams * _causal_attn_flops(n_t, d)
     comps["decoder_self"] = ComponentCost(
         memory_symbols=streams * n_t * n_t * d + n_t * d * d,
         ops_symbols=streams * n_t * d * d,
-        attention_flops_per_layer=self_out_flops,
     )
 
     # decoder cross-attention
     m = enc_len if engine == PIE else n_s
     owners = streams if engine == PIE else b
-    kv_projection = 4 * owners * m * d * d
-    if engine == PID and mode == APPENDIX_B and n_p > 0:
+    if prompt_phase:
         comps["decoder_cross_prompt"] = ComponentCost(
             memory_symbols=b * n_s * d + streams * n_p * d + d * d,
             ops_symbols=streams * n_p * d * d,
-            attention_flops_per_layer=streams * _cross_attn_flops(n_p, m, d),
         )
-        cross_out_flops = streams * _cross_attn_flops(n_t - 1, m, d) + kv_projection
-    else:
-        cross_out_flops = streams * _cross_attn_flops(n_t, m, d) + kv_projection
-    m_mem = owners  # per-step K/V re-reads scale with the number of cache owners
+    # per-step K/V re-reads scale with the number of cache owners
     comps["decoder_cross"] = ComponentCost(
-        memory_symbols=m_mem * m * n_t * d + streams * n_t * d + n_t * d * d,
+        memory_symbols=owners * m * n_t * d + streams * n_t * d + n_t * d * d,
         ops_symbols=streams * n_t * d * d,
-        attention_flops_per_layer=cross_out_flops,
     )
     return CostBreakdown(engine=engine, mode=mode, shape=shape, components=comps)
 

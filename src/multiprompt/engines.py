@@ -22,7 +22,6 @@ same layout but decodes on its own, one stream at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -131,27 +130,13 @@ def greedy_step(logits: np.ndarray) -> np.ndarray:
     return np.argmax(logits, axis=1)
 
 
-def _provenance(config: ModelConfig, workload: Workload, engine: str) -> dict[str, Any]:
-    return {
-        "engine": engine, "U": workload.n_prompts, "b": workload.batch_size,
-        "n_s": workload.input_len, "n_p": workload.prompt_len, "n_t": workload.max_new_tokens,
-        "d": config.d_model, "h": config.n_heads, "d_ff": config.d_ff,
-        "vocab_size": config.vocab_size,
-        "n_enc_layers": config.n_enc_layers, "n_dec_layers": config.n_dec_layers,
-    }
-
-
-def _delta(
-    sink: CounterSink,
-    before: dict[str, tuple[int, int, int]],
-    provenance: dict[str, Any],
-) -> CounterSet:
+def _delta(sink: CounterSink, before: dict[str, tuple[int, int, int]]) -> CounterSet:
     totals = {}
     for label, now in sink.component_totals().items():
         diff = tuple(a - b for a, b in zip(now, before.get(label, (0, 0, 0))))
         if any(diff):
             totals[label] = diff
-    return CounterSet.from_totals(totals, provenance)
+    return CounterSet.from_totals(totals)
 
 
 def _regroup(flat: list[list[int]], b: int, u: int) -> list[list[list[int]]]:
@@ -182,6 +167,22 @@ def _layout(engine: str, workload: Workload) -> tuple[list[np.ndarray], np.ndarr
     raise ConfigError(f"unknown engine {engine!r}; choose from {ENGINES}")
 
 
+def _check_lengths(
+    config: ModelConfig, encoder_inputs: list[np.ndarray], prefix: np.ndarray, n_t: int
+) -> None:
+    """Reject a layout that does not fit ``max_len``, before any kernel runs.
+
+    The last fed-back token sits at decoder position ``p + n_t - 2``, so a
+    decode of ``n_t`` tokens after a prefix of ``p`` needs ``p + n_t - 1``
+    positions.
+    """
+    enc_len, p = encoder_inputs[0].size, prefix.shape[1]
+    if enc_len > config.max_len:
+        raise LengthError(f"encoder input of {enc_len} tokens exceeds max_len {config.max_len}")
+    if n_t and p + n_t - 1 > config.max_len:
+        raise LengthError(f"decoder needs {p + n_t - 1} positions, max_len is {config.max_len}")
+
+
 def _decode(
     engine: str,
     config: ModelConfig,
@@ -195,15 +196,11 @@ def _decode(
     """Encode, then decode all streams greedily in lockstep with K/V caches."""
     sink = sink if sink is not None else CounterSink()
     encoder_inputs, prefix, kv_group = _layout(engine, workload)
-    enc_len, p, n_t = encoder_inputs[0].size, prefix.shape[1], workload.max_new_tokens
-    if enc_len > config.max_len:
-        raise LengthError(f"encoder input of {enc_len} tokens exceeds max_len {config.max_len}")
-    if n_t and p + n_t - 1 > config.max_len:
-        raise LengthError(f"decoder needs {p + n_t - 1} positions, max_len is {config.max_len}")
-    prov = _provenance(config, workload, engine)
+    p, n_t = prefix.shape[1], workload.max_new_tokens
+    _check_lengths(config, encoder_inputs, prefix, n_t)
     before = sink.component_totals()
     memories = encode_batch(config, weights, encoder_inputs, sink)
-    encode_counters = _delta(sink, before, prov)
+    encode_counters = _delta(sink, before)
     if ablate_shared_cross:
         # the broadcast-equivalence ablation: one explicit cross-K/V copy per stream
         memories = np.repeat(memories, kv_group, axis=0)
@@ -239,9 +236,9 @@ def _decode(
         engine=engine,
         outputs=_regroup(outputs, workload.batch_size, workload.n_prompts),
         steps_taken=steps,
-        counters=_delta(sink, before, prov),
+        counters=_delta(sink, before),
         encode_counters=encode_counters,
-        step_counters=_delta(sink, after_init, prov),
+        step_counters=_delta(sink, after_init),
         encoder_passes=len(encoder_inputs),
         wasted_stream_steps=wasted,
         logits_trace=trace,
@@ -302,16 +299,17 @@ def reference_decode(
 ) -> DecodeResult:
     """Cache-free oracle: one stream at a time, full re-forward every step.
 
-    Encodes exactly like the requested engine, then decodes each stream
-    sequentially, rebuilding the whole decoder forward from scratch for
-    every emitted token.  Used in tests to pin down the cached engines.
+    Encodes exactly like the requested engine (and rejects the lengths the
+    engines reject), then decodes each stream sequentially, rebuilding the
+    whole decoder forward from scratch for every emitted token.  Used in
+    tests to pin down the cached engines.
     """
     sink = sink if sink is not None else CounterSink()
     encoder_inputs, prefix, kv_group = _layout(engine, workload)
-    prov = _provenance(config, workload, f"reference-{engine}")
+    _check_lengths(config, encoder_inputs, prefix, workload.max_new_tokens)
     before = sink.component_totals()
     memories = encode_batch(config, weights, encoder_inputs, sink)
-    encode_counters = _delta(sink, before, prov)
+    encode_counters = _delta(sink, before)
     after_encode = sink.component_totals()
     flat: list[list[int]] = []
     for s, toks in enumerate(prefix):
@@ -330,9 +328,9 @@ def reference_decode(
         engine=f"reference-{engine}",
         outputs=_regroup(flat, workload.batch_size, workload.n_prompts),
         steps_taken=max(map(len, flat)),
-        counters=_delta(sink, before, prov),
+        counters=_delta(sink, before),
         encode_counters=encode_counters,
-        step_counters=_delta(sink, after_encode, prov),
+        step_counters=_delta(sink, after_encode),
         encoder_passes=len(encoder_inputs),
         wasted_stream_steps=0,
         logits_trace=None,

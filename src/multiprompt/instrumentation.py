@@ -1,14 +1,12 @@
-"""Run-scoped counter aggregation and analytic-vs-measured comparison."""
+"""Run-scoped counter snapshots and measured intensity."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 from .errors import IntensityError
 from .kernels import COMPONENTS
-
-_ATTENTION_COMPONENTS = ("encoder_self", "decoder_self", "decoder_cross")
 
 
 @dataclass(frozen=True)
@@ -34,12 +32,10 @@ class CounterSet:
     """Immutable snapshot of per-component counters for one run (or phase).
 
     Component labels form a closed set; run totals are the sums of the
-    component entries by construction.  ``provenance`` records the shape
-    and model the run used, so comparisons can check they line up.
+    component entries by construction.
     """
 
     components: Mapping[str, ComponentCounters]
-    provenance: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         unknown = set(self.components) - set(COMPONENTS)
@@ -47,15 +43,8 @@ class CounterSet:
             raise ValueError(f"unknown component labels: {sorted(unknown)}")
 
     @classmethod
-    def from_totals(
-        cls,
-        totals: Mapping[str, tuple[int, int, int]],
-        provenance: Mapping[str, Any] | None = None,
-    ) -> "CounterSet":
-        return cls(
-            components={k: ComponentCounters(*v) for k, v in totals.items()},
-            provenance=dict(provenance or {}),
-        )
+    def from_totals(cls, totals: Mapping[str, tuple[int, int, int]]) -> "CounterSet":
+        return cls(components={k: ComponentCounters(*v) for k, v in totals.items()})
 
     def component(self, label: str) -> ComponentCounters:
         return self.components.get(label, ComponentCounters())
@@ -75,10 +64,7 @@ class CounterSet:
     def merge(self, other: "CounterSet") -> "CounterSet":
         """Counters of two sequential runs, combined exactly."""
         labels = set(self.components) | set(other.components)
-        merged = {lab: self.component(lab) + other.component(lab) for lab in labels}
-        prov = dict(self.provenance)
-        prov.update({f"merged.{k}": v for k, v in other.provenance.items()})
-        return CounterSet(components=merged, provenance=prov)
+        return CounterSet({lab: self.component(lab) + other.component(lab) for lab in labels})
 
     def to_dict(self) -> dict:
         return {
@@ -95,7 +81,6 @@ class CounterSet:
                 "bytes_read": self.bytes_read,
                 "bytes_written": self.bytes_written,
             },
-            "provenance": dict(self.provenance),
         }
 
 
@@ -115,80 +100,3 @@ def measured_intensity(counters: CounterSet, component: str | None = None) -> fl
     if nbytes == 0:
         raise IntensityError(f"intensity undefined for {what}: zero bytes of traffic")
     return flops / nbytes
-
-
-@dataclass(frozen=True)
-class DeviationRow:
-    component: str
-    analytic: int | None
-    measured: int | None
-    deviation: float | None
-    missing: bool
-    passed: bool
-
-
-@dataclass(frozen=True)
-class DeviationReport:
-    """Per-component relative deviation of analytic counts from measurement."""
-
-    rows: tuple[DeviationRow, ...]
-    threshold: float
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.rows)
-
-    def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "rows": [
-                {
-                    "component": r.component,
-                    "analytic": r.analytic,
-                    "measured": r.measured,
-                    "deviation": r.deviation,
-                    "missing": r.missing,
-                    "passed": r.passed,
-                }
-                for r in self.rows
-            ],
-        }
-
-
-def _deviation(analytic: int, measured: int) -> float:
-    return abs(analytic - measured) / max(measured, 1)
-
-
-def compare(analytic, measured: CounterSet, threshold: float = 0.15) -> DeviationReport:
-    """Compare a cost-model breakdown against measured counters.
-
-    ``analytic`` is a :class:`multiprompt.costmodel.CostBreakdown`; its
-    per-layer attention flop estimates are scaled by the layer counts
-    recorded in the measured provenance (``n_enc_layers``/``n_dec_layers``).
-    One row per attention component; components absent on either side
-    produce a flagged (failing) row rather than being dropped.
-    """
-    prov = measured.provenance
-    if "n_enc_layers" not in prov or "n_dec_layers" not in prov:
-        raise ValueError("measured provenance must record n_enc_layers and n_dec_layers")
-    layer_mult = {
-        "encoder_self": int(prov["n_enc_layers"]),
-        "decoder_self": int(prov["n_dec_layers"]),
-        "decoder_cross": int(prov["n_dec_layers"]),
-    }
-    analytic_flops = analytic.attention_flops_per_layer()
-    rows = []
-    for label in _ATTENTION_COMPONENTS:
-        a = analytic_flops.get(label)
-        m = measured.components.get(label)
-        if a is None or m is None:
-            rows.append(
-                DeviationRow(label, a if a is None else a * layer_mult[label],
-                             None if m is None else m.flops, None, True, False)
-            )
-            continue
-        a_total = a * layer_mult[label]
-        dev = _deviation(a_total, m.flops)
-        rows.append(DeviationRow(label, a_total, m.flops, dev, False, dev <= threshold))
-    return DeviationReport(rows=tuple(rows), threshold=threshold)

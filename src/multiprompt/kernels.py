@@ -50,8 +50,8 @@ class CounterSink:
     Attribution: kernel calls are tagged with the component label of the
     innermost enclosing :meth:`scope` block (``"other"`` at top level).
     Counts are kept per (component, kernel kind); the component and run
-    totals are sums over them, so the analytic cost model can also be
-    calibrated against matrix-multiply traffic alone.
+    totals are sums over them.  :meth:`kind_totals` exposes the per-kind
+    subtotals, from which ``perfbench`` reports matrix-multiply throughput.
     """
 
     def __init__(self) -> None:

@@ -45,7 +45,7 @@ MERGED_COLUMNS = [
 
 COST_COLUMNS = [
     "run_id", "preset", "engine", "mode", "component",
-    "memory_symbols", "ops_symbols", "bytes", "attention_flops_per_layer",
+    "memory_symbols", "ops_symbols", "bytes",
     "inverse_intensity", "roofline_seconds", "hw_profile",
 ]
 

@@ -18,8 +18,8 @@ import numpy as np
 from . import costmodel as cm
 from . import reference
 from .bench import BenchConfig, random_workload, run_bench
-from .engines import pid_infer, pie_infer, reference_decode
-from .instrumentation import CounterSet, compare, measured_intensity
+from .engines import DecodeResult, pid_infer, pie_infer, reference_decode
+from .instrumentation import measured_intensity
 from .kernels import CounterSink
 from .model import ModelConfig, init_weights, decoder_prefill, decoder_step, encoder_forward, init_decode_state
 from .training import (
@@ -63,6 +63,25 @@ def _full_length_run(config, shape: cm.ShapeParams, engine_fn, base_seed, tries=
         if all(len(seq) == shape.n_t for seq in res.flat_outputs()):
             return res
     raise RuntimeError("no seed produced a full-length decode")
+
+
+def mirror_mismatches(res: DecodeResult, predicted: dict) -> dict[str, dict[str, list[int]]]:
+    """Where a run's flops differ from ``predict_run_flops``: phase -> label -> [measured, predicted].
+
+    The whole run (``res.counters``) is held to ``predicted["by_component"]``
+    and the encode phase (``res.encode_counters``) to ``predicted["encode"]``;
+    a label missing on one side counts as zero.  Both phases empty means the
+    mirror is exact.
+    """
+    out = {}
+    for phase, counters in (("by_component", res.counters), ("encode", res.encode_counters)):
+        want = predicted[phase]
+        pairs = {
+            label: [counters.component(label).flops, want.get(label, 0)]
+            for label in sorted(set(counters.components) | set(want))
+        }
+        out[phase] = {label: pair for label, pair in pairs.items() if pair[0] != pair[1]}
+    return out
 
 
 # -- individual checks ---------------------------------------------------------
@@ -234,15 +253,16 @@ def check_incremental_vs_reference(seed: int) -> CheckResult:
 
 
 def check_analytic_vs_measured(seed: int) -> CheckResult:
+    """Measured per-component flops equal ``predict_run_flops`` exactly."""
     config = _toy_model()
     rows = []
     ok = True
     for engine, runner in (("pie", pie_infer), ("pid", pid_infer)):
         shape = cm.ShapeParams(U=4, b=1, n_s=64, n_t=8, n_p=0, d=64, h=4)
         res = _full_length_run(config, shape, runner, seed)
-        report = compare(cm.table1_counts(shape, engine, cm.APPENDIX_B), res.counters, 0.15)
-        ok = ok and report.passed
-        rows.append({"engine": engine, "report": report.to_dict()})
+        mismatches = mirror_mismatches(res, cm.predict_run_flops(config, shape, engine))
+        ok = ok and not any(mismatches.values())
+        rows.append({"engine": engine, "flops": res.counters.flops, "mismatches": mismatches})
     return CheckResult("analytic_vs_measured", passed=ok, details={"rows": rows})
 
 

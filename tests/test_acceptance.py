@@ -7,16 +7,16 @@ deterministic subset.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from multiprompt import costmodel as cm
 from multiprompt import reference
-from multiprompt.bench import BenchConfig, run_bench
+from multiprompt.bench import BenchConfig, random_workload, run_bench
 from multiprompt.cli import main
-from multiprompt.engines import Instance, Workload, pid_infer, pie_infer, reference_decode
-from multiprompt.instrumentation import compare
+from multiprompt.engines import pid_infer, pie_infer, reference_decode
 from multiprompt.kernels import CounterSink
 from multiprompt.model import (
     ModelConfig,
@@ -36,23 +36,13 @@ from multiprompt.training import (
     train_layout,
     training_forward_backward,
 )
+from multiprompt.verify import mirror_mismatches
 
 
 def conclude(number: int, name: str, passed: bool, detail: str = "") -> None:
     status = "PASS" if passed else "FAIL"
     print(f"[criterion {number}] {status}: {name}" + (f" ({detail})" if detail else ""))
     assert passed, f"criterion {number} failed: {name} {detail}"
-
-
-def random_workload(rng, vocab, u, b, n_s, n_p, max_new):
-    instances = tuple(
-        Instance(
-            x=rng.integers(4, vocab, size=n_s, dtype=np.int64),
-            prompts=tuple(rng.integers(4, vocab, size=n_p, dtype=np.int64) for _ in range(u)),
-        )
-        for _ in range(b)
-    )
-    return Workload(instances=instances, max_new_tokens=max_new)
 
 
 def test_criterion_1_broadcast_sharing_equivalence():
@@ -71,7 +61,7 @@ def test_criterion_1_broadcast_sharing_equivalence():
             rng, config.vocab_size,
             u=int(rng.choice([2, 4, 8])), b=int(rng.choice([1, 2, 4])),
             n_s=int(rng.choice([16, 32, 64])), n_p=int(rng.choice([0, 2, 4])),
-            max_new=6,
+            n_t=6,
         )
         shared = pid_infer(config, weights, wl, record_logits=True)
         copies = pid_infer(config, weights, wl, record_logits=True, ablate_shared_cross=True)
@@ -99,11 +89,11 @@ def test_criterion_2_encoder_sharing_count_law():
     ok = True
     notes = []
     for u in (2, 8, 30):
-        wl0 = random_workload(rng, config.vocab_size, u, 1, n_s, 0, max_new=1)
+        wl0 = random_workload(rng, config.vocab_size, u, 1, n_s, 0, n_t=1)
         pie0 = pie_infer(config, weights, wl0).encode_counters.flops
         pid0 = pid_infer(config, weights, wl0).encode_counters.flops
         exact = pie0 == u * pid0
-        wl6 = random_workload(rng, config.vocab_size, u, 1, n_s, 6, max_new=1)
+        wl6 = random_workload(rng, config.vocab_size, u, 1, n_s, 6, n_t=1)
         pie6 = pie_infer(config, weights, wl6).encode_counters.flops
         pid6 = pid_infer(config, weights, wl6).encode_counters.flops
         predicted = u * (n_s + 6) / n_s
@@ -197,7 +187,7 @@ def test_criterion_5_incremental_decoding_correctness():
         weights = init_weights(config, seed=seed)
         wl = random_workload(
             rng, config.vocab_size, u=int(rng.choice([2, 3])), b=int(rng.choice([1, 2])),
-            n_s=int(rng.choice([8, 16])), n_p=int(rng.choice([0, 2])), max_new=6,
+            n_s=int(rng.choice([8, 16])), n_p=int(rng.choice([0, 2])), n_t=6,
         )
         for engine, runner in (("pie", pie_infer), ("pid", pid_infer)):
             fast = runner(config, weights, wl)
@@ -226,38 +216,48 @@ def test_criterion_5_incremental_decoding_correctness():
     )
 
 
-def test_criterion_6_analytic_vs_measured_deviation():
-    config = ModelConfig(
-        d_model=128, n_heads=8, n_enc_layers=2, n_dec_layers=2,
-        d_ff=512, vocab_size=512, max_len=512,
-    )
-    shape = cm.ShapeParams(U=8, b=1, n_s=256, n_t=16, n_p=0, d=128, h=8)
-    worst = 0.0
-    ok = True
-    for engine, runner in (("pie", pie_infer), ("pid", pid_infer)):
-        res = None
-        for attempt in range(30):
-            rng = np.random.default_rng(100 + attempt)
-            weights = init_weights(config, seed=attempt)
-            wl = random_workload(
-                rng, config.vocab_size, shape.U, shape.b, shape.n_s, shape.n_p, shape.n_t
-            )
-            candidate = runner(config, weights, wl)
-            if all(len(seq) == shape.n_t for seq in candidate.flat_outputs()):
-                res = candidate
-                break
-        assert res is not None, "no full-length decode found"
-        analytic = cm.table1_counts(shape, engine, cm.APPENDIX_B)
-        report = compare(analytic, res.counters, threshold=0.15)
-        ok = ok and report.passed
-        worst = max(
-            worst, max(r.deviation for r in report.rows if r.deviation is not None)
+CRITERION_6_CONFIG = ModelConfig(
+    d_model=128, n_heads=8, n_enc_layers=2, n_dec_layers=2,
+    d_ff=512, vocab_size=512, max_len=512,
+)
+CRITERION_6_SHAPE = cm.ShapeParams(U=8, b=1, n_s=256, n_t=16, n_p=0, d=128, h=8)
+
+
+def criterion_6_run(runner):
+    """The first seeded run of ``runner`` whose streams all decode the full ``n_t``."""
+    config, shape = CRITERION_6_CONFIG, CRITERION_6_SHAPE
+    for attempt in range(30):
+        rng = np.random.default_rng(100 + attempt)
+        weights = init_weights(config, seed=attempt)
+        wl = random_workload(
+            rng, config.vocab_size, shape.U, shape.b, shape.n_s, shape.n_p, shape.n_t
         )
+        res = runner(config, weights, wl)
+        if all(len(seq) == shape.n_t for seq in res.flat_outputs()):
+            return res
+    pytest.fail("no full-length decode found")
+
+
+def test_criterion_6_analytic_vs_measured_deviation():
+    mismatches = {}
+    for engine, runner in (("pie", pie_infer), ("pid", pid_infer)):
+        predicted = cm.predict_run_flops(CRITERION_6_CONFIG, CRITERION_6_SHAPE, engine)
+        mismatches[engine] = mirror_mismatches(criterion_6_run(runner), predicted)
+    exact = all(not any(m.values()) for m in mismatches.values())
     conclude(
         6, "analytic counts match instrumented counters",
-        ok,
-        f"worst attention-component deviation {worst:.3%} (threshold 15%)",
+        exact,
+        "per-component flops equal predict_run_flops exactly" if exact else f"{mismatches}",
     )
+
+
+def test_criterion_6_detects_a_mirror_built_for_the_wrong_shape():
+    # negative control: a mirror for one token less of shared input must not pass
+    wrong = replace(CRITERION_6_SHAPE, n_s=CRITERION_6_SHAPE.n_s - 1)
+    mismatches = mirror_mismatches(
+        criterion_6_run(pid_infer), cm.predict_run_flops(CRITERION_6_CONFIG, wrong, "pid")
+    )
+    assert mismatches["by_component"] and mismatches["encode"]
 
 
 def test_criterion_7_training():

@@ -118,6 +118,8 @@ def test_pie_decode_longer_than_max_len_raises_before_any_kernel(setup):
     sink = CounterSink()
     with pytest.raises(LengthError):
         pie_infer(config, weights, wl, sink=sink)
+    with pytest.raises(LengthError):
+        reference_decode(config, weights, wl, "pie", sink=sink)
     assert sink.kind_totals() == {}
 
 
@@ -128,6 +130,8 @@ def test_pid_prefix_plus_decode_past_max_len_raises_before_any_kernel(setup):
     sink = CounterSink()
     with pytest.raises(LengthError):
         pid_infer(config, weights, wl, sink=sink)
+    with pytest.raises(LengthError):
+        reference_decode(config, weights, wl, "pid", sink=sink)
     assert sink.kind_totals() == {}
 
 
@@ -140,8 +144,9 @@ def test_pid_decodes_at_the_exact_length_boundary(tiny_config, tiny_weights):
         max_new=tiny_config.max_len - n_p + 1,
     )
     res = pid_infer(tiny_config, tiny_weights, wl)
-    assert res.steps_taken == wl.max_new_tokens
-    assert res.outputs == reference_decode(tiny_config, tiny_weights, wl, "pid").outputs
+    oracle = reference_decode(tiny_config, tiny_weights, wl, "pid")
+    assert res.steps_taken == oracle.steps_taken == wl.max_new_tokens
+    assert res.outputs == oracle.outputs
 
 
 @pytest.mark.parametrize("run", ["infer", "reference_decode"])
@@ -278,22 +283,25 @@ def test_corrupt_shared_kv_breaks_equivalence(setup):
 
 
 def test_pid_cross_cache_storage_is_u_independent(setup):
-    # the shared slices are per instance: owners == b regardless of U
+    # the shared slices are per instance: the cross-K/V projection runs for
+    # b owners whatever U is, 4·b·n_s·d² flops per decoder layer
     config, weights, rng = setup
+    b, n_s = 2, 10
+    expected = 4 * b * n_s * config.d_model**2 * config.n_dec_layers
     sink = CounterSink()
-    wl4 = make_workload(rng, config, b=2, u=4, n_s=10, n_p=2, max_new=2)
-    r4 = pid_infer(config, weights, wl4, sink=sink)
-    kv_init_bytes_u4 = _cross_kv_projection_flops(r4)
-    wl8 = make_workload(rng, config, b=2, u=8, n_s=10, n_p=2, max_new=2)
-    r8 = pid_infer(config, weights, wl8)
-    assert _cross_kv_projection_flops(r8) == kv_init_bytes_u4
+    wl4 = make_workload(rng, config, b=b, u=4, n_s=n_s, n_p=2, max_new=2)
+    kv_init_flops_u4 = _cross_kv_projection_flops(pid_infer(config, weights, wl4, sink=sink))
+    wl8 = make_workload(rng, config, b=b, u=8, n_s=n_s, n_p=2, max_new=2)
+    kv_init_flops_u8 = _cross_kv_projection_flops(pid_infer(config, weights, wl8))
+    assert kv_init_flops_u4 == kv_init_flops_u8 == expected
 
 
 def _cross_kv_projection_flops(res: DecodeResult) -> int:
-    # K/V projection of M is 4*m*d^2 per owner per layer; recover it from
-    # provenance to confirm owner count does not scale with U
-    p = res.counters.provenance
-    return 4 * p["n_s"] * p["d"] * p["d"] * p["b"] * p["n_dec_layers"]
+    # decoder_cross flops counted before the prefill: the cross-K/V projection
+    return (
+        res.counters.component("decoder_cross").flops
+        - res.step_counters.component("decoder_cross").flops
+    )
 
 
 # -- oracle agreement ----------------------------------------------------------------

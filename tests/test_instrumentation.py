@@ -1,4 +1,4 @@
-"""Counter aggregation, measured intensity, analytic-vs-measured deviation."""
+"""Counter aggregation, measured intensity, measured-vs-mirror comparison."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,11 @@ from multiprompt.errors import IntensityError
 from multiprompt.instrumentation import (
     ComponentCounters,
     CounterSet,
-    compare,
     measured_intensity,
 )
 from multiprompt.kernels import CounterSink
 from multiprompt.model import BOS, init_weights, encode_batch, init_decode_state, decoder_prefill, decoder_step
+from multiprompt.verify import mirror_mismatches
 
 
 def cs(**components):
@@ -59,7 +59,7 @@ def test_component_totals_sum_to_run_totals():
     assert counters.bytes_written == 18
 
 
-# -- deviation reports -----------------------------------------------------------
+# -- measured runs against the mirror -----------------------------------------------------------
 
 
 def _measured_run(config, weights, rng, engine_fn, u=2, n_s=12, n_t=4):
@@ -78,63 +78,14 @@ def _measured_run(config, weights, rng, engine_fn, u=2, n_s=12, n_t=4):
     )
 
 
-def test_compare_zero_deviation_for_identical_values():
-    analytic = cm.table1_counts(cm.ShapeParams(U=2, b=1, n_s=8, n_t=4, n_p=0, d=16, h=2), "pie")
-    fake = CounterSet.from_totals(
-        {
-            "encoder_self": (analytic.components["encoder_self"].attention_flops_per_layer * 2, 0, 0),
-            "decoder_self": (analytic.components["decoder_self"].attention_flops_per_layer * 2, 0, 0),
-            "decoder_cross": (analytic.components["decoder_cross"].attention_flops_per_layer * 2, 0, 0),
-        },
-        provenance={"n_enc_layers": 2, "n_dec_layers": 2},
-    )
-    report = compare(analytic, fake, threshold=0.0)
-    assert report.passed
-    assert all(r.deviation == 0.0 for r in report.rows)
-
-
-def test_compare_arithmetic():
-    analytic = cm.table1_counts(cm.ShapeParams(U=2, b=1, n_s=8, n_t=4, n_p=0, d=16, h=2), "pie")
-    per_layer = analytic.attention_flops_per_layer()
-    fake = CounterSet.from_totals(
-        {
-            "encoder_self": (round(per_layer["encoder_self"] * 1.1), 0, 0),
-            "decoder_self": (per_layer["decoder_self"], 0, 0),
-            "decoder_cross": (per_layer["decoder_cross"], 0, 0),
-        },
-        provenance={"n_enc_layers": 1, "n_dec_layers": 1},
-    )
-    report = compare(analytic, fake, threshold=0.15)
-    enc_row = next(r for r in report.rows if r.component == "encoder_self")
-    assert abs(enc_row.deviation - abs(enc_row.analytic - enc_row.measured) / enc_row.measured) < 1e-12
-    assert report.passed
-
-
-def test_compare_flags_missing_component():
-    analytic = cm.table1_counts(cm.ShapeParams(U=2, b=1, n_s=8, n_t=4, n_p=0, d=16, h=2), "pie")
-    fake = CounterSet.from_totals(
-        {"encoder_self": (1000, 0, 0)},
-        provenance={"n_enc_layers": 1, "n_dec_layers": 1},
-    )
-    report = compare(analytic, fake)
-    missing = [r for r in report.rows if r.missing]
-    assert {r.component for r in missing} == {"decoder_self", "decoder_cross"}
-    assert not report.passed
-
-
-def test_compare_requires_layer_provenance():
-    analytic = cm.table1_counts(cm.ShapeParams(U=2, b=1, n_s=8, n_t=4, n_p=0, d=16, h=2), "pie")
-    with pytest.raises(ValueError, match="provenance"):
-        compare(analytic, CounterSet.from_totals({"encoder_self": (1, 1, 1)}))
-
-
 def test_end_to_end_deviation_within_threshold(tiny_config):
     weights = init_weights(tiny_config, seed=11)
     rng = np.random.default_rng(0)
     res, s = _measured_run(tiny_config, weights, rng, pie_infer)
-    analytic = cm.table1_counts(s, "pie", cm.APPENDIX_B)
-    report = compare(analytic, res.counters, threshold=0.15)
-    assert report.passed, report.to_dict()
+    # the threshold is zero: every component's flops equal the mirror's
+    assert mirror_mismatches(res, cm.predict_run_flops(tiny_config, s, "pie")) == {
+        "by_component": {}, "encode": {}
+    }
 
 
 def test_pid_cross_intensity_beats_pie(tiny_config):
