@@ -183,10 +183,6 @@ def cmd_cost(parser, args) -> int:
 
 
 def cmd_bench(parser, args) -> int:
-    if args.parallel:
-        parser.error("timing commands refuse --parallel (isolated timing only)")
-    if args.reps < 3:
-        parser.error("latency commands need --reps >= 3")
     shape, model_name, stem = _resolve_workload(parser, args)
     if args.max_new is not None:
         shape = cm.ShapeParams(**{**shape.to_dict(), "n_t": args.max_new})
@@ -425,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--batch-sizes", default="1,2")
     p_bench.add_argument("--max-new", type=int, default=None)
     p_bench.add_argument("--mem-cap", type=int, default=1 << 30, help="memory guard in bytes")
-    p_bench.add_argument("--parallel", action="store_true", help=argparse.SUPPRESS)
     p_bench.set_defaults(fn=cmd_bench)
 
     p_verify = sub.add_parser("verify", help="run the deterministic check suite")

@@ -45,7 +45,7 @@ ENGINES = (PIE, PID)
 
 __all__ = [
     "PIE", "PID", "ENGINES", "Instance", "Workload", "DecodeResult",
-    "greedy_step", "pie_encoder_input", "pie_infer", "pid_infer", "infer", "reference_decode",
+    "greedy_step", "pie_infer", "pid_infer", "infer", "reference_decode",
 ]
 
 
@@ -143,25 +143,27 @@ def _regroup(flat: list[list[int]], b: int, u: int) -> list[list[list[int]]]:
     return [[flat[i * u + j] for j in range(u)] for i in range(b)]
 
 
-def pie_encoder_input(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """What the encoder sees under pie: ``x ‖ SEP ‖ z``, or ``x`` for an empty prompt."""
-    return np.concatenate([x, [SEP], z]) if z.size else x
-
-
 def _layout(engine: str, workload: Workload) -> tuple[list[np.ndarray], np.ndarray, int]:
     """Where ``engine`` puts the prompts: ``(encoder inputs, prefix block [S, p], kv_group)``.
 
     Stream ``s`` (instance-major, ``S = b·U``) starts from ``prefix[s]`` and
     attends to the encoding of input ``s // kv_group``.  pie encodes every
-    (instance, prompt) pair and starts each stream at the begin token; pid
-    encodes each shared input once and prefills the prompts (the begin
-    token when prompts are empty), so ``U`` streams share one encoding.
+    (instance, prompt) pair as ``x ‖ SEP ‖ z`` (just ``x`` for an empty
+    prompt) and starts each stream at the begin token; pid encodes each
+    shared input once and prefills the prompts (the begin token when prompts
+    are empty), so ``U`` streams share one encoding.  Training builds its
+    batches from the same layout.
     """
     xs = [np.asarray(inst.x, dtype=np.int64) for inst in workload.instances]
     zs = [np.asarray(z, dtype=np.int64) for inst in workload.instances for z in inst.prompts]
     bos = np.full((len(zs), 1), BOS, dtype=np.int64)
     if engine == PIE:
-        return [pie_encoder_input(xs[s // workload.n_prompts], z) for s, z in enumerate(zs)], bos, 1
+        u = workload.n_prompts
+        encoder_inputs = [
+            np.concatenate([xs[s // u], [SEP], z]) if z.size else xs[s // u]
+            for s, z in enumerate(zs)
+        ]
+        return encoder_inputs, bos, 1
     if engine == PID:
         return xs, (np.stack(zs) if workload.prompt_len else bos), workload.n_prompts
     raise ConfigError(f"unknown engine {engine!r}; choose from {ENGINES}")

@@ -66,23 +66,6 @@ class CounterSet:
         labels = set(self.components) | set(other.components)
         return CounterSet({lab: self.component(lab) + other.component(lab) for lab in labels})
 
-    def to_dict(self) -> dict:
-        return {
-            "components": {
-                label: {
-                    "flops": c.flops,
-                    "bytes_read": c.bytes_read,
-                    "bytes_written": c.bytes_written,
-                }
-                for label, c in sorted(self.components.items())
-            },
-            "totals": {
-                "flops": self.flops,
-                "bytes_read": self.bytes_read,
-                "bytes_written": self.bytes_written,
-            },
-        }
-
 
 def measured_intensity(counters: CounterSet, component: str | None = None) -> float:
     """Operations per byte of memory traffic (reads plus writes).

@@ -1,6 +1,7 @@
 """Toy training: synthetic decomposable task, exact backprop, plain SGD.
 
-Two batch layouts mirror the two inference configurations.  The
+Training batches take the inference layout itself (``engines._layout``),
+so the two layouts are the two inference configurations.  The
 prompt-in-encoder layout turns every (instance, prompt) pair into its own
 example with the prompt concatenated to the input, so each epoch encodes
 every shared input once per prompt.  The prompt-in-decoder layout keeps
@@ -29,11 +30,10 @@ import numpy as np
 
 from . import kernels
 from .costmodel import _decode_flops, _encode_flops
-from .engines import PID, PIE, Instance, Workload, infer, pie_encoder_input
+from .engines import PID, PIE, Instance, Workload, _layout, infer
 from .errors import ConfigError, TrainingError
 from .kernels import CounterSink, F32
 from .model import (
-    BOS,
     EOS,
     AttentionWeights,
     FeedForwardWeights,
@@ -157,64 +157,61 @@ class TrainBatch:
     group_size: int
 
 
-def _pid_stream(prompt: np.ndarray, answer: tuple[int, ...]) -> DecStream:
-    tokens = np.concatenate([prompt, np.asarray(answer, dtype=np.int64)])
-    targets = np.concatenate([prompt[1:], np.asarray(answer, dtype=np.int64), [EOS]])
-    n_p = prompt.size
+def _stream(prefix: np.ndarray, answer: tuple[int, ...]) -> DecStream:
+    """Teacher forcing over ``prefix ‖ answer``: every position predicts the next
+    token and the last one the end token; the loss counts from the last prefix
+    position on (answer tokens and the end token, never prompt tokens)."""
+    ans = np.asarray(answer, dtype=np.int64)
+    tokens = np.concatenate([prefix, ans])
+    targets = np.concatenate([prefix[1:], ans, [EOS]])
     mask = np.zeros(tokens.size, dtype=bool)
-    mask[n_p - 1 :] = True  # positions predicting answer tokens and the end token
+    mask[prefix.size - 1 :] = True
     return DecStream(tokens=tokens, targets=targets, loss_mask=mask)
 
 
-def _pie_stream(answer: tuple[int, ...]) -> DecStream:
-    ans = np.asarray(answer, dtype=np.int64)
-    tokens = np.concatenate([[BOS], ans])
-    targets = np.concatenate([ans, [EOS]])
-    return DecStream(tokens=tokens, targets=targets, loss_mask=np.ones(tokens.size, dtype=bool))
+def _batches(
+    layout: str, examples: list[LabeledInstance], batch_instances: int, rng: np.random.Generator
+) -> list[TrainBatch]:
+    """Shuffled batches of ``batch_instances`` instances in ``layout``.
+
+    The encoder inputs, decoder prefixes and ``kv_group`` come from
+    ``engines._layout``, so training puts the prompts where inference does;
+    each batch holds ``batch_instances·U / kv_group`` encoder inputs and the
+    ``kv_group`` streams attending to each.
+    """
+    if not examples:
+        return []
+    wl = Workload(instances=tuple(ex.instance for ex in examples), max_new_tokens=0)
+    enc_inputs, prefix, kv_group = _layout(layout, wl)
+    answers = [ans for ex in examples for ans in ex.answers]
+    streams = [_stream(p, ans) for p, ans in zip(prefix, answers)]
+    order = rng.permutation(len(enc_inputs))
+    per_batch = batch_instances * wl.n_prompts // kv_group
+    batches = []
+    for start in range(0, len(order), per_batch):
+        chunk = order[start : start + per_batch]
+        batches.append(
+            TrainBatch(
+                enc_inputs=[enc_inputs[i] for i in chunk],
+                streams=[streams[i * kv_group + j] for i in chunk for j in range(kv_group)],
+                group_size=kv_group,
+            )
+        )
+    return batches
 
 
 def pid_batches(
     examples: list[LabeledInstance], batch_instances: int, rng: np.random.Generator
 ) -> list[TrainBatch]:
     """All outputs of one shared input travel in the same batch group."""
-    order = rng.permutation(len(examples))
-    batches = []
-    for start in range(0, len(order), batch_instances):
-        chunk = [examples[i] for i in order[start : start + batch_instances]]
-        enc_inputs = [np.asarray(ex.instance.x, dtype=np.int64) for ex in chunk]
-        streams = [
-            _pid_stream(np.asarray(z, dtype=np.int64), ans)
-            for ex in chunk
-            for z, ans in zip(ex.instance.prompts, ex.answers)
-        ]
-        batches.append(
-            TrainBatch(enc_inputs=enc_inputs, streams=streams, group_size=len(chunk[0].answers))
-        )
-    return batches
+    return _batches(PID, examples, batch_instances, rng)
 
 
 def pie_batches(
     examples: list[LabeledInstance], batch_instances: int, rng: np.random.Generator
 ) -> list[TrainBatch]:
     """One example per (instance, prompt): the prompt rides in the encoder."""
-    flat: list[tuple[np.ndarray, tuple[int, ...]]] = []
-    for ex in examples:
-        x = np.asarray(ex.instance.x, dtype=np.int64)
-        for z, ans in zip(ex.instance.prompts, ex.answers):
-            flat.append((pie_encoder_input(x, np.asarray(z, dtype=np.int64)), ans))
-    order = rng.permutation(len(flat))
-    per_batch = batch_instances * (len(examples[0].answers) if examples else 1)
-    batches = []
-    for start in range(0, len(order), per_batch):
-        chunk = [flat[i] for i in order[start : start + per_batch]]
-        batches.append(
-            TrainBatch(
-                enc_inputs=[enc for enc, _ in chunk],
-                streams=[_pie_stream(ans) for _, ans in chunk],
-                group_size=1,
-            )
-        )
-    return batches
+    return _batches(PIE, examples, batch_instances, rng)
 
 
 # -- forward/backward ---------------------------------------------------------------
@@ -468,12 +465,11 @@ def train_layout(
     sink = sink if sink is not None else CounterSink()
     rng = np.random.default_rng(seed)
     run = TrainingRun(layout=layout)
-    build = pid_batches if layout == PID else pie_batches
     step = 0
     for _ in range(epochs):
         flops_before = sink.flops
         epoch_losses = []
-        for batch in build(list(task.train), batch_instances, rng):
+        for batch in _batches(layout, list(task.train), batch_instances, rng):
             epoch_losses.append(
                 train_step(config, weights, batch, learning_rate, sink, step_index=step)
             )

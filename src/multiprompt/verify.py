@@ -4,6 +4,13 @@ Every default check is seeded and free of wall-clock measurement, so two
 runs with the same seed produce byte-identical result bodies.  The
 benchmark- and training-based checks run only with ``full=True`` because
 they are slow (training) or timing-dependent (latency).
+
+Each check is the only implementation of its invariant: the acceptance
+criteria in ``tests/test_acceptance.py`` call these functions.  The
+checks over random cases (``broadcast_equivalence``,
+``incremental_vs_reference``) draw case ``i`` from ``default_rng(seed + i)``,
+so a criterion that wants more cases calls the check at consecutive
+blocks of seeds instead of passing a case count.
 """
 
 from __future__ import annotations
@@ -89,11 +96,11 @@ def mirror_mismatches(res: DecodeResult, predicted: dict) -> dict[str, dict[str,
 
 def check_broadcast_equivalence(seed: int, fault: str | None = None) -> CheckResult:
     """Shared cross-attention K/V vs U explicit copies: identical decoding."""
-    rng = np.random.default_rng(seed)
     max_drift = 0.0
     tokens_equal = True
     cases = []
     for i in range(4):
+        rng = np.random.default_rng(seed + i)
         d = int(rng.choice([16, 32, 64]))
         h = int(rng.choice([2, 4]))
         u = int(rng.choice([2, 4, 8]))
@@ -123,47 +130,49 @@ def check_broadcast_equivalence(seed: int, fault: str | None = None) -> CheckRes
 
 
 def check_encoder_sharing(seed: int) -> CheckResult:
-    """Measured encoder flops: exactly U-fold without prompts, predicted with."""
-    config = _toy_model()
+    """Measured encode flops equal ``predict_run_flops``; exactly U-fold without prompts."""
+    config = _toy_model(max_len=512)
     weights = init_weights(config, seed=seed)
     rng = np.random.default_rng(seed)
+    n_s = 256
     rows = []
-    ok = True
-    for u in (2, 8):
-        for n_p in (0, 4):
-            n_s = 128
+    for u in (2, 8, 30):
+        for n_p in (0, 6):
             wl = random_workload(rng, config.vocab_size, u, 1, n_s, n_p, n_t=1)
-            pie = pie_infer(config, weights, wl)
-            pid = pid_infer(config, weights, wl)
-            ratio = pie.encode_counters.flops / pid.encode_counters.flops
+            shape = cm.ShapeParams(U=u, b=1, n_s=n_s, n_t=1, n_p=n_p, d=64, h=4)
+            flops = {
+                engine: runner(config, weights, wl).encode_counters.flops
+                for engine, runner in (("pie", pie_infer), ("pid", pid_infer))
+            }
+            passed = all(
+                measured == cm.predict_run_flops(config, shape, engine)["encode_total"]
+                for engine, measured in flops.items()
+            )
             if n_p == 0:
-                passed = pie.encode_counters.flops == u * pid.encode_counters.flops
-            else:
-                predicted = u * (n_s + n_p) / n_s
-                passed = abs(ratio - predicted) / predicted <= 0.05
-            ok = ok and passed
-            rows.append({"U": u, "n_p": n_p, "ratio": ratio, "passed": passed})
-    return CheckResult("encoder_sharing", passed=ok, details={"rows": rows})
+                passed = passed and flops["pie"] == u * flops["pid"]
+            rows.append({"U": u, "n_p": n_p, "ratio": flops["pie"] / flops["pid"], "passed": passed})
+    return CheckResult(
+        "encoder_sharing", passed=all(r["passed"] for r in rows), details={"rows": rows}
+    )
 
 
 def check_intensity_formulas(seed: int) -> CheckResult:
     """Closed forms equal hand values and tabulated cell ratios."""
-    hand = cm.ShapeParams(U=4, b=2, n_s=256, n_t=64, n_p=8, d=512, h=8)
-    checks = {
-        "enc_self_pid": (
-            cm.inverse_intensity(
-                cm.ShapeParams(U=1, b=2, n_s=256, n_t=1, n_p=0, d=512, h=8), "enc_self", "pid"
-            ),
-            1 / 512 + 1 / 512,
-        ),
-        "dec_self_pie": (cm.inverse_intensity(hand, "dec_self", "pie"), 64 / 512 + 1 / 8),
-        "dec_cross_pie": (cm.inverse_intensity(hand, "dec_cross", "pie"), 265 / 512 + 1 / 8),
-        "dec_cross_output_pid": (
-            cm.inverse_intensity(hand, "dec_cross_output", "pid"),
-            65 / 512 + 1 / 8,
-        ),
+    s = cm.ShapeParams(U=4, b=2, n_s=256, n_t=64, n_p=8, d=512, h=8)
+    # hand-substituted values, written as explicit arithmetic
+    hand = {
+        ("enc_self", "pie"): 1 / 512 + 1 / (4 * 2 * (256 + 8)),
+        ("enc_self", "pid"): 1 / 512 + 1 / (2 * 256),
+        ("dec_self", "pie"): 64 / 512 + 1 / 8,
+        ("dec_self_prompt", "pid"): 1 / 512 + 1 / (4 * 2 * 8),
+        ("dec_cross", "pie"): (256 + 8 + 1) / 512 + 1 / 8,
+        ("dec_cross_prompt", "pid"): (1 / 512) * (256 / (4 * 8) + 1) + 1 / (4 * 2 * 8),
+        ("dec_cross_output", "pid"): (1 / 512) * (256 / 4 + 1) + 1 / 8,
     }
-    exact = all(math.isclose(got, want, rel_tol=1e-12) for got, want in checks.values())
+    exact = all(
+        math.isclose(cm.inverse_intensity(s, comp, engine), want, rel_tol=1e-12)
+        for (comp, engine), want in hand.items()
+    )
     big = cm.ShapeParams(U=4, b=2, n_s=512, n_t=64, n_p=8, d=4096, h=16)
     gaps = []
     label_for = {
@@ -226,20 +235,25 @@ def check_incremental_vs_reference(seed: int) -> CheckResult:
     for i in range(5):
         rng = np.random.default_rng(seed + i)
         weights = init_weights(config, seed=seed + i)
-        wl = random_workload(rng, config.vocab_size, 2, 1, 8, 2, n_t=6)
+        wl = random_workload(
+            rng, config.vocab_size, u=int(rng.choice([2, 3])), b=int(rng.choice([1, 2])),
+            n_s=int(rng.choice([8, 16])), n_p=int(rng.choice([0, 2])), n_t=6,
+        )
         for engine, runner in (("pie", pie_infer), ("pid", pid_infer)):
             fast = runner(config, weights, wl)
             slow = reference_decode(config, weights, wl, engine)
             tokens_equal = tokens_equal and fast.outputs == slow.outputs
-        # logit drift: incremental steps vs one causal pass over the same tokens
-        toks = rng.integers(4, config.vocab_size, size=6, dtype=np.int64)
-        memory = encoder_forward(config, weights, rng.integers(4, 23, size=8), CounterSink())
-        inc_state = init_decode_state(config, weights, memory[None], 1, 8, CounterSink())
+        # logit drift: 16 incremental steps vs one causal pass over the same tokens
+        toks = rng.integers(4, config.vocab_size, size=16, dtype=np.int64)
+        memory = encoder_forward(
+            config, weights, rng.integers(4, config.vocab_size, size=12), CounterSink()
+        )
+        inc_state = init_decode_state(config, weights, memory[None], 1, 16, CounterSink())
         inc = [
             decoder_step(config, weights, inc_state, np.array([t]), CounterSink())
             for t in toks
         ]
-        full_state = init_decode_state(config, weights, memory[None], 1, 8, CounterSink())
+        full_state = init_decode_state(config, weights, memory[None], 1, 16, CounterSink())
         full = decoder_prefill(
             config, weights, full_state, toks[None, :], CounterSink(), return_all_logits=True
         )
@@ -254,11 +268,11 @@ def check_incremental_vs_reference(seed: int) -> CheckResult:
 
 def check_analytic_vs_measured(seed: int) -> CheckResult:
     """Measured per-component flops equal ``predict_run_flops`` exactly."""
-    config = _toy_model()
+    config = _toy_model(d=128, h=8, vocab=512, max_len=512)
+    shape = cm.ShapeParams(U=8, b=1, n_s=256, n_t=16, n_p=0, d=128, h=8)
     rows = []
     ok = True
     for engine, runner in (("pie", pie_infer), ("pid", pid_infer)):
-        shape = cm.ShapeParams(U=4, b=1, n_s=64, n_t=8, n_p=0, d=64, h=4)
         res = _full_length_run(config, shape, runner, seed)
         mismatches = mirror_mismatches(res, cm.predict_run_flops(config, shape, engine))
         ok = ok and not any(mismatches.values())
@@ -275,13 +289,10 @@ def check_gradient(seed: int) -> CheckResult:
     task = make_synthetic_task(seed=seed, n_prompts=2, n_s=4, vocab_size=15, n_instances=12)
     batch = pid_batches(list(task.train)[:2], 2, np.random.default_rng(seed))[0]
     _, grads = training_forward_backward(config, weights, batch, CounterSink())
-    examples = []
-    si = 0
-    for enc in batch.enc_inputs:
-        for _ in range(batch.group_size):
-            s = batch.streams[si]
-            si += 1
-            examples.append((enc, s.tokens, s.targets, s.loss_mask))
+    examples = [
+        (batch.enc_inputs[i // batch.group_size], s.tokens, s.targets, s.loss_mask)
+        for i, s in enumerate(batch.streams)
+    ]
 
     def perturbed(name, idx, eps):
         w = init_weights(config, seed=seed)
@@ -292,7 +303,7 @@ def check_gradient(seed: int) -> CheckResult:
     worst = 0.0
     checked = 0
     for name, arr in weights.named_arrays():
-        for _ in range(2):
+        for _ in range(4):
             idx = tuple(rng.integers(0, s) for s in arr.shape)
             w_plus, w_minus = perturbed(name, idx, 1e-3), perturbed(name, idx, -1e-3)
             same = all(
@@ -315,7 +326,7 @@ def check_gradient(seed: int) -> CheckResult:
             checked += 1
     return CheckResult(
         "gradient_check",
-        passed=worst <= 1e-3 and checked >= 30,
+        passed=worst <= 1e-3 and checked >= 60,
         details={"worst_relative_error": worst, "coordinates_checked": checked},
     )
 

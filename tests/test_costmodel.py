@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from multiprompt import costmodel as cm
-from multiprompt.engines import Instance, Workload, pid_infer, pie_infer
+from multiprompt.engines import pid_infer, pie_infer
 from multiprompt.errors import ConfigError
 from multiprompt.kernels import CounterSink
 from multiprompt.model import (
@@ -17,6 +17,7 @@ from multiprompt.model import (
     init_weights,
 )
 from multiprompt.training import make_synthetic_task, pid_batches, pie_batches
+from multiprompt.verify import _full_length_run
 
 
 def shape(**kw):
@@ -243,16 +244,6 @@ def test_flop_ratio_is_one_when_nothing_shared():
     assert cm.flop_ratio(config, s) == 1.0
 
 
-def test_flop_ratio_preset_corridors():
-    base = cm.MODEL_PRESETS["t5-base-like"]
-    multiwoz = cm.flop_ratio(base, cm.SHAPE_PRESETS["multiwoz"].shape)
-    aci = cm.flop_ratio(base, cm.SHAPE_PRESETS["aci-bench"].shape)
-    radqa = cm.flop_ratio(base, cm.SHAPE_PRESETS["radqa"].shape)
-    assert 0.05 <= multiwoz <= 0.2
-    assert 0.3 <= aci <= 0.5
-    assert 0.4 <= radqa <= 0.75
-
-
 def test_flop_ratio_decreases_with_more_prompts():
     config = cm.MODEL_PRESETS["t5-base-like"]
     ratios = [
@@ -276,28 +267,6 @@ CALIBRATION_CONFIG = ModelConfig(
 )
 
 
-def _full_length_run(config, s, engine_fn, max_seed_tries=40):
-    """Find a weight seed whose greedy run decodes full n_t everywhere."""
-    for seed in range(max_seed_tries):
-        rng = np.random.default_rng(1000 + seed)
-        weights = init_weights(config, seed=seed)
-        instances = tuple(
-            Instance(
-                x=rng.integers(4, config.vocab_size, size=s.n_s, dtype=np.int64),
-                prompts=tuple(
-                    rng.integers(4, config.vocab_size, size=s.n_p, dtype=np.int64)
-                    for _ in range(s.U)
-                ),
-            )
-            for _ in range(s.b)
-        )
-        wl = Workload(instances=instances, max_new_tokens=s.n_t)
-        res = engine_fn(config, weights, wl)
-        if all(len(seq) == s.n_t for seq in res.flat_outputs()):
-            return res
-    pytest.fail("no seed produced a full-length decode")
-
-
 @pytest.mark.parametrize(
     "engine_name,s",
     [
@@ -310,7 +279,7 @@ def _full_length_run(config, s, engine_fn, max_seed_tries=40):
 )
 def test_predictor_matches_measured_counters_exactly(engine_name, s):
     engine_fn = pie_infer if engine_name == "pie" else pid_infer
-    res = _full_length_run(CALIBRATION_CONFIG, s, engine_fn)
+    res = _full_length_run(CALIBRATION_CONFIG, s, engine_fn, 0)
     predicted = cm.predict_run_flops(CALIBRATION_CONFIG, s, engine_name)
     measured_encode = {
         label: c.flops for label, c in res.encode_counters.components.items()

@@ -234,23 +234,10 @@ def test_u1_np0_pie_equals_pid(setup):
     b = pid_infer(config, weights, wl)
     assert a.outputs == b.outputs
     assert a.encode_counters.flops == b.encode_counters.flops
-    assert a.encode_counters.to_dict()["components"] == b.encode_counters.to_dict()["components"]
+    assert a.encode_counters.components == b.encode_counters.components
 
 
 # -- broadcast sharing --------------------------------------------------------------
-
-
-def test_broadcast_equivalence_logits_and_tokens(setup):
-    config, weights, rng = setup
-    wl = make_workload(rng, config, b=2, u=3, n_s=12, n_p=2, max_new=6)
-    shared = pid_infer(config, weights, wl, record_logits=True)
-    copied = pid_infer(config, weights, wl, record_logits=True, ablate_shared_cross=True)
-    assert shared.outputs == copied.outputs
-    assert len(shared.logits_trace) == len(copied.logits_trace)
-    drift = max(
-        float(np.abs(a - b).max()) for a, b in zip(shared.logits_trace, copied.logits_trace)
-    )
-    assert drift <= 1e-6
 
 
 def test_shared_cross_kv_reads_fewer_bytes(setup):
