@@ -46,6 +46,11 @@ class BenchConfig:
             raise ConfigError(f"unknown engines {bad}; choose from {ENGINES}")
         if any(b < 1 for b in self.batch_sizes):
             raise ConfigError("batch sizes must be >= 1")
+        if self.model.d_model != self.shape.d or self.model.n_heads != self.shape.h:
+            raise ConfigError(
+                f"shape (d={self.shape.d}, h={self.shape.h}) disagrees with model "
+                f"(d={self.model.d_model}, h={self.model.n_heads})"
+            )
 
 
 @dataclass
@@ -209,6 +214,5 @@ def run_bench(config: BenchConfig) -> LatencyReport:
         report.speedup_single = pie.single_median_s / pid.single_median_s
         report.speedup_batched = pie.optimal_per_instance_s / pid.optimal_per_instance_s
         report.measured_flop_ratio = pid.total_flops / pie.total_flops
-        if config.model.d_model == config.shape.d:
-            report.analytic_flop_ratio = flop_ratio(config.model, config.shape)
+        report.analytic_flop_ratio = flop_ratio(config.model, config.shape)
     return report

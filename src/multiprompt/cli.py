@@ -116,7 +116,12 @@ def cmd_cost(parser, args) -> int:
         engine: cm.roofline_estimate(cm.table1_counts(shape, engine), profile).to_dict()
         for engine in ENGINES
     }
-    ratio = cm.flop_ratio(model, shape) if model.d_model == shape.d else None
+    try:
+        ratio = cm.flop_ratio(model, shape)
+    except ConfigError as exc:  # the model's width or heads differ from the shape's
+        if args.model:
+            parser.error(str(exc))
+        ratio = None
     body = {
         "shape": shape.to_dict(),
         "model_preset": model_name,
@@ -168,7 +173,7 @@ def cmd_cost(parser, args) -> int:
                         "memory_symbols": cell["memory_symbols"],
                         "ops_symbols": cell["ops_symbols"],
                         "bytes": cell["bytes"],
-                        "inverse_intensity": "",
+                        "inverse_intensity": cell["memory_symbols"] / cell["ops_symbols"],
                         "roofline_seconds": roofline[engine]["components"]
                         .get(comp, {})
                         .get("seconds", ""),
@@ -184,20 +189,15 @@ def cmd_cost(parser, args) -> int:
 
 def cmd_bench(parser, args) -> int:
     shape, model_name, stem = _resolve_workload(parser, args)
-    if args.max_new is not None:
-        shape = cm.ShapeParams(**{**shape.to_dict(), "n_t": args.max_new})
     model = cm.MODEL_PRESETS[model_name]
-    if model.d_model != shape.d or model.n_heads != shape.h:
-        parser.error(
-            f"shape (d={shape.d}, h={shape.h}) disagrees with model "
-            f"{model_name!r} (d={model.d_model}, h={model.n_heads})"
-        )
     engines = ENGINES if args.engine == "both" else (args.engine,)
     try:
         batch_sizes = tuple(int(x) for x in args.batch_sizes.split(","))
     except ValueError:
         parser.error(f"malformed --batch-sizes {args.batch_sizes!r}")
     try:
+        if args.max_new is not None:
+            shape = cm.ShapeParams(**{**shape.to_dict(), "n_t": args.max_new})
         config = BenchConfig(
             model=model, shape=shape, engines=engines, seed=args.seed,
             repetitions=args.reps, warmup=args.warmup, batch_sizes=batch_sizes,
@@ -266,8 +266,7 @@ def cmd_verify(parser, args) -> int:
     names = args.checks.split(",") if args.checks else None
     try:
         results = run_checks(
-            seed=args.seed, names=names, fault=args.inject_fault,
-            parallel=args.parallel, full=args.full,
+            seed=args.seed, names=names, fault=args.inject_fault, full=args.full,
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -279,7 +278,7 @@ def cmd_verify(parser, args) -> int:
         "verify", run_id, args.seed,
         {
             "preset": None, "shape_slug": None, "seed": args.seed,
-            "full": args.full, "parallel": args.parallel,
+            "full": args.full,
             "inject_fault": args.inject_fault, "hw_profile": None,
             "checks": names or (list(DEFAULT_CHECKS) + (list(FULL_ONLY_CHECKS) if args.full else [])),
         },
@@ -297,9 +296,12 @@ def cmd_verify(parser, args) -> int:
 
 
 def cmd_train_toy(parser, args) -> int:
-    spec = ToyTrainingSpec(
-        epochs=args.epochs, learning_rate=args.lr, batch_instances=args.batch,
-    )
+    try:
+        spec = ToyTrainingSpec(
+            epochs=args.epochs, learning_rate=args.lr, batch_instances=args.batch,
+        )
+    except ConfigError as exc:
+        parser.error(str(exc))
     layouts = ENGINES if args.layout == "both" else (args.layout,)
     runs = run_toy_training(spec, seed=args.seed, layouts=layouts)
     config = spec.model_config()
@@ -426,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the deterministic check suite")
     common(p_verify, with_workload=False)
     p_verify.add_argument("--full", action="store_true", help="include training and latency checks")
-    p_verify.add_argument("--parallel", action="store_true", help="run checks concurrently")
     p_verify.add_argument("--checks", help="comma-separated subset of checks")
     p_verify.add_argument(
         "--inject-fault", choices=(FAULT_CORRUPT_SHARED_KV,), default=None,

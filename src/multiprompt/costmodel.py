@@ -10,7 +10,9 @@ Two layers of fidelity, from coarse to exact:
    prompt and output phases.  Decoder rows are totals over all ``n_t``
    decode steps.  Memory symbols convert to bytes at 4 bytes per float32
    symbol (``BYTES_PER_SYMBOL``); operation symbols convert to flops at
-   2 flops per multiply-add (``FLOPS_PER_MAC``).
+   2 flops per multiply-add (``FLOPS_PER_MAC``).  Inverse operational
+   intensity (``inverse_intensity``) is the memory cell over the operation
+   cell of the Appendix B evaluation.
 2. ``predict_run_flops``: an exact mirror of every kernel call an engine
    run makes (projections, attention dots, softmax, norms, embeddings,
    vocabulary head), checked for integer equality against the
@@ -240,59 +242,48 @@ def table1_counts(shape: ShapeParams, engine: str, mode: str = TABLE1) -> CostBr
 
 # -- inverse operational intensity ---------------------------------------------
 
-INTENSITY_COMPONENTS = (
-    "enc_self",
-    "dec_self",
-    "dec_self_prompt",
-    "dec_cross",
-    "dec_cross_prompt",
-    "dec_cross_output",
-)
+#: Component -> (Appendix B cell label, engines that have it).  The order
+#: is the order :func:`intensity_pairs` reports; prompt-in-decoder splits
+#: the decoder rows into a prompt phase and an output phase.
+INTENSITY_CELLS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "enc_self": ("encoder_self", (PIE, PID)),
+    "dec_self_prompt": ("decoder_self_prompt", (PID,)),
+    "dec_self": ("decoder_self", (PIE, PID)),
+    "dec_cross": ("decoder_cross", (PIE,)),
+    "dec_cross_output": ("decoder_cross", (PID,)),
+    "dec_cross_prompt": ("decoder_cross_prompt", (PID,)),
+}
 
 
 def inverse_intensity(shape: ShapeParams, component: str, engine: str) -> float:
     """Memory access per arithmetic operation (lower means higher intensity).
 
-    Exact closed forms; prompt-phase components exist only for the
-    prompt-in-decoder engine, ``dec_cross`` only for prompt-in-encoder
-    (its prompt-in-decoder counterparts are the ``dec_cross_prompt`` and
-    ``dec_cross_output`` phases).
+    The ratio ``memory_symbols / ops_symbols`` of the component's Appendix B
+    cell.  Prompt-phase components exist only for the prompt-in-decoder
+    engine, ``dec_cross`` only for prompt-in-encoder (its prompt-in-decoder
+    counterparts are the ``dec_cross_prompt`` and ``dec_cross_output``
+    phases).
     """
-    U, b, n_s, n_t, n_p, d = shape.U, shape.b, shape.n_s, shape.n_t, shape.n_p, shape.d
-    if component not in INTENSITY_COMPONENTS:
-        raise ConfigError(f"unknown component {component!r}; choose from {INTENSITY_COMPONENTS}")
+    if component not in INTENSITY_CELLS:
+        raise ConfigError(f"unknown component {component!r}; choose from {tuple(INTENSITY_CELLS)}")
     if engine not in (PIE, PID):
         raise ConfigError(f"unknown engine {engine!r}")
-    key = (component, engine)
-    if component.endswith("_prompt") and n_p < 1:
-        raise ConfigError(f"{component} requires n_p >= 1, shape has n_p={n_p}")
-    if key == ("enc_self", PIE):
-        return 1 / d + 1 / (U * b * (n_s + n_p))
-    if key == ("enc_self", PID):
-        return 1 / d + 1 / (b * n_s)
-    if key in (("dec_self", PIE), ("dec_self", PID)):
-        # the prompt-in-decoder output phase shares the prompt-in-encoder form
-        return n_t / d + 1 / (U * b)
-    if key == ("dec_self_prompt", PID):
-        return 1 / d + 1 / (U * b * n_p)
-    if key == ("dec_cross", PIE):
-        return (n_s + n_p + 1) / d + 1 / (U * b)
-    if key == ("dec_cross_prompt", PID):
-        return (1 / d) * (n_s / (U * n_p) + 1) + 1 / (U * b * n_p)
-    if key == ("dec_cross_output", PID):
-        return (1 / d) * (n_s / U + 1) + 1 / (U * b)
-    raise ConfigError(f"component {component!r} is not defined for engine {engine!r}")
+    if component.endswith("_prompt") and shape.n_p < 1:
+        raise ConfigError(f"{component} requires n_p >= 1, shape has n_p={shape.n_p}")
+    label, engines = INTENSITY_CELLS[component]
+    if engine not in engines:
+        raise ConfigError(f"component {component!r} is not defined for engine {engine!r}")
+    cell = table1_counts(shape, engine, APPENDIX_B).components[label]
+    return cell.memory_symbols / cell.ops_symbols
 
 
 def intensity_pairs(engine: str, n_p: int) -> list[str]:
     """Components defined for an engine at a given prompt length."""
-    if engine == PIE:
-        return ["enc_self", "dec_self", "dec_cross"]
-    out = ["enc_self", "dec_self", "dec_cross_output"]
-    if n_p >= 1:
-        out[1:1] = ["dec_self_prompt"]
-        out.append("dec_cross_prompt")
-    return out
+    return [
+        component
+        for component, (_, engines) in INTENSITY_CELLS.items()
+        if engine in engines and (n_p >= 1 or not component.endswith("_prompt"))
+    ]
 
 
 # -- roofline --------------------------------------------------------------------
@@ -419,8 +410,8 @@ def predict_run_flops(config: ModelConfig, shape: ShapeParams, engine: str) -> d
         raise ConfigError(f"unknown engine {engine!r}")
     if config.d_model != shape.d or config.n_heads != shape.h:
         raise ConfigError(
-            f"shape ({shape.d}, h={shape.h}) disagrees with model "
-            f"({config.d_model}, h={config.n_heads})"
+            f"shape (d={shape.d}, h={shape.h}) disagrees with model "
+            f"(d={config.d_model}, h={config.n_heads})"
         )
     U, b = shape.U, shape.b
     streams = U * b

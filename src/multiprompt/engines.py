@@ -1,15 +1,15 @@
 """The two inference configurations over one shared input.
 
 Both engines run the same model; they differ only in where the prompts
-go, and :func:`_layout` is the one place that knows it.  ``pie_infer``
-encodes the shared input together with each prompt (one encoder pass per
-prompt per instance) and decodes every stream against its own
-cross-attention cache.  ``pid_infer`` encodes the shared input once per
-instance, prefills the prompts in the decoder, and broadcasts one
+go, and :func:`_layout` is the one place that knows it.  Prompt-in-encoder
+(pie) encodes the shared input together with each prompt (one encoder pass
+per prompt per instance) and decodes every stream against its own
+cross-attention cache.  Prompt-in-decoder (pid) encodes the shared input
+once per instance, prefills the prompts in the decoder, and broadcasts one
 cross-attention K/V slice per instance across all of that instance's
 decode streams.
 
-One function, :func:`_decode`, runs either layout: it encodes, builds the
+One function, :func:`infer`, runs either layout: it encodes, builds the
 caches and decodes greedily in lockstep, all streams advancing one token
 per step through the same batched kernels.  Streams that emit the end
 token are frozen (their caches stop growing and their outputs stop), but
@@ -45,7 +45,7 @@ ENGINES = (PIE, PID)
 
 __all__ = [
     "PIE", "PID", "ENGINES", "Instance", "Workload", "DecodeResult",
-    "greedy_step", "pie_infer", "pid_infer", "infer", "reference_decode",
+    "greedy_step", "infer", "reference_decode",
 ]
 
 
@@ -185,7 +185,7 @@ def _check_lengths(
         raise LengthError(f"decoder needs {p + n_t - 1} positions, max_len is {config.max_len}")
 
 
-def _decode(
+def infer(
     engine: str,
     config: ModelConfig,
     weights: WeightSet,
@@ -195,7 +195,17 @@ def _decode(
     ablate_shared_cross: bool = False,
     corrupt_shared_kv: bool = False,
 ) -> DecodeResult:
-    """Encode, then decode all streams greedily in lockstep with K/V caches."""
+    """Encode, then decode all streams greedily in lockstep with K/V caches.
+
+    pie encodes every (instance, prompt) pair and gives each stream its own
+    cross-attention cache; pid encodes the shared input once, prefills the
+    prompts in the decoder (positions ``0..n_p-1``, causal) and all ``U``
+    streams of an instance broadcast one shared cross-attention K/V slice.
+    ``ablate_shared_cross=True`` materializes ``U`` explicit copies instead
+    (the broadcast-equivalence ablation; the identity for pie, whose
+    ``kv_group`` is already 1); ``corrupt_shared_kv=True`` is a debug fault
+    that perturbs the shared slices.
+    """
     sink = sink if sink is not None else CounterSink()
     encoder_inputs, prefix, kv_group = _layout(engine, workload)
     p, n_t = prefix.shape[1], workload.max_new_tokens
@@ -245,51 +255,6 @@ def _decode(
         wasted_stream_steps=wasted,
         logits_trace=trace,
     )
-
-
-def pie_infer(
-    config: ModelConfig,
-    weights: WeightSet,
-    workload: Workload,
-    sink: CounterSink | None = None,
-    record_logits: bool = False,
-) -> DecodeResult:
-    """Prompt-in-encoder inference: one encoder pass per (instance, prompt).
-
-    Every decode stream owns a replicated cross-attention cache; decoding
-    starts from a begin-of-sequence token.
-    """
-    return _decode(PIE, config, weights, workload, sink, record_logits)
-
-
-def pid_infer(
-    config: ModelConfig,
-    weights: WeightSet,
-    workload: Workload,
-    sink: CounterSink | None = None,
-    record_logits: bool = False,
-    ablate_shared_cross: bool = False,
-    corrupt_shared_kv: bool = False,
-) -> DecodeResult:
-    """Prompt-in-decoder inference: encode once, decode all prompts in parallel.
-
-    The encoder sees only the shared input; prompts are prefilled in the
-    decoder (positions ``0..n_p-1``, causal) and all ``U`` streams of an
-    instance broadcast one shared cross-attention K/V slice.
-    ``ablate_shared_cross=True`` materializes ``U`` explicit copies instead
-    (the broadcast-equivalence ablation); ``corrupt_shared_kv=True`` is a
-    debug fault that perturbs the shared slices.
-    """
-    return _decode(
-        PID, config, weights, workload, sink, record_logits, ablate_shared_cross, corrupt_shared_kv
-    )
-
-
-def infer(engine: str, config: ModelConfig, weights: WeightSet, workload: Workload, **kw) -> DecodeResult:
-    """Run ``engine`` with the keyword options its entry point accepts."""
-    if engine == PIE:
-        return pie_infer(config, weights, workload, **kw)
-    return _decode(engine, config, weights, workload, **kw)
 
 
 def reference_decode(

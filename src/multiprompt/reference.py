@@ -3,7 +3,10 @@
 Recomputes the exact architecture of :mod:`multiprompt.model` in plain
 numpy at double precision: no counters, no caches, full causal forward.
 It exists to cross-check the float32 engine paths and to give finite
-differences enough precision for gradient verification.
+differences enough precision for gradient verification.  The forward is
+written once: :func:`encoder` and :func:`decoder_full` share the embedding
+and feed-forward helpers, and :func:`relu_pattern` runs that same forward,
+collecting each feed-forward pre-activation's sign on the way.
 """
 
 from __future__ import annotations
@@ -45,35 +48,51 @@ def _mha(q_in, kv_in, w, n_heads: int, causal: bool) -> np.ndarray:
     return out @ w.w_o.astype(np.float64)
 
 
-def encoder(weights: WeightSet, tokens: np.ndarray) -> np.ndarray:
-    """Encoder forward; returns contextual embeddings [L, d] in float64."""
-    cfg = weights.config
+def _embed(weights: WeightSet, tokens: np.ndarray) -> np.ndarray:
+    """Scaled token embeddings plus positions."""
     tokens = np.asarray(tokens, dtype=np.int64)
-    x = weights.embedding.astype(np.float64)[tokens] * np.sqrt(cfg.d_model)
-    x = x + weights.positions.astype(np.float64)[: tokens.size]
+    x = weights.embedding.astype(np.float64)[tokens] * np.sqrt(weights.config.d_model)
+    return x + weights.positions.astype(np.float64)[: tokens.size]
+
+
+def _ffn(x: np.ndarray, ffn, signs: list | None) -> np.ndarray:
+    """Pre-norm relu feed-forward block plus its residual."""
+    normed = _ln(x, ffn.gain.astype(np.float64))
+    pre = normed @ ffn.w_in.astype(np.float64)
+    if signs is not None:
+        signs.append(pre > 0)
+    return x + np.maximum(pre, 0.0) @ ffn.w_out.astype(np.float64)
+
+
+def encoder(weights: WeightSet, tokens: np.ndarray, signs: list | None = None) -> np.ndarray:
+    """Encoder forward; returns contextual embeddings [L, d] in float64.
+
+    ``signs``, when given, collects each feed-forward block's ``pre > 0``.
+    """
+    cfg = weights.config
+    x = _embed(weights, tokens)
     for layer in weights.enc_layers:
         normed = _ln(x, layer.attn.gain.astype(np.float64))
         x = x + _mha(normed, normed, layer.attn, cfg.n_heads, causal=False)
-        normed = _ln(x, layer.ffn.gain.astype(np.float64))
-        hidden = np.maximum(normed @ layer.ffn.w_in.astype(np.float64), 0.0)
-        x = x + hidden @ layer.ffn.w_out.astype(np.float64)
+        x = _ffn(x, layer.ffn, signs)
     return _ln(x, weights.enc_final_gain.astype(np.float64))
 
 
-def decoder_full(weights: WeightSet, memory: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-    """Full causal decoder forward; returns logits [T, vocab] in float64."""
+def decoder_full(
+    weights: WeightSet, memory: np.ndarray, tokens: np.ndarray, signs: list | None = None
+) -> np.ndarray:
+    """Full causal decoder forward; returns logits [T, vocab] in float64.
+
+    ``signs``, when given, collects each feed-forward block's ``pre > 0``.
+    """
     cfg = weights.config
-    tokens = np.asarray(tokens, dtype=np.int64)
-    x = weights.embedding.astype(np.float64)[tokens] * np.sqrt(cfg.d_model)
-    x = x + weights.positions.astype(np.float64)[: tokens.size]
+    x = _embed(weights, tokens)
     for layer in weights.dec_layers:
         normed = _ln(x, layer.self_attn.gain.astype(np.float64))
         x = x + _mha(normed, normed, layer.self_attn, cfg.n_heads, causal=True)
         normed = _ln(x, layer.cross_attn.gain.astype(np.float64))
         x = x + _mha(normed, memory, layer.cross_attn, cfg.n_heads, causal=False)
-        normed = _ln(x, layer.ffn.gain.astype(np.float64))
-        hidden = np.maximum(normed @ layer.ffn.w_in.astype(np.float64), 0.0)
-        x = x + hidden @ layer.ffn.w_out.astype(np.float64)
+        x = _ffn(x, layer.ffn, signs)
     x = _ln(x, weights.dec_final_gain.astype(np.float64))
     return x @ weights.head.astype(np.float64)
 
@@ -85,33 +104,8 @@ def relu_pattern(weights: WeightSet, enc_tokens: np.ndarray, dec_tokens: np.ndar
     compare this pattern at the two evaluation points and skip coordinates
     where it changes.
     """
-    cfg = weights.config
-    signs = []
-
-    def ffn_trace(x, ffn):
-        normed = _ln(x, ffn.gain.astype(np.float64))
-        pre = normed @ ffn.w_in.astype(np.float64)
-        signs.append(pre > 0)
-        return x + np.maximum(pre, 0.0) @ ffn.w_out.astype(np.float64)
-
-    tokens = np.asarray(enc_tokens, dtype=np.int64)
-    x = weights.embedding.astype(np.float64)[tokens] * np.sqrt(cfg.d_model)
-    x = x + weights.positions.astype(np.float64)[: tokens.size]
-    for layer in weights.enc_layers:
-        normed = _ln(x, layer.attn.gain.astype(np.float64))
-        x = x + _mha(normed, normed, layer.attn, cfg.n_heads, causal=False)
-        x = ffn_trace(x, layer.ffn)
-    memory = _ln(x, weights.enc_final_gain.astype(np.float64))
-
-    tokens = np.asarray(dec_tokens, dtype=np.int64)
-    x = weights.embedding.astype(np.float64)[tokens] * np.sqrt(cfg.d_model)
-    x = x + weights.positions.astype(np.float64)[: tokens.size]
-    for layer in weights.dec_layers:
-        normed = _ln(x, layer.self_attn.gain.astype(np.float64))
-        x = x + _mha(normed, normed, layer.self_attn, cfg.n_heads, causal=True)
-        normed = _ln(x, layer.cross_attn.gain.astype(np.float64))
-        x = x + _mha(normed, memory, layer.cross_attn, cfg.n_heads, causal=False)
-        x = ffn_trace(x, layer.ffn)
+    signs: list[np.ndarray] = []
+    decoder_full(weights, encoder(weights, enc_tokens, signs), dec_tokens, signs)
     return np.concatenate([s.ravel() for s in signs])
 
 

@@ -169,24 +169,32 @@ def _stream(prefix: np.ndarray, answer: tuple[int, ...]) -> DecStream:
     return DecStream(tokens=tokens, targets=targets, loss_mask=mask)
 
 
-def _batches(
-    layout: str, examples: list[LabeledInstance], batch_instances: int, rng: np.random.Generator
-) -> list[TrainBatch]:
-    """Shuffled batches of ``batch_instances`` instances in ``layout``.
+def _laid_out(
+    layout: str, examples: list[LabeledInstance], batch_instances: int
+) -> tuple[list[np.ndarray], list[DecStream], int, int]:
+    """``(encoder inputs, streams, kv_group, encoder inputs per batch)`` in ``layout``.
 
     The encoder inputs, decoder prefixes and ``kv_group`` come from
     ``engines._layout``, so training puts the prompts where inference does;
-    each batch holds ``batch_instances·U / kv_group`` encoder inputs and the
-    ``kv_group`` streams attending to each.
+    stream ``i·kv_group + j`` attends to encoder input ``i``.  Built once per
+    run: only the order changes between epochs.
     """
     if not examples:
-        return []
+        return [], [], 1, 1
     wl = Workload(instances=tuple(ex.instance for ex in examples), max_new_tokens=0)
     enc_inputs, prefix, kv_group = _layout(layout, wl)
     answers = [ans for ex in examples for ans in ex.answers]
     streams = [_stream(p, ans) for p, ans in zip(prefix, answers)]
+    return enc_inputs, streams, kv_group, batch_instances * wl.n_prompts // kv_group
+
+
+def _shuffled(
+    laid: tuple[list[np.ndarray], list[DecStream], int, int], rng: np.random.Generator
+) -> list[TrainBatch]:
+    """One epoch of batches: each holds ``per_batch`` shuffled encoder inputs
+    and the ``kv_group`` streams attending to each."""
+    enc_inputs, streams, kv_group, per_batch = laid
     order = rng.permutation(len(enc_inputs))
-    per_batch = batch_instances * wl.n_prompts // kv_group
     batches = []
     for start in range(0, len(order), per_batch):
         chunk = order[start : start + per_batch]
@@ -204,14 +212,14 @@ def pid_batches(
     examples: list[LabeledInstance], batch_instances: int, rng: np.random.Generator
 ) -> list[TrainBatch]:
     """All outputs of one shared input travel in the same batch group."""
-    return _batches(PID, examples, batch_instances, rng)
+    return _shuffled(_laid_out(PID, examples, batch_instances), rng)
 
 
 def pie_batches(
     examples: list[LabeledInstance], batch_instances: int, rng: np.random.Generator
 ) -> list[TrainBatch]:
     """One example per (instance, prompt): the prompt rides in the encoder."""
-    return _batches(PIE, examples, batch_instances, rng)
+    return _shuffled(_laid_out(PIE, examples, batch_instances), rng)
 
 
 # -- forward/backward ---------------------------------------------------------------
@@ -465,11 +473,12 @@ def train_layout(
     sink = sink if sink is not None else CounterSink()
     rng = np.random.default_rng(seed)
     run = TrainingRun(layout=layout)
+    laid = _laid_out(layout, list(task.train), batch_instances)
     step = 0
     for _ in range(epochs):
         flops_before = sink.flops
         epoch_losses = []
-        for batch in _batches(layout, list(task.train), batch_instances, rng):
+        for batch in _shuffled(laid, rng):
             epoch_losses.append(
                 train_step(config, weights, batch, learning_rate, sink, step_index=step)
             )
@@ -521,6 +530,12 @@ class ToyTrainingSpec:
     learning_rate: float = 0.5
     batch_instances: int = 8
     task_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_instances < 1:
+            raise ConfigError(f"batch_instances must be >= 1, got {self.batch_instances}")
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(

@@ -25,7 +25,7 @@ import numpy as np
 from . import costmodel as cm
 from . import reference
 from .bench import BenchConfig, random_workload, run_bench
-from .engines import DecodeResult, pid_infer, pie_infer, reference_decode
+from .engines import ENGINES, PID, PIE, DecodeResult, infer, reference_decode
 from .instrumentation import measured_intensity
 from .kernels import CounterSink
 from .model import ModelConfig, init_weights, decoder_prefill, decoder_step, encoder_forward, init_decode_state
@@ -59,14 +59,14 @@ def _toy_model(d=64, h=4, layers=2, vocab=96, max_len=640) -> ModelConfig:
     )
 
 
-def _full_length_run(config, shape: cm.ShapeParams, engine_fn, base_seed, tries=40):
+def _full_length_run(config, shape: cm.ShapeParams, engine: str, base_seed, tries=40):
     for offset in range(tries):
         rng = np.random.default_rng(base_seed + 1000 + offset)
         weights = init_weights(config, seed=base_seed + offset)
         wl = random_workload(
             rng, config.vocab_size, shape.U, shape.b, shape.n_s, shape.n_p, shape.n_t
         )
-        res = engine_fn(config, weights, wl)
+        res = infer(engine, config, weights, wl)
         if all(len(seq) == shape.n_t for seq in res.flat_outputs()):
             return res
     raise RuntimeError("no seed produced a full-length decode")
@@ -110,11 +110,11 @@ def check_broadcast_equivalence(seed: int, fault: str | None = None) -> CheckRes
         config = _toy_model(d=d, h=h, layers=2, max_len=256)
         weights = init_weights(config, seed=seed + i)
         wl = random_workload(rng, config.vocab_size, u, b, n_s, n_p, n_t=6)
-        shared = pid_infer(
-            config, weights, wl, record_logits=True,
+        shared = infer(
+            PID, config, weights, wl, record_logits=True,
             corrupt_shared_kv=fault == FAULT_CORRUPT_SHARED_KV,
         )
-        copies = pid_infer(config, weights, wl, record_logits=True, ablate_shared_cross=True)
+        copies = infer(PID, config, weights, wl, record_logits=True, ablate_shared_cross=True)
         drift = max(
             float(np.abs(a - c).max())
             for a, c in zip(shared.logits_trace, copies.logits_trace)
@@ -141,8 +141,8 @@ def check_encoder_sharing(seed: int) -> CheckResult:
             wl = random_workload(rng, config.vocab_size, u, 1, n_s, n_p, n_t=1)
             shape = cm.ShapeParams(U=u, b=1, n_s=n_s, n_t=1, n_p=n_p, d=64, h=4)
             flops = {
-                engine: runner(config, weights, wl).encode_counters.flops
-                for engine, runner in (("pie", pie_infer), ("pid", pid_infer))
+                engine: infer(engine, config, weights, wl).encode_counters.flops
+                for engine in ENGINES
             }
             passed = all(
                 measured == cm.predict_run_flops(config, shape, engine)["encode_total"]
@@ -157,7 +157,7 @@ def check_encoder_sharing(seed: int) -> CheckResult:
 
 
 def check_intensity_formulas(seed: int) -> CheckResult:
-    """Closed forms equal hand values and tabulated cell ratios."""
+    """Cell ratios equal hand values and stay near the simplified cells."""
     s = cm.ShapeParams(U=4, b=2, n_s=256, n_t=64, n_p=8, d=512, h=8)
     # hand-substituted values, written as explicit arithmetic
     hand = {
@@ -175,23 +175,11 @@ def check_intensity_formulas(seed: int) -> CheckResult:
     )
     big = cm.ShapeParams(U=4, b=2, n_s=512, n_t=64, n_p=8, d=4096, h=16)
     gaps = []
-    label_for = {
-        "enc_self": "encoder_self",
-        "dec_self": "decoder_self",
-        "dec_cross": "decoder_cross",
-        "dec_cross_output": "decoder_cross",
-        "dec_self_prompt": "decoder_self_prompt",
-        "dec_cross_prompt": "decoder_cross_prompt",
-    }
-    for engine in ("pie", "pid"):
+    for engine in ENGINES:
         for component in cm.intensity_pairs(engine, big.n_p):
             r = cm.inverse_intensity(big, component, engine)
-            label = label_for[component]
-            mode = (
-                cm.TABLE1
-                if label in ("encoder_self", "decoder_self", "decoder_cross")
-                else cm.APPENDIX_B
-            )
+            label = cm.INTENSITY_CELLS[component][0]
+            mode = cm.APPENDIX_B if label.endswith("_prompt") else cm.TABLE1
             cell = cm.table1_counts(big, engine, mode).components[label]
             gaps.append(abs(r - cell.memory_symbols / cell.ops_symbols) / r)
     passed = exact and max(gaps) <= 0.02
@@ -239,8 +227,8 @@ def check_incremental_vs_reference(seed: int) -> CheckResult:
             rng, config.vocab_size, u=int(rng.choice([2, 3])), b=int(rng.choice([1, 2])),
             n_s=int(rng.choice([8, 16])), n_p=int(rng.choice([0, 2])), n_t=6,
         )
-        for engine, runner in (("pie", pie_infer), ("pid", pid_infer)):
-            fast = runner(config, weights, wl)
+        for engine in ENGINES:
+            fast = infer(engine, config, weights, wl)
             slow = reference_decode(config, weights, wl, engine)
             tokens_equal = tokens_equal and fast.outputs == slow.outputs
         # logit drift: 16 incremental steps vs one causal pass over the same tokens
@@ -272,8 +260,8 @@ def check_analytic_vs_measured(seed: int) -> CheckResult:
     shape = cm.ShapeParams(U=8, b=1, n_s=256, n_t=16, n_p=0, d=128, h=8)
     rows = []
     ok = True
-    for engine, runner in (("pie", pie_infer), ("pid", pid_infer)):
-        res = _full_length_run(config, shape, runner, seed)
+    for engine in ENGINES:
+        res = _full_length_run(config, shape, engine, seed)
         mismatches = mirror_mismatches(res, cm.predict_run_flops(config, shape, engine))
         ok = ok and not any(mismatches.values())
         rows.append({"engine": engine, "flops": res.counters.flops, "mismatches": mismatches})
@@ -337,11 +325,11 @@ def check_counter_additivity(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     wl_a = random_workload(rng, config.vocab_size, 2, 1, 8, 2, 3)
     wl_b = random_workload(rng, config.vocab_size, 3, 2, 8, 0, 4)
-    ra = pie_infer(config, weights, wl_a)
-    rb = pie_infer(config, weights, wl_b)
+    ra = infer(PIE, config, weights, wl_a)
+    rb = infer(PIE, config, weights, wl_b)
     sink = CounterSink()
-    pie_infer(config, weights, wl_a, sink=sink)
-    pie_infer(config, weights, wl_b, sink=sink)
+    infer(PIE, config, weights, wl_a, sink=sink)
+    infer(PIE, config, weights, wl_b, sink=sink)
     merged = ra.counters.merge(rb.counters)
     passed = (
         merged.flops == sink.flops
@@ -362,8 +350,8 @@ def check_component_attribution(seed: int) -> CheckResult:
     wl = random_workload(rng, config.vocab_size, 4, 2, 32, 4, 6)
     shares = {}
     ok = True
-    for engine, runner in (("pie", pie_infer), ("pid", pid_infer)):
-        res = runner(config, weights, wl)
+    for engine in ENGINES:
+        res = infer(engine, config, weights, wl)
         share = res.counters.component("other").flops / res.counters.flops
         shares[engine] = share
         ok = ok and share <= 0.01
@@ -377,8 +365,8 @@ def check_cross_intensity_direction(seed: int) -> CheckResult:
     weights = init_weights(config, seed=seed)
     rng = np.random.default_rng(seed)
     wl = random_workload(rng, config.vocab_size, 4, 1, 64, 0, 8)
-    pie = pie_infer(config, weights, wl)
-    pid = pid_infer(config, weights, wl)
+    pie = infer(PIE, config, weights, wl)
+    pid = infer(PID, config, weights, wl)
     pie_i = measured_intensity(pie.step_counters, "decoder_cross")
     pid_i = measured_intensity(pid.step_counters, "decoder_cross")
     return CheckResult(
@@ -393,10 +381,10 @@ def check_greedy_determinism(seed: int) -> CheckResult:
     weights = init_weights(config, seed=seed)
     rng = np.random.default_rng(seed)
     wl = random_workload(rng, config.vocab_size, 4, 2, 16, 2, 6)
-    first = pid_infer(config, weights, wl).outputs
-    second = pid_infer(config, weights, wl).outputs
+    first = infer(PID, config, weights, wl).outputs
+    second = infer(PID, config, weights, wl).outputs
     with ThreadPoolExecutor(max_workers=2) as pool:
-        futures = [pool.submit(pid_infer, config, weights, wl) for _ in range(2)]
+        futures = [pool.submit(infer, PID, config, weights, wl) for _ in range(2)]
         threaded = [f.result().outputs for f in futures]
     passed = first == second and all(t == first for t in threaded)
     return CheckResult("greedy_determinism", passed=passed, details={"runs_identical": passed})
@@ -431,8 +419,7 @@ def check_train_toy(seed: int) -> CheckResult:
     )
     em = evaluate_exact_match(config, weights, list(task.heldout), "pid")
     _, run_pie = train_layout(config, task, "pie", 1, spec.learning_rate, spec.batch_instances, seed)
-    _, run_pid1 = train_layout(config, task, "pid", 1, spec.learning_rate, spec.batch_instances, seed)
-    measured = run_pie.flops_per_epoch / run_pid1.flops_per_epoch
+    measured = run_pie.flops_per_epoch / run_pid.flops_per_epoch
     predicted = predicted_training_flop_ratio(config, task)
     ratio_ok = abs(measured - predicted) / predicted <= 0.25
     return CheckResult(
@@ -470,7 +457,6 @@ def run_checks(
     seed: int = 0,
     names: list[str] | None = None,
     fault: str | None = None,
-    parallel: bool = False,
     full: bool = False,
 ) -> list[CheckResult]:
     """Run the suite; the fault flag only affects the broadcast check."""
@@ -482,13 +468,7 @@ def run_checks(
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; available: {sorted(table)}")
 
-    def invoke(name: str) -> CheckResult:
-        fn = table[name]
-        if name == "broadcast_equivalence":
-            return fn(seed, fault=fault)
-        return fn(seed)
-
-    if parallel:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            return list(pool.map(invoke, selected))
-    return [invoke(name) for name in selected]
+    return [
+        table[name](seed, fault=fault) if name == "broadcast_equivalence" else table[name](seed)
+        for name in selected
+    ]

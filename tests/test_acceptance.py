@@ -72,6 +72,20 @@ def test_criterion_3_inverse_intensity_formulas():
     )
 
 
+def test_criterion_3_detects_cells_built_for_one_prompt_token_less(monkeypatch):
+    # negative control: intensity is read off the cells, so the hand values
+    # are what guards them; cells for n_p - 1 must miss them
+    cells = cm.table1_counts
+
+    def off_by_one(shape, engine, mode=cm.TABLE1):
+        return cells(replace(shape, n_p=shape.n_p - 1), engine, mode)
+
+    monkeypatch.setattr(verify.cm, "table1_counts", off_by_one)
+    result = verify.check_intensity_formulas(0)
+    assert not result.passed
+    assert result.details["hand_values_exact"] is False
+
+
 def test_criterion_4_flop_ratios_and_latency():
     ratios = verify.check_flop_ratio_presets(0)
     model = cm.MODEL_PRESETS["toy"]

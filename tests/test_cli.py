@@ -56,6 +56,22 @@ def test_bench_refuses_parallel():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cost", "--shape", "U=8,b=1,n_s=256,n_t=16,n_p=4,d=64,h=8", "--model", "toy"],
+        ["bench", "--preset", "toy", "--max-new", "0"],
+        ["train-toy", "--epochs", "0"],
+        ["train-toy", "--batch", "0"],
+    ],
+)
+def test_bad_values_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_bench_resource_guard_exit_code():
     assert main(["bench", "--preset", "toy", "--mem-cap", "512"]) == 3
 

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from multiprompt.engines import (
+    ENGINES,
+    PID,
+    PIE,
     DecodeResult,
     Instance,
     Workload,
     greedy_step,
     infer,
-    pid_infer,
-    pie_infer,
     reference_decode,
 )
 from multiprompt.errors import ConfigError, LengthError
@@ -77,7 +78,7 @@ def test_greedy_tie_breaks_low():
 def test_outputs_terminate_with_eos_or_cap(setup):
     config, weights, rng = setup
     wl = make_workload(rng, config, b=2, u=2, max_new=5)
-    for res in (pie_infer(config, weights, wl), pid_infer(config, weights, wl)):
+    for res in (infer(PIE, config, weights, wl), infer(PID, config, weights, wl)):
         for seq in res.flat_outputs():
             assert seq[-1] == EOS or len(seq) == wl.max_new_tokens
 
@@ -86,8 +87,8 @@ def test_max_new_zero_gives_empty_outputs(setup):
     config, weights, rng = setup
     wl = make_workload(rng, config, max_new=0)
     for res in (
-        pie_infer(config, weights, wl),
-        pid_infer(config, weights, wl),
+        infer(PIE, config, weights, wl),
+        infer(PID, config, weights, wl),
         reference_decode(config, weights, wl, "pie"),
         reference_decode(config, weights, wl, "pid"),
     ):
@@ -98,18 +99,18 @@ def test_max_new_zero_gives_empty_outputs(setup):
 def test_encoder_pass_counts(setup):
     config, weights, rng = setup
     wl = make_workload(rng, config, b=3, u=4, max_new=2)
-    assert pie_infer(config, weights, wl).encoder_passes == 12
-    assert pid_infer(config, weights, wl).encoder_passes == 3
+    assert infer(PIE, config, weights, wl).encoder_passes == 12
+    assert infer(PID, config, weights, wl).encoder_passes == 3
 
 
 def test_overlength_raises(setup):
     config, weights, rng = setup
     wl = make_workload(rng, config, n_s=config.max_len, n_p=2)
     with pytest.raises(LengthError):
-        pie_infer(config, weights, wl)
+        infer(PIE, config, weights, wl)
     wl2 = make_workload(rng, config, n_s=config.max_len + 1)
     with pytest.raises(LengthError):
-        pid_infer(config, weights, wl2)
+        infer(PID, config, weights, wl2)
 
 
 def test_pie_decode_longer_than_max_len_raises_before_any_kernel(setup):
@@ -117,7 +118,7 @@ def test_pie_decode_longer_than_max_len_raises_before_any_kernel(setup):
     wl = make_workload(rng, config, b=1, u=2, n_p=2, max_new=config.max_len + 1)
     sink = CounterSink()
     with pytest.raises(LengthError):
-        pie_infer(config, weights, wl, sink=sink)
+        infer(PIE, config, weights, wl, sink=sink)
     with pytest.raises(LengthError):
         reference_decode(config, weights, wl, "pie", sink=sink)
     assert sink.kind_totals() == {}
@@ -129,7 +130,7 @@ def test_pid_prefix_plus_decode_past_max_len_raises_before_any_kernel(setup):
     wl = make_workload(rng, config, b=1, u=2, n_p=n_p, max_new=config.max_len - n_p + 2)
     sink = CounterSink()
     with pytest.raises(LengthError):
-        pid_infer(config, weights, wl, sink=sink)
+        infer(PID, config, weights, wl, sink=sink)
     with pytest.raises(LengthError):
         reference_decode(config, weights, wl, "pid", sink=sink)
     assert sink.kind_totals() == {}
@@ -143,7 +144,7 @@ def test_pid_decodes_at_the_exact_length_boundary(tiny_config, tiny_weights):
         np.random.default_rng(42), tiny_config, b=1, u=2, n_p=n_p,
         max_new=tiny_config.max_len - n_p + 1,
     )
-    res = pid_infer(tiny_config, tiny_weights, wl)
+    res = infer(PID, tiny_config, tiny_weights, wl)
     oracle = reference_decode(tiny_config, tiny_weights, wl, "pid")
     assert res.steps_taken == oracle.steps_taken == wl.max_new_tokens
     assert res.outputs == oracle.outputs
@@ -176,11 +177,11 @@ def test_reference_encoder_passes_match_engine(setup, engine):
 def test_greedy_determinism_across_runs(setup):
     config, weights, rng = setup
     wl = make_workload(rng, config)
-    a = pid_infer(config, weights, wl)
-    b = pid_infer(config, weights, wl)
+    a = infer(PID, config, weights, wl)
+    b = infer(PID, config, weights, wl)
     assert a.outputs == b.outputs
-    c = pie_infer(config, weights, wl)
-    d = pie_infer(config, weights, wl)
+    c = infer(PIE, config, weights, wl)
+    d = infer(PIE, config, weights, wl)
     assert c.outputs == d.outputs
 
 
@@ -189,7 +190,7 @@ def test_duplicate_prompts_decode_identically(setup):
     x = rng.integers(4, config.vocab_size, size=8, dtype=np.int64)
     z = rng.integers(4, config.vocab_size, size=2, dtype=np.int64)
     wl = Workload(instances=(Instance(x, (z, z)),), max_new_tokens=6)
-    for res in (pie_infer(config, weights, wl), pid_infer(config, weights, wl)):
+    for res in (infer(PIE, config, weights, wl), infer(PID, config, weights, wl)):
         assert res.outputs[0][0] == res.outputs[0][1]
 
 
@@ -204,9 +205,9 @@ def test_prompt_order_permutes_outputs(setup):
     wl_p = Workload(
         instances=(Instance(x, tuple(prompts[j] for j in perm)),), max_new_tokens=5
     )
-    for engine in (pie_infer, pid_infer):
-        base = engine(config, weights, wl).outputs[0]
-        permuted = engine(config, weights, wl_p).outputs[0]
+    for engine in ENGINES:
+        base = infer(engine, config, weights, wl).outputs[0]
+        permuted = infer(engine, config, weights, wl_p).outputs[0]
         assert permuted == [base[j] for j in perm]
 
 
@@ -218,9 +219,9 @@ def test_batch_permutation_equivariance(setup):
         instances=tuple(wl.instances[i] for i in perm),
         max_new_tokens=wl.max_new_tokens,
     )
-    for engine in (pie_infer, pid_infer):
-        base = engine(config, weights, wl).outputs
-        permuted = engine(config, weights, wl_p).outputs
+    for engine in ENGINES:
+        base = infer(engine, config, weights, wl).outputs
+        permuted = infer(engine, config, weights, wl_p).outputs
         assert permuted == [base[i] for i in perm]
 
 
@@ -230,8 +231,8 @@ def test_batch_permutation_equivariance(setup):
 def test_u1_np0_pie_equals_pid(setup):
     config, weights, rng = setup
     wl = make_workload(rng, config, b=2, u=1, n_p=0, max_new=6)
-    a = pie_infer(config, weights, wl)
-    b = pid_infer(config, weights, wl)
+    a = infer(PIE, config, weights, wl)
+    b = infer(PID, config, weights, wl)
     assert a.outputs == b.outputs
     assert a.encode_counters.flops == b.encode_counters.flops
     assert a.encode_counters.components == b.encode_counters.components
@@ -243,8 +244,8 @@ def test_u1_np0_pie_equals_pid(setup):
 def test_shared_cross_kv_reads_fewer_bytes(setup):
     config, weights, rng = setup
     wl = make_workload(rng, config, b=1, u=4, n_s=16, n_p=0, max_new=4)
-    shared = pid_infer(config, weights, wl)
-    copied = pid_infer(config, weights, wl, ablate_shared_cross=True)
+    shared = infer(PID, config, weights, wl)
+    copied = infer(PID, config, weights, wl, ablate_shared_cross=True)
     assert (
         shared.counters.component("decoder_cross").bytes_read
         < copied.counters.component("decoder_cross").bytes_read
@@ -260,8 +261,8 @@ def test_shared_cross_kv_reads_fewer_bytes(setup):
 def test_corrupt_shared_kv_breaks_equivalence(setup):
     config, weights, rng = setup
     wl = make_workload(rng, config, b=1, u=3, n_s=12, n_p=2, max_new=5)
-    healthy = pid_infer(config, weights, wl, record_logits=True)
-    corrupted = pid_infer(config, weights, wl, record_logits=True, corrupt_shared_kv=True)
+    healthy = infer(PID, config, weights, wl, record_logits=True)
+    corrupted = infer(PID, config, weights, wl, record_logits=True, corrupt_shared_kv=True)
     drift = max(
         float(np.abs(a - b).max())
         for a, b in zip(healthy.logits_trace, corrupted.logits_trace)
@@ -277,9 +278,9 @@ def test_pid_cross_cache_storage_is_u_independent(setup):
     expected = 4 * b * n_s * config.d_model**2 * config.n_dec_layers
     sink = CounterSink()
     wl4 = make_workload(rng, config, b=b, u=4, n_s=n_s, n_p=2, max_new=2)
-    kv_init_flops_u4 = _cross_kv_projection_flops(pid_infer(config, weights, wl4, sink=sink))
+    kv_init_flops_u4 = _cross_kv_projection_flops(infer(PID, config, weights, wl4, sink=sink))
     wl8 = make_workload(rng, config, b=b, u=8, n_s=n_s, n_p=2, max_new=2)
-    kv_init_flops_u8 = _cross_kv_projection_flops(pid_infer(config, weights, wl8))
+    kv_init_flops_u8 = _cross_kv_projection_flops(infer(PID, config, weights, wl8))
     assert kv_init_flops_u4 == kv_init_flops_u8 == expected
 
 
@@ -300,7 +301,7 @@ def test_cached_engines_match_reference(setup, engine, seed):
     config, weights, _ = setup
     rng = np.random.default_rng(seed)
     wl = make_workload(rng, config, b=2, u=2, n_s=8, n_p=2, max_new=6)
-    fast = pie_infer(config, weights, wl) if engine == "pie" else pid_infer(config, weights, wl)
+    fast = infer(engine, config, weights, wl)
     slow = reference_decode(config, weights, wl, engine)
     assert fast.outputs == slow.outputs
 
@@ -317,7 +318,7 @@ def test_early_finishers_do_not_disturb_others(setup):
         rng = np.random.default_rng(seed)
         w = init_weights(small_vocab, seed=seed)
         wl = make_workload(rng, small_vocab, b=1, u=4, n_s=8, n_p=1, max_new=8)
-        res = pid_infer(small_vocab, w, wl)
+        res = infer(PID, small_vocab, w, wl)
         lengths = {len(s) for s in res.flat_outputs()}
         ends_early = any(s[-1] == EOS and len(s) < 8 for s in res.flat_outputs())
         if len(lengths) > 1 and ends_early:
@@ -325,34 +326,8 @@ def test_early_finishers_do_not_disturb_others(setup):
                 solo = Workload(
                     instances=(Instance(wl.instances[0].x, (z,)),), max_new_tokens=8
                 )
-                solo_res = pid_infer(small_vocab, w, solo)
+                solo_res = infer(PID, small_vocab, w, solo)
                 assert solo_res.outputs[0][0] == res.outputs[0][u]
             assert res.wasted_stream_steps > 0
             return
     pytest.fail("no seed produced staggered stream finishes")
-
-
-# -- counter additivity ----------------------------------------------------------------
-
-
-def test_sequential_runs_merge_to_combined_counters(setup):
-    config, weights, rng = setup
-    wl_a = make_workload(rng, config, b=1, u=2, max_new=3)
-    wl_b = make_workload(rng, config, b=2, u=2, max_new=4)
-    ra = pie_infer(config, weights, wl_a)
-    rb = pie_infer(config, weights, wl_b)
-    combined_sink = CounterSink()
-    pie_infer(config, weights, wl_a, sink=combined_sink)
-    pie_infer(config, weights, wl_b, sink=combined_sink)
-    merged = ra.counters.merge(rb.counters)
-    assert merged.flops == combined_sink.flops
-    assert merged.bytes_read == combined_sink.bytes_read
-    assert merged.bytes_written == combined_sink.bytes_written
-
-
-def test_other_component_is_negligible(setup):
-    config, weights, rng = setup
-    wl = make_workload(rng, config, b=2, u=3, n_s=12, max_new=6)
-    for res in (pie_infer(config, weights, wl), pid_infer(config, weights, wl)):
-        other = res.counters.component("other").flops
-        assert other <= 0.01 * res.counters.flops

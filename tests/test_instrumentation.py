@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from multiprompt.engines import Instance, Workload, pid_infer, pie_infer
+from multiprompt.engines import PID, PIE, Instance, Workload, infer
 from multiprompt.errors import IntensityError
 from multiprompt.instrumentation import (
     ComponentCounters,
@@ -60,7 +60,7 @@ def test_component_totals_sum_to_run_totals():
 # -- measured intensity of engine runs ---------------------------------------------------------
 
 
-def _measured_run(config, weights, rng, engine_fn, u=2, n_s=12, n_t=4):
+def _measured_run(config, weights, rng, engine, u=2, n_s=12, n_t=4):
     instances = tuple(
         Instance(
             x=rng.integers(4, config.vocab_size, size=n_s, dtype=np.int64),
@@ -70,7 +70,7 @@ def _measured_run(config, weights, rng, engine_fn, u=2, n_s=12, n_t=4):
         )
         for _ in range(1)
     )
-    return engine_fn(config, weights, Workload(instances=instances, max_new_tokens=n_t))
+    return infer(engine, config, weights, Workload(instances=instances, max_new_tokens=n_t))
 
 
 def test_pid_cross_intensity_beats_pie(tiny_config):
@@ -78,9 +78,9 @@ def test_pid_cross_intensity_beats_pie(tiny_config):
     # K/V projections (which the replicated path performs U times as often)
     weights = init_weights(tiny_config, seed=11)
     rng = np.random.default_rng(1)
-    res_pie = _measured_run(tiny_config, weights, rng, pie_infer, u=4, n_s=16, n_t=6)
+    res_pie = _measured_run(tiny_config, weights, rng, PIE, u=4, n_s=16, n_t=6)
     rng = np.random.default_rng(1)
-    res_pid = _measured_run(tiny_config, weights, rng, pid_infer, u=4, n_s=16, n_t=6)
+    res_pid = _measured_run(tiny_config, weights, rng, PID, u=4, n_s=16, n_t=6)
     assert measured_intensity(res_pid.step_counters, "decoder_cross") > measured_intensity(
         res_pie.step_counters, "decoder_cross"
     )

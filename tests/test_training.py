@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from multiprompt import reference
-from multiprompt.engines import pid_infer
 from multiprompt.errors import TrainingError
 from multiprompt.kernels import CounterSink
 from multiprompt.model import BOS, EOS, ModelConfig, init_weights
