@@ -156,7 +156,9 @@ def run_bench(config: BenchConfig) -> LatencyReport:
     Every repetition times each engine once per batch size, and the engine
     that goes first alternates, so drift in the host hits all engines
     alike.  The "single" series is the batch-1 series: it is timed once
-    and serves both the single-instance and the batch-1 figures.
+    and serves both the single-instance and the batch-1 figures.  The
+    pie/pid speedups are medians of the per-repetition ratios (batched:
+    each engine at its own optimal batch), not ratios of medians.
     """
     guard_batch = max(config.batch_sizes)
     estimated = estimate_run_bytes(config.model, config.shape, guard_batch)
@@ -211,8 +213,16 @@ def run_bench(config: BenchConfig) -> LatencyReport:
         )
     if "pie" in report.engines and "pid" in report.engines:
         pie, pid = report.engines["pie"], report.engines["pid"]
-        report.speedup_single = pie.single_median_s / pid.single_median_s
-        report.speedup_batched = pie.optimal_per_instance_s / pid.optimal_per_instance_s
+
+        def paired_speedup(pie_batch: int, pid_batch: int) -> float:
+            # median of the per-repetition ratios: both times of a pair come
+            # from one repetition, so drift on the host cancels within it
+            return statistics.median(
+                a / b for a, b in zip(per_instance["pie", pie_batch], per_instance["pid", pid_batch])
+            )
+
+        report.speedup_single = paired_speedup(1, 1)
+        report.speedup_batched = paired_speedup(pie.optimal_batch, pid.optimal_batch)
         report.measured_flop_ratio = pid.total_flops / pie.total_flops
         report.analytic_flop_ratio = flop_ratio(config.model, config.shape)
     return report

@@ -104,18 +104,13 @@ def cmd_cost(parser, args) -> int:
     shape, model_name, stem = _resolve_workload(parser, args)
     profile = _load_profile(parser, args.hw_profile)
     model = cm.MODEL_PRESETS[model_name]
-    breakdowns = {
-        engine: {
-            mode: cm.table1_counts(shape, engine, mode).to_dict()
-            for mode in (cm.TABLE1, cm.APPENDIX_B)
-        }
-        for engine in ENGINES
-    }
+    modes = (cm.TABLE1, cm.APPENDIX_B)
+    counts = {(e, mode): cm.table1_counts(shape, e, mode) for e in ENGINES for mode in modes}
+    breakdowns = {e: {mode: counts[e, mode].to_dict() for mode in modes} for e in ENGINES}
     intensity = {engine: _intensity_map(shape, engine) for engine in ENGINES}
-    roofline = {
-        engine: cm.roofline_estimate(cm.table1_counts(shape, engine), profile).to_dict()
-        for engine in ENGINES
-    }
+    # each mode's cells get that mode's roofline; the document reports table1's
+    rooflines = {key: cm.roofline_estimate(c, profile).to_dict() for key, c in counts.items()}
+    roofline = {engine: rooflines[engine, cm.TABLE1] for engine in ENGINES}
     try:
         ratio = cm.flop_ratio(model, shape)
     except ConfigError as exc:  # the model's width or heads differ from the shape's
@@ -149,7 +144,7 @@ def cmd_cost(parser, args) -> int:
     print(f"model: {model_name}  hw profile: {profile.name}")
     print(f"note: {cm.DECODER_ROW_NOTE}")
     for engine in ENGINES:
-        for mode in (cm.TABLE1, cm.APPENDIX_B):
+        for mode in modes:
             bd = breakdowns[engine][mode]
             print(f"\n[{engine} / {mode}]  (memory in symbols, x4 for bytes)")
             print(f"  {'component':<22}{'memory':>14}{'operations':>16}")
@@ -164,7 +159,7 @@ def cmd_cost(parser, args) -> int:
 
     csv_rows = []
     for engine in ENGINES:
-        for mode in (cm.TABLE1, cm.APPENDIX_B):
+        for mode in modes:
             for comp, cell in breakdowns[engine][mode]["components"].items():
                 csv_rows.append(
                     {
@@ -174,9 +169,7 @@ def cmd_cost(parser, args) -> int:
                         "ops_symbols": cell["ops_symbols"],
                         "bytes": cell["bytes"],
                         "inverse_intensity": cell["memory_symbols"] / cell["ops_symbols"],
-                        "roofline_seconds": roofline[engine]["components"]
-                        .get(comp, {})
-                        .get("seconds", ""),
+                        "roofline_seconds": rooflines[engine, mode]["components"][comp]["seconds"],
                         "hw_profile": profile.name,
                     }
                 )

@@ -17,6 +17,10 @@ Counting conventions, fixed package-wide:
   1 byte per element.  No cache hierarchy is modelled.
 * Pure selection (row gather indices, argmax) is not arithmetic and
   reports zero flops.
+* A fused kernel records each constituent's counts exactly as the separate
+  calls would, in the same order: :func:`attention` reports what
+  :func:`bmm`, :func:`softmax_rows` and :func:`bmm` would.  Fusion changes
+  what is allocated and re-read on the host, never the counted traffic.
 """
 
 from __future__ import annotations
@@ -164,7 +168,39 @@ def bmm(a: np.ndarray, b: np.ndarray, sink: CounterSink) -> np.ndarray:
     return _check_finite(a @ b, "bmm")
 
 
+# fused kernels call the body bound here, so a wrapper installed on the
+# module attribute ``bmm`` sees only direct calls
+_bmm = bmm
+
+
 # -- softmax ---------------------------------------------------------------
+
+
+def _add_softmax(sink: CounterSink, n: int, m: int, masked: bool) -> None:
+    sink.add("softmax", 4 * n * m, 4 * n * m + (n * m if masked else 0), 4 * n * m)
+
+
+def _softmax_in_place(flat: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """Row softmax of a non-empty ``flat [n,m]``, written over ``flat``.
+
+    ``mask`` is None or a bool ``[nq,m]`` applied to every run of ``nq``
+    rows (``nq`` divides ``n``); it is broadcast, never tiled.
+    """
+    if mask is not None:
+        visible = mask.any(axis=1)
+        if not visible.all():
+            raise MaskError(f"softmax row {int(np.flatnonzero(~visible)[0])} has no visible entries")
+        # hidden lanes may exceed the visible row max and would overflow;
+        # at -inf they neither set the max nor survive the exponent
+        np.copyto(flat.reshape(-1, *mask.shape), -np.inf, where=~mask)
+    flat -= flat.max(axis=1, keepdims=True)
+    np.exp(flat, out=flat)
+    sums = flat.sum(axis=1, keepdims=True)
+    flat /= sums
+    # every lane is exp(x - rowmax), in [0, 1] or NaN, and the max lane is
+    # 1, so a row sum is finite exactly when every output in its row is
+    _check_finite(sums, "softmax")
+    return flat
 
 
 def softmax_rows(a: np.ndarray, sink: CounterSink, mask: np.ndarray | None = None) -> np.ndarray:
@@ -183,24 +219,47 @@ def softmax_rows(a: np.ndarray, sink: CounterSink, mask: np.ndarray | None = Non
         mask = np.asarray(mask)
         if mask.shape != a.shape or mask.dtype != np.bool_:
             raise ShapeError(f"softmax mask must be bool {a.shape}, got {mask.dtype} {mask.shape}")
-    sink.add("softmax", 4 * n * m, 4 * n * m + (n * m if mask is not None else 0), 4 * n * m)
+    _add_softmax(sink, n, m, mask is not None)
     if a.size == 0:
         return a.copy()
-    if mask is None:
-        e = a - a.max(axis=1, keepdims=True)
-    else:
-        if not mask.any(axis=1).all():
-            bad = int(np.flatnonzero(~mask.any(axis=1))[0])
-            raise MaskError(f"softmax row {bad} has no visible entries")
-        row_max = a.max(axis=1, keepdims=True, where=mask, initial=-np.inf)
-        # exponentiate only visible lanes; hidden ones may exceed the
-        # visible row max and would overflow
-        e = np.full(a.shape, -np.inf, dtype=F32)
-        np.subtract(a, row_max, out=e, where=mask)
-    # one float32 temporary: exponentiated and normalized in place
-    np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
-    return _check_finite(e, "softmax")
+    # one float32 temporary, in the input's memory order
+    return _softmax_in_place(a.copy(order="K"), mask)
+
+
+def attention(
+    q4: np.ndarray,
+    k4: np.ndarray,
+    v4: np.ndarray,
+    sink: CounterSink,
+    mask_rows: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Attention core ``softmax(q4 @ k4) @ v4`` per slice; returns ``(probs, ctx)``.
+
+    ``q4`` is ``[B,r,dh]``, ``k4`` ``[B,dh,m]`` and ``v4`` ``[B,m,dh]``;
+    ``probs`` is ``[B,r,m]`` and ``ctx`` ``[B,r,dh]``.  ``mask_rows`` is an
+    optional bool ``[nq,m]`` mask applied to every run of ``nq`` of the
+    ``B*r`` score rows.  The softmax runs in place on the score buffer,
+    which becomes ``probs``, and the mask is broadcast rather than tiled.
+
+    Counts, checks and exceptions are those of ``bmm(q4, k4)``, then
+    :func:`softmax_rows` on the ``[B*r, m]`` scores with the tiled
+    ``[B*r, m]`` mask, then ``bmm(probs, v4)``.
+    """
+    scores = _bmm(q4, k4, sink)
+    slices, rows, m = scores.shape
+    n = slices * rows
+    if mask_rows is not None:
+        mask_rows = np.asarray(mask_rows)
+        nq = mask_rows.shape[0] if mask_rows.ndim == 2 else 0
+        if mask_rows.dtype != np.bool_ or mask_rows.shape != (nq, m) or not nq or n % nq:
+            raise ShapeError(
+                f"attention mask must be bool [nq, {m}] with nq dividing {n} rows, "
+                f"got {mask_rows.dtype} {mask_rows.shape}"
+            )
+    _add_softmax(sink, n, m, mask_rows is not None)
+    if scores.size:
+        _softmax_in_place(scores.reshape(n, m), mask_rows)
+    return scores, _bmm(scores, v4, sink)
 
 
 def softmax_rows_backward(

@@ -251,7 +251,8 @@ def _multihead(
     mask_rows: np.ndarray | None = None,
     internals: dict | None = None,
 ) -> np.ndarray:
-    """Attention core on head-folded tensors: ``softmax(q4 k4) v4`` per slice.
+    """Attention core on head-folded tensors: ``softmax(q4 k4) v4`` per slice,
+    one fused :func:`kernels.attention` call.
 
     ``q4`` is ``[O*h, r, dh]``: for each of ``O`` key/value owners and each
     head, the ``r`` query rows of every sequence that owner serves, already
@@ -265,18 +266,10 @@ def _multihead(
     rows.  ``internals``, when given, receives ``q4``/``k4``/``v4`` and
     ``probs`` for the backward.
     """
-    slices, rows, m = q4.shape[0], q4.shape[1], k4.shape[2]
-    scores = kernels.bmm(q4, k4, sink)
-    flat = scores.reshape(slices * rows, m)
-    if mask_rows is None:
-        probs = kernels.softmax_rows(flat, sink)
-    else:
-        tiled = np.broadcast_to(mask_rows, (flat.shape[0] // mask_rows.shape[0], *mask_rows.shape))
-        probs = kernels.softmax_rows(flat, sink, mask=tiled.reshape(flat.shape))
-    probs = probs.reshape(slices, rows, m)
+    probs, ctx = kernels.attention(q4, k4, v4, sink, mask_rows)
     if internals is not None:
         internals.update(q4=q4, k4=k4, v4=v4, probs=probs)
-    return kernels.bmm(probs, v4, sink)
+    return ctx
 
 
 # -- sublayers ----------------------------------------------------------------

@@ -119,6 +119,27 @@ def test_run_bench_interleaves_engines_and_reuses_batch1_series(monkeypatch):
     ]
     for timing in report.engines.values():
         assert timing.single_median_s == timing.batched_per_instance_s[1]
+    # speedups are medians of per-repetition pie/pid ratios, not ratios of
+    # medians (8 / 3.5 single and 5 / 2.25 batched here)
+    assert report.speedup_single == 11.0 / 6.0
+    assert report.speedup_batched == 6.5 / 3.5
+
+
+def test_cost_csv_rows_use_their_own_mode_roofline(tmp_path):
+    import csv
+
+    from multiprompt import costmodel as cm
+
+    path = tmp_path / "c.csv"
+    assert main(["cost", "--preset", "toy", "--csv", str(path)]) == 0
+    rows = {(r["engine"], r["mode"], r["component"]): r for r in csv.DictReader(open(path))}
+    shape, profile = cm.resolve_preset("toy").shape, cm.BUILTIN_PROFILES["a100-as-printed"]
+    for (engine, mode, comp), row in rows.items():
+        want = cm.roofline_estimate(cm.table1_counts(shape, engine, mode), profile)
+        assert float(row["roofline_seconds"]) == want.components[comp].seconds
+    # the appendixB row moves more bytes than the table1 row it used to copy
+    assert rows["pie", "table1", "decoder_cross"]["roofline_seconds"] == "0.001130496"
+    assert rows["pie", "appendixB", "decoder_cross"]["roofline_seconds"] != "0.001130496"
 
 
 def test_verify_subset_deterministic_json(capsys):

@@ -413,3 +413,112 @@ def test_kernels_bit_identical_to_textbook_formulas(n, m, magnitude, seed):
     assert np.array_equal(kernels.scale(a, factor, sink), (a * F32(factor)).astype(F32))
     for out in (kernels.softmax_rows(a, sink), kernels.layer_norm(a, gain, sink)):
         assert out.dtype == F32
+
+
+SALTS = (np.nan, np.inf, -np.inf, 3e38, -3e38)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(1, 9),
+    salts=st.lists(st.tuples(st.integers(0, 53), st.sampled_from(SALTS)), max_size=4),
+    masked=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+@example(n=1, m=2, salts=[(1, -3e38), (0, 3e38)], masked=False, seed=0)
+@example(n=2, m=3, salts=[(1, np.nan)], masked=True, seed=1)
+def test_softmax_row_sum_check_equals_full_check(n, m, salts, masked, seed):
+    # the kernel checks the [n, 1] row sums; that must flag exactly the
+    # inputs whose textbook softmax has a non-finite entry anywhere
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, m)).astype(F32)
+    for pos, value in salts:
+        a.flat[pos % a.size] = value
+    mask = None
+    if masked:
+        mask = rng.random((n, m)) < 0.6
+        mask[np.arange(n), rng.integers(0, m, size=n)] = True
+    with np.errstate(all="ignore"):
+        expected = textbook_softmax(a, mask)
+        if np.isfinite(expected).all():
+            assert np.array_equal(kernels.softmax_rows(a, CounterSink(), mask=mask), expected)
+        else:
+            with pytest.raises(FloatingPointError, match="^softmax produced non-finite values$"):
+                kernels.softmax_rows(a, CounterSink(), mask=mask)
+
+
+# -- fused attention equals bmm -> softmax_rows -> bmm -------------------------------
+
+
+def three_kernel_attention(q4, k4, v4, sink, mask_rows=None):
+    scores = kernels.bmm(q4, k4, sink)
+    slices, rows, m = scores.shape
+    flat = scores.reshape(slices * rows, m)
+    mask = None if mask_rows is None else np.tile(mask_rows, (flat.shape[0] // len(mask_rows), 1))
+    probs = kernels.softmax_rows(flat, sink, mask=mask).reshape(slices, rows, m)
+    return probs, kernels.bmm(probs, v4, sink)
+
+
+def outcome(attend, q4, k4, v4, mask_rows):
+    """(result or (exception type, message), per-kind counts in insertion order)."""
+    sink = CounterSink()
+    try:
+        with np.errstate(all="ignore"):
+            result = attend(q4, k4, v4, sink, mask_rows)
+    except (FloatingPointError, MaskError, ShapeError) as exc:
+        result = (type(exc), str(exc))
+    return result, list(sink.kind_totals().items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    slices=st.integers(0, 4),
+    r=st.integers(0, 6),
+    m=st.integers(0, 9),
+    dh=st.integers(1, 8),
+    runs=st.sampled_from([None, 1, 2, 3]),
+    seed=st.integers(0, 2**31),
+)
+@example(slices=2, r=3, m=0, dh=2, runs=3, seed=0)
+@example(slices=2, r=2, m=5, dh=3, runs=2, seed=3)
+@example(slices=0, r=3, m=4, dh=2, runs=None, seed=0)
+def test_attention_bit_identical_to_three_kernels(slices, r, m, dh, runs, seed):
+    rng = np.random.default_rng(seed)
+    q4 = (rand(rng, slices, r, dh) * 4).astype(F32)
+    k4 = rand(rng, slices, m, dh).transpose(0, 2, 1)  # keys stored transposed, read as a view
+    v4 = rand(rng, slices, m, dh)
+    mask_rows = None
+    n = slices * r
+    if runs is not None and n % runs == 0:
+        nq = max(n // runs, 1)
+        mask_rows = rng.random((nq, m)) < 0.5
+        if m:
+            mask_rows[np.arange(nq), rng.integers(0, m, size=nq)] = True
+    (probs, ctx), counts = outcome(kernels.attention, q4, k4, v4, mask_rows)
+    (ref_probs, ref_ctx), ref_counts = outcome(three_kernel_attention, q4, k4, v4, mask_rows)
+    for got, want in ((probs, ref_probs), (ctx, ref_ctx)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert counts == ref_counts
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        ((np.full((2, 1, 1), HUGE), np.full((2, 1, 3), HUGE), np.ones((2, 3, 1), F32), None),
+         (FloatingPointError, "bmm produced non-finite values")),
+        ((np.full((2, 1, 1), HUGE), np.full((2, 1, 3), -HUGE), np.ones((2, 3, 1), F32), None),
+         (FloatingPointError, "bmm produced non-finite values")),
+        ((np.ones((2, 1, 1), F32), np.ones((2, 1, 3), F32), np.full((2, 3, 1), np.nan, F32), None),
+         (FloatingPointError, "bmm produced non-finite values")),
+        ((np.ones((2, 2, 1), F32), np.ones((2, 1, 3), F32), np.ones((2, 3, 1), F32),
+          np.array([[True, False, True], [False, False, False]])),
+         (MaskError, "softmax row 1 has no visible entries")),
+    ],
+    ids=["score_overflow", "score_negative_overflow", "nan_in_v4", "masked_row_without_lane"],
+)
+def test_attention_raises_like_three_kernels(args, error):
+    got = outcome(kernels.attention, *args)
+    assert got == outcome(three_kernel_attention, *args)
+    assert got[0] == error
