@@ -25,8 +25,6 @@ Counting conventions, fixed package-wide:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 
 from .errors import MaskError, ShapeError
@@ -52,15 +50,19 @@ class CounterSink:
     run executes, and may be reset to zero only between runs.
 
     Attribution: kernel calls are tagged with the component label of the
-    innermost enclosing :meth:`scope` block (``"other"`` at top level).
-    Counts are kept per (component, kernel kind); the component and run
-    totals are sums over them.  :meth:`kind_totals` exposes the per-kind
-    subtotals, from which ``perfbench`` reports matrix-multiply throughput.
+    innermost enclosing :meth:`scope` block (``"other"`` at top level),
+    which :attr:`current_component` holds.  :meth:`scope` returns a fresh
+    context object per call, so scopes nest and a subclass may wrap
+    ``super().scope(...)`` in its own context manager.  Counts are kept
+    per (component, kernel kind), in first-call order; the component and
+    run totals are sums over them.  :meth:`kind_totals` exposes the
+    per-kind subtotals, from which ``perfbench`` reports matrix-multiply
+    throughput.
     """
 
     def __init__(self) -> None:
         self._kinds: dict[tuple[str, str], list[int]] = {}
-        self._scope_stack: list[str] = []
+        self.current_component = "other"
 
     # -- totals ---------------------------------------------------------
 
@@ -90,30 +92,44 @@ class CounterSink:
 
     # -- recording ------------------------------------------------------
 
-    @property
-    def current_component(self) -> str:
-        return self._scope_stack[-1] if self._scope_stack else "other"
-
-    @contextmanager
-    def scope(self, component: str):
-        """Attribute kernel calls inside the block to ``component``."""
+    def scope(self, component: str) -> _Scope:
+        """Attribute kernel calls inside the ``with`` block to ``component``."""
         if component not in COMPONENTS:
             raise ValueError(f"unknown component label: {component!r}")
-        self._scope_stack.append(component)
-        try:
-            yield self
-        finally:
-            self._scope_stack.pop()
+        return _Scope(self, component)
 
     def add(self, kind: str, flops: int, bytes_read: int, bytes_written: int) -> None:
-        cell = self._kinds.setdefault((self.current_component, kind), [0, 0, 0])
-        cell[0] += flops
-        cell[1] += bytes_read
-        cell[2] += bytes_written
+        key = (self.current_component, kind)
+        cell = self._kinds.get(key)
+        if cell is None:
+            self._kinds[key] = [flops, bytes_read, bytes_written]
+        else:
+            cell[0] += flops
+            cell[1] += bytes_read
+            cell[2] += bytes_written
 
     def reset(self) -> None:
         """Zero all counters.  Only legal between runs."""
         self._kinds.clear()
+
+
+class _Scope:
+    """One :meth:`CounterSink.scope` block: sets the label, restores the outer one."""
+
+    __slots__ = ("_sink", "_component", "_outer")
+
+    def __init__(self, sink: CounterSink, component: str) -> None:
+        self._sink = sink
+        self._component = component
+
+    def __enter__(self) -> CounterSink:
+        sink = self._sink
+        self._outer = sink.current_component
+        sink.current_component = self._component
+        return sink
+
+    def __exit__(self, *exc_info) -> None:
+        self._sink.current_component = self._outer
 
 
 def _as_f32_matrix(a: np.ndarray, name: str, ndim: int) -> np.ndarray:
@@ -279,7 +295,7 @@ def softmax_rows_backward(
     n, m = probs.shape
     sink.add("softmax_backward", 4 * n * m, 8 * n * m, 4 * n * m)
     inner = (d_probs * probs).sum(axis=1, keepdims=True)
-    return _check_finite((probs * (d_probs - inner)).astype(F32), "softmax backward")
+    return _check_finite(probs * (d_probs - inner), "softmax backward")
 
 
 # -- layer norm ------------------------------------------------------------
@@ -306,11 +322,15 @@ def layer_norm(a: np.ndarray, gain: np.ndarray, sink: CounterSink) -> np.ndarray
     sink.add("layer_norm", 6 * n * m, 4 * (n * m + m), 4 * n * m)
     with np.errstate(over="ignore"):
         # the centred rows serve the variance and then become the output
-        out = a - a.sum(axis=1, keepdims=True) / m
-        var = np.square(out).sum(axis=1, keepdims=True) / m
-    if var.size and not np.isfinite(var).all():
+        mean = a.sum(axis=1, keepdims=True)
+        mean /= m
+        out = a - mean
+        var = np.multiply(out, out).sum(axis=1, keepdims=True)
+        var /= m
+    if not np.isfinite(var).all():
         raise FloatingPointError("layer_norm row variance overflowed float32")
-    out /= np.sqrt(var + LN_EPS)
+    var += LN_EPS
+    out /= np.sqrt(var, out=var)
     out *= gain
     return _check_finite(out, "layer_norm")
 
@@ -331,16 +351,23 @@ def layer_norm_backward(
         raise ShapeError(f"layer_norm backward: a is {a.shape}, d_out is {d_out.shape}")
     n, m = a.shape
     sink.add("layer_norm_backward", 12 * n * m, 4 * (2 * n * m + m), 4 * (n * m + m))
-    mu = a.mean(axis=1, keepdims=True)
-    var = a.var(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    x_hat = (a - mu) * inv_std
-    d_gain = (d_out * x_hat).sum(axis=0).astype(F32)
-    d_hat = d_out * gain
-    d_a = inv_std * (
-        d_hat - d_hat.mean(axis=1, keepdims=True) - x_hat * (d_hat * x_hat).mean(axis=1, keepdims=True)
-    )
-    return _check_finite(d_a.astype(F32), "layer_norm backward"), d_gain
+    # the steps and their order are those of ``a.var`` and the textbook
+    # formula, so the result is bit-identical; ``x_hat`` and ``prod`` are
+    # reused in place
+    x_hat = a - a.mean(axis=1, keepdims=True)
+    prod = np.multiply(x_hat, x_hat)
+    var = prod.sum(axis=1, keepdims=True)
+    var /= m
+    var += LN_EPS
+    inv_std = 1.0 / np.sqrt(var, out=var)
+    x_hat *= inv_std
+    d_gain = np.multiply(d_out, x_hat, out=prod).sum(axis=0)
+    d_a = d_out * gain
+    proj = np.multiply(d_a, x_hat, out=prod).mean(axis=1, keepdims=True)
+    d_a -= d_a.mean(axis=1, keepdims=True)
+    d_a -= np.multiply(x_hat, proj, out=prod)
+    d_a *= inv_std
+    return _check_finite(d_a, "layer_norm backward"), d_gain
 
 
 # -- elementwise -----------------------------------------------------------
@@ -385,9 +412,15 @@ def relu_backward(a: np.ndarray, d_out: np.ndarray, sink: CounterSink) -> np.nda
     d_out = np.asarray(d_out)
     if a.shape != d_out.shape:
         raise ShapeError(f"relu backward: a is {a.shape}, d_out is {d_out.shape}")
+    if d_out.dtype != F32:
+        raise ShapeError(f"relu backward: d_out must be float32, got {d_out.dtype}")
     size = a.size
     sink.add("relu_backward", size, 8 * size, 4 * size)
-    return np.where(a > 0, d_out, F32(0.0)).astype(F32)
+    # branch-free select: an all-ones int32 lane where a > 0 keeps d_out's
+    # bits (NaN and -0.0 included), a zero lane gives +0.0
+    keep = np.negative(a > 0, dtype=np.int32)
+    keep &= d_out.view(np.int32)
+    return keep.view(F32)
 
 
 # -- table lookups ---------------------------------------------------------

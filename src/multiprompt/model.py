@@ -285,7 +285,7 @@ def _attention_sublayer(
     *,
     kv: tuple[np.ndarray, np.ndarray] | None = None,
     kv_group: int = 1,
-    cache: tuple[np.ndarray, np.ndarray, np.ndarray, int] | None = None,
+    cache: tuple[np.ndarray, np.ndarray, np.ndarray | slice, int] | None = None,
     mask_rows: np.ndarray | None = None,
     tape: list[dict] | None = None,
 ) -> np.ndarray:
@@ -480,7 +480,7 @@ def _decoder_sublayers(
     weights: WeightSet,
     state: KVCacheSet,
     x: np.ndarray,
-    write_rows: np.ndarray,
+    write_rows: np.ndarray | slice,
     mask_rows: np.ndarray | None,
     sink: CounterSink,
     tape: list[dict] | None,
@@ -489,7 +489,9 @@ def _decoder_sublayers(
 
     ``x`` is ``[S*p, d]`` for ``p`` new positions per stream starting at
     ``state.length``; self-attention K/V rows are written for streams in
-    ``write_rows`` only.  ``mask_rows`` is ``[p, length + p]`` or None.
+    ``write_rows`` only (stream indices, or ``slice(None)`` for all of
+    them, which writes without gathering).  ``mask_rows`` is
+    ``[p, length + p]`` or None.
     """
     s = state.n_streams
     for li, layer in enumerate(weights.dec_layers):
@@ -537,7 +539,7 @@ def decoder_prefill(
     x = _embed(weights, token_block.reshape(-1), pos, sink)
     # row i sees every cached position and the new positions up to its own
     causal = np.tri(p, state.length + p, state.length, dtype=bool)
-    x = _decoder_sublayers(config, weights, state, x, np.arange(s), causal, sink, tape)
+    x = _decoder_sublayers(config, weights, state, x, slice(None), causal, sink, tape)
     state.length += p
     x = _final_norm(x, weights.dec_final_gain, sink, tape)
     with sink.scope("embedding"):
@@ -571,7 +573,7 @@ def decoder_step(
         )
     pos = np.full(s, state.length)
     x = _embed(weights, new_tokens, pos, sink)
-    write_rows = np.flatnonzero(state.active)
+    write_rows = slice(None) if state.active.all() else np.flatnonzero(state.active)
     x = _decoder_sublayers(config, weights, state, x, write_rows, None, sink, None)
     state.length += 1
     x = _final_norm(x, weights.dec_final_gain, sink, None)

@@ -115,31 +115,6 @@ def test_invalid_component_engine_combinations():
         cm.inverse_intensity(shape(n_p=0), "dec_self_prompt", "pid")
 
 
-def _cell_ratio(bd: cm.CostBreakdown, label: str) -> float:
-    c = bd.components[label]
-    return c.memory_symbols / c.ops_symbols
-
-
-@pytest.mark.parametrize(
-    "component,engine,label,mode",
-    [
-        ("enc_self", "pie", "encoder_self", cm.APPENDIX_B),
-        ("enc_self", "pid", "encoder_self", cm.APPENDIX_B),
-        ("dec_self", "pie", "decoder_self", cm.APPENDIX_B),
-        ("dec_self", "pid", "decoder_self", cm.APPENDIX_B),
-        ("dec_self_prompt", "pid", "decoder_self_prompt", cm.APPENDIX_B),
-        ("dec_cross", "pie", "decoder_cross", cm.APPENDIX_B),
-        ("dec_cross_prompt", "pid", "decoder_cross_prompt", cm.APPENDIX_B),
-        ("dec_cross_output", "pid", "decoder_cross", cm.APPENDIX_B),
-    ],
-)
-def test_intensity_formulas_equal_cell_ratios_exactly(component, engine, label, mode):
-    s = shape(U=4, b=3, n_s=96, n_t=24, n_p=8, d=128, h=8)
-    formula = cm.inverse_intensity(s, component, engine)
-    cells = _cell_ratio(cm.table1_counts(s, engine, mode), label)
-    assert math.isclose(formula, cells, rel_tol=1e-12)
-
-
 # -- roofline ----------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Kernel contracts: numeric results and exact counter accounting."""
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multiprompt import kernels
+from multiprompt.engines import Instance, Workload, infer
 from multiprompt.errors import MaskError, ShapeError
 from multiprompt.kernels import CounterSink
+from multiprompt.model import N_RESERVED
 
 F32 = np.float32
 
@@ -274,6 +277,8 @@ def test_relu_and_backward():
     np.testing.assert_array_equal(kernels.relu(a, sink), [[0.0, 2.0]])
     d = kernels.relu_backward(a, np.array([[5.0, 7.0]], dtype=F32), sink)
     np.testing.assert_array_equal(d, [[0.0, 7.0]])
+    with pytest.raises(ShapeError, match="d_out must be float32"):
+        kernels.relu_backward(a, np.array([[5.0, 7.0]]), sink)
 
 
 def test_gather_and_scatter_roundtrip():
@@ -313,6 +318,99 @@ def test_scope_rejects_unknown_label():
     with pytest.raises(ValueError, match="unknown component"):
         with CounterSink().scope("not-a-component"):
             pass
+
+
+def test_nested_scopes_restore_the_outer_label():
+    sink = CounterSink()
+    a = np.ones((1, 1), dtype=F32)
+    with sink.scope("decoder_self") as entered:
+        assert entered is sink
+        with sink.scope("feed_forward"):
+            kernels.add(a, a, sink)
+        assert sink.current_component == "decoder_self"
+        kernels.scale(a, 2.0, sink)
+    assert sink.current_component == "other"
+    kernels.relu(a, sink)
+    assert list(sink.kind_totals()) == [
+        ("feed_forward", "add"), ("decoder_self", "scale"), ("other", "relu"),
+    ]
+
+
+def test_scope_restores_the_label_when_the_block_raises():
+    sink = CounterSink()
+    with sink.scope("encoder_self"):
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+            with sink.scope("decoder_cross"):
+                kernels.add(np.full((1, 1), F32(3e38)), np.full((1, 1), F32(3e38)), sink)
+        assert sink.current_component == "encoder_self"
+    assert sink.current_component == "other"
+
+
+class WrappingSink(CounterSink):
+    """Wraps ``super().scope`` in a generator context manager, as a timing sink does."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.opened = []
+
+    @contextmanager
+    def scope(self, component):
+        with super().scope(component):
+            self.opened.append(component)
+            try:
+                yield self
+            finally:
+                self.opened.pop()
+
+
+class FirstCallSink(CounterSink):
+    """Records each (component, kind) key the first time a kernel reports it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.first_calls = []
+
+    def add(self, kind, flops, bytes_read, bytes_written):
+        key = (self.current_component, kind)
+        if key not in self.first_calls:
+            self.first_calls.append(key)
+        super().add(kind, flops, bytes_read, bytes_written)
+
+
+def small_run(engine, config, weights, sink):
+    rng = np.random.default_rng(4)
+    wl = Workload(
+        instances=tuple(
+            Instance(
+                x=rng.integers(N_RESERVED, config.vocab_size, size=6),
+                prompts=tuple(rng.integers(N_RESERVED, config.vocab_size, size=2) for _ in range(3)),
+            )
+            for _ in range(2)
+        ),
+        max_new_tokens=4,
+    )
+    return infer(engine, config, weights, wl, sink=sink)
+
+
+@pytest.mark.parametrize("engine", ["pie", "pid"])
+def test_wrapped_scope_attributes_counts_to_the_innermost_label(tiny_config, tiny_weights, engine):
+    plain, wrapped = CounterSink(), WrappingSink()
+    small_run(engine, tiny_config, tiny_weights, plain)
+    small_run(engine, tiny_config, tiny_weights, wrapped)
+    assert list(wrapped.kind_totals().items()) == list(plain.kind_totals().items())
+    assert wrapped.opened == [] and wrapped.current_component == "other"
+    with wrapped.scope("decoder_self"), wrapped.scope("decoder_cross"):
+        kernels.relu(np.ones((1, 1), dtype=F32), wrapped)
+    assert ("decoder_cross", "relu") in wrapped.kind_totals()
+    assert ("decoder_self", "relu") not in wrapped.kind_totals()
+
+
+@pytest.mark.parametrize("engine", ["pie", "pid"])
+def test_kind_totals_keys_in_first_call_order(tiny_config, tiny_weights, engine):
+    sink = FirstCallSink()
+    small_run(engine, tiny_config, tiny_weights, sink)
+    assert list(sink.kind_totals()) == sink.first_calls
+    assert len(sink.first_calls) > 5
 
 
 def test_counters_monotone_within_run():
@@ -446,6 +544,84 @@ def test_softmax_row_sum_check_equals_full_check(n, m, salts, masked, seed):
         else:
             with pytest.raises(FloatingPointError, match="^softmax produced non-finite values$"):
                 kernels.softmax_rows(a, CounterSink(), mask=mask)
+
+
+# -- backward kernels equal the textbook formulas bit for bit ------------------------
+
+
+def textbook_relu_backward(a, d_out):
+    return np.where(a > 0, d_out, F32(0.0)).astype(F32)
+
+
+def textbook_softmax_backward(probs, d_probs):
+    inner = (d_probs * probs).sum(axis=1, keepdims=True)
+    return (probs * (d_probs - inner)).astype(F32)
+
+
+def textbook_layer_norm_backward(a, gain, d_out):
+    mu = a.mean(axis=1, keepdims=True)
+    var = a.var(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + kernels.LN_EPS)
+    x_hat = (a - mu) * inv_std
+    d_gain = (d_out * x_hat).sum(axis=0).astype(F32)
+    d_hat = d_out * gain
+    d_a = inv_std * (
+        d_hat - d_hat.mean(axis=1, keepdims=True) - x_hat * (d_hat * x_hat).mean(axis=1, keepdims=True)
+    )
+    return d_a.astype(F32), d_gain
+
+
+#: NaNs with the sign bit and a payload set, besides the usual specials
+ODD_NANS = tuple(np.array([0xFFC00000, 0x7FC00001, 0x7F800001], dtype=np.uint32).view(F32))
+RELU_SALTS = (np.nan, np.inf, -np.inf, -0.0, 0.0, *ODD_NANS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 1), (3, 5), (4, 7), (2, 3, 4), (0, 3)]),
+    a_salts=st.lists(st.tuples(st.integers(0, 83), st.sampled_from(RELU_SALTS)), max_size=6),
+    d_salts=st.lists(st.tuples(st.integers(0, 83), st.sampled_from(RELU_SALTS)), max_size=6),
+    transposed=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_relu_backward_byte_equal_to_where_formula(shape, a_salts, d_salts, transposed, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape).astype(F32)
+    d_out = rng.standard_normal(shape[::-1] if transposed else shape).astype(F32)
+    for arr, salts in ((a, a_salts), (d_out, d_salts)):
+        for pos, value in salts:
+            if arr.size:
+                arr.flat[pos % arr.size] = value
+    if transposed:
+        d_out = d_out.T  # a strided view, as a transposed gradient would be
+    got = kernels.relu_backward(a, d_out, CounterSink())
+    want = textbook_relu_backward(a, d_out)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    m=st.integers(1, 70),
+    magnitude=st.sampled_from([1e-3, 1.0, 30.0, 1e4]),
+    seed=st.integers(0, 2**31),
+)
+def test_backward_kernels_bit_identical_to_textbook_formulas(n, m, magnitude, seed):
+    rng = np.random.default_rng(seed)
+    a = (rng.standard_normal((n, m)) * magnitude + rng.standard_normal((n, 1))).astype(F32)
+    gain = rng.uniform(0.5, 1.5, size=m).astype(F32)
+    d_out = (rng.standard_normal((n, m)) * magnitude).astype(F32)
+    sink = CounterSink()
+    probs = kernels.softmax_rows(a, sink)
+    got = kernels.softmax_rows_backward(probs, d_out, sink)
+    want = textbook_softmax_backward(probs, d_out)
+    assert got.dtype == want.dtype == F32 and np.array_equal(got, want)
+    got_a, got_gain = kernels.layer_norm_backward(a, gain, d_out, sink)
+    want_a, want_gain = textbook_layer_norm_backward(a, gain, d_out)
+    for got, want in ((got_a, want_a), (got_gain, want_gain)):
+        assert got.dtype == want.dtype == F32 and got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 # -- fused attention equals bmm -> softmax_rows -> bmm -------------------------------
