@@ -295,6 +295,17 @@ def _cross_kv_projection_flops(res: DecodeResult) -> int:
 # -- oracle agreement ----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("engine", ["pie", "pid"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_cached_engines_match_reference(setup, engine, seed):
+    config, weights, _ = setup
+    rng = np.random.default_rng(seed)
+    wl = make_workload(rng, config, b=2, u=2, n_s=8, n_p=2, max_new=6)
+    fast = infer(engine, config, weights, wl)
+    slow = reference_decode(config, weights, wl, engine)
+    assert fast.outputs == slow.outputs
+
+
 def test_early_finishers_do_not_disturb_others(setup):
     # find a workload where streams finish at different steps, then check
     # each stream against its own single-stream run
