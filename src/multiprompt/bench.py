@@ -64,6 +64,7 @@ class EngineTiming:
     optimal_per_instance_s: float
     total_flops: int
     token_checksum: str
+    wasted_stream_steps: int
     unstable: bool
 
     def to_dict(self) -> dict:
@@ -77,6 +78,7 @@ class EngineTiming:
             "optimal_per_instance_s": self.optimal_per_instance_s,
             "total_flops": self.total_flops,
             "token_checksum": self.token_checksum,
+            "wasted_stream_steps": self.wasted_stream_steps,
             "unstable": self.unstable,
         }
 
@@ -209,6 +211,7 @@ def run_bench(config: BenchConfig) -> LatencyReport:
             optimal_per_instance_s=batched[optimal_batch],
             total_flops=single.counters.flops,
             token_checksum=_checksum(single.flat_outputs()),
+            wasted_stream_steps=single.wasted_stream_steps,
             unstable=std > 0.5 * mean,
         )
     if "pie" in report.engines and "pid" in report.engines:

@@ -223,7 +223,10 @@ def cmd_bench(parser, args) -> int:
         )
         for b, s in sorted(t.batched_per_instance_s.items()):
             print(f"   batch {b}: {s * 1e3:.2f} ms/instance")
-        print(f"   optimal batch {t.optimal_batch}, tokens {t.token_checksum}")
+        print(
+            f"   optimal batch {t.optimal_batch}, tokens {t.token_checksum}, "
+            f"wasted stream-steps {t.wasted_stream_steps}"
+        )
     if result.speedup_single is not None:
         print(
             f"speedup pid vs pie: single {result.speedup_single:.2f}x, "

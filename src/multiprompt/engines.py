@@ -205,6 +205,11 @@ def infer(
     (the broadcast-equivalence ablation; the identity for pie, whose
     ``kv_group`` is already 1); ``corrupt_shared_kv=True`` is a debug fault
     that perturbs the shared slices.
+
+    The loop keeps every step's chosen tokens, one ``[S]`` row per step.
+    Afterwards each stream's output is its column cut after its first end
+    token, and ``wasted_stream_steps`` is ``steps_taken * S`` minus the
+    summed output lengths: the stream-steps spent on frozen streams.
     """
     sink = sink if sink is not None else CounterSink()
     encoder_inputs, prefix, kv_group = _layout(engine, workload)
@@ -217,9 +222,9 @@ def infer(
         # the broadcast-equivalence ablation: one explicit cross-K/V copy per stream
         memories = np.repeat(memories, kv_group, axis=0)
         kv_group = 1
-    outputs: list[list[int]] = [[] for _ in range(len(prefix))]
+    chosen_rows: list[np.ndarray] = []
     trace: list[np.ndarray] | None = [] if record_logits else None
-    steps = wasted = 0
+    steps = 0
     after_init = sink.component_totals()
     if n_t:
         state = init_decode_state(config, weights, memories, kv_group, p + n_t - 1, sink)
@@ -233,17 +238,18 @@ def infer(
         last_tokens = np.ascontiguousarray(prefix[:, -1])
         for steps in range(1, n_t + 1):
             if steps > 1:
-                wasted += int((~state.active).sum())
                 logits = decoder_step(config, weights, state, last_tokens, sink)
             if trace is not None:
                 trace.append(logits.copy())
             chosen = greedy_step(logits)
-            for s in np.flatnonzero(state.active):
-                outputs[s].append(int(chosen[s]))
+            chosen_rows.append(chosen)
             last_tokens = np.where(state.active, chosen, last_tokens)
             state.active &= chosen != EOS
             if not state.active.any():
                 break
+    # a stream's output runs up to and including its first end token
+    per_stream = np.array(chosen_rows, dtype=np.int64).reshape(steps, len(prefix)).T.tolist()
+    outputs = [row[: row.index(EOS) + 1] if EOS in row else row for row in per_stream]
     return DecodeResult(
         engine=engine,
         outputs=_regroup(outputs, workload.batch_size, workload.n_prompts),
@@ -252,7 +258,7 @@ def infer(
         encode_counters=encode_counters,
         step_counters=_delta(sink, after_init),
         encoder_passes=len(encoder_inputs),
-        wasted_stream_steps=wasted,
+        wasted_stream_steps=steps * len(prefix) - sum(map(len, outputs)),
         logits_trace=trace,
     )
 

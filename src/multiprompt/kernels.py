@@ -18,9 +18,12 @@ Counting conventions, fixed package-wide:
 * Pure selection (row gather indices, argmax) is not arithmetic and
   reports zero flops.
 * A fused kernel records each constituent's counts exactly as the separate
-  calls would, in the same order: :func:`attention` reports what
-  :func:`bmm`, :func:`softmax_rows` and :func:`bmm` would.  Fusion changes
-  what is allocated and re-read on the host, never the counted traffic.
+  calls would, in the same order, and raises the exception the first
+  failing constituent would: :func:`attention` reports what :func:`bmm`,
+  :func:`softmax_rows` and :func:`bmm` would, and :func:`matmul` with a
+  GEMM epilogue (``scale=`` or ``residual=``) what :func:`matmul`
+  followed by :func:`scale` or :func:`add` would.  Fusion changes what is
+  allocated, re-read and checked on the host, never the counted traffic.
 """
 
 from __future__ import annotations
@@ -150,11 +153,23 @@ def _check_finite(out: np.ndarray, kind: str) -> np.ndarray:
 # -- matrix multiply ------------------------------------------------------
 
 
-def matmul(a: np.ndarray, b: np.ndarray, sink: CounterSink) -> np.ndarray:
-    """Product of ``a [m,k]`` and ``b [k,n]``.
+def matmul(
+    a: np.ndarray,
+    b: np.ndarray,
+    sink: CounterSink,
+    *,
+    scale: float | None = None,
+    residual: np.ndarray | None = None,
+) -> np.ndarray:
+    """Product of ``a [m,k]`` and ``b [k,n]``, with an optional GEMM epilogue.
+
+    ``scale`` returns ``(a @ b) * F32(scale)`` and ``residual`` returns
+    ``residual + a @ b``; at most one epilogue is taken.  The epilogue is
+    counted, checked and bit-identical as ``scale(matmul(a, b), scale)`` or
+    ``add(residual, matmul(a, b))`` would be.
 
     Counts: flops ``2*m*n*k``, bytes read ``4*(m*k + k*n)``, bytes written
-    ``4*m*n``.
+    ``4*m*n``; then the epilogue's counts (see :func:`scale`, :func:`add`).
     """
     a = _as_f32_matrix(a, "a", 2)
     b = _as_f32_matrix(b, "b", 2)
@@ -162,8 +177,35 @@ def matmul(a: np.ndarray, b: np.ndarray, sink: CounterSink) -> np.ndarray:
     kb, n = b.shape
     if k != kb:
         raise ShapeError(f"matmul: a is {m}x{k}, b is {kb}x{n} (inner dimensions {k} != {kb})")
+    if scale is not None and residual is not None:
+        raise ValueError("matmul takes a scale or a residual epilogue, not both")
     sink.add("matmul", 2 * m * n * k, 4 * (m * k + k * n), 4 * m * n)
-    return _check_finite(a @ b, "matmul")
+    product = a @ b
+    if scale is None and residual is None:
+        return _check_finite(product, "matmul")
+    size = product.size
+    if residual is not None:
+        residual = np.asarray(residual)
+        try:
+            _check_add_operands(residual, product)
+        except ShapeError:
+            # the separate product kernel would have been checked first
+            _check_finite(product, "matmul")
+            raise
+        kind, counts = "add", (size, 8 * size, 4 * size)
+        out = residual + product
+    else:
+        kind, counts = "scale", (size, 4 * size, 4 * size)
+        out = product * F32(scale)
+    # one check for both kernels: scaling by a finite factor or adding any
+    # residual keeps a non-finite product non-finite, so a finite result
+    # proves a finite product, and only a failed check looks at the product
+    if size and not np.isfinite(out).all():
+        _check_finite(product, "matmul")
+        sink.add(kind, *counts)
+        raise FloatingPointError(f"{kind} produced non-finite values")
+    sink.add(kind, *counts)
+    return out
 
 
 def bmm(a: np.ndarray, b: np.ndarray, sink: CounterSink) -> np.ndarray:
@@ -320,13 +362,13 @@ def layer_norm(a: np.ndarray, gain: np.ndarray, sink: CounterSink) -> np.ndarray
     if gain.dtype != F32:
         raise ShapeError(f"layer_norm gain must be float32, got {gain.dtype}")
     sink.add("layer_norm", 6 * n * m, 4 * (n * m + m), 4 * n * m)
-    with np.errstate(over="ignore"):
-        # the centred rows serve the variance and then become the output
-        mean = a.sum(axis=1, keepdims=True)
-        mean /= m
-        out = a - mean
-        var = np.multiply(out, out).sum(axis=1, keepdims=True)
-        var /= m
+    # the centred rows serve the variance and then become the output; an
+    # overflow warns here and raises at the variance check below
+    mean = a.sum(axis=1, keepdims=True)
+    mean /= m
+    out = a - mean
+    var = np.multiply(out, out).sum(axis=1, keepdims=True)
+    var /= m
     if not np.isfinite(var).all():
         raise FloatingPointError("layer_norm row variance overflowed float32")
     var += LN_EPS
@@ -373,14 +415,18 @@ def layer_norm_backward(
 # -- elementwise -----------------------------------------------------------
 
 
-def add(a: np.ndarray, b: np.ndarray, sink: CounterSink) -> np.ndarray:
-    """Elementwise sum.  Counts: flops ``n*m``, read ``8*n*m``, written ``4*n*m``."""
-    a = np.asarray(a)
-    b = np.asarray(b)
+def _check_add_operands(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise ShapeError(f"add: a is {a.shape}, b is {b.shape}")
     if a.dtype != F32 or b.dtype != F32:
         raise ShapeError(f"add: operands must be float32, got {a.dtype} and {b.dtype}")
+
+
+def add(a: np.ndarray, b: np.ndarray, sink: CounterSink) -> np.ndarray:
+    """Elementwise sum.  Counts: flops ``n*m``, read ``8*n*m``, written ``4*n*m``."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    _check_add_operands(a, b)
     size = a.size
     sink.add("add", size, 8 * size, 4 * size)
     return _check_finite(a + b, "add")

@@ -308,7 +308,7 @@ def _attention_sublayer(
     nq = x.shape[0] // n_seq
     with sink.scope(component):
         normed = kernels.layer_norm(x, attn.gain, sink)
-        q = kernels.scale(kernels.matmul(normed, attn.w_q, sink), 1.0 / math.sqrt(dh), sink)
+        q = kernels.matmul(normed, attn.w_q, sink, scale=1.0 / math.sqrt(dh))
         if kv is None:
             k = kernels.matmul(normed, attn.w_k, sink).reshape(n_seq, nq, h, dh)
             v = kernels.matmul(normed, attn.w_v, sink).reshape(n_seq, nq, h, dh)
@@ -327,7 +327,7 @@ def _attention_sublayer(
         internals = None if tape is None else {}
         q4 = _fold_heads(q, n_seq // kv_group, h)
         ctx = _unfold_heads(_multihead(q4, *kv, sink, mask_rows, internals), h)
-        out = kernels.add(x, kernels.matmul(ctx, attn.w_o, sink), sink)
+        out = kernels.matmul(ctx, attn.w_o, sink, residual=x)
     if tape is not None:
         tape.append(dict(internals, x_in=x, normed=normed, ctx=ctx))
     return out
@@ -341,7 +341,7 @@ def _ffn_sublayer(
         normed = kernels.layer_norm(x, ffn.gain, sink)
         pre = kernels.matmul(normed, ffn.w_in, sink)
         hid = kernels.relu(pre, sink)
-        out = kernels.add(x, kernels.matmul(hid, ffn.w_out, sink), sink)
+        out = kernels.matmul(hid, ffn.w_out, sink, residual=x)
     if tape is not None:
         tape.append(dict(x_in=x, normed=normed, pre=pre, hid=hid))
     return out

@@ -279,8 +279,8 @@ def _attention_backward(
         if self_kv:
             grads[f"{name}.w_k"] += kernels.matmul(normed.T, d_k, sink)
             grads[f"{name}.w_v"] += kernels.matmul(normed.T, d_v, sink)
-            d_normed = kernels.add(d_normed, kernels.matmul(d_k, attn.w_k.T, sink), sink)
-            d_normed = kernels.add(d_normed, kernels.matmul(d_v, attn.w_v.T, sink), sink)
+            d_normed = kernels.matmul(d_k, attn.w_k.T, sink, residual=d_normed)
+            d_normed = kernels.matmul(d_v, attn.w_v.T, sink, residual=d_normed)
         d_ln, dg = kernels.layer_norm_backward(t["x_in"], attn.gain, d_normed, sink)
         grads[f"{name}.gain"] += dg
         return kernels.add(dx, d_ln, sink), d_k, d_v

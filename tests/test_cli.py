@@ -91,6 +91,31 @@ def test_bench_tokens_deterministic_across_runs(capsys, tmp_path):
     assert sums1 == sums2
 
 
+def test_bench_reports_wasted_stream_steps_per_engine(capsys):
+    import numpy as np
+
+    from multiprompt.bench import random_workload
+    from multiprompt.costmodel import MODEL_PRESETS
+    from multiprompt.engines import infer
+    from multiprompt.model import init_weights
+
+    # on weights seed 1 two of pid's four streams emit the end token early
+    code, out = run_cli(
+        capsys, "bench", "--shape", "U=4,b=1,n_s=16,n_t=16,n_p=2,d=64,h=4", "--model", "toy",
+        "--reps", "3", "--warmup", "0", "--batch-sizes", "1", "--seed", "1", "--json",
+    )
+    assert code == 0
+    engines = json.loads(out[out.index("{") :])["body"]["engines"]
+    toy = MODEL_PRESETS["toy"]
+    wl = random_workload(np.random.default_rng(1), toy.vocab_size, 4, 1, 16, 2, 16)
+    for engine, timing in engines.items():
+        wasted = infer(engine, toy, init_weights(toy, 1), wl).wasted_stream_steps
+        assert timing["wasted_stream_steps"] == wasted
+        assert f"wasted stream-steps {wasted}" in out
+    assert engines["pid"]["wasted_stream_steps"] == 12
+    assert engines["pie"]["wasted_stream_steps"] == 0
+
+
 def test_run_bench_interleaves_engines_and_reuses_batch1_series(monkeypatch):
     from types import SimpleNamespace
 
@@ -102,7 +127,9 @@ def test_run_bench_interleaves_engines_and_reuses_batch1_series(monkeypatch):
     def fake_time_once(engine, model, weights, wl):
         calls.append((engine, wl.batch_size))
         seconds = len(calls) * (1.0 if engine == "pie" else 0.5)
-        result = SimpleNamespace(counters=SimpleNamespace(flops=7), flat_outputs=lambda: [[2]])
+        result = SimpleNamespace(
+            counters=SimpleNamespace(flops=7), flat_outputs=lambda: [[2]], wasted_stream_steps=0,
+        )
         return seconds, result
 
     monkeypatch.setattr(bench, "_time_once", fake_time_once)

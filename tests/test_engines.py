@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from multiprompt.bench import random_workload
+from multiprompt.costmodel import MODEL_PRESETS
 from multiprompt.engines import (
     ENGINES,
     PID,
@@ -10,13 +12,22 @@ from multiprompt.engines import (
     DecodeResult,
     Instance,
     Workload,
+    _layout,
     greedy_step,
     infer,
     reference_decode,
 )
 from multiprompt.errors import ConfigError, LengthError
 from multiprompt.kernels import CounterSink
-from multiprompt.model import EOS, ModelConfig, init_weights
+from multiprompt.model import (
+    EOS,
+    ModelConfig,
+    decoder_prefill,
+    decoder_step,
+    encode_batch,
+    init_decode_state,
+    init_weights,
+)
 
 
 def make_workload(rng, config, b=2, u=3, n_s=10, n_p=2, max_new=6):
@@ -331,3 +342,50 @@ def test_early_finishers_do_not_disturb_others(setup):
             assert res.wasted_stream_steps > 0
             return
     pytest.fail("no seed produced staggered stream finishes")
+
+
+def per_step_loop(engine, config, weights, workload):
+    """Lockstep greedy decode that appends each active stream's token and
+    sums the frozen streams step by step; returns (outputs, steps, wasted)."""
+    encoder_inputs, prefix, kv_group = _layout(engine, workload)
+    p, n_t = prefix.shape[1], workload.max_new_tokens
+    sink = CounterSink()
+    memories = encode_batch(config, weights, encoder_inputs, sink)
+    state = init_decode_state(config, weights, memories, kv_group, p + n_t - 1, sink)
+    logits = decoder_prefill(config, weights, state, prefix, sink)
+    outputs = [[] for _ in range(len(prefix))]
+    last_tokens = prefix[:, -1].copy()
+    steps = wasted = 0
+    for steps in range(1, n_t + 1):
+        if steps > 1:
+            wasted += int((~state.active).sum())
+            logits = decoder_step(config, weights, state, last_tokens, sink)
+        chosen = greedy_step(logits)
+        for s in np.flatnonzero(state.active):
+            outputs[s].append(int(chosen[s]))
+        last_tokens = np.where(state.active, chosen, last_tokens)
+        state.active &= chosen != EOS
+        if not state.active.any():
+            break
+    return outputs, steps, wasted
+
+
+def test_outputs_and_waste_equal_the_per_step_loop_on_early_finishers():
+    toy = MODEL_PRESETS["toy"]
+    wasted = {PIE: 0, PID: 0}
+    stream_steps = {PIE: 0, PID: 0}
+    for seed in range(8):
+        weights = init_weights(toy, seed)
+        wl = random_workload(np.random.default_rng(seed), toy.vocab_size, 8, 2, 64, 4, 16)
+        for engine in ENGINES:
+            res = infer(engine, toy, weights, wl)
+            outputs, steps, waste = per_step_loop(engine, toy, weights, wl)
+            assert res.flat_outputs() == outputs
+            assert (res.steps_taken, res.wasted_stream_steps) == (steps, waste)
+            total = res.steps_taken * len(outputs)
+            assert res.wasted_stream_steps == total - sum(map(len, outputs))
+            wasted[engine] += waste
+            stream_steps[engine] += total
+    # these weights let pid streams finish early, so waste is exercised
+    assert (wasted[PID], stream_steps[PID]) == (109, 1840)
+    assert wasted[PIE] == 0

@@ -636,12 +636,13 @@ def three_kernel_attention(q4, k4, v4, sink, mask_rows=None):
     return probs, kernels.bmm(probs, v4, sink)
 
 
-def outcome(attend, q4, k4, v4, mask_rows):
-    """(result or (exception type, message), per-kind counts in insertion order)."""
+def outcome(kernel, *operands, **options):
+    """``kernel(*operands, sink, **options)`` as (result or (exception type,
+    message), per-kind counts in insertion order)."""
     sink = CounterSink()
     try:
         with np.errstate(all="ignore"):
-            result = attend(q4, k4, v4, sink, mask_rows)
+            result = kernel(*operands, sink, **options)
     except (FloatingPointError, MaskError, ShapeError) as exc:
         result = (type(exc), str(exc))
     return result, list(sink.kind_totals().items())
@@ -671,8 +672,10 @@ def test_attention_bit_identical_to_three_kernels(slices, r, m, dh, runs, seed):
         mask_rows = rng.random((nq, m)) < 0.5
         if m:
             mask_rows[np.arange(nq), rng.integers(0, m, size=nq)] = True
-    (probs, ctx), counts = outcome(kernels.attention, q4, k4, v4, mask_rows)
-    (ref_probs, ref_ctx), ref_counts = outcome(three_kernel_attention, q4, k4, v4, mask_rows)
+    (probs, ctx), counts = outcome(kernels.attention, q4, k4, v4, mask_rows=mask_rows)
+    (ref_probs, ref_ctx), ref_counts = outcome(
+        three_kernel_attention, q4, k4, v4, mask_rows=mask_rows
+    )
     for got, want in ((probs, ref_probs), (ctx, ref_ctx)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
@@ -695,6 +698,106 @@ def test_attention_bit_identical_to_three_kernels(slices, r, m, dh, runs, seed):
     ids=["score_overflow", "score_negative_overflow", "nan_in_v4", "masked_row_without_lane"],
 )
 def test_attention_raises_like_three_kernels(args, error):
-    got = outcome(kernels.attention, *args)
-    assert got == outcome(three_kernel_attention, *args)
+    *operands, mask_rows = args
+    got = outcome(kernels.attention, *operands, mask_rows=mask_rows)
+    assert got == outcome(three_kernel_attention, *operands, mask_rows=mask_rows)
     assert got[0] == error
+
+
+# -- matmul epilogues equal matmul -> scale and matmul -> add ------------------------
+
+
+def two_kernel_matmul(a, b, sink, scale=None, residual=None):
+    product = kernels.matmul(a, b, sink)
+    if scale is not None:
+        return kernels.scale(product, scale, sink)
+    return kernels.add(residual, product, sink)
+
+
+def operand(rng, shape, transposed):
+    """Uniform float32 ``shape``; a strided transposed view when asked."""
+    if transposed:
+        return rand(rng, *shape[::-1]).T
+    return rand(rng, *shape)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    m=st.integers(0, 5),
+    k=st.integers(0, 6),
+    n=st.integers(0, 5),
+    epilogue=st.sampled_from([("scale", 0.125), ("scale", 1 / math.sqrt(3)),
+                              ("scale", 1e10), ("scale", 0.0), ("residual", None)]),
+    salts=st.lists(
+        st.tuples(st.sampled_from("abr"), st.integers(0, 35), st.sampled_from(SALTS)),
+        max_size=4,
+    ),
+    transposed=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+@example(m=1, k=1, n=1, epilogue=("scale", 1e10), salts=[("a", 0, 3e38)], transposed=False, seed=0)
+@example(m=2, k=1, n=2, epilogue=("residual", None), salts=[("r", 3, 3e38), ("a", 1, 3e38)],
+         transposed=True, seed=1)
+@example(m=2, k=0, n=3, epilogue=("residual", None), salts=[("r", 0, np.nan)],
+         transposed=False, seed=2)
+def test_matmul_epilogue_bit_identical_to_two_kernels(m, k, n, epilogue, salts, transposed, seed):
+    rng = np.random.default_rng(seed)
+    arrays = {
+        "a": operand(rng, (m, k), transposed),
+        "b": operand(rng, (k, n), transposed),
+        "r": operand(rng, (m, n), transposed),
+    }
+    for name, pos, value in salts:
+        arr = arrays[name]
+        if arr.size:
+            idx = np.unravel_index(pos % arr.size, arr.shape)
+            arr[idx] = value
+    kind, factor = epilogue
+    options = {"scale": factor} if kind == "scale" else {"residual": arrays["r"]}
+    got, counts = outcome(kernels.matmul, arrays["a"], arrays["b"], **options)
+    want, want_counts = outcome(two_kernel_matmul, arrays["a"], arrays["b"], **options)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert counts == want_counts
+
+
+@pytest.mark.parametrize(
+    "a, b, options, error",
+    [
+        (np.full((1, 2), HUGE), np.full((2, 1), HUGE), {"scale": 0.5},
+         (FloatingPointError, "matmul produced non-finite values")),
+        (np.full((1, 2), HUGE), np.full((2, 1), -HUGE), {"residual": np.ones((1, 1), F32)},
+         (FloatingPointError, "matmul produced non-finite values")),
+        (np.full((2, 1), HUGE), np.ones((1, 2), F32), {"scale": 1e10},
+         (FloatingPointError, "scale produced non-finite values")),
+        (np.full((2, 1), F32(3e38)), np.ones((1, 2), F32), {"residual": np.full((2, 2), F32(3e38))},
+         (FloatingPointError, "add produced non-finite values")),
+        (np.ones((2, 1), F32), np.ones((1, 2), F32),
+         {"residual": np.array([[0.0, np.nan], [0.0, 0.0]], F32)},
+         (FloatingPointError, "add produced non-finite values")),
+        (np.ones((2, 1), F32), np.ones((1, 2), F32), {"residual": np.ones((2, 1), F32)},
+         (ShapeError, "add: a is (2, 1), b is (2, 2)")),
+        (np.ones((2, 1), F32), np.ones((1, 2), F32), {"residual": np.ones((2, 2))},
+         (ShapeError, "add: operands must be float32, got float64 and float32")),
+        (np.full((2, 1), HUGE), np.full((1, 2), HUGE), {"residual": np.ones((2, 1), F32)},
+         (FloatingPointError, "matmul produced non-finite values")),
+    ],
+    ids=[
+        "product_overflow_scale", "product_overflow_residual", "scale_overflow",
+        "add_overflow", "nan_residual", "residual_shape", "residual_dtype",
+        "product_overflow_before_residual_shape",
+    ],
+)
+def test_matmul_epilogue_raises_like_two_kernels(a, b, options, error):
+    got = outcome(kernels.matmul, a, b, **options)
+    assert got == outcome(two_kernel_matmul, a, b, **options)
+    assert got[0] == error
+
+
+def test_matmul_takes_one_epilogue():
+    ones = np.ones((1, 1), F32)
+    with pytest.raises(ValueError, match="not both"):
+        kernels.matmul(ones, ones, CounterSink(), scale=2.0, residual=ones)

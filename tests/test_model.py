@@ -1,6 +1,7 @@
 """Model-level contracts: init determinism, attention math, decode caching."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -170,6 +171,32 @@ def test_decoder_step_on_fresh_state_equals_full_forward(tiny_config, tiny_weigh
     s2 = _fresh_state(tiny_config, tiny_weights, memory, CounterSink())
     prefill_logits = decoder_prefill(tiny_config, tiny_weights, s2, np.array([[BOS]]), CounterSink())
     np.testing.assert_allclose(step_logits, prefill_logits, atol=1e-6)
+
+
+def test_decode_step_kernel_calls(tiny_config, tiny_weights, monkeypatch):
+    # per decoder layer, 14 calls: self-attention 6 (norm, Q projection with
+    # its scale, K, V, attention core, output projection with its residual),
+    # cross-attention 4 and feed-forward 4; then the embedding's gather,
+    # scale and position add, the final norm and the head
+    from multiprompt import kernels
+
+    memory = encoder_forward(tiny_config, tiny_weights, np.array([5, 6, 7]), CounterSink())
+    state = _fresh_state(tiny_config, tiny_weights, memory, CounterSink())
+    calls = Counter()
+    for name in ("matmul", "bmm", "attention", "softmax_rows", "layer_norm", "add", "scale",
+                 "relu", "gather_rows"):
+        def counted(*args, _name=name, _kernel=getattr(kernels, name), **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, name, counted)
+    decoder_step(tiny_config, tiny_weights, state, np.array([BOS]), CounterSink())
+    layers = tiny_config.n_dec_layers
+    assert calls == Counter(
+        gather_rows=1, scale=1, add=1, layer_norm=3 * layers + 1, matmul=8 * layers + 1,
+        attention=2 * layers, relu=layers,
+    )
+    assert sum(calls.values()) == 14 * layers + 5 == 33
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
