@@ -4,7 +4,8 @@ Workloads are synthesized from a shape (random content tokens, seeded), so
 the benchmark measures shapes rather than any corpus.  Timings use the
 monotonic performance clock; warmup runs are excluded and the median is
 reported next to the mean to blunt scheduler noise.  Decoded tokens are
-checksummed into the report so nondeterminism would be visible.
+checksummed into the report so nondeterminism would be visible, and minor
+page faults per timed op show allocator churn.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ from .costmodel import ShapeParams, flop_ratio
 from .engines import ENGINES, Instance, Workload, infer
 from .errors import ConfigError, ResourceLimitError
 from .model import ModelConfig, WeightSet, init_weights
+
+try:
+    import resource
+except ImportError:  # not on every platform; faults are then not reported
+    resource = None
 
 MIN_REPETITIONS = 3
 DEFAULT_MEM_CAP_BYTES = 1 << 30
@@ -65,6 +71,7 @@ class EngineTiming:
     total_flops: int
     token_checksum: str
     wasted_stream_steps: int
+    minor_faults_per_op: float | None
     unstable: bool
 
     def to_dict(self) -> dict:
@@ -79,6 +86,7 @@ class EngineTiming:
             "total_flops": self.total_flops,
             "token_checksum": self.token_checksum,
             "wasted_stream_steps": self.wasted_stream_steps,
+            "minor_faults_per_op": self.minor_faults_per_op,
             "unstable": self.unstable,
         }
 
@@ -146,6 +154,11 @@ def _checksum(token_lists: list[list[int]]) -> str:
     return h.hexdigest()[:16]
 
 
+def _minor_faults() -> int | None:
+    """Minor page faults this process has taken so far, if the platform says."""
+    return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _time_once(engine: str, model: ModelConfig, weights: WeightSet, wl: Workload):
     start = time.perf_counter()
     result = infer(engine, model, weights, wl)
@@ -160,7 +173,8 @@ def run_bench(config: BenchConfig) -> LatencyReport:
     alike.  The "single" series is the batch-1 series: it is timed once
     and serves both the single-instance and the batch-1 figures.  The
     pie/pid speedups are medians of the per-repetition ratios (batched:
-    each engine at its own optimal batch), not ratios of medians.
+    each engine at its own optimal batch), not ratios of medians.  Minor
+    page faults are summed over every timed op of an engine.
     """
     guard_batch = max(config.batch_sizes)
     estimated = estimate_run_bytes(config.model, config.shape, guard_batch)
@@ -187,13 +201,18 @@ def run_bench(config: BenchConfig) -> LatencyReport:
         for engine in config.engines:
             _time_once(engine, config.model, weights, workloads[1])
     per_instance = {(e, b): [] for e in config.engines for b in workloads}
+    faults = dict.fromkeys(config.engines, 0)
     last = {}
     for rep in range(config.repetitions):
         order = config.engines if rep % 2 == 0 else config.engines[::-1]
         for b, wl in workloads.items():
             for engine in order:
+                before = _minor_faults()
                 seconds, last[engine, b] = _time_once(engine, config.model, weights, wl)
+                if before is not None:
+                    faults[engine] += _minor_faults() - before
                 per_instance[engine, b].append(seconds / b)
+    timed_ops = config.repetitions * len(workloads)
     for engine in config.engines:
         times = per_instance[engine, 1]
         mean = statistics.fmean(times)
@@ -212,6 +231,7 @@ def run_bench(config: BenchConfig) -> LatencyReport:
             total_flops=single.counters.flops,
             token_checksum=_checksum(single.flat_outputs()),
             wasted_stream_steps=single.wasted_stream_steps,
+            minor_faults_per_op=None if resource is None else faults[engine] / timed_ops,
             unstable=std > 0.5 * mean,
         )
     if "pie" in report.engines and "pid" in report.engines:

@@ -217,9 +217,11 @@ def cmd_bench(parser, args) -> int:
     )
     for engine, t in sorted(result.engines.items()):
         flag = "  UNSTABLE" if t.unstable else ""
+        faults = "n/a" if t.minor_faults_per_op is None else f"{t.minor_faults_per_op:.0f}"
         print(
             f"{engine}: single {t.single_mean_s * 1e3:.2f} ms mean "
-            f"(median {t.single_median_s * 1e3:.2f}, std {t.single_std_s * 1e3:.2f}){flag}"
+            f"(median {t.single_median_s * 1e3:.2f}, std {t.single_std_s * 1e3:.2f}), "
+            f"minor faults/op {faults}{flag}"
         )
         for b, s in sorted(t.batched_per_instance_s.items()):
             print(f"   batch {b}: {s * 1e3:.2f} ms/instance")

@@ -24,9 +24,22 @@ Counting conventions, fixed package-wide:
   GEMM epilogue (``scale=`` or ``residual=``) what :func:`matmul`
   followed by :func:`scale` or :func:`add` would.  Fusion changes what is
   allocated, re-read and checked on the host, never the counted traffic.
+
+Workspace: inside a ``with workspace:`` block (a :class:`Workspace`), every
+kernel writes its outputs and temporaries of ``POOL_MIN_BYTES`` or more
+into buffers drawn from that workspace, through ``out=``, and
+:func:`relayout` copies into one.  A buffer is handed out again once no
+array refers to it, so a loop that repeats the same shapes, such as a
+training step, reuses the same memory instead of returning it to the
+allocator and faulting it in again.  With no workspace active, and for
+smaller arrays, each kernel evaluates the plain NumPy expression.  Values
+are bit-identical either way, and allocation never moves counted traffic.
 """
 
 from __future__ import annotations
+
+import math
+import sys
 
 import numpy as np
 
@@ -135,6 +148,120 @@ class _Scope:
         self._sink.current_component = self._outer
 
 
+# -- workspace --------------------------------------------------------------
+
+#: Requests below this many bytes are not pooled.  It is glibc's default
+#: mmap threshold: ``malloc`` recycles smaller blocks from its free lists,
+#: while larger ones it maps fresh or carves from a heap top it trims, so
+#: their pages are faulted in again on every use.
+POOL_MIN_BYTES = 128 << 10
+#: Kernels look for a workspace only for float32 results of this many
+#: elements or more, so small calls keep the plain NumPy expression.
+_POOLED_SIZE = POOL_MIN_BYTES // 4
+#: Pooled arrays start on a cache line: vectorized elementwise loops run
+#: about twice as fast on them as on the 16-byte alignment ``malloc`` gives.
+_ALIGN = 64
+
+#: The workspace kernels draw from; set only by ``Workspace.__enter__`` and
+#: ``__exit__``.
+_workspace: Workspace | None = None
+
+
+class Workspace:
+    """A pool of raw byte buffers that kernels write into while it is active.
+
+    ``with ws:`` makes ``ws`` the active workspace (blocks nest; the outer
+    one is restored on exit).  :meth:`empty` rounds a request of ``nbytes``
+    up to its size class, a multiple of ``1 << (nbytes.bit_length() - 4)``
+    (at most one eighth of slack), and returns an array on the most
+    recently used free buffer of that class, or on a new one, starting at
+    the buffer's first 64-byte boundary.  A buffer is free once no array
+    refers to it: every view of it keeps it as ``.base``, so its reference
+    count is then the pool's own.  Requests under ``POOL_MIN_BYTES`` are
+    plain ``np.empty``.  Buffers are kept for the life of the workspace;
+    a workspace serves one thread.
+    """
+
+    def __init__(self) -> None:
+        # per size class: (raw buffer, offset of its first aligned byte)
+        self._classes: dict[int, list[tuple[np.ndarray, int]]] = {}
+        self._outer: list[Workspace | None] = []
+
+    def __enter__(self) -> Workspace:
+        global _workspace
+        self._outer.append(_workspace)
+        _workspace = self
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        global _workspace
+        _workspace = self._outer.pop()
+
+    @property
+    def buffers(self) -> int:
+        """Buffers the pool holds, handed out or free."""
+        return sum(len(bucket) for bucket in self._classes.values())
+
+    def empty(self, shape: tuple[int, ...], dtype=F32) -> np.ndarray:
+        """An uninitialized C-ordered array of ``shape``, pooled when large."""
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        if nbytes < POOL_MIN_BYTES:
+            return np.empty(shape, dtype)
+        step = 1 << (nbytes.bit_length() - 4)
+        size = -(-nbytes // step) * step
+        bucket = self._classes.setdefault(size, [])
+        for i in range(len(bucket) - 1, -1, -1):  # most recently used last
+            if self._is_free(bucket[i][0]):
+                entry = bucket.pop(i)
+                break
+        else:
+            buf = np.empty(size + _ALIGN, np.uint8)
+            entry = (buf, -buf.ctypes.data % _ALIGN)
+        bucket.append(entry)
+        return np.ndarray(shape, dtype, *entry)
+
+    def _is_free(self, buf: np.ndarray) -> bool:
+        # the references of the bucket entry, of this frame and of the argument
+        return sys.getrefcount(buf) == 3
+
+
+def relayout(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``x.reshape(shape)``, with the copy, if it takes one, drawn from the
+    active workspace.  Uncounted data movement (head folds, key transposes).
+    """
+    ws = _workspace
+    if ws is None or x.nbytes < POOL_MIN_BYTES or _reshape_is_view(x, shape):
+        return x.reshape(shape)
+    out = ws.empty(x.shape, x.dtype)
+    np.copyto(out, x)
+    return out.reshape(shape)
+
+
+def _reshape_is_view(x: np.ndarray, shape: tuple[int, ...]) -> bool:
+    """Whether the C-order ``x.reshape(shape)`` of a non-empty ``x`` is a view.
+
+    NumPy's rule: ignoring length-1 axes, each run of axes of ``x`` that
+    merges into new axes must be laid out back to back in memory.
+    """
+    old = [(n, stride) for n, stride in zip(x.shape, x.strides) if n != 1]
+    new = [n for n in shape if n != 1]
+    i = j = 0
+    while i < len(old):
+        first, size_old, size_new = i, old[i][0], new[j]
+        while size_old != size_new:
+            if size_old < size_new:
+                i += 1
+                size_old *= old[i][0]
+            else:
+                j += 1
+                size_new *= new[j]
+        if any(old[k][1] != old[k + 1][0] * old[k + 1][1] for k in range(first, i)):
+            return False
+        i, j = i + 1, j + 1
+    return True
+
+
 def _as_f32_matrix(a: np.ndarray, name: str, ndim: int) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != ndim:
@@ -145,8 +272,14 @@ def _as_f32_matrix(a: np.ndarray, name: str, ndim: int) -> np.ndarray:
 
 
 def _check_finite(out: np.ndarray, kind: str) -> np.ndarray:
-    if out.size and not np.isfinite(out).all():
-        raise FloatingPointError(f"{kind} produced non-finite values")
+    if out.size:
+        ws = _workspace if out.size >= POOL_MIN_BYTES else None
+        if ws is None:
+            finite = np.isfinite(out)
+        else:
+            finite = np.isfinite(out, out=ws.empty(out.shape, np.bool_))
+        if not finite.all():
+            raise FloatingPointError(f"{kind} produced non-finite values")
     return out
 
 
@@ -180,7 +313,8 @@ def matmul(
     if scale is not None and residual is not None:
         raise ValueError("matmul takes a scale or a residual epilogue, not both")
     sink.add("matmul", 2 * m * n * k, 4 * (m * k + k * n), 4 * m * n)
-    product = a @ b
+    ws = _workspace if m * n >= _POOLED_SIZE else None
+    product = a @ b if ws is None else np.matmul(a, b, out=ws.empty((m, n)))
     if scale is None and residual is None:
         return _check_finite(product, "matmul")
     size = product.size
@@ -193,17 +327,20 @@ def matmul(
             _check_finite(product, "matmul")
             raise
         kind, counts = "add", (size, 8 * size, 4 * size)
-        out = residual + product
+        out = residual + product if ws is None else np.add(residual, product, out=ws.empty((m, n)))
     else:
         kind, counts = "scale", (size, 4 * size, 4 * size)
-        out = product * F32(scale)
+        factor = F32(scale)
+        out = product * factor if ws is None else np.multiply(product, factor, out=ws.empty((m, n)))
     # one check for both kernels: scaling by a finite factor or adding any
     # residual keeps a non-finite product non-finite, so a finite result
     # proves a finite product, and only a failed check looks at the product
-    if size and not np.isfinite(out).all():
+    try:
+        _check_finite(out, kind)
+    except FloatingPointError:
         _check_finite(product, "matmul")
         sink.add(kind, *counts)
-        raise FloatingPointError(f"{kind} produced non-finite values")
+        raise
     sink.add(kind, *counts)
     return out
 
@@ -223,7 +360,8 @@ def bmm(a: np.ndarray, b: np.ndarray, sink: CounterSink) -> np.ndarray:
     if ba != bb or k != kb:
         raise ShapeError(f"bmm: a is {ba}x{m}x{k}, b is {bb}x{kb}x{n} (batch or inner mismatch)")
     sink.add("matmul", 2 * ba * m * n * k, 4 * ba * (m * k + k * n), 4 * ba * m * n)
-    return _check_finite(a @ b, "bmm")
+    ws = _workspace if ba * m * n >= _POOLED_SIZE else None
+    return _check_finite(a @ b if ws is None else np.matmul(a, b, out=ws.empty((ba, m, n))), "bmm")
 
 
 # fused kernels call the body bound here, so a wrapper installed on the
@@ -281,7 +419,12 @@ def softmax_rows(a: np.ndarray, sink: CounterSink, mask: np.ndarray | None = Non
     if a.size == 0:
         return a.copy()
     # one float32 temporary, in the input's memory order
-    return _softmax_in_place(a.copy(order="K"), mask)
+    ws = _workspace if a.size >= _POOLED_SIZE else None
+    if ws is None or not a.flags.c_contiguous:
+        return _softmax_in_place(a.copy(order="K"), mask)
+    out = ws.empty(a.shape)
+    np.copyto(out, a)
+    return _softmax_in_place(out, mask)
 
 
 def attention(
@@ -336,8 +479,15 @@ def softmax_rows_backward(
         raise ShapeError(f"softmax backward: probs is {probs.shape}, d_probs is {d_probs.shape}")
     n, m = probs.shape
     sink.add("softmax_backward", 4 * n * m, 8 * n * m, 4 * n * m)
-    inner = (d_probs * probs).sum(axis=1, keepdims=True)
-    return _check_finite(probs * (d_probs - inner), "softmax backward")
+    ws = _workspace if n * m >= _POOLED_SIZE else None
+    if ws is None:
+        inner = (d_probs * probs).sum(axis=1, keepdims=True)
+        return _check_finite(probs * (d_probs - inner), "softmax backward")
+    # the same three steps through one pooled buffer
+    out = np.multiply(d_probs, probs, out=ws.empty((n, m)))
+    inner = out.sum(axis=1, keepdims=True)
+    np.subtract(d_probs, inner, out=out)
+    return _check_finite(np.multiply(probs, out, out=out), "softmax backward")
 
 
 # -- layer norm ------------------------------------------------------------
@@ -366,8 +516,13 @@ def layer_norm(a: np.ndarray, gain: np.ndarray, sink: CounterSink) -> np.ndarray
     # overflow warns here and raises at the variance check below
     mean = a.sum(axis=1, keepdims=True)
     mean /= m
-    out = a - mean
-    var = np.multiply(out, out).sum(axis=1, keepdims=True)
+    ws = _workspace if n * m >= _POOLED_SIZE else None
+    if ws is None:
+        out = a - mean
+        var = np.multiply(out, out).sum(axis=1, keepdims=True)
+    else:
+        out = np.subtract(a, mean, out=ws.empty((n, m)))
+        var = np.multiply(out, out, out=ws.empty((n, m))).sum(axis=1, keepdims=True)
     var /= m
     if not np.isfinite(var).all():
         raise FloatingPointError("layer_norm row variance overflowed float32")
@@ -396,15 +551,20 @@ def layer_norm_backward(
     # the steps and their order are those of ``a.var`` and the textbook
     # formula, so the result is bit-identical; ``x_hat`` and ``prod`` are
     # reused in place
-    x_hat = a - a.mean(axis=1, keepdims=True)
-    prod = np.multiply(x_hat, x_hat)
+    ws = _workspace if n * m >= _POOLED_SIZE else None
+    if ws is None:
+        x_hat = a - a.mean(axis=1, keepdims=True)
+        prod = np.multiply(x_hat, x_hat)
+    else:
+        x_hat = np.subtract(a, a.mean(axis=1, keepdims=True), out=ws.empty((n, m)))
+        prod = np.multiply(x_hat, x_hat, out=ws.empty((n, m)))
     var = prod.sum(axis=1, keepdims=True)
     var /= m
     var += LN_EPS
     inv_std = 1.0 / np.sqrt(var, out=var)
     x_hat *= inv_std
     d_gain = np.multiply(d_out, x_hat, out=prod).sum(axis=0)
-    d_a = d_out * gain
+    d_a = d_out * gain if ws is None else np.multiply(d_out, gain, out=ws.empty((n, m)))
     proj = np.multiply(d_a, x_hat, out=prod).mean(axis=1, keepdims=True)
     d_a -= d_a.mean(axis=1, keepdims=True)
     d_a -= np.multiply(x_hat, proj, out=prod)
@@ -429,7 +589,8 @@ def add(a: np.ndarray, b: np.ndarray, sink: CounterSink) -> np.ndarray:
     _check_add_operands(a, b)
     size = a.size
     sink.add("add", size, 8 * size, 4 * size)
-    return _check_finite(a + b, "add")
+    ws = _workspace if size >= _POOLED_SIZE else None
+    return _check_finite(a + b if ws is None else np.add(a, b, out=ws.empty(a.shape)), "add")
 
 
 def scale(a: np.ndarray, factor: float, sink: CounterSink) -> np.ndarray:
@@ -439,7 +600,11 @@ def scale(a: np.ndarray, factor: float, sink: CounterSink) -> np.ndarray:
         raise ShapeError(f"scale: a must be float32, got {a.dtype}")
     size = a.size
     sink.add("scale", size, 4 * size, 4 * size)
-    return _check_finite(a * F32(factor), "scale")
+    ws = _workspace if size >= _POOLED_SIZE else None
+    factor = F32(factor)
+    return _check_finite(
+        a * factor if ws is None else np.multiply(a, factor, out=ws.empty(a.shape)), "scale"
+    )
 
 
 def relu(a: np.ndarray, sink: CounterSink) -> np.ndarray:
@@ -449,11 +614,18 @@ def relu(a: np.ndarray, sink: CounterSink) -> np.ndarray:
         raise ShapeError(f"relu: a must be float32, got {a.dtype}")
     size = a.size
     sink.add("relu", size, 4 * size, 4 * size)
-    return np.maximum(a, F32(0.0))
+    ws = _workspace if size >= _POOLED_SIZE else None
+    if ws is None:
+        return np.maximum(a, F32(0.0))
+    return np.maximum(a, F32(0.0), out=ws.empty(a.shape))
 
 
 def relu_backward(a: np.ndarray, d_out: np.ndarray, sink: CounterSink) -> np.ndarray:
-    """Backward of :func:`relu`.  Counts: flops ``n*m``, read ``8*n*m``, written ``4*n*m``."""
+    """Backward of :func:`relu` at input or output ``a``: ``relu(x) > 0``
+    exactly when ``x > 0`` (NaN included), so either selects the same lanes.
+
+    Counts: flops ``n*m``, read ``8*n*m``, written ``4*n*m``.
+    """
     a = np.asarray(a)
     d_out = np.asarray(d_out)
     if a.shape != d_out.shape:
@@ -464,7 +636,12 @@ def relu_backward(a: np.ndarray, d_out: np.ndarray, sink: CounterSink) -> np.nda
     sink.add("relu_backward", size, 8 * size, 4 * size)
     # branch-free select: an all-ones int32 lane where a > 0 keeps d_out's
     # bits (NaN and -0.0 included), a zero lane gives +0.0
-    keep = np.negative(a > 0, dtype=np.int32)
+    ws = _workspace if size >= _POOLED_SIZE else None
+    if ws is None:
+        keep = np.negative(a > 0, dtype=np.int32)
+    else:
+        positive = np.greater(a, 0, out=ws.empty(a.shape, np.bool_))
+        keep = np.negative(positive, dtype=np.int32, out=ws.empty(a.shape, np.int32))
     keep &= d_out.view(np.int32)
     return keep.view(F32)
 

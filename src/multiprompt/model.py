@@ -232,7 +232,7 @@ def _fold_heads(rows: np.ndarray, groups: int, n_heads: int) -> np.ndarray:
     n = rows.shape[0] // groups
     dh = rows.shape[1] // n_heads
     x = rows.reshape(groups, n, n_heads, dh).transpose(0, 2, 1, 3)
-    return x.reshape(groups * n_heads, n, dh)
+    return kernels.relayout(x, (groups * n_heads, n, dh))
 
 
 def _unfold_heads(x4: np.ndarray, n_heads: int) -> np.ndarray:
@@ -240,7 +240,7 @@ def _unfold_heads(x4: np.ndarray, n_heads: int) -> np.ndarray:
     gh, n, dh = x4.shape
     groups = gh // n_heads
     x = x4.reshape(groups, n_heads, n, dh).transpose(0, 2, 1, 3)
-    return x.reshape(groups * n, n_heads * dh)
+    return kernels.relayout(x, (groups * n, n_heads * dh))
 
 
 def _multihead(
@@ -315,7 +315,10 @@ def _attention_sublayer(
             # head-major [S, h, dh, nq] keys and [S, h, nq, dh] values
             k, v = k.transpose(0, 2, 3, 1), v.transpose(0, 2, 1, 3)
             if cache is None:
-                kv = (k.reshape(n_seq * h, dh, nq), v.reshape(n_seq * h, nq, dh))
+                kv = (
+                    kernels.relayout(k, (n_seq * h, dh, nq)),
+                    kernels.relayout(v, (n_seq * h, nq, dh)),
+                )
             else:
                 k_cache, v_cache, write_rows, start = cache
                 end = start + nq
@@ -343,7 +346,7 @@ def _ffn_sublayer(
         hid = kernels.relu(pre, sink)
         out = kernels.matmul(hid, ffn.w_out, sink, residual=x)
     if tape is not None:
-        tape.append(dict(x_in=x, normed=normed, pre=pre, hid=hid))
+        tape.append(dict(x_in=x, normed=normed, hid=hid))
     return out
 
 
@@ -461,8 +464,9 @@ def init_decode_state(
     cross_k, cross_v = [], []
     with sink.scope("decoder_cross"):
         for layer in weights.dec_layers:
-            k4 = _fold_heads(kernels.matmul(rows, layer.cross_attn.w_k, sink), owners, h)
-            cross_k.append(np.ascontiguousarray(k4.transpose(0, 2, 1)))
+            k = kernels.matmul(rows, layer.cross_attn.w_k, sink).reshape(owners, m, h, dh)
+            k4 = kernels.relayout(k.transpose(0, 2, 3, 1), (owners * h, dh, m))
+            cross_k.append(np.ascontiguousarray(k4))
             cross_v.append(_fold_heads(kernels.matmul(rows, layer.cross_attn.w_v, sink), owners, h))
     return KVCacheSet(
         n_streams=n_streams,

@@ -298,7 +298,7 @@ def _ffn_backward(
     with sink.scope("feed_forward"):
         grads[f"{name}.w_out"] += kernels.matmul(t["hid"].T, dx, sink)
         d_hid = kernels.matmul(dx, ffn.w_out.T, sink)
-        d_pre = kernels.relu_backward(t["pre"], d_hid, sink)
+        d_pre = kernels.relu_backward(t["hid"], d_hid, sink)
         grads[f"{name}.w_in"] += kernels.matmul(t["normed"].T, d_pre, sink)
         d_normed = kernels.matmul(d_pre, ffn.w_in.T, sink)
         d_ln, dg = kernels.layer_norm_backward(t["x_in"], ffn.gain, d_normed, sink)
@@ -421,6 +421,11 @@ def sgd_update(weights: WeightSet, grads: dict[str, np.ndarray], lr: float, sink
         sink.add("sgd", 2 * arr.size, 8 * arr.size, 4 * arr.size)
 
 
+#: Kernel buffers of every training step, kept across steps and layouts so a
+#: step of a shape seen before allocates no large array.
+WORKSPACE = kernels.Workspace()
+
+
 def train_step(
     config: ModelConfig,
     weights: WeightSet,
@@ -429,13 +434,15 @@ def train_step(
     sink: CounterSink | None = None,
     step_index: int | None = None,
 ) -> float:
-    """One SGD step in place; returns the batch loss."""
+    """One SGD step in place, its kernels drawing on :data:`WORKSPACE`;
+    returns the batch loss."""
     sink = sink if sink is not None else CounterSink()
-    try:
-        loss, grads = training_forward_backward(config, weights, batch, sink)
-    except (TrainingError, FloatingPointError) as exc:
-        raise TrainingError(f"{exc} at step {step_index}") from None
-    sgd_update(weights, grads, learning_rate, sink)
+    with WORKSPACE:
+        try:
+            loss, grads = training_forward_backward(config, weights, batch, sink)
+        except (TrainingError, FloatingPointError) as exc:
+            raise TrainingError(f"{exc} at step {step_index}") from None
+        sgd_update(weights, grads, learning_rate, sink)
     return loss
 
 

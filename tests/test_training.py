@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from multiprompt import reference
+from multiprompt import kernels, reference, training
+from multiprompt.costmodel import MODEL_PRESETS
 from multiprompt.errors import TrainingError
 from multiprompt.kernels import CounterSink
 from multiprompt.model import BOS, EOS, ModelConfig, init_weights
@@ -15,6 +16,7 @@ from multiprompt.training import (
     make_synthetic_task,
     pid_batches,
     pie_batches,
+    sgd_update,
     split_key,
     train_layout,
     train_step,
@@ -148,3 +150,82 @@ def test_training_learns_within_a_few_epochs():
     assert run.losses[-1] < run.losses[0]
     assert len(run.epoch_flops) == 3
     assert run.epoch_flops[0] == run.epoch_flops[1]  # same work every epoch
+
+
+# -- the training-step workspace -------------------------------------------------------
+
+WS_LEARNING_RATE = 0.1
+
+
+def _workspace_batches():
+    """Three full batches per layout of the toy model on U=8, n_s=64, vocab 96 and
+    8 instances per batch: most activations of a step are large enough to pool."""
+    config = MODEL_PRESETS["toy"]
+    task = make_synthetic_task(1, 8, 64, config.vocab_size, 64)
+    batches = {}
+    for layout, build in (("pie", pie_batches), ("pid", pid_batches)):
+        full = [b for b in build(list(task.train), 8, np.random.default_rng(1)) if len(b.streams) == 64]
+        batches[layout] = full[:3]
+    return config, batches
+
+
+def _three_steps(config, batches, step):
+    """(loss, weight checksum, per-kind counts) after each of three steps from seed-0 weights."""
+    weights = init_weights(config, seed=0)
+    out = []
+    for batch in batches:
+        sink = CounterSink()
+        loss = step(config, weights, batch, sink)
+        out.append((loss, weights.checksum(), list(sink.kind_totals().items())))
+    return out
+
+
+def _plain_step(config, weights, batch, sink):
+    assert kernels._workspace is None
+    loss, grads = training_forward_backward(config, weights, batch, sink)
+    sgd_update(weights, grads, WS_LEARNING_RATE, sink)
+    return loss
+
+
+def _workspace_steps_match_plain_steps(monkeypatch, workspace) -> tuple[bool, dict]:
+    """Whether ``train_step`` in ``workspace`` equals steps outside any workspace,
+    for three steps per layout; also the pool size after each step."""
+    monkeypatch.setattr(training, "WORKSPACE", workspace)
+    config, batches = _workspace_batches()
+    pool_sizes = {}
+    same = True
+    for layout, chosen in batches.items():
+        sizes = pool_sizes[layout] = []
+
+        def step(config, weights, batch, sink):
+            loss = train_step(config, weights, batch, WS_LEARNING_RATE, sink)
+            sizes.append(workspace.buffers)
+            return loss
+
+        try:
+            pooled = _three_steps(config, chosen, step)
+        except TrainingError:  # a clobbered activation can overflow
+            pooled = None
+        same &= pooled == _three_steps(config, chosen, _plain_step)
+    return same, pool_sizes
+
+
+def test_train_steps_in_the_workspace_are_bit_identical_and_reuse_its_buffers(monkeypatch):
+    workspace = kernels.Workspace()
+    same, pool_sizes = _workspace_steps_match_plain_steps(monkeypatch, workspace)
+    assert same
+    assert kernels._workspace is None
+    # after a layout's first step, steps of the same shapes add no buffer
+    for sizes in pool_sizes.values():
+        assert sizes[0] > 0 and sizes[1:] == [sizes[0]] * 2
+
+
+def test_a_workspace_that_ignores_liveness_breaks_bit_identity(monkeypatch):
+    class IgnoresLiveness(kernels.Workspace):
+        """Hands a buffer out again while arrays still refer to it."""
+
+        def _is_free(self, buf):
+            return True
+
+    same, _ = _workspace_steps_match_plain_steps(monkeypatch, IgnoresLiveness())
+    assert not same
