@@ -25,15 +25,21 @@ Counting conventions, fixed package-wide:
   followed by :func:`scale` or :func:`add` would.  Fusion changes what is
   allocated, re-read and checked on the host, never the counted traffic.
 
-Workspace: inside a ``with workspace:`` block (a :class:`Workspace`), every
-kernel writes its outputs and temporaries of ``POOL_MIN_BYTES`` or more
-into buffers drawn from that workspace, through ``out=``, and
-:func:`relayout` copies into one.  A buffer is handed out again once no
-array refers to it, so a loop that repeats the same shapes, such as a
-training step, reuses the same memory instead of returning it to the
-allocator and faulting it in again.  With no workspace active, and for
-smaller arrays, each kernel evaluates the plain NumPy expression.  Values
-are bit-identical either way, and allocation never moves counted traffic.
+Workspace: every kernel has one body, which writes its outputs and
+temporaries through NumPy's ``out=`` argument.  Inside a ``with
+workspace:`` block (a :class:`Workspace`) that argument is a buffer of
+the workspace, which pools requests of ``POOL_MIN_BYTES`` or more, and
+:func:`relayout` copies into one; with no workspace active it is None,
+and NumPy allocates the result as the plain expression would.  A pooled
+buffer is handed out again once no array refers to it, so a loop that
+repeats the same shapes, such as a training step, reuses the same memory
+instead of returning it to the allocator and faulting it in again.
+Values are bit-identical either way for C-ordered operands, the only
+kind the model passes (every workspace buffer is C-ordered, and a row sum
+over a buffer of another memory order may round differently); allocation
+never moves counted traffic.  Activation is process-wide: the active
+workspace is a module global, so while one is entered, kernels in every
+thread draw from it.
 """
 
 from __future__ import annotations
@@ -155,9 +161,6 @@ class _Scope:
 #: while larger ones it maps fresh or carves from a heap top it trims, so
 #: their pages are faulted in again on every use.
 POOL_MIN_BYTES = 128 << 10
-#: Kernels look for a workspace only for float32 results of this many
-#: elements or more, so small calls keep the plain NumPy expression.
-_POOLED_SIZE = POOL_MIN_BYTES // 4
 #: Pooled arrays start on a cache line: vectorized elementwise loops run
 #: about twice as fast on them as on the 16-byte alignment ``malloc`` gives.
 _ALIGN = 64
@@ -178,8 +181,12 @@ class Workspace:
     the buffer's first 64-byte boundary.  A buffer is free once no array
     refers to it: every view of it keeps it as ``.base``, so its reference
     count is then the pool's own.  Requests under ``POOL_MIN_BYTES`` are
-    plain ``np.empty``.  Buffers are kept for the life of the workspace;
-    a workspace serves one thread.
+    plain ``np.empty``: this is the only size test on the allocation path.
+    Outside every workspace, kernels pass ``out=None`` and NumPy allocates.
+    Buffers are kept for the life of the workspace.  The active workspace
+    is one module global, not per thread, so while ``ws`` is entered,
+    kernels called from any thread draw on it; the pool is not locked, so
+    a workspace must serve one thread at a time.
     """
 
     def __init__(self) -> None:
@@ -226,40 +233,24 @@ class Workspace:
         return sys.getrefcount(buf) == 3
 
 
+def _out(shape: tuple[int, ...], dtype=F32) -> np.ndarray | None:
+    """A kernel's ``out=`` argument: a buffer of the active workspace, or
+    None, with which NumPy allocates the result itself."""
+    return None if _workspace is None else _workspace.empty(shape, dtype)
+
+
 def relayout(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """``x.reshape(shape)``, with the copy, if it takes one, drawn from the
     active workspace.  Uncounted data movement (head folds, key transposes).
     """
-    ws = _workspace
-    if ws is None or x.nbytes < POOL_MIN_BYTES or _reshape_is_view(x, shape):
+    if _workspace is None:  # inference: a view or NumPy's own copy, no exception
         return x.reshape(shape)
-    out = ws.empty(x.shape, x.dtype)
-    np.copyto(out, x)
-    return out.reshape(shape)
-
-
-def _reshape_is_view(x: np.ndarray, shape: tuple[int, ...]) -> bool:
-    """Whether the C-order ``x.reshape(shape)`` of a non-empty ``x`` is a view.
-
-    NumPy's rule: ignoring length-1 axes, each run of axes of ``x`` that
-    merges into new axes must be laid out back to back in memory.
-    """
-    old = [(n, stride) for n, stride in zip(x.shape, x.strides) if n != 1]
-    new = [n for n in shape if n != 1]
-    i = j = 0
-    while i < len(old):
-        first, size_old, size_new = i, old[i][0], new[j]
-        while size_old != size_new:
-            if size_old < size_new:
-                i += 1
-                size_old *= old[i][0]
-            else:
-                j += 1
-                size_new *= new[j]
-        if any(old[k][1] != old[k + 1][0] * old[k + 1][1] for k in range(first, i)):
-            return False
-        i, j = i + 1, j + 1
-    return True
+    try:
+        return x.reshape(shape, copy=False)
+    except ValueError:  # the reshape needs a copy
+        out = _workspace.empty(x.shape, x.dtype)
+        np.copyto(out, x)
+        return out.reshape(shape)
 
 
 def _as_f32_matrix(a: np.ndarray, name: str, ndim: int) -> np.ndarray:
@@ -272,14 +263,8 @@ def _as_f32_matrix(a: np.ndarray, name: str, ndim: int) -> np.ndarray:
 
 
 def _check_finite(out: np.ndarray, kind: str) -> np.ndarray:
-    if out.size:
-        ws = _workspace if out.size >= POOL_MIN_BYTES else None
-        if ws is None:
-            finite = np.isfinite(out)
-        else:
-            finite = np.isfinite(out, out=ws.empty(out.shape, np.bool_))
-        if not finite.all():
-            raise FloatingPointError(f"{kind} produced non-finite values")
+    if out.size and not np.isfinite(out, out=_out(out.shape, np.bool_)).all():
+        raise FloatingPointError(f"{kind} produced non-finite values")
     return out
 
 
@@ -313,8 +298,7 @@ def matmul(
     if scale is not None and residual is not None:
         raise ValueError("matmul takes a scale or a residual epilogue, not both")
     sink.add("matmul", 2 * m * n * k, 4 * (m * k + k * n), 4 * m * n)
-    ws = _workspace if m * n >= _POOLED_SIZE else None
-    product = a @ b if ws is None else np.matmul(a, b, out=ws.empty((m, n)))
+    product = np.matmul(a, b, out=_out((m, n)))
     if scale is None and residual is None:
         return _check_finite(product, "matmul")
     size = product.size
@@ -327,11 +311,10 @@ def matmul(
             _check_finite(product, "matmul")
             raise
         kind, counts = "add", (size, 8 * size, 4 * size)
-        out = residual + product if ws is None else np.add(residual, product, out=ws.empty((m, n)))
+        out = np.add(residual, product, out=_out((m, n)))
     else:
         kind, counts = "scale", (size, 4 * size, 4 * size)
-        factor = F32(scale)
-        out = product * factor if ws is None else np.multiply(product, factor, out=ws.empty((m, n)))
+        out = np.multiply(product, F32(scale), out=_out((m, n)))
     # one check for both kernels: scaling by a finite factor or adding any
     # residual keeps a non-finite product non-finite, so a finite result
     # proves a finite product, and only a failed check looks at the product
@@ -360,8 +343,7 @@ def bmm(a: np.ndarray, b: np.ndarray, sink: CounterSink) -> np.ndarray:
     if ba != bb or k != kb:
         raise ShapeError(f"bmm: a is {ba}x{m}x{k}, b is {bb}x{kb}x{n} (batch or inner mismatch)")
     sink.add("matmul", 2 * ba * m * n * k, 4 * ba * (m * k + k * n), 4 * ba * m * n)
-    ws = _workspace if ba * m * n >= _POOLED_SIZE else None
-    return _check_finite(a @ b if ws is None else np.matmul(a, b, out=ws.empty((ba, m, n))), "bmm")
+    return _check_finite(np.matmul(a, b, out=_out((ba, m, n))), "bmm")
 
 
 # fused kernels call the body bound here, so a wrapper installed on the
@@ -418,13 +400,9 @@ def softmax_rows(a: np.ndarray, sink: CounterSink, mask: np.ndarray | None = Non
     _add_softmax(sink, n, m, mask is not None)
     if a.size == 0:
         return a.copy()
-    # one float32 temporary, in the input's memory order
-    ws = _workspace if a.size >= _POOLED_SIZE else None
-    if ws is None or not a.flags.c_contiguous:
-        return _softmax_in_place(a.copy(order="K"), mask)
-    out = ws.empty(a.shape)
-    np.copyto(out, a)
-    return _softmax_in_place(out, mask)
+    # one float32 copy to work in: ``np.positive`` copies every value
+    # exactly, into a workspace buffer or else in the input's memory order
+    return _softmax_in_place(np.positive(a, out=_out(a.shape)), mask)
 
 
 def attention(
@@ -479,12 +457,8 @@ def softmax_rows_backward(
         raise ShapeError(f"softmax backward: probs is {probs.shape}, d_probs is {d_probs.shape}")
     n, m = probs.shape
     sink.add("softmax_backward", 4 * n * m, 8 * n * m, 4 * n * m)
-    ws = _workspace if n * m >= _POOLED_SIZE else None
-    if ws is None:
-        inner = (d_probs * probs).sum(axis=1, keepdims=True)
-        return _check_finite(probs * (d_probs - inner), "softmax backward")
-    # the same three steps through one pooled buffer
-    out = np.multiply(d_probs, probs, out=ws.empty((n, m)))
+    # the three steps through one buffer
+    out = np.multiply(d_probs, probs, out=_out((n, m)))
     inner = out.sum(axis=1, keepdims=True)
     np.subtract(d_probs, inner, out=out)
     return _check_finite(np.multiply(probs, out, out=out), "softmax backward")
@@ -516,13 +490,8 @@ def layer_norm(a: np.ndarray, gain: np.ndarray, sink: CounterSink) -> np.ndarray
     # overflow warns here and raises at the variance check below
     mean = a.sum(axis=1, keepdims=True)
     mean /= m
-    ws = _workspace if n * m >= _POOLED_SIZE else None
-    if ws is None:
-        out = a - mean
-        var = np.multiply(out, out).sum(axis=1, keepdims=True)
-    else:
-        out = np.subtract(a, mean, out=ws.empty((n, m)))
-        var = np.multiply(out, out, out=ws.empty((n, m))).sum(axis=1, keepdims=True)
+    out = np.subtract(a, mean, out=_out((n, m)))
+    var = np.multiply(out, out, out=_out((n, m))).sum(axis=1, keepdims=True)
     var /= m
     if not np.isfinite(var).all():
         raise FloatingPointError("layer_norm row variance overflowed float32")
@@ -551,20 +520,15 @@ def layer_norm_backward(
     # the steps and their order are those of ``a.var`` and the textbook
     # formula, so the result is bit-identical; ``x_hat`` and ``prod`` are
     # reused in place
-    ws = _workspace if n * m >= _POOLED_SIZE else None
-    if ws is None:
-        x_hat = a - a.mean(axis=1, keepdims=True)
-        prod = np.multiply(x_hat, x_hat)
-    else:
-        x_hat = np.subtract(a, a.mean(axis=1, keepdims=True), out=ws.empty((n, m)))
-        prod = np.multiply(x_hat, x_hat, out=ws.empty((n, m)))
+    x_hat = np.subtract(a, a.mean(axis=1, keepdims=True), out=_out((n, m)))
+    prod = np.multiply(x_hat, x_hat, out=_out((n, m)))
     var = prod.sum(axis=1, keepdims=True)
     var /= m
     var += LN_EPS
     inv_std = 1.0 / np.sqrt(var, out=var)
     x_hat *= inv_std
     d_gain = np.multiply(d_out, x_hat, out=prod).sum(axis=0)
-    d_a = d_out * gain if ws is None else np.multiply(d_out, gain, out=ws.empty((n, m)))
+    d_a = np.multiply(d_out, gain, out=_out((n, m)))
     proj = np.multiply(d_a, x_hat, out=prod).mean(axis=1, keepdims=True)
     d_a -= d_a.mean(axis=1, keepdims=True)
     d_a -= np.multiply(x_hat, proj, out=prod)
@@ -589,8 +553,7 @@ def add(a: np.ndarray, b: np.ndarray, sink: CounterSink) -> np.ndarray:
     _check_add_operands(a, b)
     size = a.size
     sink.add("add", size, 8 * size, 4 * size)
-    ws = _workspace if size >= _POOLED_SIZE else None
-    return _check_finite(a + b if ws is None else np.add(a, b, out=ws.empty(a.shape)), "add")
+    return _check_finite(np.add(a, b, out=_out(a.shape)), "add")
 
 
 def scale(a: np.ndarray, factor: float, sink: CounterSink) -> np.ndarray:
@@ -600,11 +563,7 @@ def scale(a: np.ndarray, factor: float, sink: CounterSink) -> np.ndarray:
         raise ShapeError(f"scale: a must be float32, got {a.dtype}")
     size = a.size
     sink.add("scale", size, 4 * size, 4 * size)
-    ws = _workspace if size >= _POOLED_SIZE else None
-    factor = F32(factor)
-    return _check_finite(
-        a * factor if ws is None else np.multiply(a, factor, out=ws.empty(a.shape)), "scale"
-    )
+    return _check_finite(np.multiply(a, F32(factor), out=_out(a.shape)), "scale")
 
 
 def relu(a: np.ndarray, sink: CounterSink) -> np.ndarray:
@@ -614,10 +573,7 @@ def relu(a: np.ndarray, sink: CounterSink) -> np.ndarray:
         raise ShapeError(f"relu: a must be float32, got {a.dtype}")
     size = a.size
     sink.add("relu", size, 4 * size, 4 * size)
-    ws = _workspace if size >= _POOLED_SIZE else None
-    if ws is None:
-        return np.maximum(a, F32(0.0))
-    return np.maximum(a, F32(0.0), out=ws.empty(a.shape))
+    return np.maximum(a, F32(0.0), out=_out(a.shape))
 
 
 def relu_backward(a: np.ndarray, d_out: np.ndarray, sink: CounterSink) -> np.ndarray:
@@ -636,12 +592,8 @@ def relu_backward(a: np.ndarray, d_out: np.ndarray, sink: CounterSink) -> np.nda
     sink.add("relu_backward", size, 8 * size, 4 * size)
     # branch-free select: an all-ones int32 lane where a > 0 keeps d_out's
     # bits (NaN and -0.0 included), a zero lane gives +0.0
-    ws = _workspace if size >= _POOLED_SIZE else None
-    if ws is None:
-        keep = np.negative(a > 0, dtype=np.int32)
-    else:
-        positive = np.greater(a, 0, out=ws.empty(a.shape, np.bool_))
-        keep = np.negative(positive, dtype=np.int32, out=ws.empty(a.shape, np.int32))
+    positive = np.greater(a, 0, out=_out(a.shape, np.bool_))
+    keep = np.negative(positive, dtype=np.int32, out=_out(a.shape, np.int32))
     keep &= d_out.view(np.int32)
     return keep.view(F32)
 

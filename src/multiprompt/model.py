@@ -243,35 +243,6 @@ def _unfold_heads(x4: np.ndarray, n_heads: int) -> np.ndarray:
     return kernels.relayout(x, (groups * n, n_heads * dh))
 
 
-def _multihead(
-    q4: np.ndarray,
-    k4: np.ndarray,
-    v4: np.ndarray,
-    sink: CounterSink,
-    mask_rows: np.ndarray | None = None,
-    internals: dict | None = None,
-) -> np.ndarray:
-    """Attention core on head-folded tensors: ``softmax(q4 k4) v4`` per slice,
-    one fused :func:`kernels.attention` call.
-
-    ``q4`` is ``[O*h, r, dh]``: for each of ``O`` key/value owners and each
-    head, the ``r`` query rows of every sequence that owner serves, already
-    scaled by ``1/sqrt(dh)``.  ``k4`` is ``[O*h, dh, m]`` (keys stored
-    transposed) and ``v4`` is ``[O*h, m, dh]``; both may be strided views
-    of a cache, which the products read in place.  A slice shared by
-    several sequences is therefore read once per owner rather than once
-    per stream (the broadcast at the heart of the shared-cache path).
-    Returns the head-folded context ``[O*h, r, dh]``.  ``mask_rows`` is an
-    optional bool ``[nq, m]`` mask applied to every run of ``nq`` query
-    rows.  ``internals``, when given, receives ``q4``/``k4``/``v4`` and
-    ``probs`` for the backward.
-    """
-    probs, ctx = kernels.attention(q4, k4, v4, sink, mask_rows)
-    if internals is not None:
-        internals.update(q4=q4, k4=k4, v4=v4, probs=probs)
-    return ctx
-
-
 # -- sublayers ----------------------------------------------------------------
 
 
@@ -301,8 +272,19 @@ def _attention_sublayer(
     them is attended in place.  Cross-attention passes precomputed
     head-major ``kv`` (``[owners*h, dh, m]``, ``[owners*h, m, dh]``), each
     owner shared by ``kv_group`` consecutive sequences.  A ``tape``
-    receives the activations the exact backward needs; without one
-    nothing is recorded.
+    receives the activations the exact backward needs (``q4``/``k4``/
+    ``v4`` and ``probs`` among them); without one nothing is recorded.
+
+    The attention core is one fused :func:`kernels.attention` call on
+    head-folded tensors: ``q4`` is ``[O*h, r, dh]``, for each of ``O``
+    key/value owners and each head the ``r`` query rows of every sequence
+    that owner serves, already scaled.  The keys ``[O*h, dh, m]`` (stored
+    transposed) and values ``[O*h, m, dh]`` may be strided views of a
+    cache, which the products read in place.  A slice shared by several
+    sequences is therefore read once per owner rather than once per
+    stream (the broadcast at the heart of the shared-cache path).
+    ``mask_rows`` is an optional bool ``[nq, m]`` mask applied to every
+    run of ``nq`` query rows.
     """
     h, dh = config.n_heads, config.head_dim
     nq = x.shape[0] // n_seq
@@ -327,12 +309,14 @@ def _attention_sublayer(
                 # frozen streams keep zero K/V at dead positions; their own
                 # output is never sampled so the garbage attention is inert
                 kv = (k_cache[:, :, :end], v_cache[:, :end])
-        internals = None if tape is None else {}
         q4 = _fold_heads(q, n_seq // kv_group, h)
-        ctx = _unfold_heads(_multihead(q4, *kv, sink, mask_rows, internals), h)
+        probs, ctx = kernels.attention(q4, *kv, sink, mask_rows)
+        saved = None if tape is None else dict(q4=q4, k4=kv[0], v4=kv[1], probs=probs)
+        del probs  # without a tape the scores are freed before the projection (peak memory)
+        ctx = _unfold_heads(ctx, h)
         out = kernels.matmul(ctx, attn.w_o, sink, residual=x)
     if tape is not None:
-        tape.append(dict(internals, x_in=x, normed=normed, ctx=ctx))
+        tape.append(dict(saved, x_in=x, normed=normed, ctx=ctx))
     return out
 
 
@@ -393,13 +377,6 @@ def encode_batch(
         x = _ffn_sublayer(layer.ffn, x, sink, tape)
     x = _final_norm(x, weights.enc_final_gain, sink, tape)
     return x.reshape(b, n, config.d_model)
-
-
-def encoder_forward(
-    config: ModelConfig, weights: WeightSet, tokens: np.ndarray, sink: CounterSink
-) -> np.ndarray:
-    """Encoder forward for one sequence; returns contextual embeddings [L, d]."""
-    return encode_batch(config, weights, [np.asarray(tokens)], sink)[0]
 
 
 # -- decoder state -----------------------------------------------------------

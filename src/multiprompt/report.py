@@ -53,7 +53,7 @@ BENCH_COLUMNS = [
     "run_id", "preset", "engine",
     "single_mean_s", "single_std_s", "single_median_s",
     "optimal_batch", "optimal_per_instance_s", "total_flops",
-    "token_checksum", "wasted_stream_steps", "unstable",
+    "token_checksum", "wasted_stream_steps", "minor_faults_per_op", "unstable",
     "speedup_single", "speedup_batched",
     "measured_flop_ratio", "analytic_flop_ratio",
 ]

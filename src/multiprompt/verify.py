@@ -28,7 +28,7 @@ from .bench import BenchConfig, random_workload, run_bench
 from .engines import ENGINES, PID, PIE, DecodeResult, infer, reference_decode
 from .instrumentation import measured_intensity
 from .kernels import CounterSink
-from .model import ModelConfig, init_weights, decoder_prefill, decoder_step, encoder_forward, init_decode_state
+from .model import ModelConfig, init_weights, decoder_prefill, decoder_step, encode_batch, init_decode_state
 from .training import (
     ToyTrainingSpec,
     evaluate_exact_match,
@@ -233,15 +233,15 @@ def check_incremental_vs_reference(seed: int) -> CheckResult:
             tokens_equal = tokens_equal and fast.outputs == slow.outputs
         # logit drift: 16 incremental steps vs one causal pass over the same tokens
         toks = rng.integers(4, config.vocab_size, size=16, dtype=np.int64)
-        memory = encoder_forward(
-            config, weights, rng.integers(4, config.vocab_size, size=12), CounterSink()
+        memory = encode_batch(
+            config, weights, [rng.integers(4, config.vocab_size, size=12)], CounterSink()
         )
-        inc_state = init_decode_state(config, weights, memory[None], 1, 16, CounterSink())
+        inc_state = init_decode_state(config, weights, memory, 1, 16, CounterSink())
         inc = [
             decoder_step(config, weights, inc_state, np.array([t]), CounterSink())
             for t in toks
         ]
-        full_state = init_decode_state(config, weights, memory[None], 1, 16, CounterSink())
+        full_state = init_decode_state(config, weights, memory, 1, 16, CounterSink())
         full = decoder_prefill(
             config, weights, full_state, toks[None, :], CounterSink(), return_all_logits=True
         )

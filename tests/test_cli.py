@@ -116,19 +116,24 @@ def test_bench_reports_wasted_stream_steps_per_engine(capsys):
     assert engines["pie"]["wasted_stream_steps"] == 0
 
 
-def test_bench_reports_minor_faults_per_op(capsys, monkeypatch):
+def test_bench_reports_minor_faults_per_op(capsys, monkeypatch, tmp_path):
+    import csv
+
     from multiprompt import bench
 
+    path = tmp_path / "bench.csv"
     argv = [
         "bench", "--shape", "U=2,b=1,n_s=16,n_t=3,n_p=0,d=64,h=4", "--model", "toy",
-        "--reps", "3", "--warmup", "0", "--batch-sizes", "1", "--json",
+        "--reps", "3", "--warmup", "0", "--batch-sizes", "1", "--json", "--csv", str(path),
     ]
     code, out = run_cli(capsys, *argv)
     assert code == 0
+    rows = {row["engine"]: row for row in csv.DictReader(open(path))}
     for engine, timing in json.loads(out[out.index("{") :])["body"]["engines"].items():
         faults = timing["minor_faults_per_op"]
         assert isinstance(faults, float) and faults >= 0
         assert f"{engine}: single " in out and f"minor faults/op {faults:.0f}" in out
+        assert float(rows[engine]["minor_faults_per_op"]) == faults
     # without the resource module there is no count, and none is made up
     monkeypatch.setattr(bench, "resource", None)
     code, out = run_cli(capsys, *argv)
@@ -136,6 +141,8 @@ def test_bench_reports_minor_faults_per_op(capsys, monkeypatch):
     engines = json.loads(out[out.index("{") :])["body"]["engines"]
     assert all(timing["minor_faults_per_op"] is None for timing in engines.values())
     assert out.count("minor faults/op n/a") == 2
+    rows = list(csv.DictReader(open(path)))
+    assert len(rows) == 2 and all(row["minor_faults_per_op"] == "" for row in rows)
 
 
 def test_run_bench_interleaves_engines_and_reuses_batch1_series(monkeypatch):

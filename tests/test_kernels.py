@@ -865,6 +865,20 @@ def pooled_case_results(result):
     return tuple(pooled_case_results(r) for r in result) if isinstance(result, tuple) else result
 
 
+def owns_its_memory(result, operands) -> bool:
+    """Whether every array in a kernel outcome holds memory NumPy allocated
+    for it (perhaps through a dtype view of a temporary of its shape) or
+    views an operand; a pooled array views a raw byte buffer instead."""
+    if isinstance(result, tuple):
+        return all(owns_its_memory(r, operands) for r in result)
+    if not isinstance(result, np.ndarray):
+        return True
+    if any(np.shares_memory(result, op) for op in operands if isinstance(op, np.ndarray)):
+        return True
+    owner = result if result.base is None else result.base
+    return owner.base is None and owner.shape == result.shape
+
+
 def test_kernels_in_a_workspace_equal_plain_numpy_bit_for_bit():
     rng = np.random.default_rng(0)
     n, m = 1024, 96  # 384 KiB per operand: every output and temporary is pooled
@@ -895,6 +909,8 @@ def test_kernels_in_a_workspace_equal_plain_numpy_bit_for_bit():
     ]
     for kernel, operands, options in cases:
         plain, plain_counts = outcome(kernel, *operands, **options)
+        # the negative control: outside a workspace no result comes from a pool
+        assert owns_its_memory(plain, operands), kernel.__name__
         with kernels.Workspace() as ws:
             pooled, pooled_counts = outcome(kernel, *operands, **options)
         assert ws.buffers > 0, kernel.__name__
@@ -904,8 +920,10 @@ def test_kernels_in_a_workspace_equal_plain_numpy_bit_for_bit():
 
 def test_relayout_copies_into_the_workspace_exactly_when_reshape_copies():
     rng = np.random.default_rng(0)
+    ws = kernels.Workspace()
     for _ in range(2000):
-        base = np.zeros(tuple(rng.integers(1, 4, size=rng.integers(1, 5))), dtype=F32)
+        dims = tuple(rng.integers(1, 4, size=rng.integers(1, 5)))
+        base = np.arange(math.prod(dims), dtype=F32).reshape(dims)  # distinct values
         x = base.transpose(rng.permutation(base.ndim))
         if rng.random() < 0.3:
             x = x[(slice(None),) * int(rng.integers(0, x.ndim)) + (slice(None, None, 2),)]
@@ -914,7 +932,11 @@ def test_relayout_copies_into_the_workspace_exactly_when_reshape_copies():
             factors.append(int(rng.choice([f for f in range(2, rest + 1) if rest % f == 0])))
             rest //= factors[-1]
         shape = tuple(factors) + (1,) * int(rng.integers(0, 2))
-        assert kernels._reshape_is_view(x, shape) == np.shares_memory(x.reshape(shape), x)
+        with ws:
+            got = kernels.relayout(x, shape)
+        want = x.reshape(shape)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.shares_memory(got, x) == np.shares_memory(want, x)
     # over the threshold: a copy comes from the pool, a view stays a view
     x = np.arange(math.prod(BIG), dtype=F32).reshape(64, 32, 64).transpose(1, 0, 2)
     with kernels.Workspace() as ws:

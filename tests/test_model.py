@@ -6,19 +6,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from multiprompt import reference
+from multiprompt import kernels, reference
 from multiprompt.errors import ConfigError, LengthError, MaskError
 from multiprompt.kernels import CounterSink
 from multiprompt.model import (
     BOS,
     ModelConfig,
     _fold_heads,
-    _multihead,
     _unfold_heads,
     decoder_prefill,
     decoder_step,
     encode_batch,
-    encoder_forward,
     init_decode_state,
     init_weights,
 )
@@ -41,7 +39,7 @@ def attend(q, k, v, w_o, mask_rows, n_heads, sink):
     q4 = _fold_heads(q * F32(1.0 / math.sqrt(dh)), 1, n_heads)
     k4 = _fold_heads(k, 1, n_heads).transpose(0, 2, 1)
     v4 = _fold_heads(v, 1, n_heads)
-    return _unfold_heads(_multihead(q4, k4, v4, sink, mask_rows), n_heads) @ w_o
+    return _unfold_heads(kernels.attention(q4, k4, v4, sink, mask_rows)[1], n_heads) @ w_o
 
 
 # -- init_weights -----------------------------------------------------------
@@ -118,15 +116,15 @@ def test_attention_rows_sum_to_one_under_causal_mask(sink):
 
 def test_encoder_rejects_empty_and_overlength(tiny_config, tiny_weights, sink):
     with pytest.raises(LengthError):
-        encoder_forward(tiny_config, tiny_weights, np.array([], dtype=np.int64), sink)
+        encode_batch(tiny_config, tiny_weights, [np.array([], dtype=np.int64)], sink)
     with pytest.raises(LengthError):
-        encoder_forward(tiny_config, tiny_weights, np.zeros(65, dtype=np.int64), sink)
+        encode_batch(tiny_config, tiny_weights, [np.zeros(65, dtype=np.int64)], sink)
 
 
 def test_encoder_deterministic(tiny_config, tiny_weights):
     toks = random_tokens(np.random.default_rng(0), 9, tiny_config.vocab_size)
-    a = encoder_forward(tiny_config, tiny_weights, toks, CounterSink())
-    b = encoder_forward(tiny_config, tiny_weights, toks, CounterSink())
+    a = encode_batch(tiny_config, tiny_weights, [toks], CounterSink())
+    b = encode_batch(tiny_config, tiny_weights, [toks], CounterSink())
     np.testing.assert_array_equal(a, b)
 
 
@@ -144,13 +142,13 @@ def test_encoder_batch_matches_per_instance(tiny_config, tiny_weights):
     seqs = [random_tokens(rng, 6, tiny_config.vocab_size) for _ in range(3)]
     batched = encode_batch(tiny_config, tiny_weights, seqs, CounterSink())
     for i, s in enumerate(seqs):
-        single = encoder_forward(tiny_config, tiny_weights, s, CounterSink())
-        np.testing.assert_allclose(batched[i], single, atol=1e-6)
+        single = encode_batch(tiny_config, tiny_weights, [s], CounterSink())
+        np.testing.assert_allclose(batched[i], single[0], atol=1e-6)
 
 
 def test_encoder_matches_float64_reference(tiny_config, tiny_weights):
     toks = random_tokens(np.random.default_rng(5), 10, tiny_config.vocab_size)
-    got = encoder_forward(tiny_config, tiny_weights, toks, CounterSink())
+    got = encode_batch(tiny_config, tiny_weights, [toks], CounterSink())[0]
     want = reference.encoder(tiny_weights, toks)
     np.testing.assert_allclose(got, want, atol=1e-4)
 
@@ -159,13 +157,12 @@ def test_encoder_matches_float64_reference(tiny_config, tiny_weights):
 
 
 def _fresh_state(config, weights, memory, sink, capacity=32, group=1):
-    mems = memory[None, :, :] if memory.ndim == 2 else memory
-    return init_decode_state(config, weights, mems, group, capacity, sink)
+    return init_decode_state(config, weights, memory, group, capacity, sink)
 
 
 def test_decoder_step_on_fresh_state_equals_full_forward(tiny_config, tiny_weights):
     toks = random_tokens(np.random.default_rng(6), 8, tiny_config.vocab_size)
-    memory = encoder_forward(tiny_config, tiny_weights, toks, CounterSink())
+    memory = encode_batch(tiny_config, tiny_weights, [toks], CounterSink())
     s1 = _fresh_state(tiny_config, tiny_weights, memory, CounterSink())
     step_logits = decoder_step(tiny_config, tiny_weights, s1, np.array([BOS]), CounterSink())
     s2 = _fresh_state(tiny_config, tiny_weights, memory, CounterSink())
@@ -178,9 +175,7 @@ def test_decode_step_kernel_calls(tiny_config, tiny_weights, monkeypatch):
     # its scale, K, V, attention core, output projection with its residual),
     # cross-attention 4 and feed-forward 4; then the embedding's gather,
     # scale and position add, the final norm and the head
-    from multiprompt import kernels
-
-    memory = encoder_forward(tiny_config, tiny_weights, np.array([5, 6, 7]), CounterSink())
+    memory = encode_batch(tiny_config, tiny_weights, [np.array([5, 6, 7])], CounterSink())
     state = _fresh_state(tiny_config, tiny_weights, memory, CounterSink())
     calls = Counter()
     for name in ("matmul", "bmm", "attention", "softmax_rows", "layer_norm", "add", "scale",
@@ -203,7 +198,7 @@ def test_decode_step_kernel_calls(tiny_config, tiny_weights, monkeypatch):
 def test_incremental_steps_match_single_prefill(tiny_config, tiny_weights, seed):
     rng = np.random.default_rng(seed)
     toks = random_tokens(rng, 8, tiny_config.vocab_size)
-    memory = encoder_forward(tiny_config, tiny_weights, toks, CounterSink())
+    memory = encode_batch(tiny_config, tiny_weights, [toks], CounterSink())
     dec_tokens = random_tokens(rng, 6, tiny_config.vocab_size)
 
     s_inc = _fresh_state(tiny_config, tiny_weights, memory, CounterSink())
@@ -226,7 +221,7 @@ def test_decoder_full_forward_matches_float64_reference(tiny_config, tiny_weight
     rng = np.random.default_rng(7)
     enc_toks = random_tokens(rng, 8, tiny_config.vocab_size)
     dec_toks = random_tokens(rng, 5, tiny_config.vocab_size)
-    memory = encoder_forward(tiny_config, tiny_weights, enc_toks, CounterSink())
+    memory = encode_batch(tiny_config, tiny_weights, [enc_toks], CounterSink())
     state = _fresh_state(tiny_config, tiny_weights, memory, CounterSink())
     got = decoder_prefill(
         tiny_config, tiny_weights, state, dec_toks[None, :], CounterSink(), return_all_logits=True
@@ -238,7 +233,7 @@ def test_decoder_full_forward_matches_float64_reference(tiny_config, tiny_weight
 
 def test_cache_overflow_raises(tiny_config, tiny_weights):
     toks = random_tokens(np.random.default_rng(8), 4, tiny_config.vocab_size)
-    memory = encoder_forward(tiny_config, tiny_weights, toks, CounterSink())
+    memory = encode_batch(tiny_config, tiny_weights, [toks], CounterSink())
     state = _fresh_state(tiny_config, tiny_weights, memory, CounterSink(), capacity=2)
     decoder_step(tiny_config, tiny_weights, state, np.array([BOS]), CounterSink())
     decoder_step(tiny_config, tiny_weights, state, np.array([5]), CounterSink())
