@@ -11,12 +11,12 @@ decode streams.
 
 One function, :func:`infer`, runs either layout: it encodes, builds the
 caches and decodes greedily in lockstep, all streams advancing one token
-per step through the same batched kernels.  Streams that emit the end
-token are frozen (their caches stop growing and their outputs stop), but
-they keep flowing through the batched compute; those wasted stream-steps
-are reported separately so counter totals stay comparable to fixed-length
-accounting.  :func:`reference_decode`, the cache-free oracle, takes the
-same layout but decodes on its own, one stream at a time.
+per step through the same batched kernels until each has emitted the end
+token.  Streams that finished early keep flowing through the batched
+compute; those wasted stream-steps are reported separately so counter
+totals stay comparable to fixed-length accounting.  :func:`reference_decode`,
+the cache-free oracle, takes the same layout but decodes on its own, one
+stream at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, LengthError
 from .instrumentation import CounterSet
-from .kernels import F32, CounterSink
+from .kernels import CounterSink
 from .model import (
     BOS,
     EOS,
@@ -95,10 +95,6 @@ class Workload:
         return len(self.instances[0].prompts)
 
     @property
-    def input_len(self) -> int:
-        return int(np.asarray(self.instances[0].x).size)
-
-    @property
     def prompt_len(self) -> int:
         return int(np.asarray(self.instances[0].prompts[0]).size)
 
@@ -119,7 +115,6 @@ class DecodeResult:
     step_counters: CounterSet  # decode loop only (cross-cache projection excluded)
     encoder_passes: int
     wasted_stream_steps: int
-    logits_trace: list[np.ndarray] | None = None
 
     def flat_outputs(self) -> list[list[int]]:
         return [seq for per_instance in self.outputs for seq in per_instance]
@@ -191,9 +186,6 @@ def infer(
     weights: WeightSet,
     workload: Workload,
     sink: CounterSink | None = None,
-    record_logits: bool = False,
-    ablate_shared_cross: bool = False,
-    corrupt_shared_kv: bool = False,
 ) -> DecodeResult:
     """Encode, then decode all streams greedily in lockstep with K/V caches.
 
@@ -201,15 +193,13 @@ def infer(
     cross-attention cache; pid encodes the shared input once, prefills the
     prompts in the decoder (positions ``0..n_p-1``, causal) and all ``U``
     streams of an instance broadcast one shared cross-attention K/V slice.
-    ``ablate_shared_cross=True`` materializes ``U`` explicit copies instead
-    (the broadcast-equivalence ablation; the identity for pie, whose
-    ``kv_group`` is already 1); ``corrupt_shared_kv=True`` is a debug fault
-    that perturbs the shared slices.
 
-    The loop keeps every step's chosen tokens, one ``[S]`` row per step.
-    Afterwards each stream's output is its column cut after its first end
-    token, and ``wasted_stream_steps`` is ``steps_taken * S`` minus the
-    summed output lengths: the stream-steps spent on frozen streams.
+    Every stream's chosen token is fed back (each stream writes its own
+    self-cache row every step) until each has emitted the end token; the
+    loop keeps one ``[S]`` row of chosen tokens per step.  Afterwards each
+    stream's output is its column cut after its first end token, and
+    ``wasted_stream_steps`` is ``steps_taken * S`` minus the summed output
+    lengths: the stream-steps spent on streams that had already finished.
     """
     sink = sink if sink is not None else CounterSink()
     encoder_inputs, prefix, kv_group = _layout(engine, workload)
@@ -218,34 +208,21 @@ def infer(
     before = sink.component_totals()
     memories = encode_batch(config, weights, encoder_inputs, sink)
     encode_counters = _delta(sink, before)
-    if ablate_shared_cross:
-        # the broadcast-equivalence ablation: one explicit cross-K/V copy per stream
-        memories = np.repeat(memories, kv_group, axis=0)
-        kv_group = 1
     chosen_rows: list[np.ndarray] = []
-    trace: list[np.ndarray] | None = [] if record_logits else None
     steps = 0
     after_init = sink.component_totals()
     if n_t:
         state = init_decode_state(config, weights, memories, kv_group, p + n_t - 1, sink)
-        if corrupt_shared_kv:
-            # debug fault: shifting the shared value slices moves every context vector (a
-            # uniform key shift would cancel in softmax); the broadcast check's negative control
-            for v in state.cross_v:
-                v += F32(0.125)
         after_init = sink.component_totals()
         logits = decoder_prefill(config, weights, state, prefix, sink)
-        last_tokens = np.ascontiguousarray(prefix[:, -1])
+        done = np.zeros(len(prefix), dtype=bool)
         for steps in range(1, n_t + 1):
             if steps > 1:
-                logits = decoder_step(config, weights, state, last_tokens, sink)
-            if trace is not None:
-                trace.append(logits.copy())
+                logits = decoder_step(config, weights, state, chosen, sink)
             chosen = greedy_step(logits)
             chosen_rows.append(chosen)
-            last_tokens = np.where(state.active, chosen, last_tokens)
-            state.active &= chosen != EOS
-            if not state.active.any():
+            done |= chosen == EOS
+            if done.all():
                 break
     # a stream's output runs up to and including its first end token
     per_stream = np.array(chosen_rows, dtype=np.int64).reshape(steps, len(prefix)).T.tolist()
@@ -259,7 +236,6 @@ def infer(
         step_counters=_delta(sink, after_init),
         encoder_passes=len(encoder_inputs),
         wasted_stream_steps=steps * len(prefix) - sum(map(len, outputs)),
-        logits_trace=trace,
     )
 
 
@@ -306,5 +282,4 @@ def reference_decode(
         step_counters=_delta(sink, after_encode),
         encoder_passes=len(encoder_inputs),
         wasted_stream_steps=0,
-        logits_trace=None,
     )

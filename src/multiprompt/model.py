@@ -9,7 +9,7 @@ a linear vocabulary head.
 Each sublayer body (pre-norm attention, pre-norm feed-forward) is written
 once and shared by the encoder and decoder stacks.  The decoder runs
 incrementally against a :class:`KVCacheSet`: self-attention keys/values
-are appended one position per active stream, cross-attention keys/values
+are appended one position per stream per step, cross-attention keys/values
 are projected once from the encoder output ``M`` and owned either per
 stream or per instance (the latter is what lets several decode streams
 share one broadcast cache).
@@ -256,7 +256,7 @@ def _attention_sublayer(
     *,
     kv: tuple[np.ndarray, np.ndarray] | None = None,
     kv_group: int = 1,
-    cache: tuple[np.ndarray, np.ndarray, np.ndarray | slice, int] | None = None,
+    cache: tuple[np.ndarray, np.ndarray, int] | None = None,
     mask_rows: np.ndarray | None = None,
     tape: list[dict] | None = None,
 ) -> np.ndarray:
@@ -266,14 +266,14 @@ def _attention_sublayer(
     are scaled by ``1/sqrt(dh)`` (``n_seq * nq * d`` elements, not one per
     score).  Without ``kv`` the sublayer attends to itself: K/V are
     projected from the same normed rows, and with ``cache = (k_cache,
-    v_cache, write_rows, start)`` (head-major ``[n_seq*h, dh, capacity]``
-    and ``[n_seq*h, capacity, dh]``) they are first written at ``start``
-    for the streams in ``write_rows``, then every cached position up to
-    them is attended in place.  Cross-attention passes precomputed
-    head-major ``kv`` (``[owners*h, dh, m]``, ``[owners*h, m, dh]``), each
-    owner shared by ``kv_group`` consecutive sequences.  A ``tape``
-    receives the activations the exact backward needs (``q4``/``k4``/
-    ``v4`` and ``probs`` among them); without one nothing is recorded.
+    v_cache, start)`` (head-major ``[n_seq*h, dh, capacity]`` and
+    ``[n_seq*h, capacity, dh]``) they are first written at ``start``, then
+    every cached position up to them is attended in place.  Cross-attention
+    passes precomputed head-major ``kv`` (``[owners*h, dh, m]``,
+    ``[owners*h, m, dh]``), each owner shared by ``kv_group`` consecutive
+    sequences.  A ``tape`` receives the activations the exact backward
+    needs (``q4``/``k4``/``v4`` and ``probs`` among them); without one
+    nothing is recorded.
 
     The attention core is one fused :func:`kernels.attention` call on
     head-folded tensors: ``q4`` is ``[O*h, r, dh]``, for each of ``O``
@@ -302,12 +302,10 @@ def _attention_sublayer(
                     kernels.relayout(v, (n_seq * h, nq, dh)),
                 )
             else:
-                k_cache, v_cache, write_rows, start = cache
+                k_cache, v_cache, start = cache
                 end = start + nq
-                k_cache.reshape(n_seq, h, dh, -1)[write_rows, :, :, start:end] = k[write_rows]
-                v_cache.reshape(n_seq, h, -1, dh)[write_rows, :, start:end] = v[write_rows]
-                # frozen streams keep zero K/V at dead positions; their own
-                # output is never sampled so the garbage attention is inert
+                k_cache.reshape(n_seq, h, dh, -1)[..., start:end] = k
+                v_cache.reshape(n_seq, h, -1, dh)[:, :, start:end] = v
                 kv = (k_cache[:, :, :end], v_cache[:, :end])
         q4 = _fold_heads(q, n_seq // kv_group, h)
         probs, ctx = kernels.attention(q4, *kv, sink, mask_rows)
@@ -406,11 +404,6 @@ class KVCacheSet:
     cross_k: list[np.ndarray]
     cross_v: list[np.ndarray]
     length: int = 0
-    active: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.active is None:
-            self.active = np.ones(self.n_streams, dtype=bool)
 
 
 def init_decode_state(
@@ -461,7 +454,6 @@ def _decoder_sublayers(
     weights: WeightSet,
     state: KVCacheSet,
     x: np.ndarray,
-    write_rows: np.ndarray | slice,
     mask_rows: np.ndarray | None,
     sink: CounterSink,
     tape: list[dict] | None,
@@ -469,16 +461,14 @@ def _decoder_sublayers(
     """Shared body of prefill and single-step decode.
 
     ``x`` is ``[S*p, d]`` for ``p`` new positions per stream starting at
-    ``state.length``; self-attention K/V rows are written for streams in
-    ``write_rows`` only (stream indices, or ``slice(None)`` for all of
-    them, which writes without gathering).  ``mask_rows`` is
-    ``[p, length + p]`` or None.
+    ``state.length``; every stream writes its self-attention K/V rows there.
+    ``mask_rows`` is ``[p, length + p]`` or None.
     """
     s = state.n_streams
     for li, layer in enumerate(weights.dec_layers):
         x = _attention_sublayer(
             config, layer.self_attn, x, s, "decoder_self", sink, mask_rows=mask_rows,
-            cache=(state.self_k[li], state.self_v[li], write_rows, state.length), tape=tape,
+            cache=(state.self_k[li], state.self_v[li], state.length), tape=tape,
         )
         x = _attention_sublayer(
             config, layer.cross_attn, x, s, "decoder_cross", sink,
@@ -520,7 +510,7 @@ def decoder_prefill(
     x = _embed(weights, token_block.reshape(-1), pos, sink)
     # row i sees every cached position and the new positions up to its own
     causal = np.tri(p, state.length + p, state.length, dtype=bool)
-    x = _decoder_sublayers(config, weights, state, x, slice(None), causal, sink, tape)
+    x = _decoder_sublayers(config, weights, state, x, causal, sink, tape)
     state.length += p
     x = _final_norm(x, weights.dec_final_gain, sink, tape)
     with sink.scope("embedding"):
@@ -540,9 +530,8 @@ def decoder_step(
 ) -> np.ndarray:
     """Advance every stream by one position; returns logits ``[S, vocab]``.
 
-    Appends exactly one self-attention cache position per *active* stream;
-    frozen streams flow through the batched kernels (their cost is counted)
-    but neither write cache rows nor contribute sampled tokens.
+    Appends exactly one self-attention cache position per stream.  Streams
+    are independent: no stream's logits depend on another stream's tokens.
     """
     new_tokens = np.asarray(new_tokens, dtype=np.int64)
     s = state.n_streams
@@ -554,8 +543,7 @@ def decoder_step(
         )
     pos = np.full(s, state.length)
     x = _embed(weights, new_tokens, pos, sink)
-    write_rows = slice(None) if state.active.all() else np.flatnonzero(state.active)
-    x = _decoder_sublayers(config, weights, state, x, write_rows, None, sink, None)
+    x = _decoder_sublayers(config, weights, state, x, None, sink, None)
     state.length += 1
     x = _final_norm(x, weights.dec_final_gain, sink, None)
     with sink.scope("embedding"):

@@ -25,7 +25,7 @@ import numpy as np
 from . import costmodel as cm
 from . import reference
 from .bench import BenchConfig, random_workload, run_bench
-from .engines import ENGINES, PID, PIE, DecodeResult, infer, reference_decode
+from .engines import ENGINES, PID, PIE, DecodeResult, _layout, greedy_step, infer, reference_decode
 from .instrumentation import measured_intensity
 from .kernels import CounterSink
 from .model import ModelConfig, init_weights, decoder_prefill, decoder_step, encode_batch, init_decode_state
@@ -40,6 +40,8 @@ from .training import (
 )
 
 FAULT_CORRUPT_SHARED_KV = "corrupt-shared-kv"
+#: the check that applies each ``--inject-fault``
+FAULT_CHECKS = {FAULT_CORRUPT_SHARED_KV: "broadcast_equivalence"}
 
 
 @dataclass
@@ -95,7 +97,15 @@ def mirror_mismatches(res: DecodeResult, predicted: dict) -> dict[str, dict[str,
 
 
 def check_broadcast_equivalence(seed: int, fault: str | None = None) -> CheckResult:
-    """Shared cross-attention K/V vs U explicit copies: identical decoding."""
+    """Shared cross-attention K/V vs U explicit copies: identical decoding.
+
+    One encoding of pid's inputs feeds two caches, ``shared`` (one slice
+    broadcast over an instance's ``U`` streams) and ``copies`` (one repeated
+    slice per stream).  Both decode the shared cache's greedy tokens, so the
+    logits are compared on identical inputs at the prefill and every step.
+    The fault shifts the shared value slices (a uniform key shift would
+    cancel in softmax): the check's negative control.
+    """
     max_drift = 0.0
     tokens_equal = True
     cases = []
@@ -110,17 +120,25 @@ def check_broadcast_equivalence(seed: int, fault: str | None = None) -> CheckRes
         config = _toy_model(d=d, h=h, layers=2, max_len=256)
         weights = init_weights(config, seed=seed + i)
         wl = random_workload(rng, config.vocab_size, u, b, n_s, n_p, n_t=6)
-        shared = infer(
-            PID, config, weights, wl, record_logits=True,
-            corrupt_shared_kv=fault == FAULT_CORRUPT_SHARED_KV,
-        )
-        copies = infer(PID, config, weights, wl, record_logits=True, ablate_shared_cross=True)
-        drift = max(
-            float(np.abs(a - c).max())
-            for a, c in zip(shared.logits_trace, copies.logits_trace)
-        )
+        encoder_inputs, prefix, kv_group = _layout(PID, wl)
+        sink = CounterSink()
+        memories = encode_batch(config, weights, encoder_inputs, sink)
+        capacity = prefix.shape[1] + wl.max_new_tokens - 1
+        shared = init_decode_state(config, weights, memories, kv_group, capacity, sink)
+        repeated = np.repeat(memories, kv_group, axis=0)
+        copies = init_decode_state(config, weights, repeated, 1, capacity, sink)
+        if fault == FAULT_CORRUPT_SHARED_KV:
+            for v in shared.cross_v:
+                v += np.float32(0.125)
+        logits = [decoder_prefill(config, weights, st, prefix, sink) for st in (shared, copies)]
+        drift = 0.0
+        for step in range(wl.max_new_tokens):
+            if step:
+                tokens = greedy_step(logits[0])
+                logits = [decoder_step(config, weights, st, tokens, sink) for st in (shared, copies)]
+            drift = max(drift, float(np.abs(logits[0] - logits[1]).max()))
+            tokens_equal = tokens_equal and np.array_equal(*map(greedy_step, logits))
         max_drift = max(max_drift, drift)
-        tokens_equal = tokens_equal and shared.outputs == copies.outputs
         cases.append({"d": d, "h": h, "U": u, "b": b, "n_s": n_s, "n_p": n_p, "drift": drift})
     return CheckResult(
         "broadcast_equivalence",
@@ -459,7 +477,7 @@ def run_checks(
     fault: str | None = None,
     full: bool = False,
 ) -> list[CheckResult]:
-    """Run the suite; the fault flag only affects the broadcast check."""
+    """Run the suite; a ``fault`` that no selected check applies is an error."""
     table = dict(DEFAULT_CHECKS)
     if full:
         table.update(FULL_ONLY_CHECKS)
@@ -467,8 +485,10 @@ def run_checks(
     unknown = [n for n in selected if n not in table]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; available: {sorted(table)}")
-
+    target = FAULT_CHECKS.get(fault)
+    if fault is not None and target not in selected:
+        raise ValueError(f"no selected check applies fault {fault!r}; fault -> check: {FAULT_CHECKS}")
     return [
-        table[name](seed, fault=fault) if name == "broadcast_equivalence" else table[name](seed)
+        table[name](seed, fault=fault) if name == target else table[name](seed)
         for name in selected
     ]

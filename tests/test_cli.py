@@ -63,6 +63,8 @@ def test_bench_refuses_parallel():
         ["bench", "--preset", "toy", "--max-new", "0"],
         ["train-toy", "--epochs", "0"],
         ["train-toy", "--batch", "0"],
+        # a fault that no selected check applies
+        ["verify", "--checks", "encoder_sharing", "--inject-fault", "corrupt-shared-kv"],
     ],
 )
 def test_bad_values_are_usage_errors(capsys, argv):

@@ -241,21 +241,6 @@ def test_cache_overflow_raises(tiny_config, tiny_weights):
         decoder_step(tiny_config, tiny_weights, state, np.array([6]), CounterSink())
 
 
-def test_frozen_stream_cache_rows_unchanged(tiny_config, tiny_weights):
-    toks = random_tokens(np.random.default_rng(9), 4, tiny_config.vocab_size)
-    memory = encode_batch(tiny_config, tiny_weights, [toks, toks], CounterSink())
-    state = init_decode_state(tiny_config, tiny_weights, memory, 1, 16, CounterSink())
-    decoder_step(tiny_config, tiny_weights, state, np.array([BOS, BOS]), CounterSink())
-    state.active[1] = False
-    h = tiny_config.n_heads
-    # head-major caches: stream 1 owns key slices h..2h-1, positions on the last axis
-    before = state.self_k[0][h : 2 * h].copy()
-    decoder_step(tiny_config, tiny_weights, state, np.array([5, 5]), CounterSink())
-    np.testing.assert_array_equal(state.self_k[0][h : 2 * h], before)
-    assert np.abs(state.self_k[0][:h, :, 1]).max() > 0  # active stream wrote position 1
-    assert not state.self_k[0][h : 2 * h, :, 1].any()  # frozen stream's position 1 stays zero
-
-
 def test_init_decode_state_reads_each_cross_weight_once(tiny_config, tiny_weights):
     # one stacked projection per weight: 2 matmuls per layer, each reading
     # all owners' memory rows plus the d x d weight exactly once

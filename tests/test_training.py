@@ -229,3 +229,27 @@ def test_a_workspace_that_ignores_liveness_breaks_bit_identity(monkeypatch):
 
     same, _ = _workspace_steps_match_plain_steps(monkeypatch, IgnoresLiveness())
     assert not same
+
+
+def test_row_reducing_kernels_get_c_ordered_operands_in_a_train_step(monkeypatch):
+    # every workspace buffer is C-ordered, and NumPy sums a C-ordered row
+    # pairwise but a strided one sequentially: a row-reducing kernel would
+    # round differently inside the workspace than outside it on any other
+    # operand order
+    names = ("layer_norm", "layer_norm_backward", "softmax_rows", "softmax_rows_backward")
+    calls = []
+    for name in names:
+
+        def wrapped(*args, _kernel=getattr(kernels, name), _name=name, **kwargs):
+            for a in args:
+                if isinstance(a, np.ndarray) and a.ndim == 2:
+                    calls.append((_name, a.flags.c_contiguous, kernels._workspace is not None))
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, name, wrapped)
+    config, batches = _workspace_batches()
+    for chosen in batches.values():
+        train_step(config, init_weights(config, seed=0), chosen[0], WS_LEARNING_RATE, CounterSink())
+    assert {name for name, _, _ in calls} == set(names)
+    assert all(in_workspace for _, _, in_workspace in calls)
+    assert [name for name, c_ordered, _ in calls if not c_ordered] == []
