@@ -20,20 +20,32 @@ Counting conventions, fixed package-wide:
 * A fused kernel records each constituent's counts exactly as the separate
   calls would, in the same order, and raises the exception the first
   failing constituent would: :func:`attention` reports what :func:`bmm`,
-  :func:`softmax_rows` and :func:`bmm` would, and :func:`matmul` with a
-  GEMM epilogue (``scale=`` or ``residual=``) what :func:`matmul`
-  followed by :func:`scale` or :func:`add` would.  Fusion changes what is
-  allocated, re-read and checked on the host, never the counted traffic.
+  :func:`softmax_rows` and :func:`bmm` would, :func:`attention_backward`
+  what two :func:`bmm` calls, :func:`softmax_rows_backward` and two more
+  :func:`bmm` calls would, and :func:`matmul` with a GEMM epilogue
+  (``scale=`` or ``residual=``) what :func:`matmul` followed by
+  :func:`scale` or :func:`add` would.  Fusion changes what is allocated,
+  re-read and checked on the host, never the counted traffic.
+* The two attention kernels run their ``B`` slices in chunks whose
+  score-shaped arrays fit ``ATTENTION_CHUNK_BYTES`` (a forward chunk holds
+  whole runs of its mask), each constituent on a chunk before the next
+  chunk.  Every slice and row is computed by the same NumPy call on the
+  same operands as unchunked, each constituent's counts are recorded once
+  for the whole call, and a failure found in one chunk is raised only
+  after every chunk has been checked for an earlier constituent's, so
+  chunking changes neither bits, counts nor the raised error.
 
 Workspace: every kernel has one body, which writes its outputs and
 temporaries through NumPy's ``out=`` argument.  Inside a ``with
 workspace:`` block (a :class:`Workspace`) that argument is a buffer of
 the workspace, which pools requests of ``POOL_MIN_BYTES`` or more, and
 :func:`relayout` copies into one; with no workspace active it is None,
-and NumPy allocates the result as the plain expression would.  A pooled
-buffer is handed out again once no array refers to it, so a loop that
-repeats the same shapes, such as a training step, reuses the same memory
-instead of returning it to the allocator and faulting it in again.
+and NumPy allocates the result as the plain expression would.  An output
+the attention kernels fill chunk by chunk comes whole from the workspace,
+or else from ``np.empty``.  A pooled buffer is handed out again once no
+array refers to it, so a loop that repeats the same shapes, such as a
+training step, reuses the same memory instead of returning it to the
+allocator and faulting it in again.
 Values are bit-identical either way for C-ordered operands, the only
 kind the model passes (every workspace buffer is C-ordered, and a row sum
 over a buffer of another memory order may round differently); allocation
@@ -239,6 +251,12 @@ def _out(shape: tuple[int, ...], dtype=F32) -> np.ndarray | None:
     return None if _workspace is None else _workspace.empty(shape, dtype)
 
 
+def _empty(shape: tuple[int, ...], dtype=F32) -> np.ndarray:
+    """An array a kernel fills in parts: a buffer of the active workspace,
+    or else NumPy's own."""
+    return np.empty(shape, dtype) if _workspace is None else _workspace.empty(shape, dtype)
+
+
 def relayout(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """``x.reshape(shape)``, with the copy, if it takes one, drawn from the
     active workspace.  Uncounted data movement (head folds, key transposes).
@@ -262,9 +280,17 @@ def _as_f32_matrix(a: np.ndarray, name: str, ndim: int) -> np.ndarray:
     return a
 
 
+def _finite(x: np.ndarray) -> bool:
+    return not x.size or np.isfinite(x, out=_out(x.shape, np.bool_)).all()
+
+
+def _non_finite(kind: str) -> FloatingPointError:
+    return FloatingPointError(f"{kind} produced non-finite values")
+
+
 def _check_finite(out: np.ndarray, kind: str) -> np.ndarray:
-    if out.size and not np.isfinite(out, out=_out(out.shape, np.bool_)).all():
-        raise FloatingPointError(f"{kind} produced non-finite values")
+    if not _finite(out):
+        raise _non_finite(kind)
     return out
 
 
@@ -328,46 +354,75 @@ def matmul(
     return out
 
 
-def bmm(a: np.ndarray, b: np.ndarray, sink: CounterSink) -> np.ndarray:
-    """Batched product of ``a [B,m,k]`` and ``b [B,k,n]``.
-
-    Equivalent to ``B`` independent :func:`matmul` calls and counted
-    identically: each slice's operands are read once.  A shared operand
-    must therefore be passed as a single slice (smaller ``B``) to be
-    counted once; materializing copies costs the copies.
-    """
+def _bmm_operands(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`bmm`'s operand checks: float32 ``a [B,m,k]`` and ``b [B,k,n]``."""
     a = _as_f32_matrix(a, "a", 3)
     b = _as_f32_matrix(b, "b", 3)
     ba, m, k = a.shape
     bb, kb, n = b.shape
     if ba != bb or k != kb:
         raise ShapeError(f"bmm: a is {ba}x{m}x{k}, b is {bb}x{kb}x{n} (batch or inner mismatch)")
+    return a, b
+
+
+def _add_bmm(sink: CounterSink, a: np.ndarray, b: np.ndarray) -> None:
+    ba, m, k = a.shape
+    n = b.shape[2]
     sink.add("matmul", 2 * ba * m * n * k, 4 * ba * (m * k + k * n), 4 * ba * m * n)
-    return _check_finite(np.matmul(a, b, out=_out((ba, m, n))), "bmm")
 
 
-# fused kernels call the body bound here, so a wrapper installed on the
-# module attribute ``bmm`` sees only direct calls
-_bmm = bmm
+def bmm(a: np.ndarray, b: np.ndarray, sink: CounterSink) -> np.ndarray:
+    """Batched product of ``a [B,m,k]`` and ``b [B,k,n]``.
+
+    Equivalent to ``B`` independent :func:`matmul` calls and counted
+    identically: each slice's operands are read once.  A shared operand
+    must therefore be passed as a single slice (smaller ``B``) to be
+    counted once; materializing copies costs the copies.  The attention
+    kernels run their products chunk by chunk instead of calling it; it
+    stays a kernel for callers that wrap it by name, such as
+    ``perfbench``'s tracer.
+    """
+    a, b = _bmm_operands(a, b)
+    _add_bmm(sink, a, b)
+    return _check_finite(np.matmul(a, b, out=_out((*a.shape[:2], b.shape[2]))), "bmm")
 
 
-# -- softmax ---------------------------------------------------------------
+# -- softmax and the attention core -----------------------------------------
+
+#: Score bytes one chunk of :func:`attention` or :func:`attention_backward`
+#: holds: half of a 2 MiB L2, so a chunk's scores are still in cache when
+#: the next constituent reads them.
+ATTENTION_CHUNK_BYTES = 1 << 20
+
+
+def _chunk_slices(slices: int, slice_bytes: int, run: int) -> int:
+    """Slices per attention chunk: the most whole runs of ``run`` slices
+    whose ``slice_bytes`` each fit ``ATTENTION_CHUNK_BYTES``, at least one."""
+    fit = ATTENTION_CHUNK_BYTES // slice_bytes if slice_bytes else slices
+    return max(fit // run * run, run)
 
 
 def _add_softmax(sink: CounterSink, n: int, m: int, masked: bool) -> None:
     sink.add("softmax", 4 * n * m, 4 * n * m + (n * m if masked else 0), 4 * n * m)
 
 
-def _softmax_in_place(flat: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    """Row softmax of a non-empty ``flat [n,m]``, written over ``flat``.
-
-    ``mask`` is None or a bool ``[nq,m]`` applied to every run of ``nq``
-    rows (``nq`` divides ``n``); it is broadcast, never tiled.
-    """
+def _check_visible(mask: np.ndarray | None) -> None:
+    """Raise :class:`MaskError` if ``mask`` hides every entry of a row."""
     if mask is not None:
         visible = mask.any(axis=1)
         if not visible.all():
             raise MaskError(f"softmax row {int(np.flatnonzero(~visible)[0])} has no visible entries")
+
+
+def _softmax_in_place(flat: np.ndarray, mask: np.ndarray | None) -> bool:
+    """Row softmax of a non-empty ``flat [n,m]``, written over ``flat``;
+    returns whether every output is finite.
+
+    ``mask`` is None or a bool ``[nq,m]`` that leaves every row a visible
+    entry (:func:`_check_visible`), applied to every run of ``nq`` rows
+    (``nq`` divides ``n``); it is broadcast, never tiled.
+    """
+    if mask is not None:
         # hidden lanes may exceed the visible row max and would overflow;
         # at -inf they neither set the max nor survive the exponent
         np.copyto(flat.reshape(-1, *mask.shape), -np.inf, where=~mask)
@@ -377,8 +432,7 @@ def _softmax_in_place(flat: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     flat /= sums
     # every lane is exp(x - rowmax), in [0, 1] or NaN, and the max lane is
     # 1, so a row sum is finite exactly when every output in its row is
-    _check_finite(sums, "softmax")
-    return flat
+    return _finite(sums)
 
 
 def softmax_rows(a: np.ndarray, sink: CounterSink, mask: np.ndarray | None = None) -> np.ndarray:
@@ -400,9 +454,22 @@ def softmax_rows(a: np.ndarray, sink: CounterSink, mask: np.ndarray | None = Non
     _add_softmax(sink, n, m, mask is not None)
     if a.size == 0:
         return a.copy()
+    _check_visible(mask)
     # one float32 copy to work in: ``np.positive`` copies every value
     # exactly, into a workspace buffer or else in the input's memory order
-    return _softmax_in_place(np.positive(a, out=_out(a.shape)), mask)
+    out = np.positive(a, out=_out(a.shape))
+    if not _softmax_in_place(out, mask):
+        raise _non_finite("softmax")
+    return out
+
+
+def _check_attention_mask(mask: np.ndarray, n: int, m: int) -> None:
+    nq = mask.shape[0] if mask.ndim == 2 else 0
+    if mask.dtype != np.bool_ or mask.shape != (nq, m) or not nq or n % nq:
+        raise ShapeError(
+            f"attention mask must be bool [nq, {m}] with nq dividing {n} rows, "
+            f"got {mask.dtype} {mask.shape}"
+        )
 
 
 def attention(
@@ -419,26 +486,75 @@ def attention(
     optional bool ``[nq,m]`` mask applied to every run of ``nq`` of the
     ``B*r`` score rows.  The softmax runs in place on the score buffer,
     which becomes ``probs``, and the mask is broadcast rather than tiled.
+    The slices run in chunks of whole mask runs whose scores fit
+    ``ATTENTION_CHUNK_BYTES``: each chunk's score product, softmax and
+    context product run while its scores are in cache.
 
     Counts, checks and exceptions are those of ``bmm(q4, k4)``, then
     :func:`softmax_rows` on the ``[B*r, m]`` scores with the tiled
     ``[B*r, m]`` mask, then ``bmm(probs, v4)``.
     """
-    scores = _bmm(q4, k4, sink)
-    slices, rows, m = scores.shape
-    n = slices * rows
-    if mask_rows is not None:
-        mask_rows = np.asarray(mask_rows)
-        nq = mask_rows.shape[0] if mask_rows.ndim == 2 else 0
-        if mask_rows.dtype != np.bool_ or mask_rows.shape != (nq, m) or not nq or n % nq:
-            raise ShapeError(
-                f"attention mask must be bool [nq, {m}] with nq dividing {n} rows, "
-                f"got {mask_rows.dtype} {mask_rows.shape}"
-            )
-    _add_softmax(sink, n, m, mask_rows is not None)
-    if scores.size:
-        _softmax_in_place(scores.reshape(n, m), mask_rows)
-    return scores, _bmm(scores, v4, sink)
+    q4, k4 = _bmm_operands(q4, k4)
+    _add_bmm(sink, q4, k4)
+    slices, rows, _ = q4.shape
+    m = k4.shape[2]
+    probs = _empty((slices, rows, m))
+    # stage of the earliest failure after the score product: 1 the mask's
+    # shape, 2 a row it hides, 3 non-finite probabilities, 4 v4's operand
+    # checks, 5 a non-finite context; each is raised in its turn, once
+    # everything before it is counted and checked
+    stage, run = 1, 1
+    try:
+        if mask_rows is not None:
+            mask_rows = np.asarray(mask_rows)
+            _check_attention_mask(mask_rows, slices * rows, m)
+            nq = len(mask_rows)
+            run = nq // math.gcd(nq, rows)  # slices per whole run of mask rows
+            stage = 2
+            if probs.size:
+                _check_visible(mask_rows)
+        stage = 4
+        v4 = _bmm_operands(probs, v4)[1]
+        stage, error = 6, None
+    except (ShapeError, MaskError) as exc:
+        error = exc
+    ctx = _empty((slices, rows, v4.shape[2])) if stage > 4 else None
+    step = _chunk_slices(slices, 4 * rows * m, run)
+    for s in range(0, slices, step):
+        e = s + step
+        scores = np.matmul(q4[s:e], k4[s:e], out=probs[s:e])
+        if not _finite(scores):
+            raise _non_finite("bmm")
+        if stage > 3 and scores.size and not _softmax_in_place(scores.reshape(-1, m), mask_rows):
+            stage, error = 3, _non_finite("softmax")
+        if stage > 5 and not _finite(np.matmul(scores, v4[s:e], out=ctx[s:e])):
+            stage, error = 5, _non_finite("bmm")
+    if stage == 1:
+        raise error
+    _add_softmax(sink, slices * rows, m, mask_rows is not None)
+    if stage < 5:
+        raise error
+    _add_bmm(sink, probs, v4)
+    if stage == 5:
+        raise error
+    return probs, ctx
+
+
+def _add_softmax_backward(sink: CounterSink, n: int, m: int) -> None:
+    sink.add("softmax_backward", 4 * n * m, 8 * n * m, 4 * n * m)
+
+
+def _check_softmax_backward(probs_shape: tuple[int, ...], d_probs_shape: tuple[int, ...]) -> None:
+    if probs_shape != d_probs_shape:
+        raise ShapeError(f"softmax backward: probs is {probs_shape}, d_probs is {d_probs_shape}")
+
+
+def _softmax_backward_in_place(probs: np.ndarray, d_probs: np.ndarray) -> bool:
+    """``P * (dP - rowsum(dP * P))`` for ``[n,m]`` rows, written over
+    ``d_probs``; returns whether every output is finite."""
+    d_probs -= np.multiply(d_probs, probs, out=_out(probs.shape)).sum(axis=1, keepdims=True)
+    d_probs *= probs
+    return _finite(d_probs)
 
 
 def softmax_rows_backward(
@@ -447,21 +563,107 @@ def softmax_rows_backward(
     """Backward of :func:`softmax_rows` given its output ``probs``.
 
     ``dS = P * (dP - rowsum(dP * P))``.  Masked entries have ``P == 0`` and
-    receive zero gradient automatically.
+    receive zero gradient automatically.  Training reaches this formula
+    through :func:`attention_backward`; like :func:`bmm`, the kernel stays
+    for callers that wrap it by name.
 
     Counts: flops ``4*n*m``, bytes read ``8*n*m``, bytes written ``4*n*m``.
     """
     probs = _as_f32_matrix(probs, "probs", 2)
     d_probs = _as_f32_matrix(d_probs, "d_probs", 2)
-    if probs.shape != d_probs.shape:
-        raise ShapeError(f"softmax backward: probs is {probs.shape}, d_probs is {d_probs.shape}")
-    n, m = probs.shape
-    sink.add("softmax_backward", 4 * n * m, 8 * n * m, 4 * n * m)
-    # the three steps through one buffer
-    out = np.multiply(d_probs, probs, out=_out((n, m)))
-    inner = out.sum(axis=1, keepdims=True)
-    np.subtract(d_probs, inner, out=out)
-    return _check_finite(np.multiply(probs, out, out=out), "softmax backward")
+    _check_softmax_backward(probs.shape, d_probs.shape)
+    _add_softmax_backward(sink, *probs.shape)
+    out = np.positive(d_probs, out=_out(probs.shape))
+    if not _softmax_backward_in_place(probs, out):
+        raise _non_finite("softmax backward")
+    return out
+
+
+def attention_backward(
+    q4: np.ndarray,
+    k4: np.ndarray,
+    v4: np.ndarray,
+    probs: np.ndarray,
+    d_ctx: np.ndarray,
+    sink: CounterSink,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Backward of :func:`attention` from its ``probs``; returns ``(d_q4, d_k4, d_v4)``.
+
+    ``d_ctx`` is the gradient at ``ctx [B,r,dv]``.  ``d_q4 [B,r,dh]`` and
+    ``d_v4 [B,m,dv]`` are the gradients at ``q4`` and ``v4``, and ``d_k4``
+    the gradient at the keys as rows, ``[B,m,dh]``.  The slices run in
+    chunks as in :func:`attention`, each holding two score-shaped arrays
+    per slice: its ``probs`` and the scratch that takes ``d_probs`` and
+    then, in place, ``d_scores``.
+
+    Counts, checks and exceptions are those of ``d_probs = bmm(d_ctx,
+    v4ᵀ)``, ``d_v4 = bmm(probsᵀ, d_ctx)``, :func:`softmax_rows_backward`
+    on the ``[B*r, m]`` rows giving ``d_scores``, ``d_q4 = bmm(d_scores,
+    k4ᵀ)`` and ``d_k4 = bmm(d_scoresᵀ, q4)``, where ``ᵀ`` swaps the last
+    two axes; those swaps are taken first, so a ``v4``, ``probs`` or ``k4``
+    that is not 3-D raises NumPy's error before anything is counted.
+    """
+    q4, k4, v4, probs = (np.asarray(x) for x in (q4, k4, v4, probs))
+    v4_t, probs_t, k4_t = (x.transpose(0, 2, 1) for x in (v4, probs, k4))
+    d_ctx, v4_t = _bmm_operands(d_ctx, v4_t)
+    _add_bmm(sink, d_ctx, v4_t)
+    slices, rows, _ = d_ctx.shape
+    m = v4_t.shape[2]
+    # stage of the earliest failure after the first product: 2 and 3 the
+    # operand checks and result of the d_v4 product, 4 and 5 of the softmax
+    # backward, 6 and 7 of the d_q4 product, 8 and 9 of the d_k4 product;
+    # d_scores has the shape of probs once stage 4 has passed
+    stage = 2
+    try:
+        _bmm_operands(probs_t, d_ctx)
+        stage = 4
+        bp, rp, mp = probs.shape
+        _check_softmax_backward((bp * rp, mp), (slices * rows, m))
+        stage = 6
+        _bmm_operands(probs, k4_t)
+        stage = 8
+        _bmm_operands(probs_t, q4)
+        stage, error = 10, None
+    except ShapeError as exc:
+        error = exc
+    d_v4 = _empty((slices, probs.shape[2], d_ctx.shape[2])) if stage > 3 else None
+    d_q4 = _empty((slices, rows, k4.shape[1])) if stage > 7 else None
+    d_k4 = _empty((slices, m, q4.shape[2])) if stage > 9 else None
+    step = _chunk_slices(slices, 8 * rows * m, 1)
+    scratch = _empty((min(step, slices), rows, m))
+    for s in range(0, slices, step):
+        e = min(s + step, slices)
+        d_probs = np.matmul(d_ctx[s:e], v4_t[s:e], out=scratch[: e - s])
+        if not _finite(d_probs):
+            raise _non_finite("bmm")
+        if stage > 3 and not _finite(np.matmul(probs_t[s:e], d_ctx[s:e], out=d_v4[s:e])):
+            stage, error = 3, _non_finite("bmm")
+        flat = ((e - s) * rows, m)
+        if stage > 5 and not _softmax_backward_in_place(
+            probs[s:e].reshape(flat), d_probs.reshape(flat)
+        ):
+            stage, error = 5, _non_finite("softmax backward")
+        if stage > 7 and not _finite(np.matmul(d_probs, k4_t[s:e], out=d_q4[s:e])):
+            stage, error = 7, _non_finite("bmm")
+        if stage > 9 and not _finite(
+            np.matmul(d_probs.transpose(0, 2, 1), q4[s:e], out=d_k4[s:e])
+        ):
+            stage, error = 9, _non_finite("bmm")
+    if stage == 2:
+        raise error
+    _add_bmm(sink, probs_t, d_ctx)
+    if stage < 5:
+        raise error
+    _add_softmax_backward(sink, slices * rows, m)
+    if stage < 7:
+        raise error
+    _add_bmm(sink, probs, k4_t)
+    if stage < 9:
+        raise error
+    _add_bmm(sink, probs_t, q4)
+    if stage == 9:
+        raise error
+    return d_q4, d_k4, d_v4
 
 
 # -- layer norm ------------------------------------------------------------

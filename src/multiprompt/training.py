@@ -236,17 +236,10 @@ def _attn_backward(
     gradient at the unscaled query rows ``[O*r, d]`` and at the attended
     K/V rows ``[O*m, d]`` each.
     """
-    q4, k4, v4, probs = mh["q4"], mh["k4"], mh["v4"], mh["probs"]
-    oh, gq, dh = q4.shape
-    m = k4.shape[2]
+    q4 = mh["q4"]
+    oh, _, dh = q4.shape
     d_ctx = _fold_heads(d_out, oh // n_heads, n_heads)
-    d_probs = kernels.bmm(d_ctx, v4.transpose(0, 2, 1), sink)
-    d_v4 = kernels.bmm(probs.transpose(0, 2, 1), d_ctx, sink)
-    d_scores = kernels.softmax_rows_backward(
-        probs.reshape(oh * gq, m), d_probs.reshape(oh * gq, m), sink
-    ).reshape(oh, gq, m)
-    d_q4 = kernels.bmm(d_scores, k4.transpose(0, 2, 1), sink)
-    d_k4 = kernels.bmm(d_scores.transpose(0, 2, 1), q4, sink)
+    d_q4, d_k4, d_v4 = kernels.attention_backward(q4, mh["k4"], mh["v4"], mh["probs"], d_ctx, sink)
     d_q = kernels.scale(_unfold_heads(d_q4, n_heads), 1.0 / math.sqrt(dh), sink)
     return d_q, _unfold_heads(d_k4, n_heads), _unfold_heads(d_v4, n_heads)
 

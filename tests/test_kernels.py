@@ -650,19 +650,33 @@ def outcome(kernel, *operands, **options):
     return result, list(sink.kind_totals().items())
 
 
-@settings(max_examples=60, deadline=None)
+def chunk_budget(monkeypatch, slices_per_chunk, slice_bytes):
+    """Set ``kernels.ATTENTION_CHUNK_BYTES`` to hold ``slices_per_chunk``
+    slices of ``slice_bytes`` score bytes each; None keeps the module's."""
+    if slices_per_chunk is not None:
+        monkeypatch.setattr(kernels, "ATTENTION_CHUNK_BYTES", slices_per_chunk * slice_bytes)
+
+
+@settings(max_examples=80, deadline=None)
 @given(
-    slices=st.integers(0, 4),
+    slices=st.integers(0, 7),
     r=st.integers(0, 6),
     m=st.integers(0, 9),
     dh=st.integers(1, 8),
     runs=st.sampled_from([None, 1, 2, 3]),
+    chunk=st.sampled_from([None, 1, 2, 3]),
     seed=st.integers(0, 2**31),
 )
-@example(slices=2, r=3, m=0, dh=2, runs=3, seed=0)
-@example(slices=2, r=2, m=5, dh=3, runs=2, seed=3)
-@example(slices=0, r=3, m=4, dh=2, runs=None, seed=0)
-def test_attention_bit_identical_to_three_kernels(slices, r, m, dh, runs, seed):
+@example(slices=2, r=3, m=0, dh=2, runs=3, chunk=None, seed=0)
+@example(slices=2, r=2, m=5, dh=3, runs=2, chunk=None, seed=3)
+@example(slices=0, r=3, m=4, dh=2, runs=None, chunk=None, seed=0)
+@example(slices=7, r=2, m=5, dh=3, runs=7, chunk=2, seed=1)  # masked, 4 chunks, last partial
+@example(slices=5, r=3, m=4, dh=2, runs=None, chunk=2, seed=2)  # 3 chunks, last partial
+@example(slices=6, r=2, m=4, dh=2, runs=2, chunk=1, seed=4)  # a mask run spans 3 slices
+@example(slices=4, r=3, m=3, dh=2, runs=None, chunk=4, seed=5)  # one full chunk
+@example(slices=4, r=0, m=3, dh=2, runs=None, chunk=1, seed=6)  # empty r*m
+@example(slices=4, r=3, m=0, dh=2, runs=1, chunk=1, seed=7)
+def test_attention_bit_identical_to_three_kernels(slices, r, m, dh, runs, chunk, seed):
     rng = np.random.default_rng(seed)
     q4 = (rand(rng, slices, r, dh) * 4).astype(F32)
     k4 = rand(rng, slices, m, dh).transpose(0, 2, 1)  # keys stored transposed, read as a view
@@ -674,7 +688,9 @@ def test_attention_bit_identical_to_three_kernels(slices, r, m, dh, runs, seed):
         mask_rows = rng.random((nq, m)) < 0.5
         if m:
             mask_rows[np.arange(nq), rng.integers(0, m, size=nq)] = True
-    (probs, ctx), counts = outcome(kernels.attention, q4, k4, v4, mask_rows=mask_rows)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        chunk_budget(monkeypatch, chunk, 4 * r * m)
+        (probs, ctx), counts = outcome(kernels.attention, q4, k4, v4, mask_rows=mask_rows)
     (ref_probs, ref_ctx), ref_counts = outcome(
         three_kernel_attention, q4, k4, v4, mask_rows=mask_rows
     )
@@ -684,26 +700,227 @@ def test_attention_bit_identical_to_three_kernels(slices, r, m, dh, runs, seed):
     assert counts == ref_counts
 
 
+def salted(shape, at, value, fill=1.0):
+    """A float32 array of ``fill`` with ``value`` at index ``at``."""
+    a = np.full(shape, fill, F32)
+    a[at] = value
+    return a
+
+
+ONES = np.ones((3, 1, 1), F32)
+ONES_K = np.ones((3, 1, 2), F32)
+ONES_V = np.ones((3, 2, 1), F32)
+HIDDEN = np.array([[False, False]])  # every score row hidden
+
+
 @pytest.mark.parametrize(
-    "args, error",
+    "args, chunk, error",
     [
         ((np.full((2, 1, 1), HUGE), np.full((2, 1, 3), HUGE), np.ones((2, 3, 1), F32), None),
-         (FloatingPointError, "bmm produced non-finite values")),
+         None, (FloatingPointError, "bmm produced non-finite values")),
         ((np.full((2, 1, 1), HUGE), np.full((2, 1, 3), -HUGE), np.ones((2, 3, 1), F32), None),
-         (FloatingPointError, "bmm produced non-finite values")),
+         None, (FloatingPointError, "bmm produced non-finite values")),
         ((np.ones((2, 1, 1), F32), np.ones((2, 1, 3), F32), np.full((2, 3, 1), np.nan, F32), None),
-         (FloatingPointError, "bmm produced non-finite values")),
+         None, (FloatingPointError, "bmm produced non-finite values")),
         ((np.ones((2, 2, 1), F32), np.ones((2, 1, 3), F32), np.ones((2, 3, 1), F32),
           np.array([[True, False, True], [False, False, False]])),
-         (MaskError, "softmax row 1 has no visible entries")),
+         None, (MaskError, "softmax row 1 has no visible entries")),
+        # one slice per chunk: a later constituent failing in an earlier
+        # chunk must not pre-empt an earlier constituent failing later
+        ((salted((3, 1, 1), 2, np.inf), ONES_K, salted((3, 2, 1), 0, np.nan), None),
+         1, (FloatingPointError, "bmm produced non-finite values")),
+        ((salted((3, 1, 1), 2, np.inf), ONES_K, ONES_V, HIDDEN),
+         1, (FloatingPointError, "bmm produced non-finite values")),
+        ((ONES, ONES_K, salted((3, 2, 1), 0, np.nan), HIDDEN),
+         1, (MaskError, "softmax row 0 has no visible entries")),
+        ((ONES, ONES_K, salted((3, 2, 1), 2, np.nan), None),
+         1, (FloatingPointError, "bmm produced non-finite values")),
+        ((salted((3, 1, 1), 2, np.inf), ONES_K, np.ones((3, 2, 1)), None),
+         1, (FloatingPointError, "bmm produced non-finite values")),
+        ((ONES, ONES_K, np.ones((3, 3, 1), F32), HIDDEN),
+         1, (MaskError, "softmax row 0 has no visible entries")),
+        ((ONES, ONES_K, np.ones((3, 3, 1), F32), None),
+         1, (ShapeError, "bmm: a is 3x1x2, b is 3x3x1 (batch or inner mismatch)")),
     ],
-    ids=["score_overflow", "score_negative_overflow", "nan_in_v4", "masked_row_without_lane"],
+    ids=[
+        "score_overflow", "score_negative_overflow", "nan_in_v4", "masked_row_without_lane",
+        "chunked_nan_in_first_v4_inf_in_last_q4", "chunked_hidden_row_inf_in_last_q4",
+        "chunked_nan_in_first_v4_hidden_row", "chunked_nan_in_last_v4",
+        "chunked_float64_v4_inf_in_last_q4", "chunked_v4_mismatch_hidden_row",
+        "chunked_v4_mismatch",
+    ],
 )
-def test_attention_raises_like_three_kernels(args, error):
+def test_attention_raises_like_three_kernels(args, chunk, error, monkeypatch):
     *operands, mask_rows = args
+    q4, k4, _ = operands
+    chunk_budget(monkeypatch, chunk, 4 * q4.shape[1] * k4.shape[2])
     got = outcome(kernels.attention, *operands, mask_rows=mask_rows)
     assert got == outcome(three_kernel_attention, *operands, mask_rows=mask_rows)
     assert got[0] == error
+    if chunk is not None and error[0] is FloatingPointError and np.isinf(q4).any():
+        # the score product's error, with its counts alone
+        assert got[1] == [(("other", "matmul"), (2 * 3 * 2, 4 * 3 * (1 + 2), 4 * 3 * 2))]
+
+
+# -- fused attention backward equals the five kernels it replaces ----------------------
+
+
+def five_kernel_attention_backward(q4, k4, v4, probs, d_ctx, sink):
+    d_probs = kernels.bmm(d_ctx, v4.transpose(0, 2, 1), sink)
+    d_v4 = kernels.bmm(probs.transpose(0, 2, 1), d_ctx, sink)
+    d_scores = kernels.softmax_rows_backward(
+        probs.reshape(probs.shape[0] * probs.shape[1], probs.shape[2]),
+        d_probs.reshape(d_probs.shape[0] * d_probs.shape[1], d_probs.shape[2]),
+        sink,
+    ).reshape(probs.shape)
+    d_q4 = kernels.bmm(d_scores, k4.transpose(0, 2, 1), sink)
+    d_k4 = kernels.bmm(d_scores.transpose(0, 2, 1), q4, sink)
+    return d_q4, d_k4, d_v4
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    slices=st.integers(0, 7),
+    r=st.integers(0, 6),
+    m=st.integers(0, 9),
+    dh=st.integers(1, 8),
+    dv=st.integers(1, 8),
+    masked=st.booleans(),
+    chunk=st.sampled_from([None, 1, 2, 3]),
+    seed=st.integers(0, 2**31),
+)
+@example(slices=7, r=2, m=5, dh=3, dv=2, masked=True, chunk=2, seed=1)  # 4 chunks
+@example(slices=5, r=3, m=4, dh=2, dv=3, masked=False, chunk=3, seed=2)  # 2 chunks
+@example(slices=3, r=3, m=4, dh=2, dv=2, masked=False, chunk=1, seed=3)  # 3 chunks
+@example(slices=4, r=0, m=3, dh=2, dv=2, masked=False, chunk=1, seed=4)  # empty r*m
+@example(slices=4, r=3, m=0, dh=2, dv=2, masked=False, chunk=1, seed=5)
+@example(slices=0, r=3, m=4, dh=2, dv=2, masked=False, chunk=None, seed=6)
+def test_attention_backward_bit_identical_to_five_kernels(
+    slices, r, m, dh, dv, masked, chunk, seed
+):
+    rng = np.random.default_rng(seed)
+    q4 = (rand(rng, slices, r, dh) * 4).astype(F32)
+    k4 = rand(rng, slices, m, dh).transpose(0, 2, 1)
+    v4 = rand(rng, slices, m, dv)
+    mask_rows = None
+    if masked and r and m:
+        mask_rows = np.tri(r, m, dtype=bool)  # causal: masked probabilities are exact zeros
+    probs, _ = kernels.attention(q4, k4, v4, CounterSink(), mask_rows)
+    d_ctx = rand(rng, slices, r, dv)
+    operands = (q4, k4, v4, probs, d_ctx)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        chunk_budget(monkeypatch, chunk, 8 * r * m)
+        got, counts = outcome(kernels.attention_backward, *operands)
+    want, ref_counts = outcome(five_kernel_attention_backward, *operands)
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    assert counts == ref_counts
+
+
+def backward_operands(**salts):
+    """Three one-slice chunks of all-ones backward operands (``r=1``,
+    ``m=2``, ``dh=dv=1``, uniform ``probs``), with ``salts`` replacing
+    whole operands."""
+    operands = dict(
+        q4=np.ones((3, 1, 1), F32),
+        k4=np.ones((3, 1, 2), F32),
+        v4=np.ones((3, 2, 1), F32),
+        probs=np.full((3, 1, 2), 0.5, F32),
+        d_ctx=np.ones((3, 1, 1), F32),
+    )
+    operands.update(salts)
+    return tuple(operands.values())
+
+
+# only the softmax backward overflows, on the last slice: there dP = d_ctx
+# @ v4ᵀ is [3e38, -3e38] and P = [1, 0], so dP - rowsum(dP * P) = [0, -inf]
+# and the hidden lane's -inf * 0 is NaN
+OVERFLOW = dict(
+    probs=np.array([[[0.5, 0.5]], [[0.5, 0.5]], [[1.0, 0.0]]], F32),
+    v4=np.array([[[3e19], [3e19]], [[3e19], [3e19]], [[3e19], [-3e19]]], F32),
+    d_ctx=np.full((3, 1, 1), 1e19, F32),
+)
+BMM = (FloatingPointError, "bmm produced non-finite values")
+
+
+@pytest.mark.parametrize(
+    "salts, error, kinds",
+    [
+        (dict(v4=salted((3, 2, 1), 2, np.nan), k4=salted((3, 1, 2), 0, np.nan)), BMM, 1),
+        (dict(d_ctx=salted((3, 1, 1), 0, np.nan)), BMM, 1),
+        (dict(probs=salted((3, 1, 2), 2, np.nan), q4=salted((3, 1, 1), 0, np.nan)), BMM, 1),
+        (dict(OVERFLOW, k4=salted((3, 1, 2), 0, np.nan)),
+         (FloatingPointError, "softmax backward produced non-finite values"), 2),
+        (dict(k4=salted((3, 1, 2), 2, np.nan), q4=salted((3, 1, 1), 0, np.nan)), BMM, 2),
+        (dict(q4=salted((3, 1, 1), 2, np.inf)), BMM, 2),
+        (dict(probs=np.full((3, 1, 3), 0.5, F32)),
+         (ShapeError, "softmax backward: probs is (3, 3), d_probs is (3, 2)"), 1),
+        (dict(probs=np.full((3, 1, 2), 0.5), q4=salted((3, 1, 1), 0, np.nan)),
+         (ShapeError, "a must be float32, got float64"), 1),
+        (dict(k4=np.ones((2, 1, 2), F32), q4=salted((3, 1, 1), 0, np.nan)),
+         (ShapeError, "bmm: a is 3x1x2, b is 2x2x1 (batch or inner mismatch)"), 2),
+        (dict(q4=np.ones((3, 2, 1), F32), probs=salted((3, 1, 2), 2, np.nan)),
+         BMM, 1),
+        (dict(q4=np.ones((3, 2, 1), F32)),
+         (ShapeError, "bmm: a is 3x2x1, b is 3x2x1 (batch or inner mismatch)"), 2),
+    ],
+    ids=[
+        "nan_in_last_v4_nan_in_first_k4", "nan_in_first_d_ctx",
+        "nan_in_last_probs_nan_in_first_q4", "softmax_overflow_in_last_nan_in_first_k4",
+        "nan_in_last_k4_nan_in_first_q4", "inf_in_last_q4", "probs_mismatch",
+        "float64_probs_nan_in_first_q4", "k4_mismatch_nan_in_first_q4",
+        "q4_mismatch_nan_in_last_probs", "q4_mismatch",
+    ],
+)
+def test_attention_backward_raises_like_five_kernels(salts, error, kinds, monkeypatch):
+    # one slice per chunk, so each operand's slices fall in three chunks
+    operands = backward_operands(**salts)
+    chunk_budget(monkeypatch, 1, 8 * 1 * 2)
+    got = outcome(kernels.attention_backward, *operands)
+    assert got == outcome(five_kernel_attention_backward, *operands)
+    assert got[0] == error
+    assert len(got[1]) == kinds  # matmul alone, or matmul and softmax_backward
+
+
+@pytest.mark.parametrize(
+    "slices, r, m, nq, chunk, chunks, backward_chunks",
+    [
+        (7, 2, 5, None, 2, 4, 4),  # the last chunk partial
+        (5, 3, 4, None, 2, 3, 3),
+        (6, 2, 4, 6, 1, 2, 6),  # a mask run spans 3 forward slices: chunks of whole runs
+        (7, 2, 5, 2, 3, 3, 3),
+        (4, 3, 3, None, 4, 1, 1),
+        (4, 3, 3, None, None, 1, 1),  # the module's budget
+        (4, 0, 3, None, 1, 1, 1),  # empty r*m: one chunk
+        (4, 3, 0, 3, 1, 1, 1),
+        (64, 197, 197, None, None, 11, 22),  # pie's encoder on shared-input
+    ],
+)
+def test_attention_kernels_make_one_pass_per_chunk(
+    slices, r, m, nq, chunk, chunks, backward_chunks, monkeypatch
+):
+    # each chunk runs every product once: 2 in the forward, 4 in the
+    # backward, whose chunks hold 2 score-shaped arrays per slice and need
+    # not align with a mask
+    rng = np.random.default_rng(0)
+    q4, k4, v4 = rand(rng, slices, r, 4), rand(rng, slices, 4, m), rand(rng, slices, m, 4)
+    mask_rows = None if nq is None else np.ones((nq, m), bool)
+    products = []
+    matmul = np.matmul
+
+    def counted(*args, **kwargs):
+        products.append(args[0].shape[0])
+        return matmul(*args, **kwargs)
+
+    chunk_budget(monkeypatch, chunk, 4 * r * m)
+    monkeypatch.setattr(np, "matmul", counted)
+    probs, ctx = kernels.attention(q4, k4, v4, CounterSink(), mask_rows)
+    assert len(products) == 2 * chunks and sum(products) == 2 * slices
+    products.clear()
+    chunk_budget(monkeypatch, chunk, 8 * r * m)
+    kernels.attention_backward(q4, k4, v4, probs, ctx, CounterSink())
+    assert len(products) == 4 * backward_chunks and sum(products) == 4 * slices
 
 
 # -- matmul epilogues equal matmul -> scale and matmul -> add ------------------------
@@ -879,7 +1096,8 @@ def owns_its_memory(result, operands) -> bool:
     return owner.base is None and owner.shape == result.shape
 
 
-def test_kernels_in_a_workspace_equal_plain_numpy_bit_for_bit():
+def test_kernels_in_a_workspace_equal_plain_numpy_bit_for_bit(monkeypatch):
+    monkeypatch.setattr(kernels, "ATTENTION_CHUNK_BYTES", 256 << 10)  # 2 and 4 chunks
     rng = np.random.default_rng(0)
     n, m = 1024, 96  # 384 KiB per operand: every output and temporary is pooled
     a, b, w = rand(rng, n, m), rand(rng, n, m), rand(rng, m, m)
@@ -888,6 +1106,8 @@ def test_kernels_in_a_workspace_equal_plain_numpy_bit_for_bit():
     gain = rng.uniform(0.5, 1.5, size=m).astype(F32)
     probs = kernels.softmax_rows(finite, CounterSink())
     q4, k4, v4 = rand(rng, 16, 64, 16), rand(rng, 16, 16, 128), rand(rng, 16, 128, 16)
+    causal = np.tri(64, 128, 64, dtype=bool)
+    scores, _ = kernels.attention(q4, k4, v4, CounterSink(), causal)
     cases = [
         (kernels.matmul, (finite, w), {}),
         (kernels.matmul, (finite, w.T), {}),
@@ -896,7 +1116,8 @@ def test_kernels_in_a_workspace_equal_plain_numpy_bit_for_bit():
         (kernels.matmul, (finite * F32(1e30), w), {"scale": 1e10}),
         (kernels.matmul, (finite, w * F32(1e38)), {"residual": b}),
         (kernels.bmm, (q4, k4), {}),
-        (kernels.attention, (q4, k4, v4), {"mask_rows": np.tri(64, 128, 64, dtype=bool)}),
+        (kernels.attention, (q4, k4, v4), {"mask_rows": causal}),
+        (kernels.attention_backward, (q4, k4, v4, scores, q4), {}),
         (kernels.softmax_rows, (finite,), {}),
         (kernels.softmax_rows_backward, (probs, b), {}),
         (kernels.layer_norm, (finite, gain), {}),

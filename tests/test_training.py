@@ -235,15 +235,19 @@ def test_row_reducing_kernels_get_c_ordered_operands_in_a_train_step(monkeypatch
     # every workspace buffer is C-ordered, and NumPy sums a C-ordered row
     # pairwise but a strided one sequentially: a row-reducing kernel would
     # round differently inside the workspace than outside it on any other
-    # operand order
-    names = ("layer_norm", "layer_norm_backward", "softmax_rows", "softmax_rows_backward")
+    # operand order; attention_backward sums rows of its probs times the
+    # product of its d_ctx
+    names = ("layer_norm", "layer_norm_backward", "softmax_rows", "attention_backward")
     calls = []
     for name in names:
 
         def wrapped(*args, _kernel=getattr(kernels, name), _name=name, **kwargs):
-            for a in args:
-                if isinstance(a, np.ndarray) and a.ndim == 2:
-                    calls.append((_name, a.flags.c_contiguous, kernels._workspace is not None))
+            if _name == "attention_backward":
+                operands = args[3:5]  # probs, d_ctx
+            else:
+                operands = [a for a in args if isinstance(a, np.ndarray) and a.ndim == 2]
+            for a in operands:
+                calls.append((_name, a.flags.c_contiguous, kernels._workspace is not None))
             return _kernel(*args, **kwargs)
 
         monkeypatch.setattr(kernels, name, wrapped)
