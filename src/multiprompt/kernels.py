@@ -17,23 +17,28 @@ Counting conventions, fixed package-wide:
   1 byte per element.  No cache hierarchy is modelled.
 * Pure selection (row gather indices, argmax) is not arithmetic and
   reports zero flops.
+* Every kernel checks, counts, computes and fails fast: it validates every
+  operand (shapes, float32 dtypes, masks) before it records anything, so
+  a :class:`ShapeError` or :class:`MaskError` leaves the sink untouched;
+  then it records its counts; then it computes, and a non-finite output
+  raises ``FloatingPointError`` with the full counts already recorded.
 * A fused kernel records each constituent's counts exactly as the separate
-  calls would, in the same order, and raises the exception the first
-  failing constituent would: :func:`attention` reports what :func:`bmm`,
-  :func:`softmax_rows` and :func:`bmm` would, :func:`attention_backward`
-  what two :func:`bmm` calls, :func:`softmax_rows_backward` and two more
-  :func:`bmm` calls would, and :func:`matmul` with a GEMM epilogue
-  (``scale=`` or ``residual=``) what :func:`matmul` followed by
-  :func:`scale` or :func:`add` would.  Fusion changes what is allocated,
-  re-read and checked on the host, never the counted traffic.
+  calls would, in the same order: :func:`attention` reports what
+  :func:`bmm`, :func:`softmax_rows` and :func:`bmm` would,
+  :func:`attention_backward` what two :func:`bmm` calls,
+  :func:`softmax_rows_backward` and two more :func:`bmm` calls would, and
+  :func:`matmul` with a GEMM epilogue (``scale=`` or ``residual=``) what
+  :func:`matmul` followed by :func:`scale` or :func:`add` would.  It keeps
+  every constituent's finite check and names the constituent that failed
+  in its error.  Fusion changes what is allocated, re-read and checked on
+  the host, never the counted traffic.
 * The two attention kernels run their ``B`` slices in chunks whose
   score-shaped arrays fit ``ATTENTION_CHUNK_BYTES`` (a forward chunk holds
   whole runs of its mask), each constituent on a chunk before the next
   chunk.  Every slice and row is computed by the same NumPy call on the
-  same operands as unchunked, each constituent's counts are recorded once
-  for the whole call, and a failure found in one chunk is raised only
-  after every chunk has been checked for an earlier constituent's, so
-  chunking changes neither bits, counts nor the raised error.
+  same operands as unchunked, so chunking changes neither bits nor
+  counts; a non-finite output raises at the first chunk and constituent
+  that produces one.
 
 Workspace: every kernel has one body, which writes its outputs and
 temporaries through NumPy's ``out=`` argument.  Inside a ``with
@@ -309,8 +314,11 @@ def matmul(
 
     ``scale`` returns ``(a @ b) * F32(scale)`` and ``residual`` returns
     ``residual + a @ b``; at most one epilogue is taken.  The epilogue is
-    counted, checked and bit-identical as ``scale(matmul(a, b), scale)`` or
-    ``add(residual, matmul(a, b))`` would be.
+    counted and bit-identical as ``scale(matmul(a, b), scale)`` or
+    ``add(residual, matmul(a, b))`` would be.  ``residual`` is validated
+    with ``a`` and ``b``, before anything is counted; a non-finite output
+    raises naming ``matmul`` if the product is non-finite, else the
+    epilogue.
 
     Counts: flops ``2*m*n*k``, bytes read ``4*(m*k + k*n)``, bytes written
     ``4*m*n``; then the epilogue's counts (see :func:`scale`, :func:`add`).
@@ -323,52 +331,35 @@ def matmul(
         raise ShapeError(f"matmul: a is {m}x{k}, b is {kb}x{n} (inner dimensions {k} != {kb})")
     if scale is not None and residual is not None:
         raise ValueError("matmul takes a scale or a residual epilogue, not both")
+    if residual is not None:
+        residual = np.asarray(residual)
+        _check_add_operands(residual, (m, n))
     sink.add("matmul", 2 * m * n * k, 4 * (m * k + k * n), 4 * m * n)
     product = np.matmul(a, b, out=_out((m, n)))
     if scale is None and residual is None:
         return _check_finite(product, "matmul")
     size = product.size
     if residual is not None:
-        residual = np.asarray(residual)
-        try:
-            _check_add_operands(residual, product)
-        except ShapeError:
-            # the separate product kernel would have been checked first
-            _check_finite(product, "matmul")
-            raise
-        kind, counts = "add", (size, 8 * size, 4 * size)
-        out = np.add(residual, product, out=_out((m, n)))
+        sink.add("add", size, 8 * size, 4 * size)
+        kind, out = "add", np.add(residual, product, out=_out((m, n)))
     else:
-        kind, counts = "scale", (size, 4 * size, 4 * size)
-        out = np.multiply(product, F32(scale), out=_out((m, n)))
-    # one check for both kernels: scaling by a finite factor or adding any
-    # residual keeps a non-finite product non-finite, so a finite result
-    # proves a finite product, and only a failed check looks at the product
-    try:
-        _check_finite(out, kind)
-    except FloatingPointError:
-        _check_finite(product, "matmul")
-        sink.add(kind, *counts)
-        raise
-    sink.add(kind, *counts)
+        sink.add("scale", size, 4 * size, 4 * size)
+        kind, out = "scale", np.multiply(product, F32(scale), out=_out((m, n)))
+    # one check for both kernels: scaling or adding a residual keeps a
+    # non-finite product non-finite, so a finite result proves a finite
+    # product, and only a failed check looks at the product
+    if not _finite(out):
+        raise _non_finite("matmul" if not _finite(product) else kind)
     return out
 
 
-def _bmm_operands(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`bmm`'s operand checks: float32 ``a [B,m,k]`` and ``b [B,k,n]``."""
-    a = _as_f32_matrix(a, "a", 3)
-    b = _as_f32_matrix(b, "b", 3)
-    ba, m, k = a.shape
-    bb, kb, n = b.shape
+def _bmm_counts(a_shape: tuple[int, ...], b_shape: tuple[int, ...]) -> tuple[int, int, int]:
+    """:func:`bmm`'s shape check of ``a [B,m,k] @ b [B,k,n]``; returns its
+    (flops, bytes read, bytes written)."""
+    (ba, m, k), (bb, kb, n) = a_shape, b_shape
     if ba != bb or k != kb:
         raise ShapeError(f"bmm: a is {ba}x{m}x{k}, b is {bb}x{kb}x{n} (batch or inner mismatch)")
-    return a, b
-
-
-def _add_bmm(sink: CounterSink, a: np.ndarray, b: np.ndarray) -> None:
-    ba, m, k = a.shape
-    n = b.shape[2]
-    sink.add("matmul", 2 * ba * m * n * k, 4 * ba * (m * k + k * n), 4 * ba * m * n)
+    return 2 * ba * m * n * k, 4 * ba * (m * k + k * n), 4 * ba * m * n
 
 
 def bmm(a: np.ndarray, b: np.ndarray, sink: CounterSink) -> np.ndarray:
@@ -378,12 +369,14 @@ def bmm(a: np.ndarray, b: np.ndarray, sink: CounterSink) -> np.ndarray:
     identically: each slice's operands are read once.  A shared operand
     must therefore be passed as a single slice (smaller ``B``) to be
     counted once; materializing copies costs the copies.  The attention
-    kernels run their products chunk by chunk instead of calling it; it
-    stays a kernel for callers that wrap it by name, such as
-    ``perfbench``'s tracer.
+    kernels run their products chunk by chunk instead of calling it, with
+    the same shape checks, counts and finite checks; it stays a kernel for
+    callers that wrap it by name, such as ``perfbench``'s tracer, and as
+    the unfused reference the tests compare the attention kernels with.
     """
-    a, b = _bmm_operands(a, b)
-    _add_bmm(sink, a, b)
+    a = _as_f32_matrix(a, "a", 3)
+    b = _as_f32_matrix(b, "b", 3)
+    sink.add("matmul", *_bmm_counts(a.shape, b.shape))
     return _check_finite(np.matmul(a, b, out=_out((*a.shape[:2], b.shape[2]))), "bmm")
 
 
@@ -406,12 +399,11 @@ def _add_softmax(sink: CounterSink, n: int, m: int, masked: bool) -> None:
     sink.add("softmax", 4 * n * m, 4 * n * m + (n * m if masked else 0), 4 * n * m)
 
 
-def _check_visible(mask: np.ndarray | None) -> None:
+def _check_visible(mask: np.ndarray) -> None:
     """Raise :class:`MaskError` if ``mask`` hides every entry of a row."""
-    if mask is not None:
-        visible = mask.any(axis=1)
-        if not visible.all():
-            raise MaskError(f"softmax row {int(np.flatnonzero(~visible)[0])} has no visible entries")
+    visible = mask.any(axis=1)
+    if not visible.all():
+        raise MaskError(f"softmax row {int(np.flatnonzero(~visible)[0])} has no visible entries")
 
 
 def _softmax_in_place(flat: np.ndarray, mask: np.ndarray | None) -> bool:
@@ -440,7 +432,8 @@ def softmax_rows(a: np.ndarray, sink: CounterSink, mask: np.ndarray | None = Non
 
     ``mask`` is an optional boolean ``[n,m]`` array; masked-out (False)
     entries receive exactly zero weight.  A row with no visible entries
-    raises :class:`MaskError`.  Empty input returns an empty matrix.
+    raises :class:`MaskError` before anything is counted.  Empty input
+    returns an empty matrix.
 
     Counts: flops ``4*n*m`` (subtract, exp, accumulate, divide), bytes read
     ``4*n*m`` plus ``n*m`` for the mask, bytes written ``4*n*m``.
@@ -451,10 +444,11 @@ def softmax_rows(a: np.ndarray, sink: CounterSink, mask: np.ndarray | None = Non
         mask = np.asarray(mask)
         if mask.shape != a.shape or mask.dtype != np.bool_:
             raise ShapeError(f"softmax mask must be bool {a.shape}, got {mask.dtype} {mask.shape}")
+        if a.size:
+            _check_visible(mask)
     _add_softmax(sink, n, m, mask is not None)
     if a.size == 0:
         return a.copy()
-    _check_visible(mask)
     # one float32 copy to work in: ``np.positive`` copies every value
     # exactly, into a workspace buffer or else in the input's memory order
     out = np.positive(a, out=_out(a.shape))
@@ -490,53 +484,40 @@ def attention(
     ``ATTENTION_CHUNK_BYTES``: each chunk's score product, softmax and
     context product run while its scores are in cache.
 
-    Counts, checks and exceptions are those of ``bmm(q4, k4)``, then
+    Checks and counts are those of ``bmm(q4, k4)``, then
     :func:`softmax_rows` on the ``[B*r, m]`` scores with the tiled
-    ``[B*r, m]`` mask, then ``bmm(probs, v4)``.
+    ``[B*r, m]`` mask, then ``bmm(probs, v4)``, with every shape, dtype
+    and mask check made before anything is counted.  A non-finite output
+    raises naming the first constituent that produced one (``bmm`` or
+    ``softmax``), at the first chunk where one does.
     """
-    q4, k4 = _bmm_operands(q4, k4)
-    _add_bmm(sink, q4, k4)
+    q4 = _as_f32_matrix(q4, "q4", 3)
+    k4 = _as_f32_matrix(k4, "k4", 3)
+    v4 = _as_f32_matrix(v4, "v4", 3)
     slices, rows, _ = q4.shape
     m = k4.shape[2]
+    scores_counts = _bmm_counts(q4.shape, k4.shape)
+    ctx_counts = _bmm_counts((slices, rows, m), v4.shape)
+    run = 1
+    if mask_rows is not None:
+        mask_rows = np.asarray(mask_rows)
+        _check_attention_mask(mask_rows, slices * rows, m)
+        nq = len(mask_rows)
+        run = nq // math.gcd(nq, rows)  # slices per whole run of mask rows
+        if slices * rows * m:
+            _check_visible(mask_rows)
+    sink.add("matmul", *scores_counts)
+    _add_softmax(sink, slices * rows, m, mask_rows is not None)
+    sink.add("matmul", *ctx_counts)
     probs = _empty((slices, rows, m))
-    # stage of the earliest failure after the score product: 1 the mask's
-    # shape, 2 a row it hides, 3 non-finite probabilities, 4 v4's operand
-    # checks, 5 a non-finite context; each is raised in its turn, once
-    # everything before it is counted and checked
-    stage, run = 1, 1
-    try:
-        if mask_rows is not None:
-            mask_rows = np.asarray(mask_rows)
-            _check_attention_mask(mask_rows, slices * rows, m)
-            nq = len(mask_rows)
-            run = nq // math.gcd(nq, rows)  # slices per whole run of mask rows
-            stage = 2
-            if probs.size:
-                _check_visible(mask_rows)
-        stage = 4
-        v4 = _bmm_operands(probs, v4)[1]
-        stage, error = 6, None
-    except (ShapeError, MaskError) as exc:
-        error = exc
-    ctx = _empty((slices, rows, v4.shape[2])) if stage > 4 else None
+    ctx = _empty((slices, rows, v4.shape[2]))
     step = _chunk_slices(slices, 4 * rows * m, run)
     for s in range(0, slices, step):
         e = s + step
-        scores = np.matmul(q4[s:e], k4[s:e], out=probs[s:e])
-        if not _finite(scores):
-            raise _non_finite("bmm")
-        if stage > 3 and scores.size and not _softmax_in_place(scores.reshape(-1, m), mask_rows):
-            stage, error = 3, _non_finite("softmax")
-        if stage > 5 and not _finite(np.matmul(scores, v4[s:e], out=ctx[s:e])):
-            stage, error = 5, _non_finite("bmm")
-    if stage == 1:
-        raise error
-    _add_softmax(sink, slices * rows, m, mask_rows is not None)
-    if stage < 5:
-        raise error
-    _add_bmm(sink, probs, v4)
-    if stage == 5:
-        raise error
+        scores = _check_finite(np.matmul(q4[s:e], k4[s:e], out=probs[s:e]), "bmm")
+        if scores.size and not _softmax_in_place(scores.reshape(-1, m), mask_rows):
+            raise _non_finite("softmax")
+        _check_finite(np.matmul(scores, v4[s:e], out=ctx[s:e]), "bmm")
     return probs, ctx
 
 
@@ -564,8 +545,9 @@ def softmax_rows_backward(
 
     ``dS = P * (dP - rowsum(dP * P))``.  Masked entries have ``P == 0`` and
     receive zero gradient automatically.  Training reaches this formula
-    through :func:`attention_backward`; like :func:`bmm`, the kernel stays
-    for callers that wrap it by name.
+    through :func:`attention_backward`, which makes the same checks and
+    counts; like :func:`bmm`, the kernel stays for callers that wrap it by
+    name and as the tests' unfused reference.
 
     Counts: flops ``4*n*m``, bytes read ``8*n*m``, bytes written ``4*n*m``.
     """
@@ -596,73 +578,47 @@ def attention_backward(
     per slice: its ``probs`` and the scratch that takes ``d_probs`` and
     then, in place, ``d_scores``.
 
-    Counts, checks and exceptions are those of ``d_probs = bmm(d_ctx,
-    v4ᵀ)``, ``d_v4 = bmm(probsᵀ, d_ctx)``, :func:`softmax_rows_backward`
-    on the ``[B*r, m]`` rows giving ``d_scores``, ``d_q4 = bmm(d_scores,
-    k4ᵀ)`` and ``d_k4 = bmm(d_scoresᵀ, q4)``, where ``ᵀ`` swaps the last
-    two axes; those swaps are taken first, so a ``v4``, ``probs`` or ``k4``
-    that is not 3-D raises NumPy's error before anything is counted.
+    Checks and counts are those of ``d_probs = bmm(d_ctx, v4ᵀ)``, ``d_v4 =
+    bmm(probsᵀ, d_ctx)``, :func:`softmax_rows_backward` on the ``[B*r, m]``
+    rows giving ``d_scores``, ``d_q4 = bmm(d_scores, k4ᵀ)`` and ``d_k4 =
+    bmm(d_scoresᵀ, q4)``, where ``ᵀ`` swaps the last two axes, with every
+    operand checked to be 3-D float32 and every shape check made before
+    anything is counted.  A non-finite output raises naming the first
+    constituent that produced one (``bmm`` or ``softmax backward``), at
+    the first chunk where one does.
     """
-    q4, k4, v4, probs = (np.asarray(x) for x in (q4, k4, v4, probs))
+    q4, k4, v4, probs, d_ctx = (
+        _as_f32_matrix(x, name, 3)
+        for x, name in ((q4, "q4"), (k4, "k4"), (v4, "v4"), (probs, "probs"), (d_ctx, "d_ctx"))
+    )
     v4_t, probs_t, k4_t = (x.transpose(0, 2, 1) for x in (v4, probs, k4))
-    d_ctx, v4_t = _bmm_operands(d_ctx, v4_t)
-    _add_bmm(sink, d_ctx, v4_t)
     slices, rows, _ = d_ctx.shape
     m = v4_t.shape[2]
-    # stage of the earliest failure after the first product: 2 and 3 the
-    # operand checks and result of the d_v4 product, 4 and 5 of the softmax
-    # backward, 6 and 7 of the d_q4 product, 8 and 9 of the d_k4 product;
-    # d_scores has the shape of probs once stage 4 has passed
-    stage = 2
-    try:
-        _bmm_operands(probs_t, d_ctx)
-        stage = 4
-        bp, rp, mp = probs.shape
-        _check_softmax_backward((bp * rp, mp), (slices * rows, m))
-        stage = 6
-        _bmm_operands(probs, k4_t)
-        stage = 8
-        _bmm_operands(probs_t, q4)
-        stage, error = 10, None
-    except ShapeError as exc:
-        error = exc
-    d_v4 = _empty((slices, probs.shape[2], d_ctx.shape[2])) if stage > 3 else None
-    d_q4 = _empty((slices, rows, k4.shape[1])) if stage > 7 else None
-    d_k4 = _empty((slices, m, q4.shape[2])) if stage > 9 else None
+    d_probs_counts = _bmm_counts(d_ctx.shape, v4_t.shape)
+    d_v4_counts = _bmm_counts(probs_t.shape, d_ctx.shape)
+    bp, rp, mp = probs.shape
+    _check_softmax_backward((bp * rp, mp), (slices * rows, m))
+    d_q4_counts = _bmm_counts(probs.shape, k4_t.shape)
+    d_k4_counts = _bmm_counts(probs_t.shape, q4.shape)
+    sink.add("matmul", *d_probs_counts)
+    sink.add("matmul", *d_v4_counts)
+    _add_softmax_backward(sink, slices * rows, m)
+    sink.add("matmul", *d_q4_counts)
+    sink.add("matmul", *d_k4_counts)
+    d_v4 = _empty((slices, probs.shape[2], d_ctx.shape[2]))
+    d_q4 = _empty((slices, rows, k4.shape[1]))
+    d_k4 = _empty((slices, m, q4.shape[2]))
     step = _chunk_slices(slices, 8 * rows * m, 1)
     scratch = _empty((min(step, slices), rows, m))
     for s in range(0, slices, step):
         e = min(s + step, slices)
-        d_probs = np.matmul(d_ctx[s:e], v4_t[s:e], out=scratch[: e - s])
-        if not _finite(d_probs):
-            raise _non_finite("bmm")
-        if stage > 3 and not _finite(np.matmul(probs_t[s:e], d_ctx[s:e], out=d_v4[s:e])):
-            stage, error = 3, _non_finite("bmm")
+        d_probs = _check_finite(np.matmul(d_ctx[s:e], v4_t[s:e], out=scratch[: e - s]), "bmm")
+        _check_finite(np.matmul(probs_t[s:e], d_ctx[s:e], out=d_v4[s:e]), "bmm")
         flat = ((e - s) * rows, m)
-        if stage > 5 and not _softmax_backward_in_place(
-            probs[s:e].reshape(flat), d_probs.reshape(flat)
-        ):
-            stage, error = 5, _non_finite("softmax backward")
-        if stage > 7 and not _finite(np.matmul(d_probs, k4_t[s:e], out=d_q4[s:e])):
-            stage, error = 7, _non_finite("bmm")
-        if stage > 9 and not _finite(
-            np.matmul(d_probs.transpose(0, 2, 1), q4[s:e], out=d_k4[s:e])
-        ):
-            stage, error = 9, _non_finite("bmm")
-    if stage == 2:
-        raise error
-    _add_bmm(sink, probs_t, d_ctx)
-    if stage < 5:
-        raise error
-    _add_softmax_backward(sink, slices * rows, m)
-    if stage < 7:
-        raise error
-    _add_bmm(sink, probs, k4_t)
-    if stage < 9:
-        raise error
-    _add_bmm(sink, probs_t, q4)
-    if stage == 9:
-        raise error
+        if not _softmax_backward_in_place(probs[s:e].reshape(flat), d_probs.reshape(flat)):
+            raise _non_finite("softmax backward")
+        _check_finite(np.matmul(d_probs, k4_t[s:e], out=d_q4[s:e]), "bmm")
+        _check_finite(np.matmul(d_probs.transpose(0, 2, 1), q4[s:e], out=d_k4[s:e]), "bmm")
     return d_q4, d_k4, d_v4
 
 
@@ -741,18 +697,19 @@ def layer_norm_backward(
 # -- elementwise -----------------------------------------------------------
 
 
-def _check_add_operands(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"add: a is {a.shape}, b is {b.shape}")
-    if a.dtype != F32 or b.dtype != F32:
-        raise ShapeError(f"add: operands must be float32, got {a.dtype} and {b.dtype}")
+def _check_add_operands(a: np.ndarray, b_shape: tuple[int, ...], b_dtype=np.dtype(F32)) -> None:
+    """:func:`add`'s checks of ``a`` against a ``b`` of ``b_shape`` and ``b_dtype``."""
+    if a.shape != b_shape:
+        raise ShapeError(f"add: a is {a.shape}, b is {b_shape}")
+    if a.dtype != F32 or b_dtype != F32:
+        raise ShapeError(f"add: operands must be float32, got {a.dtype} and {b_dtype}")
 
 
 def add(a: np.ndarray, b: np.ndarray, sink: CounterSink) -> np.ndarray:
     """Elementwise sum.  Counts: flops ``n*m``, read ``8*n*m``, written ``4*n*m``."""
     a = np.asarray(a)
     b = np.asarray(b)
-    _check_add_operands(a, b)
+    _check_add_operands(a, b.shape, b.dtype)
     size = a.size
     sink.add("add", size, 8 * size, 4 * size)
     return _check_finite(np.add(a, b, out=_out(a.shape)), "add")
@@ -803,6 +760,19 @@ def relu_backward(a: np.ndarray, d_out: np.ndarray, sink: CounterSink) -> np.nda
 # -- table lookups ---------------------------------------------------------
 
 
+def _row_indices(indices: np.ndarray, rows: int, kind: str) -> np.ndarray:
+    """``indices`` checked to be 1-D and to name rows ``0 .. rows-1``."""
+    indices = np.asarray(indices)
+    if indices.ndim != 1:
+        raise ShapeError(f"{kind} indices must be 1-D, got shape {indices.shape}")
+    if indices.size and (indices.min() < 0 or indices.max() >= rows):
+        raise ShapeError(
+            f"{kind} index out of range: table has {rows} rows, "
+            f"indices span [{indices.min()}, {indices.max()}]"
+        )
+    return indices
+
+
 def gather_rows(table: np.ndarray, indices: np.ndarray, sink: CounterSink) -> np.ndarray:
     """Select rows of ``table [V,d]`` by integer index (embedding lookup).
 
@@ -810,14 +780,7 @@ def gather_rows(table: np.ndarray, indices: np.ndarray, sink: CounterSink) -> np
     bytes (index bytes are not counted).
     """
     table = _as_f32_matrix(table, "table", 2)
-    indices = np.asarray(indices)
-    if indices.ndim != 1:
-        raise ShapeError(f"gather indices must be 1-D, got shape {indices.shape}")
-    if indices.size and (indices.min() < 0 or indices.max() >= table.shape[0]):
-        raise ShapeError(
-            f"gather index out of range: table has {table.shape[0]} rows, "
-            f"indices span [{indices.min()}, {indices.max()}]"
-        )
+    indices = _row_indices(indices, table.shape[0], "gather")
     nbytes = 4 * indices.size * table.shape[1]
     sink.add("gather", 0, nbytes, nbytes)
     return table[indices]
@@ -828,12 +791,16 @@ def scatter_add_rows(
 ) -> None:
     """Accumulate ``rows`` into ``acc`` at ``indices`` in place (embedding grad).
 
+    ``indices`` must be 1-D and in ``[0, V)`` for ``acc [V,d]``, as for
+    :func:`gather_rows`; a bad index raises :class:`ShapeError` before
+    ``acc`` is touched or anything is counted.
+
     Counts: flops ``len(indices)*d``, bytes read ``8*len(indices)*d``,
     bytes written ``4*len(indices)*d``.
     """
     acc = _as_f32_matrix(acc, "acc", 2)
     rows = _as_f32_matrix(rows, "rows", 2)
-    indices = np.asarray(indices)
+    indices = _row_indices(indices, acc.shape[0], "scatter_add")
     if rows.shape != (indices.size, acc.shape[1]):
         raise ShapeError(
             f"scatter_add: rows is {rows.shape}, want ({indices.size}, {acc.shape[1]})"

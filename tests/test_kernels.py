@@ -132,8 +132,10 @@ def test_softmax_mask_zeroes_entries():
 def test_softmax_fully_masked_row_raises():
     a = np.zeros((2, 3), dtype=F32)
     mask = np.array([[True, True, True], [False, False, False]])
+    sink = CounterSink()
     with pytest.raises(MaskError, match="row 1"):
-        kernels.softmax_rows(a, CounterSink(), mask=mask)
+        kernels.softmax_rows(a, sink, mask=mask)
+    assert sink.kind_totals() == {}  # a mask fault is found before counting
 
 
 @settings(max_examples=25, deadline=None)
@@ -295,6 +297,16 @@ def test_gather_and_scatter_roundtrip():
 def test_gather_out_of_range():
     with pytest.raises(ShapeError, match="out of range"):
         kernels.gather_rows(np.zeros((2, 3), dtype=F32), np.array([5]), CounterSink())
+
+
+@pytest.mark.parametrize("index", [-1, 4])
+def test_scatter_add_out_of_range_touches_nothing(index):
+    acc = np.arange(8, dtype=F32).reshape(4, 2)
+    sink = CounterSink()
+    with pytest.raises(ShapeError, match="out of range"):
+        kernels.scatter_add_rows(acc, np.array([0, index]), np.ones((2, 2), F32), sink)
+    assert np.array_equal(acc, np.arange(8, dtype=F32).reshape(4, 2))
+    assert sink.kind_totals() == {}
 
 
 # -- counter sink -------------------------------------------------------------
@@ -707,6 +719,31 @@ def salted(shape, at, value, fill=1.0):
     return a
 
 
+def zeroed(x):
+    """A float32 array's zeros of the same shape, which no kernel finds
+    non-finite; anything else (a mask, a scale factor) as it is."""
+    return np.zeros_like(x) if isinstance(x, np.ndarray) and x.dtype == F32 else x
+
+
+def assert_fails_fast(kernel, reference, error, *operands, **options):
+    """``kernel`` raises ``error`` where its unfused ``reference`` raises,
+    and fails fast: a validation fault (shape, dtype, mask) before anything
+    is counted, a non-finite output with every constituent's counts
+    recorded, as ``reference`` records them on finite operands of the same
+    shapes."""
+    # ValueError covers ShapeError, MaskError and NumPy's own shape errors
+    with np.errstate(all="ignore"), pytest.raises((FloatingPointError, ValueError)):
+        reference(*operands, CounterSink(), **options)
+    got, counts = outcome(kernel, *operands, **options)
+    assert got == error
+    if error[0] is FloatingPointError:
+        sink = CounterSink()
+        reference(*map(zeroed, operands), sink, **{k: zeroed(v) for k, v in options.items()})
+        assert counts == list(sink.kind_totals().items())
+    else:
+        assert counts == []
+
+
 ONES = np.ones((3, 1, 1), F32)
 ONES_K = np.ones((3, 1, 2), F32)
 ONES_V = np.ones((3, 2, 1), F32)
@@ -725,20 +762,21 @@ HIDDEN = np.array([[False, False]])  # every score row hidden
         ((np.ones((2, 2, 1), F32), np.ones((2, 1, 3), F32), np.ones((2, 3, 1), F32),
           np.array([[True, False, True], [False, False, False]])),
          None, (MaskError, "softmax row 1 has no visible entries")),
-        # one slice per chunk: a later constituent failing in an earlier
-        # chunk must not pre-empt an earlier constituent failing later
+        # one slice per chunk: the context product fails in the first
+        # chunk, before the score product fails in the last
         ((salted((3, 1, 1), 2, np.inf), ONES_K, salted((3, 2, 1), 0, np.nan), None),
          1, (FloatingPointError, "bmm produced non-finite values")),
+        # a validation fault is raised before any chunk is computed
         ((salted((3, 1, 1), 2, np.inf), ONES_K, ONES_V, HIDDEN),
-         1, (FloatingPointError, "bmm produced non-finite values")),
+         1, (MaskError, "softmax row 0 has no visible entries")),
         ((ONES, ONES_K, salted((3, 2, 1), 0, np.nan), HIDDEN),
          1, (MaskError, "softmax row 0 has no visible entries")),
         ((ONES, ONES_K, salted((3, 2, 1), 2, np.nan), None),
          1, (FloatingPointError, "bmm produced non-finite values")),
         ((salted((3, 1, 1), 2, np.inf), ONES_K, np.ones((3, 2, 1)), None),
-         1, (FloatingPointError, "bmm produced non-finite values")),
+         1, (ShapeError, "v4 must be float32, got float64")),
         ((ONES, ONES_K, np.ones((3, 3, 1), F32), HIDDEN),
-         1, (MaskError, "softmax row 0 has no visible entries")),
+         1, (ShapeError, "bmm: a is 3x1x2, b is 3x3x1 (batch or inner mismatch)")),
         ((ONES, ONES_K, np.ones((3, 3, 1), F32), None),
          1, (ShapeError, "bmm: a is 3x1x2, b is 3x3x1 (batch or inner mismatch)")),
     ],
@@ -754,12 +792,9 @@ def test_attention_raises_like_three_kernels(args, chunk, error, monkeypatch):
     *operands, mask_rows = args
     q4, k4, _ = operands
     chunk_budget(monkeypatch, chunk, 4 * q4.shape[1] * k4.shape[2])
-    got = outcome(kernels.attention, *operands, mask_rows=mask_rows)
-    assert got == outcome(three_kernel_attention, *operands, mask_rows=mask_rows)
-    assert got[0] == error
-    if chunk is not None and error[0] is FloatingPointError and np.isinf(q4).any():
-        # the score product's error, with its counts alone
-        assert got[1] == [(("other", "matmul"), (2 * 3 * 2, 4 * 3 * (1 + 2), 4 * 3 * 2))]
+    assert_fails_fast(
+        kernels.attention, three_kernel_attention, error, *operands, mask_rows=mask_rows
+    )
 
 
 # -- fused attention backward equals the five kernels it replaces ----------------------
@@ -845,42 +880,45 @@ BMM = (FloatingPointError, "bmm produced non-finite values")
 
 
 @pytest.mark.parametrize(
-    "salts, error, kinds",
+    "salts, error",
     [
-        (dict(v4=salted((3, 2, 1), 2, np.nan), k4=salted((3, 1, 2), 0, np.nan)), BMM, 1),
-        (dict(d_ctx=salted((3, 1, 1), 0, np.nan)), BMM, 1),
-        (dict(probs=salted((3, 1, 2), 2, np.nan), q4=salted((3, 1, 1), 0, np.nan)), BMM, 1),
-        (dict(OVERFLOW, k4=salted((3, 1, 2), 0, np.nan)),
-         (FloatingPointError, "softmax backward produced non-finite values"), 2),
-        (dict(k4=salted((3, 1, 2), 2, np.nan), q4=salted((3, 1, 1), 0, np.nan)), BMM, 2),
-        (dict(q4=salted((3, 1, 1), 2, np.inf)), BMM, 2),
+        (dict(v4=salted((3, 2, 1), 2, np.nan), k4=salted((3, 1, 2), 0, np.nan)), BMM),
+        (dict(d_ctx=salted((3, 1, 1), 0, np.nan)), BMM),
+        (dict(probs=salted((3, 1, 2), 2, np.nan), q4=salted((3, 1, 1), 0, np.nan)), BMM),
+        (OVERFLOW, (FloatingPointError, "softmax backward produced non-finite values")),
+        # the d_q4 product fails in the first chunk, before the softmax
+        # backward fails in the last: the first failure found wins
+        (dict(OVERFLOW, k4=salted((3, 1, 2), 0, np.nan)), BMM),
+        (dict(k4=salted((3, 1, 2), 2, np.nan), q4=salted((3, 1, 1), 0, np.nan)), BMM),
+        (dict(q4=salted((3, 1, 1), 2, np.inf)), BMM),
         (dict(probs=np.full((3, 1, 3), 0.5, F32)),
-         (ShapeError, "softmax backward: probs is (3, 3), d_probs is (3, 2)"), 1),
+         (ShapeError, "softmax backward: probs is (3, 3), d_probs is (3, 2)")),
         (dict(probs=np.full((3, 1, 2), 0.5), q4=salted((3, 1, 1), 0, np.nan)),
-         (ShapeError, "a must be float32, got float64"), 1),
+         (ShapeError, "probs must be float32, got float64")),
+        (dict(v4=np.ones((3, 2), F32)), (ShapeError, "v4 must be 3-D, got shape (3, 2)")),
         (dict(k4=np.ones((2, 1, 2), F32), q4=salted((3, 1, 1), 0, np.nan)),
-         (ShapeError, "bmm: a is 3x1x2, b is 2x2x1 (batch or inner mismatch)"), 2),
+         (ShapeError, "bmm: a is 3x1x2, b is 2x2x1 (batch or inner mismatch)")),
         (dict(q4=np.ones((3, 2, 1), F32), probs=salted((3, 1, 2), 2, np.nan)),
-         BMM, 1),
+         (ShapeError, "bmm: a is 3x2x1, b is 3x2x1 (batch or inner mismatch)")),
         (dict(q4=np.ones((3, 2, 1), F32)),
-         (ShapeError, "bmm: a is 3x2x1, b is 3x2x1 (batch or inner mismatch)"), 2),
+         (ShapeError, "bmm: a is 3x2x1, b is 3x2x1 (batch or inner mismatch)")),
     ],
     ids=[
         "nan_in_last_v4_nan_in_first_k4", "nan_in_first_d_ctx",
-        "nan_in_last_probs_nan_in_first_q4", "softmax_overflow_in_last_nan_in_first_k4",
+        "nan_in_last_probs_nan_in_first_q4", "softmax_overflow_in_last",
+        "softmax_overflow_in_last_nan_in_first_k4",
         "nan_in_last_k4_nan_in_first_q4", "inf_in_last_q4", "probs_mismatch",
-        "float64_probs_nan_in_first_q4", "k4_mismatch_nan_in_first_q4",
+        "float64_probs_nan_in_first_q4", "two_d_v4", "k4_mismatch_nan_in_first_q4",
         "q4_mismatch_nan_in_last_probs", "q4_mismatch",
     ],
 )
-def test_attention_backward_raises_like_five_kernels(salts, error, kinds, monkeypatch):
+def test_attention_backward_raises_like_five_kernels(salts, error, monkeypatch):
     # one slice per chunk, so each operand's slices fall in three chunks
-    operands = backward_operands(**salts)
     chunk_budget(monkeypatch, 1, 8 * 1 * 2)
-    got = outcome(kernels.attention_backward, *operands)
-    assert got == outcome(five_kernel_attention_backward, *operands)
-    assert got[0] == error
-    assert len(got[1]) == kinds  # matmul alone, or matmul and softmax_backward
+    assert_fails_fast(
+        kernels.attention_backward, five_kernel_attention_backward, error,
+        *backward_operands(**salts),
+    )
 
 
 @pytest.mark.parametrize(
@@ -976,11 +1014,13 @@ def test_matmul_epilogue_bit_identical_to_two_kernels(m, k, n, epilogue, salts, 
     got, counts = outcome(kernels.matmul, arrays["a"], arrays["b"], **options)
     want, want_counts = outcome(two_kernel_matmul, arrays["a"], arrays["b"], **options)
     if isinstance(want, tuple):
+        # both check the product first, so they name the same failing
+        # kernel; the fused kernel has counted its epilogue as well
         assert got == want
     else:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-    assert counts == want_counts
+        assert counts == want_counts
 
 
 @pytest.mark.parametrize(
@@ -1001,8 +1041,9 @@ def test_matmul_epilogue_bit_identical_to_two_kernels(m, k, n, epilogue, salts, 
          (ShapeError, "add: a is (2, 1), b is (2, 2)")),
         (np.ones((2, 1), F32), np.ones((1, 2), F32), {"residual": np.ones((2, 2))},
          (ShapeError, "add: operands must be float32, got float64 and float32")),
+        # the residual is validated before the product is computed
         (np.full((2, 1), HUGE), np.full((1, 2), HUGE), {"residual": np.ones((2, 1), F32)},
-         (FloatingPointError, "matmul produced non-finite values")),
+         (ShapeError, "add: a is (2, 1), b is (2, 2)")),
     ],
     ids=[
         "product_overflow_scale", "product_overflow_residual", "scale_overflow",
@@ -1011,9 +1052,7 @@ def test_matmul_epilogue_bit_identical_to_two_kernels(m, k, n, epilogue, salts, 
     ],
 )
 def test_matmul_epilogue_raises_like_two_kernels(a, b, options, error):
-    got = outcome(kernels.matmul, a, b, **options)
-    assert got == outcome(two_kernel_matmul, a, b, **options)
-    assert got[0] == error
+    assert_fails_fast(kernels.matmul, two_kernel_matmul, error, a, b, **options)
 
 
 def test_matmul_takes_one_epilogue():
