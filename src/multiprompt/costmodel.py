@@ -13,10 +13,12 @@ Two layers of fidelity, from coarse to exact:
    2 flops per multiply-add (``FLOPS_PER_MAC``).  Inverse operational
    intensity (``inverse_intensity``) is the memory cell over the operation
    cell of the Appendix B evaluation.
-2. ``predict_run_flops``: an exact mirror of every kernel call an engine
-   run makes (projections, attention dots, softmax, norms, embeddings,
-   vocabulary head), checked for integer equality against the
-   instrumented counters and used for whole-model flop ratios.
+2. ``predict_run_counters``: a replay of every kernel call an engine run
+   makes (projections, attention cores, norms, embeddings, vocabulary
+   head) through the kernels' own count helpers, checked for integer
+   equality of flops, bytes read and bytes written against the
+   instrumented counters; its flops view ``predict_run_flops`` gives
+   whole-model flop ratios.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
+from .kernels import (
+    CounterSink, count_attention, count_elementwise, count_gather, count_layer_norm, count_matmul,
+)
 from .model import ModelConfig
 
 BYTES_PER_SYMBOL = 4  # float32
@@ -337,74 +342,99 @@ def roofline_estimate(cost: CostBreakdown, hw: HardwareProfile) -> RooflineEstim
 # -- exact engine mirror ------------------------------------------------------------
 
 
-def _encode_flops(config: ModelConfig, n_pass: int, length: int) -> dict[str, int]:
-    d, dff, h = config.d_model, config.d_ff, config.n_heads
-    rows = n_pass * length
-    # per sublayer: norm 6/elt, residual add 1/elt on top of the matmuls;
-    # attention adds the 1/sqrt(dh) query scale 1/elt and softmax 4/score
-    enc_self = config.n_enc_layers * (
-        8 * rows * d * d
-        + 4 * n_pass * length * length * d
-        + 4 * n_pass * h * length * length
-        + 8 * rows * d
-    )
-    ffn = config.n_enc_layers * (4 * rows * d * dff + rows * dff + 7 * rows * d)
-    return {
-        "embedding": 2 * rows * d,  # sqrt(d) scale plus position add
-        "encoder_self": enc_self,
-        "feed_forward": ffn,
-        "other": 6 * rows * d,
-    }
+def _embed(sink: CounterSink, d: int, rows: int) -> None:
+    with sink.scope("embedding"):
+        count_gather(sink, rows, d)
+        count_elementwise(sink, "scale", rows * d, 1)
+        count_elementwise(sink, "add", rows * d, 2)
 
 
-def _decode_flops(
-    config: ModelConfig, streams: int, owners: int, prefix: int, m: int, n_t: int,
+def _attention_sublayer(
+    sink: CounterSink, config: ModelConfig, component: str, n_seq: int, nq: int, m: int,
+    kv_group: int = 1, masked: bool = False,
+) -> None:
+    """Self-attention, or cross-attention on precomputed K/V (``decoder_cross``)."""
+    d, h = config.d_model, config.n_heads
+    rows = n_seq * nq
+    with sink.scope(component):
+        count_layer_norm(sink, rows, d)
+        count_matmul(sink, rows, d, d)
+        count_elementwise(sink, "scale", rows * d, 1)
+        if component != "decoder_cross":
+            count_matmul(sink, rows, d, d)
+            count_matmul(sink, rows, d, d)
+        count_attention(sink, n_seq // kv_group * h, kv_group * nq, d // h, m, d // h, masked)
+        count_matmul(sink, rows, d, d)
+        count_elementwise(sink, "add", rows * d, 2)
+
+
+def _ffn_sublayer(sink: CounterSink, config: ModelConfig, rows: int) -> None:
+    d, dff = config.d_model, config.d_ff
+    with sink.scope("feed_forward"):
+        count_layer_norm(sink, rows, d)
+        count_matmul(sink, rows, d, dff)
+        count_elementwise(sink, "relu", rows * dff, 1)
+        count_matmul(sink, rows, dff, d)
+        count_elementwise(sink, "add", rows * d, 2)
+
+
+def replay_forward(
+    config: ModelConfig, inputs: int, enc_len: int, kv_group: int, prefix: int, n_t: int,
     all_logits: bool = False,
-) -> dict[str, int]:
-    """Mirror of a full decode: cross-K/V projection, prefill, n_t-1 steps.
+) -> tuple[CounterSink, CounterSink]:
+    """The counts of a forward run, replayed from shapes: ``(encode, run)``.
 
-    ``all_logits`` mirrors ``decoder_prefill(return_all_logits=True)``: the
-    vocabulary head runs on every prefix position instead of the last one.
+    The run is ``encode_batch`` over ``inputs`` sequences of ``enc_len``
+    tokens; then, when ``n_t >= 1``, ``init_decode_state`` with
+    ``kv_group`` streams per input, a ``decoder_prefill`` of ``prefix``
+    positions per stream and ``n_t - 1`` calls of ``decoder_step``.  Each
+    kernel call is recorded through the count helper the kernel itself
+    records through.  ``all_logits`` mirrors
+    ``decoder_prefill(return_all_logits=True)``, the training forward.
     """
-    d, dff, h, v = config.d_model, config.d_ff, config.n_heads, config.vocab_size
-    layers = config.n_dec_layers
-    if n_t == 0:
-        return {}
-    kv_init = layers * 4 * owners * m * d * d
-    # prefill computes the full prefix x prefix score matrix; incremental
-    # steps i=1..n_t-1 attend prefix+i keys each
-    steps = n_t - 1
-    self_keys = prefix * prefix + steps * prefix + steps * (steps + 1) // 2
-    total_rows = streams * (prefix + steps)
-    dec_self = layers * (
-        8 * total_rows * d * d + 4 * streams * self_keys * d + 4 * streams * h * self_keys
-        + 8 * total_rows * d
-    )
-    cross_q = prefix + steps
-    dec_cross = kv_init + layers * (
-        4 * total_rows * d * d
-        + 4 * streams * cross_q * m * d
-        + 4 * streams * h * cross_q * m
-        + 8 * total_rows * d
-    )
-    ffn = layers * (4 * total_rows * d * dff + total_rows * dff + 7 * total_rows * d)
-    head = ((prefix if all_logits else 1) + steps) * 2 * streams * d * v
-    return {
-        "embedding": 2 * total_rows * d + head,  # sqrt(d) scale plus position add
-        "decoder_self": dec_self,
-        "decoder_cross": dec_cross,
-        "feed_forward": ffn,
-        "other": 6 * total_rows * d,
-    }
+    d = config.d_model
+    encode = CounterSink()
+    _embed(encode, d, inputs * enc_len)
+    for _ in range(config.n_enc_layers):
+        _attention_sublayer(encode, config, "encoder_self", inputs, enc_len, enc_len)
+        _ffn_sublayer(encode, config, inputs * enc_len)
+    with encode.scope("other"):
+        count_layer_norm(encode, inputs * enc_len, d)
+    decode = CounterSink()
+    if n_t:
+        streams = inputs * kv_group
+        with decode.scope("decoder_cross"):
+            for _ in range(2 * config.n_dec_layers):  # K and V per layer
+                count_matmul(decode, inputs * enc_len, d, d)
+        # (new positions, cache length, head rows) of the prefill, under a
+        # causal mask, and of each unmasked step
+        passes = [(prefix, 0, streams * prefix if all_logits else streams)]
+        passes += [(1, length, streams) for length in range(prefix, prefix + n_t - 1)]
+        for nq, length, head_rows in passes:
+            _embed(decode, d, streams * nq)
+            for _ in range(config.n_dec_layers):
+                _attention_sublayer(
+                    decode, config, "decoder_self", streams, nq, length + nq, 1, not length
+                )
+                _attention_sublayer(decode, config, "decoder_cross", streams, nq, enc_len, kv_group)
+                _ffn_sublayer(decode, config, streams * nq)
+            with decode.scope("other"):
+                count_layer_norm(decode, streams * nq, d)
+            with decode.scope("embedding"):
+                count_matmul(decode, head_rows, d, config.vocab_size)
+    return encode, encode.merge(decode)
 
 
-def predict_run_flops(config: ModelConfig, shape: ShapeParams, engine: str) -> dict:
-    """Exact per-component flop prediction for a full engine run.
+def predict_run_counters(
+    config: ModelConfig, shape: ShapeParams, engine: str
+) -> tuple[CounterSink, CounterSink]:
+    """Exact counts of a full engine run: ``(encode phase, whole run)``.
 
-    Mirrors every kernel call the engine makes, assuming all streams decode
-    the full ``n_t`` tokens (no early stop).  Calibrated against instrumented
-    counters in the test suite; engine encode-side prompt handling (separator
-    token) is included.
+    Replays every kernel call ``engines.infer`` makes (:func:`replay_forward`
+    in the engine's layout), assuming all streams decode the full ``n_t``
+    tokens (no early stop); pie's encoder inputs carry the separator token.
+    Flops, bytes read and bytes written equal the instrumented counters
+    per component and kernel kind.
     """
     if engine not in (PIE, PID):
         raise ConfigError(f"unknown engine {engine!r}")
@@ -413,28 +443,21 @@ def predict_run_flops(config: ModelConfig, shape: ShapeParams, engine: str) -> d
             f"shape (d={shape.d}, h={shape.h}) disagrees with model "
             f"(d={config.d_model}, h={config.n_heads})"
         )
-    U, b = shape.U, shape.b
-    streams = U * b
+    streams = shape.U * shape.b
     if engine == PIE:
         enc_len = shape.n_s + (shape.n_p + 1 if shape.n_p else 0)
-        encode = _encode_flops(config, streams, enc_len)
-        decode = _decode_flops(config, streams, streams, 1, enc_len, shape.n_t)
-    else:
-        encode = _encode_flops(config, b, shape.n_s)
-        decode = _decode_flops(
-            config, streams, b, max(shape.n_p, 1), shape.n_s, shape.n_t
-        )
-    by_component: dict[str, int] = {}
-    for part in (encode, decode):
-        for label, flops in part.items():
-            by_component[label] = by_component.get(label, 0) + flops
+        return replay_forward(config, streams, enc_len, 1, 1, shape.n_t)
+    return replay_forward(config, shape.b, shape.n_s, shape.U, max(shape.n_p, 1), shape.n_t)
+
+
+def predict_run_flops(config: ModelConfig, shape: ShapeParams, engine: str) -> dict:
+    """The flops of :func:`predict_run_counters`, per component and in total."""
+    encode, run = predict_run_counters(config, shape, engine)
     return {
-        "engine": engine,
-        "encode": encode,
-        "decode": decode,
-        "by_component": by_component,
-        "encode_total": sum(encode.values()),
-        "total": sum(by_component.values()),
+        "encode": {label: c.flops for label, c in encode.component_totals().items()},
+        "by_component": {label: c.flops for label, c in run.component_totals().items()},
+        "encode_total": encode.flops,
+        "total": run.flops,
     }
 
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, LengthError
-from .instrumentation import CounterSet
 from .kernels import CounterSink
 from .model import (
     BOS,
@@ -105,14 +104,15 @@ class DecodeResult:
 
     ``outputs[i][u]`` is the token list decoded for instance ``i``, prompt
     ``u``; every list ends with the end token or at the length cap.
+    ``counters`` holds what the run recorded into its sink and
+    ``encode_counters`` the encode phase's share of it.
     """
 
     engine: str
     outputs: list[list[list[int]]]
     steps_taken: int
-    counters: CounterSet
-    encode_counters: CounterSet
-    step_counters: CounterSet  # decode loop only (cross-cache projection excluded)
+    counters: CounterSink
+    encode_counters: CounterSink
     encoder_passes: int
     wasted_stream_steps: int
 
@@ -123,15 +123,6 @@ class DecodeResult:
 def greedy_step(logits: np.ndarray) -> np.ndarray:
     """Argmax token per stream; ties break toward the lowest token id."""
     return np.argmax(logits, axis=1)
-
-
-def _delta(sink: CounterSink, before: dict[str, tuple[int, int, int]]) -> CounterSet:
-    totals = {}
-    for label, now in sink.component_totals().items():
-        diff = tuple(a - b for a, b in zip(now, before.get(label, (0, 0, 0))))
-        if any(diff):
-            totals[label] = diff
-    return CounterSet.from_totals(totals)
 
 
 def _regroup(flat: list[list[int]], b: int, u: int) -> list[list[list[int]]]:
@@ -205,15 +196,13 @@ def infer(
     encoder_inputs, prefix, kv_group = _layout(engine, workload)
     p, n_t = prefix.shape[1], workload.max_new_tokens
     _check_lengths(config, encoder_inputs, prefix, n_t)
-    before = sink.component_totals()
+    before = sink.kind_totals()
     memories = encode_batch(config, weights, encoder_inputs, sink)
-    encode_counters = _delta(sink, before)
+    encode_counters = sink.since(before)
     chosen_rows: list[np.ndarray] = []
     steps = 0
-    after_init = sink.component_totals()
     if n_t:
         state = init_decode_state(config, weights, memories, kv_group, p + n_t - 1, sink)
-        after_init = sink.component_totals()
         logits = decoder_prefill(config, weights, state, prefix, sink)
         done = np.zeros(len(prefix), dtype=bool)
         for steps in range(1, n_t + 1):
@@ -231,9 +220,8 @@ def infer(
         engine=engine,
         outputs=_regroup(outputs, workload.batch_size, workload.n_prompts),
         steps_taken=steps,
-        counters=_delta(sink, before),
+        counters=sink.since(before),
         encode_counters=encode_counters,
-        step_counters=_delta(sink, after_init),
         encoder_passes=len(encoder_inputs),
         wasted_stream_steps=steps * len(prefix) - sum(map(len, outputs)),
     )
@@ -256,10 +244,9 @@ def reference_decode(
     sink = sink if sink is not None else CounterSink()
     encoder_inputs, prefix, kv_group = _layout(engine, workload)
     _check_lengths(config, encoder_inputs, prefix, workload.max_new_tokens)
-    before = sink.component_totals()
+    before = sink.kind_totals()
     memories = encode_batch(config, weights, encoder_inputs, sink)
-    encode_counters = _delta(sink, before)
-    after_encode = sink.component_totals()
+    encode_counters = sink.since(before)
     flat: list[list[int]] = []
     for s, toks in enumerate(prefix):
         memory = memories[s // kv_group][None]
@@ -277,9 +264,8 @@ def reference_decode(
         engine=f"reference-{engine}",
         outputs=_regroup(flat, workload.batch_size, workload.n_prompts),
         steps_taken=max(map(len, flat)),
-        counters=_delta(sink, before),
+        counters=sink.since(before),
         encode_counters=encode_counters,
-        step_counters=_delta(sink, after_encode),
         encoder_passes=len(encoder_inputs),
         wasted_stream_steps=0,
     )

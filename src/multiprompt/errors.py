@@ -21,9 +21,5 @@ class TrainingError(RuntimeError):
     """Training produced a non-finite loss; message carries the step index."""
 
 
-class IntensityError(ValueError):
-    """Operational intensity is undefined (zero bytes of traffic)."""
-
-
 class ResourceLimitError(RuntimeError):
     """A run would exceed the configured memory guard."""

@@ -2,8 +2,12 @@
 
 Every kernel takes a :class:`CounterSink` and reports two things about the
 call: arithmetic operations ("flops") and memory traffic in bytes.  The
-counts are closed-form functions of the operand shapes, so tests can assert
-them exactly.
+counts are closed-form functions of the operand shapes, and each kind's
+formula exists once, in a ``count_*`` helper that records into a sink.
+The kernels record through these helpers, and the analytic mirror
+(``costmodel.predict_run_counters``) replays an engine run's kernel calls
+through the same helpers from shapes alone, so measured and predicted
+counts are the same kind of object and tests can assert them exactly.
 
 Counting conventions, fixed package-wide:
 
@@ -29,9 +33,10 @@ Counting conventions, fixed package-wide:
   :func:`softmax_rows_backward` and two more :func:`bmm` calls would, and
   :func:`matmul` with a GEMM epilogue (``scale=`` or ``residual=``) what
   :func:`matmul` followed by :func:`scale` or :func:`add` would.  It keeps
-  every constituent's finite check and names the constituent that failed
-  in its error.  Fusion changes what is allocated, re-read and checked on
-  the host, never the counted traffic.
+  every constituent's finite check that can fire and names the constituent
+  that failed in its error; the softmax inside :func:`attention` cannot
+  fail once its scores are finite.  Fusion changes what is allocated,
+  re-read and checked on the host, never the counted traffic.
 * The two attention kernels run their ``B`` slices in chunks whose
   score-shaped arrays fit ``ATTENTION_CHUNK_BYTES`` (a forward chunk holds
   whole runs of its mask), each constituent on a chunk before the next
@@ -63,6 +68,7 @@ from __future__ import annotations
 
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,12 +87,22 @@ COMPONENTS = (
 )
 
 
+class Counts(NamedTuple):
+    """One component's or one run's counts."""
+
+    flops: int
+    bytes_read: int
+    bytes_written: int
+
+
 class CounterSink:
     """Accumulates flop and byte counts for one run.
 
     A sink is owned by exactly one logical run; concurrent runs must use
     separate sinks.  Counts are integers, monotone non-decreasing while the
-    run executes, and may be reset to zero only between runs.
+    run executes.  A phase of a run is read off with :meth:`since`, which
+    returns a fresh sink holding what was recorded after a
+    :meth:`kind_totals` snapshot; :meth:`merge` adds two sinks' counts.
 
     Attribution: kernel calls are tagged with the component label of the
     innermost enclosing :meth:`scope` block (``"other"`` at top level),
@@ -117,17 +133,40 @@ class CounterSink:
     def bytes_written(self) -> int:
         return sum(v[2] for v in self._kinds.values())
 
-    def component_totals(self) -> dict[str, tuple[int, int, int]]:
-        """(flops, bytes_read, bytes_written) per component label."""
-        totals: dict[str, tuple[int, int, int]] = {}
+    def component_totals(self) -> dict[str, Counts]:
+        """The counts of each component label that has any."""
+        totals: dict[str, Counts] = {}
         for (label, _), (f, br, bw) in self._kinds.items():
             f0, br0, bw0 = totals.get(label, (0, 0, 0))
-            totals[label] = (f0 + f, br0 + br, bw0 + bw)
+            totals[label] = Counts(f0 + f, br0 + br, bw0 + bw)
         return totals
+
+    def component(self, label: str) -> Counts:
+        """The counts of one component label, zero if it has none."""
+        return self.component_totals().get(label, Counts(0, 0, 0))
 
     def kind_totals(self) -> dict[tuple[str, str], tuple[int, int, int]]:
         """Subtotals keyed by (component, kernel kind)."""
         return {k: (v[0], v[1], v[2]) for k, v in self._kinds.items()}
+
+    def since(self, snapshot: dict[tuple[str, str], tuple[int, int, int]]) -> CounterSink:
+        """A fresh sink holding what was recorded after ``snapshot``, a
+        :meth:`kind_totals` of this sink; keys that did not move are left out."""
+        out = CounterSink()
+        for key, cell in self._kinds.items():
+            diff = [now - then for now, then in zip(cell, snapshot.get(key, (0, 0, 0)))]
+            if any(diff):
+                out._kinds[key] = diff
+        return out
+
+    def merge(self, other: CounterSink) -> CounterSink:
+        """A fresh sink holding the counts of both sinks, added key by key."""
+        out = CounterSink()
+        for sink in (self, other):
+            for key, counts in sink._kinds.items():
+                cell = out._kinds.setdefault(key, [0, 0, 0])
+                cell[:] = [a + b for a, b in zip(cell, counts)]
+        return out
 
     # -- recording ------------------------------------------------------
 
@@ -147,10 +186,6 @@ class CounterSink:
             cell[1] += bytes_read
             cell[2] += bytes_written
 
-    def reset(self) -> None:
-        """Zero all counters.  Only legal between runs."""
-        self._kinds.clear()
-
 
 class _Scope:
     """One :meth:`CounterSink.scope` block: sets the label, restores the outer one."""
@@ -169,6 +204,52 @@ class _Scope:
 
     def __exit__(self, *exc_info) -> None:
         self._sink.current_component = self._outer
+
+
+# -- count formulas ---------------------------------------------------------
+#
+# The one copy of each kernel kind's counts.  Each kernel records through
+# these after its checks pass, and ``costmodel.predict_run_counters``
+# replays an engine run through them from shapes alone.
+
+
+def count_matmul(sink: CounterSink, m: int, k: int, n: int, batch: int = 1) -> None:
+    """``batch`` products ``[m,k] @ [k,n]``, each reading both operands."""
+    sink.add("matmul", 2 * batch * m * n * k, 4 * batch * (m * k + k * n), 4 * batch * m * n)
+
+
+def count_elementwise(sink: CounterSink, kind: str, size: int, inputs: int) -> None:
+    """One operation per output element, reading ``inputs`` float32 operands."""
+    sink.add(kind, size, 4 * inputs * size, 4 * size)
+
+
+def count_softmax(sink: CounterSink, n: int, m: int, masked: bool) -> None:
+    sink.add("softmax", 4 * n * m, 4 * n * m + (n * m if masked else 0), 4 * n * m)
+
+
+def count_softmax_backward(sink: CounterSink, n: int, m: int) -> None:
+    sink.add("softmax_backward", 4 * n * m, 8 * n * m, 4 * n * m)
+
+
+def count_attention(
+    sink: CounterSink, slices: int, rows: int, dh: int, m: int, dv: int, masked: bool
+) -> None:
+    """:func:`attention`'s constituents: scores, softmax, context."""
+    count_matmul(sink, rows, dh, m, slices)
+    count_softmax(sink, slices * rows, m, masked)
+    count_matmul(sink, rows, m, dv, slices)
+
+
+def count_layer_norm(sink: CounterSink, n: int, m: int) -> None:
+    sink.add("layer_norm", 6 * n * m, 4 * (n * m + m), 4 * n * m)
+
+
+def count_layer_norm_backward(sink: CounterSink, n: int, m: int) -> None:
+    sink.add("layer_norm_backward", 12 * n * m, 4 * (2 * n * m + m), 4 * (n * m + m))
+
+
+def count_gather(sink: CounterSink, rows: int, d: int) -> None:
+    sink.add("gather", 0, 4 * rows * d, 4 * rows * d)
 
 
 # -- workspace --------------------------------------------------------------
@@ -334,16 +415,15 @@ def matmul(
     if residual is not None:
         residual = np.asarray(residual)
         _check_add_operands(residual, (m, n))
-    sink.add("matmul", 2 * m * n * k, 4 * (m * k + k * n), 4 * m * n)
+    count_matmul(sink, m, k, n)
     product = np.matmul(a, b, out=_out((m, n)))
     if scale is None and residual is None:
         return _check_finite(product, "matmul")
-    size = product.size
     if residual is not None:
-        sink.add("add", size, 8 * size, 4 * size)
+        count_elementwise(sink, "add", m * n, 2)
         kind, out = "add", np.add(residual, product, out=_out((m, n)))
     else:
-        sink.add("scale", size, 4 * size, 4 * size)
+        count_elementwise(sink, "scale", m * n, 1)
         kind, out = "scale", np.multiply(product, F32(scale), out=_out((m, n)))
     # one check for both kernels: scaling or adding a residual keeps a
     # non-finite product non-finite, so a finite result proves a finite
@@ -353,13 +433,11 @@ def matmul(
     return out
 
 
-def _bmm_counts(a_shape: tuple[int, ...], b_shape: tuple[int, ...]) -> tuple[int, int, int]:
-    """:func:`bmm`'s shape check of ``a [B,m,k] @ b [B,k,n]``; returns its
-    (flops, bytes read, bytes written)."""
+def _check_bmm(a_shape: tuple[int, ...], b_shape: tuple[int, ...]) -> None:
+    """:func:`bmm`'s shape check of ``a [B,m,k] @ b [B,k,n]``."""
     (ba, m, k), (bb, kb, n) = a_shape, b_shape
     if ba != bb or k != kb:
         raise ShapeError(f"bmm: a is {ba}x{m}x{k}, b is {bb}x{kb}x{n} (batch or inner mismatch)")
-    return 2 * ba * m * n * k, 4 * ba * (m * k + k * n), 4 * ba * m * n
 
 
 def bmm(a: np.ndarray, b: np.ndarray, sink: CounterSink) -> np.ndarray:
@@ -376,7 +454,9 @@ def bmm(a: np.ndarray, b: np.ndarray, sink: CounterSink) -> np.ndarray:
     """
     a = _as_f32_matrix(a, "a", 3)
     b = _as_f32_matrix(b, "b", 3)
-    sink.add("matmul", *_bmm_counts(a.shape, b.shape))
+    _check_bmm(a.shape, b.shape)
+    slices, m, k = a.shape
+    count_matmul(sink, m, k, b.shape[2], slices)
     return _check_finite(np.matmul(a, b, out=_out((*a.shape[:2], b.shape[2]))), "bmm")
 
 
@@ -395,10 +475,6 @@ def _chunk_slices(slices: int, slice_bytes: int, run: int) -> int:
     return max(fit // run * run, run)
 
 
-def _add_softmax(sink: CounterSink, n: int, m: int, masked: bool) -> None:
-    sink.add("softmax", 4 * n * m, 4 * n * m + (n * m if masked else 0), 4 * n * m)
-
-
 def _check_visible(mask: np.ndarray) -> None:
     """Raise :class:`MaskError` if ``mask`` hides every entry of a row."""
     visible = mask.any(axis=1)
@@ -406,9 +482,9 @@ def _check_visible(mask: np.ndarray) -> None:
         raise MaskError(f"softmax row {int(np.flatnonzero(~visible)[0])} has no visible entries")
 
 
-def _softmax_in_place(flat: np.ndarray, mask: np.ndarray | None) -> bool:
+def _softmax_in_place(flat: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     """Row softmax of a non-empty ``flat [n,m]``, written over ``flat``;
-    returns whether every output is finite.
+    returns the row sums ``[n,1]``.
 
     ``mask`` is None or a bool ``[nq,m]`` that leaves every row a visible
     entry (:func:`_check_visible`), applied to every run of ``nq`` rows
@@ -422,9 +498,7 @@ def _softmax_in_place(flat: np.ndarray, mask: np.ndarray | None) -> bool:
     np.exp(flat, out=flat)
     sums = flat.sum(axis=1, keepdims=True)
     flat /= sums
-    # every lane is exp(x - rowmax), in [0, 1] or NaN, and the max lane is
-    # 1, so a row sum is finite exactly when every output in its row is
-    return _finite(sums)
+    return sums
 
 
 def softmax_rows(a: np.ndarray, sink: CounterSink, mask: np.ndarray | None = None) -> np.ndarray:
@@ -446,13 +520,15 @@ def softmax_rows(a: np.ndarray, sink: CounterSink, mask: np.ndarray | None = Non
             raise ShapeError(f"softmax mask must be bool {a.shape}, got {mask.dtype} {mask.shape}")
         if a.size:
             _check_visible(mask)
-    _add_softmax(sink, n, m, mask is not None)
+    count_softmax(sink, n, m, mask is not None)
     if a.size == 0:
         return a.copy()
     # one float32 copy to work in: ``np.positive`` copies every value
     # exactly, into a workspace buffer or else in the input's memory order
     out = np.positive(a, out=_out(a.shape))
-    if not _softmax_in_place(out, mask):
+    # every lane is exp(x - rowmax), in [0, 1] or NaN, and the max lane is
+    # 1, so a row sum is finite exactly when every output in its row is
+    if not _finite(_softmax_in_place(out, mask)):
         raise _non_finite("softmax")
     return out
 
@@ -487,17 +563,18 @@ def attention(
     Checks and counts are those of ``bmm(q4, k4)``, then
     :func:`softmax_rows` on the ``[B*r, m]`` scores with the tiled
     ``[B*r, m]`` mask, then ``bmm(probs, v4)``, with every shape, dtype
-    and mask check made before anything is counted.  A non-finite output
-    raises naming the first constituent that produced one (``bmm`` or
-    ``softmax``), at the first chunk where one does.
+    and mask check made before anything is counted.  A non-finite product
+    raises naming ``bmm``, at the first chunk where one does.  The softmax
+    takes no check of its own: finite scores give every row a finite max,
+    so every output lies in [0, 1] and every row sum is finite.
     """
     q4 = _as_f32_matrix(q4, "q4", 3)
     k4 = _as_f32_matrix(k4, "k4", 3)
     v4 = _as_f32_matrix(v4, "v4", 3)
-    slices, rows, _ = q4.shape
+    slices, rows, dh = q4.shape
     m = k4.shape[2]
-    scores_counts = _bmm_counts(q4.shape, k4.shape)
-    ctx_counts = _bmm_counts((slices, rows, m), v4.shape)
+    _check_bmm(q4.shape, k4.shape)
+    _check_bmm((slices, rows, m), v4.shape)
     run = 1
     if mask_rows is not None:
         mask_rows = np.asarray(mask_rows)
@@ -506,23 +583,17 @@ def attention(
         run = nq // math.gcd(nq, rows)  # slices per whole run of mask rows
         if slices * rows * m:
             _check_visible(mask_rows)
-    sink.add("matmul", *scores_counts)
-    _add_softmax(sink, slices * rows, m, mask_rows is not None)
-    sink.add("matmul", *ctx_counts)
+    count_attention(sink, slices, rows, dh, m, v4.shape[2], mask_rows is not None)
     probs = _empty((slices, rows, m))
     ctx = _empty((slices, rows, v4.shape[2]))
     step = _chunk_slices(slices, 4 * rows * m, run)
     for s in range(0, slices, step):
         e = s + step
         scores = _check_finite(np.matmul(q4[s:e], k4[s:e], out=probs[s:e]), "bmm")
-        if scores.size and not _softmax_in_place(scores.reshape(-1, m), mask_rows):
-            raise _non_finite("softmax")
+        if scores.size:
+            _softmax_in_place(scores.reshape(-1, m), mask_rows)
         _check_finite(np.matmul(scores, v4[s:e], out=ctx[s:e]), "bmm")
     return probs, ctx
-
-
-def _add_softmax_backward(sink: CounterSink, n: int, m: int) -> None:
-    sink.add("softmax_backward", 4 * n * m, 8 * n * m, 4 * n * m)
 
 
 def _check_softmax_backward(probs_shape: tuple[int, ...], d_probs_shape: tuple[int, ...]) -> None:
@@ -554,7 +625,7 @@ def softmax_rows_backward(
     probs = _as_f32_matrix(probs, "probs", 2)
     d_probs = _as_f32_matrix(d_probs, "d_probs", 2)
     _check_softmax_backward(probs.shape, d_probs.shape)
-    _add_softmax_backward(sink, *probs.shape)
+    count_softmax_backward(sink, *probs.shape)
     out = np.positive(d_probs, out=_out(probs.shape))
     if not _softmax_backward_in_place(probs, out):
         raise _non_finite("softmax backward")
@@ -592,19 +663,20 @@ def attention_backward(
         for x, name in ((q4, "q4"), (k4, "k4"), (v4, "v4"), (probs, "probs"), (d_ctx, "d_ctx"))
     )
     v4_t, probs_t, k4_t = (x.transpose(0, 2, 1) for x in (v4, probs, k4))
-    slices, rows, _ = d_ctx.shape
+    slices, rows, dv = d_ctx.shape
     m = v4_t.shape[2]
-    d_probs_counts = _bmm_counts(d_ctx.shape, v4_t.shape)
-    d_v4_counts = _bmm_counts(probs_t.shape, d_ctx.shape)
+    _check_bmm(d_ctx.shape, v4_t.shape)
+    _check_bmm(probs_t.shape, d_ctx.shape)
     bp, rp, mp = probs.shape
     _check_softmax_backward((bp * rp, mp), (slices * rows, m))
-    d_q4_counts = _bmm_counts(probs.shape, k4_t.shape)
-    d_k4_counts = _bmm_counts(probs_t.shape, q4.shape)
-    sink.add("matmul", *d_probs_counts)
-    sink.add("matmul", *d_v4_counts)
-    _add_softmax_backward(sink, slices * rows, m)
-    sink.add("matmul", *d_q4_counts)
-    sink.add("matmul", *d_k4_counts)
+    _check_bmm(probs.shape, k4_t.shape)
+    _check_bmm(probs_t.shape, q4.shape)
+    # past the checks ``probs`` is [slices, rows, m]
+    count_matmul(sink, rows, dv, m, slices)
+    count_matmul(sink, m, rows, dv, slices)
+    count_softmax_backward(sink, slices * rows, m)
+    count_matmul(sink, rows, m, k4.shape[1], slices)
+    count_matmul(sink, m, rows, q4.shape[2], slices)
     d_v4 = _empty((slices, probs.shape[2], d_ctx.shape[2]))
     d_q4 = _empty((slices, rows, k4.shape[1]))
     d_k4 = _empty((slices, m, q4.shape[2]))
@@ -643,7 +715,7 @@ def layer_norm(a: np.ndarray, gain: np.ndarray, sink: CounterSink) -> np.ndarray
         raise ShapeError(f"layer_norm: a is {n}x{m}, gain has shape {gain.shape} (want ({m},))")
     if gain.dtype != F32:
         raise ShapeError(f"layer_norm gain must be float32, got {gain.dtype}")
-    sink.add("layer_norm", 6 * n * m, 4 * (n * m + m), 4 * n * m)
+    count_layer_norm(sink, n, m)
     # the centred rows serve the variance and then become the output; an
     # overflow warns here and raises at the variance check below
     mean = a.sum(axis=1, keepdims=True)
@@ -674,7 +746,7 @@ def layer_norm_backward(
     if a.shape != d_out.shape:
         raise ShapeError(f"layer_norm backward: a is {a.shape}, d_out is {d_out.shape}")
     n, m = a.shape
-    sink.add("layer_norm_backward", 12 * n * m, 4 * (2 * n * m + m), 4 * (n * m + m))
+    count_layer_norm_backward(sink, n, m)
     # the steps and their order are those of ``a.var`` and the textbook
     # formula, so the result is bit-identical; ``x_hat`` and ``prod`` are
     # reused in place
@@ -710,8 +782,7 @@ def add(a: np.ndarray, b: np.ndarray, sink: CounterSink) -> np.ndarray:
     a = np.asarray(a)
     b = np.asarray(b)
     _check_add_operands(a, b.shape, b.dtype)
-    size = a.size
-    sink.add("add", size, 8 * size, 4 * size)
+    count_elementwise(sink, "add", a.size, 2)
     return _check_finite(np.add(a, b, out=_out(a.shape)), "add")
 
 
@@ -720,8 +791,7 @@ def scale(a: np.ndarray, factor: float, sink: CounterSink) -> np.ndarray:
     a = np.asarray(a)
     if a.dtype != F32:
         raise ShapeError(f"scale: a must be float32, got {a.dtype}")
-    size = a.size
-    sink.add("scale", size, 4 * size, 4 * size)
+    count_elementwise(sink, "scale", a.size, 1)
     return _check_finite(np.multiply(a, F32(factor), out=_out(a.shape)), "scale")
 
 
@@ -730,8 +800,7 @@ def relu(a: np.ndarray, sink: CounterSink) -> np.ndarray:
     a = np.asarray(a)
     if a.dtype != F32:
         raise ShapeError(f"relu: a must be float32, got {a.dtype}")
-    size = a.size
-    sink.add("relu", size, 4 * size, 4 * size)
+    count_elementwise(sink, "relu", a.size, 1)
     return np.maximum(a, F32(0.0), out=_out(a.shape))
 
 
@@ -747,8 +816,7 @@ def relu_backward(a: np.ndarray, d_out: np.ndarray, sink: CounterSink) -> np.nda
         raise ShapeError(f"relu backward: a is {a.shape}, d_out is {d_out.shape}")
     if d_out.dtype != F32:
         raise ShapeError(f"relu backward: d_out must be float32, got {d_out.dtype}")
-    size = a.size
-    sink.add("relu_backward", size, 8 * size, 4 * size)
+    count_elementwise(sink, "relu_backward", a.size, 2)
     # branch-free select: an all-ones int32 lane where a > 0 keeps d_out's
     # bits (NaN and -0.0 included), a zero lane gives +0.0
     positive = np.greater(a, 0, out=_out(a.shape, np.bool_))
@@ -781,8 +849,7 @@ def gather_rows(table: np.ndarray, indices: np.ndarray, sink: CounterSink) -> np
     """
     table = _as_f32_matrix(table, "table", 2)
     indices = _row_indices(indices, table.shape[0], "gather")
-    nbytes = 4 * indices.size * table.shape[1]
-    sink.add("gather", 0, nbytes, nbytes)
+    count_gather(sink, indices.size, table.shape[1])
     return table[indices]
 
 
@@ -805,6 +872,5 @@ def scatter_add_rows(
         raise ShapeError(
             f"scatter_add: rows is {rows.shape}, want ({indices.size}, {acc.shape[1]})"
         )
-    size = rows.size
-    sink.add("scatter_add", size, 8 * size, 4 * size)
+    count_elementwise(sink, "scatter_add", rows.size, 2)
     np.add.at(acc, indices, rows)

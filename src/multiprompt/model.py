@@ -23,7 +23,6 @@ is recorded.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -149,13 +148,6 @@ class WeightSet:
         out.append(("dec_final_gain", self.dec_final_gain))
         out.append(("head", self.head))
         return out
-
-    def checksum(self) -> str:
-        h = hashlib.sha256()
-        for name, arr in self.named_arrays():
-            h.update(name.encode())
-            h.update(arr.tobytes())
-        return h.hexdigest()
 
 
 def sinusoid_table(max_len: int, d: int) -> np.ndarray:

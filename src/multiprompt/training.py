@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .costmodel import _decode_flops, _encode_flops
+from .costmodel import replay_forward
 from .engines import PID, PIE, Instance, Workload, _layout, infer
 from .errors import ConfigError, TrainingError
 from .kernels import CounterSink, F32
@@ -121,8 +121,7 @@ def make_synthetic_task(
             ),
             answers=tuple((int(vs[j]),) for j in order),
         )
-        digest = hashlib.sha256(x.tobytes()).digest()
-        (heldout if digest[0] % 5 == 0 else train).append(labeled)
+        (heldout if int(split_key(labeled)[:2], 16) % 5 == 0 else train).append(labeled)
     return SyntheticTask(
         train=tuple(train),
         heldout=tuple(heldout),
@@ -570,16 +569,13 @@ def run_toy_training(
 def predicted_training_flop_ratio(config: ModelConfig, task: SyntheticTask) -> float:
     """Analytic prompt-in-encoder over prompt-in-decoder per-epoch flops.
 
-    Forward-pass closed forms only: the backward pass multiplies both
+    The replayed all-positions forward of one instance in each layout only
+    (``costmodel.replay_forward``): the backward pass multiplies both
     layouts by nearly the same factor, so it cancels in the ratio.
     """
     u = task.n_prompts
     ans = task.answer_len
     pie_enc_len = task.n_s + 1 + task.prompt_len
-    pie_total = sum(_encode_flops(config, u, pie_enc_len).values()) + sum(
-        _decode_flops(config, u, u, 1 + ans, pie_enc_len, 1, all_logits=True).values()
-    )
-    pid_total = sum(_encode_flops(config, 1, task.n_s).values()) + sum(
-        _decode_flops(config, u, 1, task.prompt_len + ans, task.n_s, 1, all_logits=True).values()
-    )
-    return pie_total / pid_total
+    _, pie = replay_forward(config, u, pie_enc_len, 1, 1 + ans, 1, all_logits=True)
+    _, pid = replay_forward(config, 1, task.n_s, u, task.prompt_len + ans, 1, all_logits=True)
+    return pie.flops / pid.flops

@@ -26,7 +26,6 @@ from . import costmodel as cm
 from . import reference
 from .bench import BenchConfig, random_workload, run_bench
 from .engines import ENGINES, PID, PIE, DecodeResult, _layout, greedy_step, infer, reference_decode
-from .instrumentation import measured_intensity
 from .kernels import CounterSink
 from .model import ModelConfig, init_weights, decoder_prefill, decoder_step, encode_batch, init_decode_state
 from .training import (
@@ -74,22 +73,25 @@ def _full_length_run(config, shape: cm.ShapeParams, engine: str, base_seed, trie
     raise RuntimeError("no seed produced a full-length decode")
 
 
-def mirror_mismatches(res: DecodeResult, predicted: dict) -> dict[str, dict[str, list[int]]]:
-    """Where a run's flops differ from ``predict_run_flops``: phase -> label -> [measured, predicted].
+def mirror_mismatches(
+    res: DecodeResult, predicted: tuple[CounterSink, CounterSink]
+) -> dict[str, dict[str, list[list[int]]]]:
+    """Where a run's counts differ from the mirror: phase -> label -> [measured, predicted].
 
-    The whole run (``res.counters``) is held to ``predicted["by_component"]``
-    and the encode phase (``res.encode_counters``) to ``predicted["encode"]``;
-    a label missing on one side counts as zero.  Both phases empty means the
+    ``predicted`` is ``(encode, run)``.  The whole run (``res.counters``) is
+    held to ``run`` and the encode phase (``res.encode_counters``) to
+    ``encode``, each component on flops, bytes read and bytes written; a
+    label missing on one side counts as zero.  Both phases empty means the
     mirror is exact.
     """
+    encode, run = predicted
     out = {}
-    for phase, counters in (("by_component", res.counters), ("encode", res.encode_counters)):
-        want = predicted[phase]
-        pairs = {
-            label: [counters.component(label).flops, want.get(label, 0)]
-            for label in sorted(set(counters.components) | set(want))
-        }
-        out[phase] = {label: pair for label, pair in pairs.items() if pair[0] != pair[1]}
+    for phase, counters, want in (
+        ("by_component", res.counters, run), ("encode", res.encode_counters, encode)
+    ):
+        labels = sorted(counters.component_totals().keys() | want.component_totals().keys())
+        pairs = {label: [counters.component(label), want.component(label)] for label in labels}
+        out[phase] = {label: list(map(list, p)) for label, p in pairs.items() if p[0] != p[1]}
     return out
 
 
@@ -273,14 +275,14 @@ def check_incremental_vs_reference(seed: int) -> CheckResult:
 
 
 def check_analytic_vs_measured(seed: int) -> CheckResult:
-    """Measured per-component flops equal ``predict_run_flops`` exactly."""
+    """Measured per-component flops and bytes equal ``predict_run_counters`` exactly."""
     config = _toy_model(d=128, h=8, vocab=512, max_len=512)
     shape = cm.ShapeParams(U=8, b=1, n_s=256, n_t=16, n_p=0, d=128, h=8)
     rows = []
     ok = True
     for engine in ENGINES:
         res = _full_length_run(config, shape, engine, seed)
-        mismatches = mirror_mismatches(res, cm.predict_run_flops(config, shape, engine))
+        mismatches = mirror_mismatches(res, cm.predict_run_counters(config, shape, engine))
         ok = ok and not any(mismatches.values())
         rows.append({"engine": engine, "flops": res.counters.flops, "mismatches": mismatches})
     return CheckResult("analytic_vs_measured", passed=ok, details={"rows": rows})
@@ -376,24 +378,6 @@ def check_component_attribution(seed: int) -> CheckResult:
     return CheckResult("component_attribution", passed=ok, details={"other_share": shares})
 
 
-def check_cross_intensity_direction(seed: int) -> CheckResult:
-    # decode-phase counters: the one-time K/V projections are excluded so
-    # the comparison isolates the per-step cache traffic
-    config = _toy_model()
-    weights = init_weights(config, seed=seed)
-    rng = np.random.default_rng(seed)
-    wl = random_workload(rng, config.vocab_size, 4, 1, 64, 0, 8)
-    pie = infer(PIE, config, weights, wl)
-    pid = infer(PID, config, weights, wl)
-    pie_i = measured_intensity(pie.step_counters, "decoder_cross")
-    pid_i = measured_intensity(pid.step_counters, "decoder_cross")
-    return CheckResult(
-        "cross_intensity_direction",
-        passed=pid_i > pie_i,
-        details={"pie": pie_i, "pid": pid_i},
-    )
-
-
 def check_greedy_determinism(seed: int) -> CheckResult:
     config = _toy_model(d=32, h=2)
     weights = init_weights(config, seed=seed)
@@ -461,7 +445,6 @@ DEFAULT_CHECKS: dict[str, Callable[..., CheckResult]] = {
     "gradient_check": check_gradient,
     "counter_additivity": check_counter_additivity,
     "component_attribution": check_component_attribution,
-    "cross_intensity_direction": check_cross_intensity_direction,
     "greedy_determinism": check_greedy_determinism,
 }
 

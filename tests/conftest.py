@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from multiprompt.kernels import CounterSink
@@ -20,3 +22,17 @@ def tiny_weights(tiny_config):
 @pytest.fixture
 def sink():
     return CounterSink()
+
+
+def _weights_checksum(weights) -> str:
+    """SHA-256 over every trainable array's name and bytes."""
+    h = hashlib.sha256()
+    for name, arr in weights.named_arrays():
+        h.update(name.encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture
+def weights_checksum():
+    return _weights_checksum

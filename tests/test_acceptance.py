@@ -13,8 +13,10 @@ criterion, or ``multiprompt verify`` for the checks themselves.
 import json
 from dataclasses import replace
 
+import numpy as np
+
 from multiprompt import costmodel as cm
-from multiprompt import verify
+from multiprompt import engines, verify
 from multiprompt.bench import BenchConfig, run_bench
 from multiprompt.cli import main
 from multiprompt.report import body_bytes
@@ -125,23 +127,51 @@ def test_criterion_6_analytic_vs_measured_deviation():
     result = verify.check_analytic_vs_measured(0)
     conclude(
         6, "analytic counts match instrumented counters", result.passed,
-        "per-component flops equal predict_run_flops exactly" if result.passed
+        "per-component flops and bytes equal predict_run_counters exactly" if result.passed
         else f"{result.details['rows']}",
     )
 
 
 def test_criterion_6_detects_a_mirror_built_for_the_wrong_shape(monkeypatch):
     # negative control: a mirror for one token less of shared input must not pass
-    exact = cm.predict_run_flops
+    exact = cm.predict_run_counters
 
     def short_input(config, shape, engine):
         return exact(config, replace(shape, n_s=shape.n_s - 1), engine)
 
-    monkeypatch.setattr(verify.cm, "predict_run_flops", short_input)
+    monkeypatch.setattr(verify.cm, "predict_run_counters", short_input)
     result = verify.check_analytic_vs_measured(0)
     assert not result.passed
     for row in result.details["rows"]:
         assert row["mismatches"]["by_component"] and row["mismatches"]["encode"]
+
+
+def test_criterion_6_detects_repeated_cross_kv_copies_on_bytes_alone(monkeypatch):
+    # negative control: pid broadcasts one cross-K/V slice per instance over
+    # its U streams; U repeated copies of it cost no flop, only bytes read
+    project = engines.init_decode_state
+
+    def repeated_copies(config, weights, memories, group, capacity, sink):
+        state = project(config, weights, memories, group, capacity, sink)
+        for caches in (state.cross_k, state.cross_v):
+            caches[:] = [
+                np.repeat(c.reshape(-1, config.n_heads, *c.shape[1:]), group, axis=0)
+                .reshape(-1, *c.shape[1:])
+                for c in caches
+            ]
+        state.kv_group = 1
+        return state
+
+    monkeypatch.setattr(engines, "init_decode_state", repeated_copies)
+    result = verify.check_analytic_vs_measured(0)
+    assert not result.passed
+    pie, pid = result.details["rows"]
+    assert not any(pie["mismatches"].values())  # pie owns one slice per stream already
+    assert pid["mismatches"]["encode"] == {}
+    assert list(pid["mismatches"]["by_component"]) == ["decoder_cross"]
+    measured, predicted = pid["mismatches"]["by_component"]["decoder_cross"]
+    assert measured[0] == predicted[0] and measured[2] == predicted[2]
+    assert measured[1] > predicted[1]
 
 
 def test_criterion_7_training():

@@ -213,6 +213,30 @@ def test_flop_ratio_rejects_mismatched_model():
         cm.flop_ratio(cm.MODEL_PRESETS["toy"], cm.SHAPE_PRESETS["multiwoz"].shape)
 
 
+#: (total, encode_total) flops of every shape preset on its own model, pinned:
+#: a change to the replay or to a kernel's count formula moves them
+PRESET_FLOPS = {
+    ("aci-bench", "pid"): (677389478976, 404744616000),
+    ("aci-bench", "pie"): (2042100717312, 1627363921920),
+    ("multiwoz-domain", "pid"): (130136272128, 52271638080),
+    ("multiwoz-domain", "pie"): (374549779200, 269999443200),
+    ("multiwoz", "pid"): (291181311168, 52271638080),
+    ("multiwoz", "pie"): (2059876823040, 1619996659200),
+    ("radqa", "pid"): (85100040000, 23999638080),
+    ("radqa", "pie"): (171136455168, 122889323520),
+    ("toy", "pid"): (83589120, 29999104),
+    ("toy", "pie"): (334479872, 261745152),
+}
+
+
+def test_preset_flop_totals_are_pinned():
+    for (preset, engine), want in PRESET_FLOPS.items():
+        p = cm.SHAPE_PRESETS[preset]
+        got = cm.predict_run_flops(cm.MODEL_PRESETS[p.model], p.shape, engine)
+        assert (got["total"], got["encode_total"]) == want, (preset, engine)
+    assert {preset for preset, _ in PRESET_FLOPS} == set(cm.SHAPE_PRESETS)
+
+
 # -- exact calibration against instrumented engines -----------------------------------
 
 
@@ -220,6 +244,14 @@ CALIBRATION_CONFIG = ModelConfig(
     d_model=16, n_heads=2, n_enc_layers=2, n_dec_layers=2,
     d_ff=32, vocab_size=96, max_len=96,
 )
+
+
+#: the prompt count, batch, prompt length (none, one token, several) and
+#: decode length (the prefill alone, then steps) the sweep crosses
+SWEEP = [
+    cm.ShapeParams(U=u, b=b, n_s=9, n_t=n_t, n_p=n_p, d=16, h=2)
+    for u in (1, 3) for b in (1, 2) for n_p in (0, 1, 3) for n_t in (1, 4)
+]
 
 
 @pytest.mark.parametrize(
@@ -230,12 +262,14 @@ CALIBRATION_CONFIG = ModelConfig(
         ("pid", cm.ShapeParams(U=3, b=2, n_s=10, n_t=6, n_p=2, d=16, h=2)),
         ("pid", cm.ShapeParams(U=2, b=1, n_s=8, n_t=4, n_p=0, d=16, h=2)),
         ("pid", cm.ShapeParams(U=4, b=1, n_s=12, n_t=1, n_p=3, d=16, h=2)),
-    ],
+    ] + [(engine, s) for s in SWEEP for engine in ("pie", "pid")],
 )
 def test_predictor_matches_measured_counters_exactly(engine_name, s):
     res = verify._full_length_run(CALIBRATION_CONFIG, s, engine_name, 0)
-    predicted = cm.predict_run_flops(CALIBRATION_CONFIG, s, engine_name)
+    predicted = cm.predict_run_counters(CALIBRATION_CONFIG, s, engine_name)
     assert not any(verify.mirror_mismatches(res, predicted).values())
+    # the replay records the kernels' own kinds, so it matches per kind too
+    assert res.counters.kind_totals() == predicted[1].kind_totals()
 
 
 @pytest.mark.parametrize("build", [pie_batches, pid_batches])
@@ -253,11 +287,5 @@ def test_all_positions_forward_matches_mirror_exactly(build):
     state = init_decode_state(config, weights, memory, batch.group_size, t_dec, sink)
     tokens = np.stack([st.tokens for st in batch.streams])
     decoder_prefill(config, weights, state, tokens, sink, return_all_logits=True)
-    predicted = cm._encode_flops(config, owners, m)
-    decode = cm._decode_flops(
-        config, len(batch.streams), owners, t_dec, m, 1, all_logits=True
-    )
-    for label, flops in decode.items():
-        predicted[label] = predicted.get(label, 0) + flops
-    measured = {label: f for label, (f, _, _) in sink.component_totals().items()}
-    assert measured == predicted
+    _, predicted = cm.replay_forward(config, owners, m, batch.group_size, t_dec, 1, all_logits=True)
+    assert sink.kind_totals() == predicted.kind_totals()

@@ -9,7 +9,6 @@ from multiprompt.engines import (
     ENGINES,
     PID,
     PIE,
-    DecodeResult,
     Instance,
     Workload,
     _layout,
@@ -247,7 +246,7 @@ def test_u1_np0_pie_equals_pid(setup):
     b = infer(PID, config, weights, wl)
     assert a.outputs == b.outputs
     assert a.encode_counters.flops == b.encode_counters.flops
-    assert a.encode_counters.components == b.encode_counters.components
+    assert a.encode_counters.component_totals() == b.encode_counters.component_totals()
 
 
 # -- broadcast sharing --------------------------------------------------------------
@@ -287,20 +286,15 @@ def test_pid_cross_cache_storage_is_u_independent(setup):
     config, weights, rng = setup
     b, n_s = 2, 10
     expected = 4 * b * n_s * config.d_model**2 * config.n_dec_layers
-    sink = CounterSink()
-    wl4 = make_workload(rng, config, b=b, u=4, n_s=n_s, n_p=2, max_new=2)
-    kv_init_flops_u4 = _cross_kv_projection_flops(infer(PID, config, weights, wl4, sink=sink))
-    wl8 = make_workload(rng, config, b=b, u=8, n_s=n_s, n_p=2, max_new=2)
-    kv_init_flops_u8 = _cross_kv_projection_flops(infer(PID, config, weights, wl8))
-    assert kv_init_flops_u4 == kv_init_flops_u8 == expected
-
-
-def _cross_kv_projection_flops(res: DecodeResult) -> int:
-    # decoder_cross flops counted before the prefill: the cross-K/V projection
-    return (
-        res.counters.component("decoder_cross").flops
-        - res.step_counters.component("decoder_cross").flops
-    )
+    flops = []
+    for u in (4, 8):
+        wl = make_workload(rng, config, b=b, u=u, n_s=n_s, n_p=2, max_new=2)
+        encoder_inputs, prefix, kv_group = _layout(PID, wl)
+        memories = encode_batch(config, weights, encoder_inputs, CounterSink())
+        sink = CounterSink()
+        init_decode_state(config, weights, memories, kv_group, prefix.shape[1] + 1, sink)
+        flops.append(sink.component("decoder_cross").flops)
+    assert flops == [expected, expected]
 
 
 # -- oracle agreement ----------------------------------------------------------------

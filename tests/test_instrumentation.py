@@ -1,94 +1,36 @@
-"""Counter aggregation, measured intensity, shared-KV byte accounting."""
+"""Counter aggregation and shared-KV byte accounting."""
 
 import numpy as np
-import pytest
 
-from multiprompt.engines import PID, PIE, Instance, Workload, infer
-from multiprompt.errors import IntensityError
-from multiprompt.instrumentation import (
-    ComponentCounters,
-    CounterSet,
-    measured_intensity,
-)
-from multiprompt.kernels import CounterSink
+from multiprompt.kernels import CounterSink, Counts
 from multiprompt.model import BOS, init_weights, encode_batch, init_decode_state, decoder_prefill, decoder_step
 
 
-def cs(**components):
-    return CounterSet.from_totals(components)
-
-
-def test_measured_intensity_direct_ratio():
-    counters = cs(encoder_self=(100, 30, 20))
-    assert measured_intensity(counters, "encoder_self") == 2.0
-    assert measured_intensity(counters) == 2.0
-
-
-def test_measured_intensity_total_uses_summed_numerators():
-    counters = cs(encoder_self=(100, 30, 20), decoder_self=(10, 900, 70))
-    assert measured_intensity(counters) == 110 / 1020
-
-
-def test_empty_run_raises():
-    with pytest.raises(IntensityError):
-        measured_intensity(cs())
-    with pytest.raises(IntensityError):
-        measured_intensity(cs(encoder_self=(5, 1, 1)), "decoder_cross")
+def sink_of(**components):
+    sink = CounterSink()
+    for label, counts in components.items():
+        with sink.scope(label):
+            sink.add("matmul", *counts)
+    return sink
 
 
 def test_merge_is_exact_addition():
-    a = cs(encoder_self=(1, 2, 3), other=(10, 0, 0))
-    b = cs(encoder_self=(5, 5, 5), decoder_self=(7, 8, 9))
+    a = sink_of(encoder_self=(1, 2, 3), other=(10, 0, 0))
+    b = sink_of(encoder_self=(5, 5, 5), decoder_self=(7, 8, 9))
     m = a.merge(b)
-    assert m.component("encoder_self") == ComponentCounters(6, 7, 8)
-    assert m.component("decoder_self") == ComponentCounters(7, 8, 9)
-    assert m.component("other") == ComponentCounters(10, 0, 0)
-
-
-def test_counterset_rejects_unknown_labels():
-    with pytest.raises(ValueError, match="unknown component"):
-        cs(nonsense=(1, 1, 1))
+    assert m.component("encoder_self") == Counts(6, 7, 8)
+    assert m.component("decoder_self") == Counts(7, 8, 9)
+    assert m.component("other") == Counts(10, 0, 0)
+    assert m.component("feed_forward") == Counts(0, 0, 0)
+    assert a.component("encoder_self") == Counts(1, 2, 3)  # the operands are left alone
 
 
 def test_component_totals_sum_to_run_totals():
-    counters = cs(encoder_self=(1, 2, 3), feed_forward=(4, 5, 6), other=(7, 8, 9))
+    counters = sink_of(encoder_self=(1, 2, 3), feed_forward=(4, 5, 6), other=(7, 8, 9))
     assert counters.flops == 12
     assert counters.bytes_read == 15
     assert counters.bytes_written == 18
-
-
-# -- measured intensity of engine runs ---------------------------------------------------------
-
-
-def _measured_run(config, weights, rng, engine, u=2, n_s=12, n_t=4):
-    instances = tuple(
-        Instance(
-            x=rng.integers(4, config.vocab_size, size=n_s, dtype=np.int64),
-            prompts=tuple(
-                rng.integers(4, config.vocab_size, size=0, dtype=np.int64) for _ in range(u)
-            ),
-        )
-        for _ in range(1)
-    )
-    return infer(engine, config, weights, Workload(instances=instances, max_new_tokens=n_t))
-
-
-def test_pid_cross_intensity_beats_pie(tiny_config):
-    # decode-phase counters isolate per-step cache traffic from the one-time
-    # K/V projections (which the replicated path performs U times as often)
-    weights = init_weights(tiny_config, seed=11)
-    rng = np.random.default_rng(1)
-    res_pie = _measured_run(tiny_config, weights, rng, PIE, u=4, n_s=16, n_t=6)
-    rng = np.random.default_rng(1)
-    res_pid = _measured_run(tiny_config, weights, rng, PID, u=4, n_s=16, n_t=6)
-    assert measured_intensity(res_pid.step_counters, "decoder_cross") > measured_intensity(
-        res_pie.step_counters, "decoder_cross"
-    )
-    # per-step arithmetic is identical; only the byte traffic differs
-    assert (
-        res_pid.step_counters.component("decoder_cross").flops
-        == res_pie.step_counters.component("decoder_cross").flops
-    )
+    assert sum(c.flops for c in counters.component_totals().values()) == counters.flops
 
 
 # -- per-step shared-KV byte accounting ----------------------------------------------

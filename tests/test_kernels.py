@@ -322,8 +322,14 @@ def test_scope_attribution_and_reset():
     assert totals["encoder_self"][0] == 16
     assert totals["other"][0] == 4
     assert sink.flops == 20
-    sink.reset()
-    assert sink.flops == 0 and sink.component_totals() == {}
+    # what was recorded after a snapshot, in a fresh sink
+    snapshot = sink.kind_totals()
+    assert sink.since(snapshot).component_totals() == {}
+    with sink.scope("encoder_self"):
+        kernels.add(a, a, sink)
+    later = sink.since(snapshot)
+    assert later.kind_totals() == {("encoder_self", "add"): (4, 32, 16)}
+    assert sink.flops == 24
 
 
 def test_scope_rejects_unknown_label():
@@ -795,6 +801,35 @@ def test_attention_raises_like_three_kernels(args, chunk, error, monkeypatch):
     assert_fails_fast(
         kernels.attention, three_kernel_attention, error, *operands, mask_rows=mask_rows
     )
+
+
+#: operand values from zero through float32's extremes to the non-finite
+EXTREMES = np.array([0, 1, -1, 3e38, -3e38, 1e19, -1e19, 1e-45, np.inf, -np.inf, np.nan], F32)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_attention_softmax_cannot_fail_once_scores_are_finite(masked):
+    # finite scores give every row a finite max, so every probability lies
+    # in [0, 1] and every row sum is finite: attention raises a validation
+    # error or a product's error, or returns finite probabilities
+    rng = np.random.default_rng(17 + masked)
+    returned = 0
+    for _ in range(2000):
+        slices, r, m, dh = (int(x) for x in rng.integers(1, 4, size=4))
+        shapes = ((slices, r, dh), (slices, dh, m), (slices, m, dh))
+        q4, k4, v4 = (rng.choice(EXTREMES, size=shape) for shape in shapes)
+        mask_rows = rng.random((r, m)) < 0.7 if masked else None
+        try:
+            with np.errstate(all="ignore"):
+                probs, _ = kernels.attention(q4, k4, v4, CounterSink(), mask_rows)
+        except (ShapeError, MaskError):
+            continue
+        except FloatingPointError as exc:
+            assert str(exc) == "bmm produced non-finite values"
+            continue
+        assert np.isfinite(probs).all()
+        returned += 1
+    assert returned >= 20
 
 
 # -- fused attention backward equals the five kernels it replaces ----------------------

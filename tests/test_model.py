@@ -45,12 +45,15 @@ def attend(q, k, v, w_o, mask_rows, n_heads, sink):
 # -- init_weights -----------------------------------------------------------
 
 
-def test_init_weights_deterministic(tiny_config):
-    assert init_weights(tiny_config, 7).checksum() == init_weights(tiny_config, 7).checksum()
+def test_init_weights_deterministic(tiny_config, weights_checksum):
+    a, b = (weights_checksum(init_weights(tiny_config, 7)) for _ in range(2))
+    assert a == b
 
 
-def test_init_weights_seed_sensitivity(tiny_config):
-    assert init_weights(tiny_config, 1).checksum() != init_weights(tiny_config, 2).checksum()
+def test_init_weights_seed_sensitivity(tiny_config, weights_checksum):
+    assert weights_checksum(init_weights(tiny_config, 1)) != weights_checksum(
+        init_weights(tiny_config, 2)
+    )
 
 
 def test_init_weights_range(tiny_weights):

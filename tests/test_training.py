@@ -169,14 +169,14 @@ def _workspace_batches():
     return config, batches
 
 
-def _three_steps(config, batches, step):
+def _three_steps(config, batches, step, checksum):
     """(loss, weight checksum, per-kind counts) after each of three steps from seed-0 weights."""
     weights = init_weights(config, seed=0)
     out = []
     for batch in batches:
         sink = CounterSink()
         loss = step(config, weights, batch, sink)
-        out.append((loss, weights.checksum(), list(sink.kind_totals().items())))
+        out.append((loss, checksum(weights), list(sink.kind_totals().items())))
     return out
 
 
@@ -187,7 +187,7 @@ def _plain_step(config, weights, batch, sink):
     return loss
 
 
-def _workspace_steps_match_plain_steps(monkeypatch, workspace) -> tuple[bool, dict]:
+def _workspace_steps_match_plain_steps(monkeypatch, workspace, checksum) -> tuple[bool, dict]:
     """Whether ``train_step`` in ``workspace`` equals steps outside any workspace,
     for three steps per layout; also the pool size after each step."""
     monkeypatch.setattr(training, "WORKSPACE", workspace)
@@ -203,16 +203,18 @@ def _workspace_steps_match_plain_steps(monkeypatch, workspace) -> tuple[bool, di
             return loss
 
         try:
-            pooled = _three_steps(config, chosen, step)
+            pooled = _three_steps(config, chosen, step, checksum)
         except TrainingError:  # a clobbered activation can overflow
             pooled = None
-        same &= pooled == _three_steps(config, chosen, _plain_step)
+        same &= pooled == _three_steps(config, chosen, _plain_step, checksum)
     return same, pool_sizes
 
 
-def test_train_steps_in_the_workspace_are_bit_identical_and_reuse_its_buffers(monkeypatch):
+def test_train_steps_in_the_workspace_are_bit_identical_and_reuse_its_buffers(
+    monkeypatch, weights_checksum
+):
     workspace = kernels.Workspace()
-    same, pool_sizes = _workspace_steps_match_plain_steps(monkeypatch, workspace)
+    same, pool_sizes = _workspace_steps_match_plain_steps(monkeypatch, workspace, weights_checksum)
     assert same
     assert kernels._workspace is None
     # after a layout's first step, steps of the same shapes add no buffer
@@ -220,14 +222,14 @@ def test_train_steps_in_the_workspace_are_bit_identical_and_reuse_its_buffers(mo
         assert sizes[0] > 0 and sizes[1:] == [sizes[0]] * 2
 
 
-def test_a_workspace_that_ignores_liveness_breaks_bit_identity(monkeypatch):
+def test_a_workspace_that_ignores_liveness_breaks_bit_identity(monkeypatch, weights_checksum):
     class IgnoresLiveness(kernels.Workspace):
         """Hands a buffer out again while arrays still refer to it."""
 
         def _is_free(self, buf):
             return True
 
-    same, _ = _workspace_steps_match_plain_steps(monkeypatch, IgnoresLiveness())
+    same, _ = _workspace_steps_match_plain_steps(monkeypatch, IgnoresLiveness(), weights_checksum)
     assert not same
 
 
