@@ -451,14 +451,9 @@ def predict_run_counters(
 
 
 def predict_run_flops(config: ModelConfig, shape: ShapeParams, engine: str) -> dict:
-    """The flops of :func:`predict_run_counters`, per component and in total."""
+    """The flops of :func:`predict_run_counters`: the encode phase's and the whole run's."""
     encode, run = predict_run_counters(config, shape, engine)
-    return {
-        "encode": {label: c.flops for label, c in encode.component_totals().items()},
-        "by_component": {label: c.flops for label, c in run.component_totals().items()},
-        "encode_total": encode.flops,
-        "total": run.flops,
-    }
+    return {"encode_total": encode.flops, "total": run.flops}
 
 
 def flop_ratio(config: ModelConfig, shape: ShapeParams) -> float:

@@ -45,29 +45,26 @@ Counting conventions, fixed package-wide:
   counts; a non-finite output raises at the first chunk and constituent
   that produces one.
 
-Workspace: every kernel has one body, which writes its outputs and
-temporaries through NumPy's ``out=`` argument.  Inside a ``with
-workspace:`` block (a :class:`Workspace`) that argument is a buffer of
-the workspace, which pools requests of ``POOL_MIN_BYTES`` or more, and
-:func:`relayout` copies into one; with no workspace active it is None,
-and NumPy allocates the result as the plain expression would.  An output
-the attention kernels fill chunk by chunk comes whole from the workspace,
-or else from ``np.empty``.  A pooled buffer is handed out again once no
-array refers to it, so a loop that repeats the same shapes, such as a
-training step, reuses the same memory instead of returning it to the
-allocator and faulting it in again.
-Values are bit-identical either way for C-ordered operands, the only
-kind the model passes (every workspace buffer is C-ordered, and a row sum
-over a buffer of another memory order may round differently); allocation
-never moves counted traffic.  Activation is process-wide: the active
-workspace is a module global, so while one is entered, kernels in every
-thread draw from it.
+Allocation: every kernel allocates its outputs and temporaries as the
+plain NumPy expression does; ``out=`` names only an array the kernel
+allocated itself.  A training step frees and allocates the same large
+arrays step after step.  With glibc's defaults each one is mapped afresh,
+or carved from a heap top that ``free`` trims, so its pages fault in again
+on every step.  :func:`raise_malloc_thresholds`, called by
+``training.train_step``, raises glibc's trim and mmap thresholds once per
+process, so a freed block stays in the heap and the next step reuses it
+with its pages in place.  Both are needed: with the trim threshold alone
+every block of 128 KiB or more is still mapped afresh, and with the mmap
+threshold alone ``free`` still trims the heap top.  Inference never sets
+them: its buffers are few, and with the thresholds set no engine ran
+faster while peak memory rose.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
-import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -252,109 +249,30 @@ def count_gather(sink: CounterSink, rows: int, d: int) -> None:
     sink.add("gather", 0, 4 * rows * d, 4 * rows * d)
 
 
-# -- workspace --------------------------------------------------------------
+# -- allocator --------------------------------------------------------------
 
-#: Requests below this many bytes are not pooled.  It is glibc's default
-#: mmap threshold: ``malloc`` recycles smaller blocks from its free lists,
-#: while larger ones it maps fresh or carves from a heap top it trims, so
-#: their pages are faulted in again on every use.
-POOL_MIN_BYTES = 128 << 10
-#: Pooled arrays start on a cache line: vectorized elementwise loops run
-#: about twice as fast on them as on the 16-byte alignment ``malloc`` gives.
-_ALIGN = 64
-
-#: The workspace kernels draw from; set only by ``Workspace.__enter__`` and
-#: ``__exit__``.
-_workspace: Workspace | None = None
+#: glibc ``mallopt`` parameters (``malloc.h``) and the values they are set
+#: to: keep up to 1 GiB of freed memory at the heap top, and serve requests
+#: of up to 32 MiB (a 64-bit glibc's ceiling) from the heap, not from
+#: fresh mappings.
+_M_TRIM_THRESHOLD, _TRIM_BYTES = -1, 1 << 30
+_M_MMAP_THRESHOLD, _MMAP_BYTES = -3, 32 << 20
 
 
-class Workspace:
-    """A pool of raw byte buffers that kernels write into while it is active.
+@functools.cache
+def raise_malloc_thresholds() -> None:
+    """Set glibc's trim and mmap thresholds, once per process.
 
-    ``with ws:`` makes ``ws`` the active workspace (blocks nest; the outer
-    one is restored on exit).  :meth:`empty` rounds a request of ``nbytes``
-    up to its size class, a multiple of ``1 << (nbytes.bit_length() - 4)``
-    (at most one eighth of slack), and returns an array on the most
-    recently used free buffer of that class, or on a new one, starting at
-    the buffer's first 64-byte boundary.  A buffer is free once no array
-    refers to it: every view of it keeps it as ``.base``, so its reference
-    count is then the pool's own.  Requests under ``POOL_MIN_BYTES`` are
-    plain ``np.empty``: this is the only size test on the allocation path.
-    Outside every workspace, kernels pass ``out=None`` and NumPy allocates.
-    Buffers are kept for the life of the workspace.  The active workspace
-    is one module global, not per thread, so while ``ws`` is entered,
-    kernels called from any thread draw on it; the pool is not locked, so
-    a workspace must serve one thread at a time.
+    The setting is process-wide and lasts for the life of the process.
+    Where the C library has no ``mallopt`` (not glibc), this does nothing.
     """
-
-    def __init__(self) -> None:
-        # per size class: (raw buffer, offset of its first aligned byte)
-        self._classes: dict[int, list[tuple[np.ndarray, int]]] = {}
-        self._outer: list[Workspace | None] = []
-
-    def __enter__(self) -> Workspace:
-        global _workspace
-        self._outer.append(_workspace)
-        _workspace = self
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        global _workspace
-        _workspace = self._outer.pop()
-
-    @property
-    def buffers(self) -> int:
-        """Buffers the pool holds, handed out or free."""
-        return sum(len(bucket) for bucket in self._classes.values())
-
-    def empty(self, shape: tuple[int, ...], dtype=F32) -> np.ndarray:
-        """An uninitialized C-ordered array of ``shape``, pooled when large."""
-        dtype = np.dtype(dtype)
-        nbytes = math.prod(shape) * dtype.itemsize
-        if nbytes < POOL_MIN_BYTES:
-            return np.empty(shape, dtype)
-        step = 1 << (nbytes.bit_length() - 4)
-        size = -(-nbytes // step) * step
-        bucket = self._classes.setdefault(size, [])
-        for i in range(len(bucket) - 1, -1, -1):  # most recently used last
-            if self._is_free(bucket[i][0]):
-                entry = bucket.pop(i)
-                break
-        else:
-            buf = np.empty(size + _ALIGN, np.uint8)
-            entry = (buf, -buf.ctypes.data % _ALIGN)
-        bucket.append(entry)
-        return np.ndarray(shape, dtype, *entry)
-
-    def _is_free(self, buf: np.ndarray) -> bool:
-        # the references of the bucket entry, of this frame and of the argument
-        return sys.getrefcount(buf) == 3
-
-
-def _out(shape: tuple[int, ...], dtype=F32) -> np.ndarray | None:
-    """A kernel's ``out=`` argument: a buffer of the active workspace, or
-    None, with which NumPy allocates the result itself."""
-    return None if _workspace is None else _workspace.empty(shape, dtype)
-
-
-def _empty(shape: tuple[int, ...], dtype=F32) -> np.ndarray:
-    """An array a kernel fills in parts: a buffer of the active workspace,
-    or else NumPy's own."""
-    return np.empty(shape, dtype) if _workspace is None else _workspace.empty(shape, dtype)
-
-
-def relayout(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """``x.reshape(shape)``, with the copy, if it takes one, drawn from the
-    active workspace.  Uncounted data movement (head folds, key transposes).
-    """
-    if _workspace is None:  # inference: a view or NumPy's own copy, no exception
-        return x.reshape(shape)
     try:
-        return x.reshape(shape, copy=False)
-    except ValueError:  # the reshape needs a copy
-        out = _workspace.empty(x.shape, x.dtype)
-        np.copyto(out, x)
-        return out.reshape(shape)
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)
 
 
 def _as_f32_matrix(a: np.ndarray, name: str, ndim: int) -> np.ndarray:
@@ -367,7 +285,7 @@ def _as_f32_matrix(a: np.ndarray, name: str, ndim: int) -> np.ndarray:
 
 
 def _finite(x: np.ndarray) -> bool:
-    return not x.size or np.isfinite(x, out=_out(x.shape, np.bool_)).all()
+    return not x.size or np.isfinite(x).all()
 
 
 def _non_finite(kind: str) -> FloatingPointError:
@@ -416,15 +334,15 @@ def matmul(
         residual = np.asarray(residual)
         _check_add_operands(residual, (m, n))
     count_matmul(sink, m, k, n)
-    product = np.matmul(a, b, out=_out((m, n)))
+    product = a @ b
     if scale is None and residual is None:
         return _check_finite(product, "matmul")
     if residual is not None:
         count_elementwise(sink, "add", m * n, 2)
-        kind, out = "add", np.add(residual, product, out=_out((m, n)))
+        kind, out = "add", residual + product
     else:
         count_elementwise(sink, "scale", m * n, 1)
-        kind, out = "scale", np.multiply(product, F32(scale), out=_out((m, n)))
+        kind, out = "scale", product * F32(scale)
     # one check for both kernels: scaling or adding a residual keeps a
     # non-finite product non-finite, so a finite result proves a finite
     # product, and only a failed check looks at the product
@@ -457,7 +375,7 @@ def bmm(a: np.ndarray, b: np.ndarray, sink: CounterSink) -> np.ndarray:
     _check_bmm(a.shape, b.shape)
     slices, m, k = a.shape
     count_matmul(sink, m, k, b.shape[2], slices)
-    return _check_finite(np.matmul(a, b, out=_out((*a.shape[:2], b.shape[2]))), "bmm")
+    return _check_finite(a @ b, "bmm")
 
 
 # -- softmax and the attention core -----------------------------------------
@@ -524,8 +442,8 @@ def softmax_rows(a: np.ndarray, sink: CounterSink, mask: np.ndarray | None = Non
     if a.size == 0:
         return a.copy()
     # one float32 copy to work in: ``np.positive`` copies every value
-    # exactly, into a workspace buffer or else in the input's memory order
-    out = np.positive(a, out=_out(a.shape))
+    # exactly, in the input's memory order
+    out = np.positive(a)
     # every lane is exp(x - rowmax), in [0, 1] or NaN, and the max lane is
     # 1, so a row sum is finite exactly when every output in its row is
     if not _finite(_softmax_in_place(out, mask)):
@@ -584,8 +502,8 @@ def attention(
         if slices * rows * m:
             _check_visible(mask_rows)
     count_attention(sink, slices, rows, dh, m, v4.shape[2], mask_rows is not None)
-    probs = _empty((slices, rows, m))
-    ctx = _empty((slices, rows, v4.shape[2]))
+    probs = np.empty((slices, rows, m), F32)
+    ctx = np.empty((slices, rows, v4.shape[2]), F32)
     step = _chunk_slices(slices, 4 * rows * m, run)
     for s in range(0, slices, step):
         e = s + step
@@ -604,7 +522,7 @@ def _check_softmax_backward(probs_shape: tuple[int, ...], d_probs_shape: tuple[i
 def _softmax_backward_in_place(probs: np.ndarray, d_probs: np.ndarray) -> bool:
     """``P * (dP - rowsum(dP * P))`` for ``[n,m]`` rows, written over
     ``d_probs``; returns whether every output is finite."""
-    d_probs -= np.multiply(d_probs, probs, out=_out(probs.shape)).sum(axis=1, keepdims=True)
+    d_probs -= (d_probs * probs).sum(axis=1, keepdims=True)
     d_probs *= probs
     return _finite(d_probs)
 
@@ -626,7 +544,7 @@ def softmax_rows_backward(
     d_probs = _as_f32_matrix(d_probs, "d_probs", 2)
     _check_softmax_backward(probs.shape, d_probs.shape)
     count_softmax_backward(sink, *probs.shape)
-    out = np.positive(d_probs, out=_out(probs.shape))
+    out = np.positive(d_probs)
     if not _softmax_backward_in_place(probs, out):
         raise _non_finite("softmax backward")
     return out
@@ -652,11 +570,12 @@ def attention_backward(
     Checks and counts are those of ``d_probs = bmm(d_ctx, v4ᵀ)``, ``d_v4 =
     bmm(probsᵀ, d_ctx)``, :func:`softmax_rows_backward` on the ``[B*r, m]``
     rows giving ``d_scores``, ``d_q4 = bmm(d_scores, k4ᵀ)`` and ``d_k4 =
-    bmm(d_scoresᵀ, q4)``, where ``ᵀ`` swaps the last two axes, with every
-    operand checked to be 3-D float32 and every shape check made before
-    anything is counted.  A non-finite output raises naming the first
-    constituent that produced one (``bmm`` or ``softmax backward``), at
-    the first chunk where one does.
+    bmm(d_scoresᵀ, q4)``, where ``ᵀ`` swaps the last two axes, then the
+    forward's ``bmm(q4, k4)`` shape check, with every operand checked to be
+    3-D float32 and every shape check made before anything is counted.  A
+    non-finite output raises naming the first constituent that produced
+    one (``bmm`` or ``softmax backward``), at the first chunk where one
+    does.
     """
     q4, k4, v4, probs, d_ctx = (
         _as_f32_matrix(x, name, 3)
@@ -671,17 +590,18 @@ def attention_backward(
     _check_softmax_backward((bp * rp, mp), (slices * rows, m))
     _check_bmm(probs.shape, k4_t.shape)
     _check_bmm(probs_t.shape, q4.shape)
+    _check_bmm(q4.shape, k4.shape)  # the forward's score product
     # past the checks ``probs`` is [slices, rows, m]
     count_matmul(sink, rows, dv, m, slices)
     count_matmul(sink, m, rows, dv, slices)
     count_softmax_backward(sink, slices * rows, m)
     count_matmul(sink, rows, m, k4.shape[1], slices)
     count_matmul(sink, m, rows, q4.shape[2], slices)
-    d_v4 = _empty((slices, probs.shape[2], d_ctx.shape[2]))
-    d_q4 = _empty((slices, rows, k4.shape[1]))
-    d_k4 = _empty((slices, m, q4.shape[2]))
+    d_v4 = np.empty((slices, probs.shape[2], d_ctx.shape[2]), F32)
+    d_q4 = np.empty((slices, rows, k4.shape[1]), F32)
+    d_k4 = np.empty((slices, m, q4.shape[2]), F32)
     step = _chunk_slices(slices, 8 * rows * m, 1)
-    scratch = _empty((min(step, slices), rows, m))
+    scratch = np.empty((min(step, slices), rows, m), F32)
     for s in range(0, slices, step):
         e = min(s + step, slices)
         d_probs = _check_finite(np.matmul(d_ctx[s:e], v4_t[s:e], out=scratch[: e - s]), "bmm")
@@ -720,8 +640,8 @@ def layer_norm(a: np.ndarray, gain: np.ndarray, sink: CounterSink) -> np.ndarray
     # overflow warns here and raises at the variance check below
     mean = a.sum(axis=1, keepdims=True)
     mean /= m
-    out = np.subtract(a, mean, out=_out((n, m)))
-    var = np.multiply(out, out, out=_out((n, m))).sum(axis=1, keepdims=True)
+    out = a - mean
+    var = np.multiply(out, out).sum(axis=1, keepdims=True)
     var /= m
     if not np.isfinite(var).all():
         raise FloatingPointError("layer_norm row variance overflowed float32")
@@ -750,15 +670,15 @@ def layer_norm_backward(
     # the steps and their order are those of ``a.var`` and the textbook
     # formula, so the result is bit-identical; ``x_hat`` and ``prod`` are
     # reused in place
-    x_hat = np.subtract(a, a.mean(axis=1, keepdims=True), out=_out((n, m)))
-    prod = np.multiply(x_hat, x_hat, out=_out((n, m)))
+    x_hat = a - a.mean(axis=1, keepdims=True)
+    prod = np.multiply(x_hat, x_hat)
     var = prod.sum(axis=1, keepdims=True)
     var /= m
     var += LN_EPS
     inv_std = 1.0 / np.sqrt(var, out=var)
     x_hat *= inv_std
     d_gain = np.multiply(d_out, x_hat, out=prod).sum(axis=0)
-    d_a = np.multiply(d_out, gain, out=_out((n, m)))
+    d_a = d_out * gain
     proj = np.multiply(d_a, x_hat, out=prod).mean(axis=1, keepdims=True)
     d_a -= d_a.mean(axis=1, keepdims=True)
     d_a -= np.multiply(x_hat, proj, out=prod)
@@ -783,7 +703,7 @@ def add(a: np.ndarray, b: np.ndarray, sink: CounterSink) -> np.ndarray:
     b = np.asarray(b)
     _check_add_operands(a, b.shape, b.dtype)
     count_elementwise(sink, "add", a.size, 2)
-    return _check_finite(np.add(a, b, out=_out(a.shape)), "add")
+    return _check_finite(a + b, "add")
 
 
 def scale(a: np.ndarray, factor: float, sink: CounterSink) -> np.ndarray:
@@ -792,7 +712,7 @@ def scale(a: np.ndarray, factor: float, sink: CounterSink) -> np.ndarray:
     if a.dtype != F32:
         raise ShapeError(f"scale: a must be float32, got {a.dtype}")
     count_elementwise(sink, "scale", a.size, 1)
-    return _check_finite(np.multiply(a, F32(factor), out=_out(a.shape)), "scale")
+    return _check_finite(a * F32(factor), "scale")
 
 
 def relu(a: np.ndarray, sink: CounterSink) -> np.ndarray:
@@ -801,7 +721,7 @@ def relu(a: np.ndarray, sink: CounterSink) -> np.ndarray:
     if a.dtype != F32:
         raise ShapeError(f"relu: a must be float32, got {a.dtype}")
     count_elementwise(sink, "relu", a.size, 1)
-    return np.maximum(a, F32(0.0), out=_out(a.shape))
+    return np.maximum(a, F32(0.0))
 
 
 def relu_backward(a: np.ndarray, d_out: np.ndarray, sink: CounterSink) -> np.ndarray:
@@ -819,8 +739,7 @@ def relu_backward(a: np.ndarray, d_out: np.ndarray, sink: CounterSink) -> np.nda
     count_elementwise(sink, "relu_backward", a.size, 2)
     # branch-free select: an all-ones int32 lane where a > 0 keeps d_out's
     # bits (NaN and -0.0 included), a zero lane gives +0.0
-    positive = np.greater(a, 0, out=_out(a.shape, np.bool_))
-    keep = np.negative(positive, dtype=np.int32, out=_out(a.shape, np.int32))
+    keep = np.negative(a > 0, dtype=np.int32)
     keep &= d_out.view(np.int32)
     return keep.view(F32)
 

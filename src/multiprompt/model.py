@@ -224,7 +224,7 @@ def _fold_heads(rows: np.ndarray, groups: int, n_heads: int) -> np.ndarray:
     n = rows.shape[0] // groups
     dh = rows.shape[1] // n_heads
     x = rows.reshape(groups, n, n_heads, dh).transpose(0, 2, 1, 3)
-    return kernels.relayout(x, (groups * n_heads, n, dh))
+    return x.reshape(groups * n_heads, n, dh)
 
 
 def _unfold_heads(x4: np.ndarray, n_heads: int) -> np.ndarray:
@@ -232,7 +232,7 @@ def _unfold_heads(x4: np.ndarray, n_heads: int) -> np.ndarray:
     gh, n, dh = x4.shape
     groups = gh // n_heads
     x = x4.reshape(groups, n_heads, n, dh).transpose(0, 2, 1, 3)
-    return kernels.relayout(x, (groups * n, n_heads * dh))
+    return x.reshape(groups * n, n_heads * dh)
 
 
 # -- sublayers ----------------------------------------------------------------
@@ -289,10 +289,7 @@ def _attention_sublayer(
             # head-major [S, h, dh, nq] keys and [S, h, nq, dh] values
             k, v = k.transpose(0, 2, 3, 1), v.transpose(0, 2, 1, 3)
             if cache is None:
-                kv = (
-                    kernels.relayout(k, (n_seq * h, dh, nq)),
-                    kernels.relayout(v, (n_seq * h, nq, dh)),
-                )
+                kv = (k.reshape(n_seq * h, dh, nq), v.reshape(n_seq * h, nq, dh))
             else:
                 k_cache, v_cache, start = cache
                 end = start + nq
@@ -427,7 +424,7 @@ def init_decode_state(
     with sink.scope("decoder_cross"):
         for layer in weights.dec_layers:
             k = kernels.matmul(rows, layer.cross_attn.w_k, sink).reshape(owners, m, h, dh)
-            k4 = kernels.relayout(k.transpose(0, 2, 3, 1), (owners * h, dh, m))
+            k4 = k.transpose(0, 2, 3, 1).reshape(owners * h, dh, m)
             cross_k.append(np.ascontiguousarray(k4))
             cross_v.append(_fold_heads(kernels.matmul(rows, layer.cross_attn.w_v, sink), owners, h))
     return KVCacheSet(
@@ -509,8 +506,7 @@ def decoder_prefill(
         if return_all_logits:
             logits = kernels.matmul(x, weights.head, sink)
             return logits.reshape(s, p, config.vocab_size)
-        last = np.ascontiguousarray(x.reshape(s, p, d)[:, -1])
-        return kernels.matmul(last, weights.head, sink)
+        return kernels.matmul(x.reshape(s, p, d)[:, -1], weights.head, sink)
 
 
 def decoder_step(

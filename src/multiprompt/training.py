@@ -413,11 +413,6 @@ def sgd_update(weights: WeightSet, grads: dict[str, np.ndarray], lr: float, sink
         sink.add("sgd", 2 * arr.size, 8 * arr.size, 4 * arr.size)
 
 
-#: Kernel buffers of every training step, kept across steps and layouts so a
-#: step of a shape seen before allocates no large array.
-WORKSPACE = kernels.Workspace()
-
-
 def train_step(
     config: ModelConfig,
     weights: WeightSet,
@@ -426,15 +421,19 @@ def train_step(
     sink: CounterSink | None = None,
     step_index: int | None = None,
 ) -> float:
-    """One SGD step in place, its kernels drawing on :data:`WORKSPACE`;
-    returns the batch loss."""
+    """One SGD step in place; returns the batch loss.
+
+    Sets glibc's malloc thresholds (:func:`kernels.raise_malloc_thresholds`)
+    first, so that steps of the same shapes reuse each other's freed
+    arrays instead of faulting their pages in again.
+    """
     sink = sink if sink is not None else CounterSink()
-    with WORKSPACE:
-        try:
-            loss, grads = training_forward_backward(config, weights, batch, sink)
-        except (TrainingError, FloatingPointError) as exc:
-            raise TrainingError(f"{exc} at step {step_index}") from None
-        sgd_update(weights, grads, learning_rate, sink)
+    kernels.raise_malloc_thresholds()
+    try:
+        loss, grads = training_forward_backward(config, weights, batch, sink)
+    except (TrainingError, FloatingPointError) as exc:
+        raise TrainingError(f"{exc} at step {step_index}") from None
+    sgd_update(weights, grads, learning_rate, sink)
     return loss
 
 

@@ -845,6 +845,7 @@ def five_kernel_attention_backward(q4, k4, v4, probs, d_ctx, sink):
     ).reshape(probs.shape)
     d_q4 = kernels.bmm(d_scores, k4.transpose(0, 2, 1), sink)
     d_k4 = kernels.bmm(d_scores.transpose(0, 2, 1), q4, sink)
+    kernels._check_bmm(q4.shape, k4.shape)  # the forward's score product
     return d_q4, d_k4, d_v4
 
 
@@ -937,6 +938,10 @@ BMM = (FloatingPointError, "bmm produced non-finite values")
          (ShapeError, "bmm: a is 3x2x1, b is 3x2x1 (batch or inner mismatch)")),
         (dict(q4=np.ones((3, 2, 1), F32)),
          (ShapeError, "bmm: a is 3x2x1, b is 3x2x1 (batch or inner mismatch)")),
+        # every backward product fits; only the forward's q4 @ k4 does not
+        (dict(q4=np.ones((2, 3, 2), F32), k4=np.ones((2, 3, 4), F32), v4=np.ones((2, 4, 1), F32),
+              probs=np.full((2, 3, 4), 0.25, F32), d_ctx=np.ones((2, 3, 1), F32)),
+         (ShapeError, "bmm: a is 2x3x2, b is 2x3x4 (batch or inner mismatch)")),
     ],
     ids=[
         "nan_in_last_v4_nan_in_first_k4", "nan_in_first_d_ctx",
@@ -944,7 +949,7 @@ BMM = (FloatingPointError, "bmm produced non-finite values")
         "softmax_overflow_in_last_nan_in_first_k4",
         "nan_in_last_k4_nan_in_first_q4", "inf_in_last_q4", "probs_mismatch",
         "float64_probs_nan_in_first_q4", "two_d_v4", "k4_mismatch_nan_in_first_q4",
-        "q4_mismatch_nan_in_last_probs", "q4_mismatch",
+        "q4_mismatch_nan_in_last_probs", "q4_mismatch", "head_width_mismatch",
     ],
 )
 def test_attention_backward_raises_like_five_kernels(salts, error, monkeypatch):
@@ -1094,148 +1099,3 @@ def test_matmul_takes_one_epilogue():
     ones = np.ones((1, 1), F32)
     with pytest.raises(ValueError, match="not both"):
         kernels.matmul(ones, ones, CounterSink(), scale=2.0, residual=ones)
-
-
-# -- workspace: pooled buffers, liveness, bit identity ----------------------------------
-
-BIG = (512, 256)  # 512 KiB of float32, over the pooling threshold
-
-
-def test_workspace_never_hands_out_a_buffer_that_a_view_still_uses():
-    ws = kernels.Workspace()
-    a = ws.empty(BIG)
-    first = id(a.base)
-    view = a.T
-    del a
-    b = ws.empty(BIG)
-    assert id(b.base) != first and not np.shares_memory(b, view)
-    del view
-    c = ws.empty(BIG)
-    assert id(c.base) == first and ws.buffers == 2
-
-
-def test_workspace_rounds_to_size_classes_and_takes_the_most_recent_free_buffer():
-    ws = kernels.Workspace()
-    a, b = ws.empty((300_000,)), ws.empty((300_000,))
-    second = id(b.base)
-    # 1,200,000 bytes: steps of 2**17, rounded up to ten of them, plus the
-    # slack that puts every array on a cache line
-    assert a.base.nbytes == b.base.nbytes == 10 * 2**17 + kernels._ALIGN
-    assert a.ctypes.data % kernels._ALIGN == b.ctypes.data % kernels._ALIGN == 0
-    del a, b
-    c = ws.empty((310_000,), np.int32)  # 1,240,000 bytes: the same class
-    assert id(c.base) == second and ws.buffers == 2
-    d = ws.empty((330_000,))  # 1,320,000 bytes: the next class
-    assert d.base.nbytes == 11 * 2**17 + kernels._ALIGN and ws.buffers == 3
-
-
-def test_workspace_does_not_pool_small_requests():
-    ws = kernels.Workspace()
-    small = ws.empty((kernels.POOL_MIN_BYTES // 4 - 1,))
-    assert small.base is None and ws.buffers == 0
-    big = ws.empty((kernels.POOL_MIN_BYTES // 4,))
-    assert big.base is not None and ws.buffers == 1
-
-
-def test_workspace_blocks_nest_and_restore_the_outer_one():
-    outer, inner = kernels.Workspace(), kernels.Workspace()
-    x = np.ones(BIG, dtype=F32)
-    with outer:
-        with inner:
-            kernels.relu(x, CounterSink())
-        kept = kernels.relu(x, CounterSink())
-    assert kernels._workspace is None
-    assert inner.buffers == 1 and outer.buffers == 1
-    assert kernels.relu(x, CounterSink()).base is None and kept.base is not None
-
-
-def pooled_case_results(result):
-    """A kernel outcome as comparable bytes: arrays by dtype, shape and bits."""
-    if isinstance(result, np.ndarray):
-        return (result.dtype.str, result.shape, result.tobytes())
-    return tuple(pooled_case_results(r) for r in result) if isinstance(result, tuple) else result
-
-
-def owns_its_memory(result, operands) -> bool:
-    """Whether every array in a kernel outcome holds memory NumPy allocated
-    for it (perhaps through a dtype view of a temporary of its shape) or
-    views an operand; a pooled array views a raw byte buffer instead."""
-    if isinstance(result, tuple):
-        return all(owns_its_memory(r, operands) for r in result)
-    if not isinstance(result, np.ndarray):
-        return True
-    if any(np.shares_memory(result, op) for op in operands if isinstance(op, np.ndarray)):
-        return True
-    owner = result if result.base is None else result.base
-    return owner.base is None and owner.shape == result.shape
-
-
-def test_kernels_in_a_workspace_equal_plain_numpy_bit_for_bit(monkeypatch):
-    monkeypatch.setattr(kernels, "ATTENTION_CHUNK_BYTES", 256 << 10)  # 2 and 4 chunks
-    rng = np.random.default_rng(0)
-    n, m = 1024, 96  # 384 KiB per operand: every output and temporary is pooled
-    a, b, w = rand(rng, n, m), rand(rng, n, m), rand(rng, m, m)
-    a[0, :3] = (-0.0, 0.0, np.nan)
-    finite = np.nan_to_num(a)
-    gain = rng.uniform(0.5, 1.5, size=m).astype(F32)
-    probs = kernels.softmax_rows(finite, CounterSink())
-    q4, k4, v4 = rand(rng, 16, 64, 16), rand(rng, 16, 16, 128), rand(rng, 16, 128, 16)
-    causal = np.tri(64, 128, 64, dtype=bool)
-    scores, _ = kernels.attention(q4, k4, v4, CounterSink(), causal)
-    cases = [
-        (kernels.matmul, (finite, w), {}),
-        (kernels.matmul, (finite, w.T), {}),
-        (kernels.matmul, (finite, w), {"scale": 0.125}),
-        (kernels.matmul, (finite, w), {"residual": b}),
-        (kernels.matmul, (finite * F32(1e30), w), {"scale": 1e10}),
-        (kernels.matmul, (finite, w * F32(1e38)), {"residual": b}),
-        (kernels.bmm, (q4, k4), {}),
-        (kernels.attention, (q4, k4, v4), {"mask_rows": causal}),
-        (kernels.attention_backward, (q4, k4, v4, scores, q4), {}),
-        (kernels.softmax_rows, (finite,), {}),
-        (kernels.softmax_rows_backward, (probs, b), {}),
-        (kernels.layer_norm, (finite, gain), {}),
-        (kernels.layer_norm_backward, (finite, gain, b), {}),
-        (kernels.add, (finite, b), {}),
-        (kernels.add, (a, b), {}),
-        (kernels.scale, (finite, 3.0), {}),
-        (kernels.relu, (a,), {}),
-        (kernels.relu_backward, (a, b), {}),
-    ]
-    for kernel, operands, options in cases:
-        plain, plain_counts = outcome(kernel, *operands, **options)
-        # the negative control: outside a workspace no result comes from a pool
-        assert owns_its_memory(plain, operands), kernel.__name__
-        with kernels.Workspace() as ws:
-            pooled, pooled_counts = outcome(kernel, *operands, **options)
-        assert ws.buffers > 0, kernel.__name__
-        assert pooled_case_results(pooled) == pooled_case_results(plain), kernel.__name__
-        assert pooled_counts == plain_counts, kernel.__name__
-
-
-def test_relayout_copies_into_the_workspace_exactly_when_reshape_copies():
-    rng = np.random.default_rng(0)
-    ws = kernels.Workspace()
-    for _ in range(2000):
-        dims = tuple(rng.integers(1, 4, size=rng.integers(1, 5)))
-        base = np.arange(math.prod(dims), dtype=F32).reshape(dims)  # distinct values
-        x = base.transpose(rng.permutation(base.ndim))
-        if rng.random() < 0.3:
-            x = x[(slice(None),) * int(rng.integers(0, x.ndim)) + (slice(None, None, 2),)]
-        factors, rest = [], x.size
-        while rest > 1:
-            factors.append(int(rng.choice([f for f in range(2, rest + 1) if rest % f == 0])))
-            rest //= factors[-1]
-        shape = tuple(factors) + (1,) * int(rng.integers(0, 2))
-        with ws:
-            got = kernels.relayout(x, shape)
-        want = x.reshape(shape)
-        assert got.shape == want.shape and np.array_equal(got, want)
-        assert np.shares_memory(got, x) == np.shares_memory(want, x)
-    # over the threshold: a copy comes from the pool, a view stays a view
-    x = np.arange(math.prod(BIG), dtype=F32).reshape(64, 32, 64).transpose(1, 0, 2)
-    with kernels.Workspace() as ws:
-        copied = kernels.relayout(x, (32 * 64, 64))
-        viewed = kernels.relayout(x, (32, 64, 8, 8))
-    assert ws.buffers == 1 and copied.base is not None and not np.shares_memory(copied, x)
-    assert np.array_equal(copied, x.reshape(32 * 64, 64)) and np.shares_memory(viewed, x)

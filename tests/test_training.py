@@ -1,12 +1,17 @@
 """Training: gradient exactness, loss behavior, synthetic task, layouts."""
 
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from multiprompt import kernels, reference, training
-from multiprompt.costmodel import MODEL_PRESETS
+from multiprompt import kernels, reference
 from multiprompt.errors import TrainingError
 from multiprompt.kernels import CounterSink
 from multiprompt.model import BOS, EOS, ModelConfig, init_weights
@@ -16,7 +21,6 @@ from multiprompt.training import (
     make_synthetic_task,
     pid_batches,
     pie_batches,
-    sgd_update,
     split_key,
     train_layout,
     train_step,
@@ -152,110 +156,61 @@ def test_training_learns_within_a_few_epochs():
     assert run.epoch_flops[0] == run.epoch_flops[1]  # same work every epoch
 
 
-# -- the training-step workspace -------------------------------------------------------
+# -- glibc keeps a train step's freed arrays for the next one ---------------------------
 
-WS_LEARNING_RATE = 0.1
+#: Minor page faults per train step, 3 warm-up and 3 measured steps per
+#: layout at perfbench's train shape (toy model, U=8, n_s=64, vocabulary 96,
+#: 8 instances per batch), in a fresh process; ``no-op`` replaces
+#: ``kernels.raise_malloc_thresholds`` first.
+FAULT_PROBE = """
+import json, resource, sys
+import numpy as np
+from multiprompt import kernels
+from multiprompt.costmodel import MODEL_PRESETS
+from multiprompt.kernels import CounterSink
+from multiprompt.model import init_weights
+from multiprompt.training import make_synthetic_task, pid_batches, pie_batches, train_step
 
-
-def _workspace_batches():
-    """Three full batches per layout of the toy model on U=8, n_s=64, vocab 96 and
-    8 instances per batch: most activations of a step are large enough to pool."""
-    config = MODEL_PRESETS["toy"]
-    task = make_synthetic_task(1, 8, 64, config.vocab_size, 64)
-    batches = {}
-    for layout, build in (("pie", pie_batches), ("pid", pid_batches)):
-        full = [b for b in build(list(task.train), 8, np.random.default_rng(1)) if len(b.streams) == 64]
-        batches[layout] = full[:3]
-    return config, batches
-
-
-def _three_steps(config, batches, step, checksum):
-    """(loss, weight checksum, per-kind counts) after each of three steps from seed-0 weights."""
+if sys.argv[1] == "no-op":
+    kernels.raise_malloc_thresholds = lambda: None
+config = MODEL_PRESETS["toy"]
+task = make_synthetic_task(1, 8, 64, config.vocab_size, 64)
+faults = {}
+for layout, build in (("pie", pie_batches), ("pid", pid_batches)):
+    batches = [b for b in build(list(task.train), 8, np.random.default_rng(1)) if len(b.streams) == 64]
     weights = init_weights(config, seed=0)
-    out = []
-    for batch in batches:
-        sink = CounterSink()
-        loss = step(config, weights, batch, sink)
-        out.append((loss, checksum(weights), list(sink.kind_totals().items())))
-    return out
+    for batch in batches[:3]:
+        train_step(config, weights, batch, 0.1, CounterSink())
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for batch in batches[:3]:
+        train_step(config, weights, batch, 0.1, CounterSink())
+    faults[layout] = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3
+print(json.dumps(faults))
+"""
 
 
-def _plain_step(config, weights, batch, sink):
-    assert kernels._workspace is None
-    loss, grads = training_forward_backward(config, weights, batch, sink)
-    sgd_update(weights, grads, WS_LEARNING_RATE, sink)
-    return loss
+def _faults_per_train_step(mode: str) -> dict[str, float]:
+    pytest.importorskip("resource")
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the thresholds are glibc's mallopt parameters")
+    # a child process: the thresholds are process-wide and last, so they
+    # stay out of this one
+    src = str(Path(kernels.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    child = subprocess.run(
+        [sys.executable, "-c", FAULT_PROBE, mode], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(child.stdout)
 
 
-def _workspace_steps_match_plain_steps(monkeypatch, workspace, checksum) -> tuple[bool, dict]:
-    """Whether ``train_step`` in ``workspace`` equals steps outside any workspace,
-    for three steps per layout; also the pool size after each step."""
-    monkeypatch.setattr(training, "WORKSPACE", workspace)
-    config, batches = _workspace_batches()
-    pool_sizes = {}
-    same = True
-    for layout, chosen in batches.items():
-        sizes = pool_sizes[layout] = []
-
-        def step(config, weights, batch, sink):
-            loss = train_step(config, weights, batch, WS_LEARNING_RATE, sink)
-            sizes.append(workspace.buffers)
-            return loss
-
-        try:
-            pooled = _three_steps(config, chosen, step, checksum)
-        except TrainingError:  # a clobbered activation can overflow
-            pooled = None
-        same &= pooled == _three_steps(config, chosen, _plain_step, checksum)
-    return same, pool_sizes
+def test_train_steps_after_warm_up_take_almost_no_page_faults():
+    faults = _faults_per_train_step("thresholds")
+    assert faults["pie"] < 200 and faults["pid"] < 200, faults
 
 
-def test_train_steps_in_the_workspace_are_bit_identical_and_reuse_its_buffers(
-    monkeypatch, weights_checksum
-):
-    workspace = kernels.Workspace()
-    same, pool_sizes = _workspace_steps_match_plain_steps(monkeypatch, workspace, weights_checksum)
-    assert same
-    assert kernels._workspace is None
-    # after a layout's first step, steps of the same shapes add no buffer
-    for sizes in pool_sizes.values():
-        assert sizes[0] > 0 and sizes[1:] == [sizes[0]] * 2
-
-
-def test_a_workspace_that_ignores_liveness_breaks_bit_identity(monkeypatch, weights_checksum):
-    class IgnoresLiveness(kernels.Workspace):
-        """Hands a buffer out again while arrays still refer to it."""
-
-        def _is_free(self, buf):
-            return True
-
-    same, _ = _workspace_steps_match_plain_steps(monkeypatch, IgnoresLiveness(), weights_checksum)
-    assert not same
-
-
-def test_row_reducing_kernels_get_c_ordered_operands_in_a_train_step(monkeypatch):
-    # every workspace buffer is C-ordered, and NumPy sums a C-ordered row
-    # pairwise but a strided one sequentially: a row-reducing kernel would
-    # round differently inside the workspace than outside it on any other
-    # operand order; attention_backward sums rows of its probs times the
-    # product of its d_ctx
-    names = ("layer_norm", "layer_norm_backward", "softmax_rows", "attention_backward")
-    calls = []
-    for name in names:
-
-        def wrapped(*args, _kernel=getattr(kernels, name), _name=name, **kwargs):
-            if _name == "attention_backward":
-                operands = args[3:5]  # probs, d_ctx
-            else:
-                operands = [a for a in args if isinstance(a, np.ndarray) and a.ndim == 2]
-            for a in operands:
-                calls.append((_name, a.flags.c_contiguous, kernels._workspace is not None))
-            return _kernel(*args, **kwargs)
-
-        monkeypatch.setattr(kernels, name, wrapped)
-    config, batches = _workspace_batches()
-    for chosen in batches.values():
-        train_step(config, init_weights(config, seed=0), chosen[0], WS_LEARNING_RATE, CounterSink())
-    assert {name for name, _, _ in calls} == set(names)
-    assert all(in_workspace for _, _, in_workspace in calls)
-    assert [name for name, c_ordered, _ in calls if not c_ordered] == []
+def test_train_steps_without_the_thresholds_fault_their_arrays_in_again():
+    # the negative control: glibc's defaults trim and map pie's large
+    # arrays afresh on every step
+    faults = _faults_per_train_step("no-op")
+    assert faults["pie"] > 1000, faults
