@@ -387,10 +387,12 @@ def replay_forward(
     The run is ``encode_batch`` over ``inputs`` sequences of ``enc_len``
     tokens; then, when ``n_t >= 1``, ``init_decode_state`` with
     ``kv_group`` streams per input, a ``decoder_prefill`` of ``prefix``
-    positions per stream and ``n_t - 1`` calls of ``decoder_step``.  Each
-    kernel call is recorded through the count helper the kernel itself
-    records through.  ``all_logits`` mirrors
-    ``decoder_prefill(return_all_logits=True)``, the training forward.
+    positions per stream and ``n_t - 1`` calls of ``decoder_step``, each a
+    one-position pass.  A pass counts a causal mask exactly when it has
+    more than one new position.  Each kernel call is recorded through the
+    count helper the kernel itself records through.  ``all_logits``
+    mirrors ``decoder_prefill(return_all_logits=True)``, the training
+    forward.
     """
     d = config.d_model
     encode = CounterSink()
@@ -406,15 +408,14 @@ def replay_forward(
         with decode.scope("decoder_cross"):
             for _ in range(2 * config.n_dec_layers):  # K and V per layer
                 count_matmul(decode, inputs * enc_len, d, d)
-        # (new positions, cache length, head rows) of the prefill, under a
-        # causal mask, and of each unmasked step
+        # (new positions, cache length, head rows) of the prefill and of each step
         passes = [(prefix, 0, streams * prefix if all_logits else streams)]
         passes += [(1, length, streams) for length in range(prefix, prefix + n_t - 1)]
         for nq, length, head_rows in passes:
             _embed(decode, d, streams * nq)
             for _ in range(config.n_dec_layers):
                 _attention_sublayer(
-                    decode, config, "decoder_self", streams, nq, length + nq, 1, not length
+                    decode, config, "decoder_self", streams, nq, length + nq, 1, nq > 1
                 )
                 _attention_sublayer(decode, config, "decoder_cross", streams, nq, enc_len, kv_group)
                 _ffn_sublayer(decode, config, streams * nq)

@@ -7,12 +7,12 @@ matrices, ReLU feed-forward sublayers, a final layer norm per stack, and
 a linear vocabulary head.
 
 Each sublayer body (pre-norm attention, pre-norm feed-forward) is written
-once and shared by the encoder and decoder stacks.  The decoder runs
-incrementally against a :class:`KVCacheSet`: self-attention keys/values
-are appended one position per stream per step, cross-attention keys/values
-are projected once from the encoder output ``M`` and owned either per
-stream or per instance (the latter is what lets several decode streams
-share one broadcast cache).
+once and shared by the encoder and decoder stacks.  The decoder has one
+pass, :func:`decoder_prefill` of ``p`` new positions per stream (a step is
+``p = 1``), against a :class:`KVCacheSet`: self-attention keys/values are
+appended at the new positions, cross-attention keys/values are projected
+once from the encoder output ``M`` and owned per stream or per instance
+(the latter lets several decode streams share one broadcast cache).
 
 Training runs this same forward: ``encode_batch`` and ``decoder_prefill``
 take an optional activation ``tape`` (a list the sublayers append their
@@ -438,35 +438,6 @@ def init_decode_state(
     )
 
 
-def _decoder_sublayers(
-    config: ModelConfig,
-    weights: WeightSet,
-    state: KVCacheSet,
-    x: np.ndarray,
-    mask_rows: np.ndarray | None,
-    sink: CounterSink,
-    tape: list[dict] | None,
-) -> np.ndarray:
-    """Shared body of prefill and single-step decode.
-
-    ``x`` is ``[S*p, d]`` for ``p`` new positions per stream starting at
-    ``state.length``; every stream writes its self-attention K/V rows there.
-    ``mask_rows`` is ``[p, length + p]`` or None.
-    """
-    s = state.n_streams
-    for li, layer in enumerate(weights.dec_layers):
-        x = _attention_sublayer(
-            config, layer.self_attn, x, s, "decoder_self", sink, mask_rows=mask_rows,
-            cache=(state.self_k[li], state.self_v[li], state.length), tape=tape,
-        )
-        x = _attention_sublayer(
-            config, layer.cross_attn, x, s, "decoder_cross", sink,
-            kv=(state.cross_k[li], state.cross_v[li]), kv_group=state.kv_group, tape=tape,
-        )
-        x = _ffn_sublayer(layer.ffn, x, sink, tape)
-    return x
-
-
 def decoder_prefill(
     config: ModelConfig,
     weights: WeightSet,
@@ -476,37 +447,43 @@ def decoder_prefill(
     return_all_logits: bool = False,
     tape: list[dict] | None = None,
 ) -> np.ndarray:
-    """Process ``p`` known positions per stream in one causal pass.
+    """The decoder pass: ``p >= 1`` new positions per stream, ``token_block [S, p]``.
 
-    ``token_block`` is ``[S, p]``.  Fills cache positions
-    ``length .. length+p-1`` and returns the last position's logits
-    ``[S, vocab]`` (or all positions ``[S, p, vocab]``).  With a ``tape``,
-    records one entry per sublayer (self, cross, feed-forward per layer)
-    and a last one for the final norm.
+    Writes self-attention K/V at cache positions ``length .. length+p-1``;
+    new row ``i`` sees every cached position and the new ones up to its
+    own, so only ``p > 1`` passes (and counts) a causal mask.  Token ids
+    are checked by the embedding lookup before anything is counted or
+    cached.  Returns the last position's logits ``[S, vocab]`` (or all
+    ``[S, p, vocab]``).  A ``tape`` gets one entry per sublayer (self,
+    cross, feed-forward per layer) and a last one for the final norm.
     """
     token_block = np.asarray(token_block, dtype=np.int64)
-    s, p = token_block.shape
-    if s != state.n_streams:
-        raise ShapeError(f"prefill block has {s} streams, state has {state.n_streams}")
-    if state.length + p > state.capacity:
-        raise LengthError(
-            f"cache overflow: {state.length} + {p} exceeds capacity {state.capacity}"
-        )
-    if token_block.min() < 0 or token_block.max() >= config.vocab_size:
-        raise ShapeError("prefill token id out of range")
-    d = config.d_model
-    pos = np.tile(np.arange(state.length, state.length + p), s)
+    s, start = state.n_streams, state.length
+    if token_block.ndim != 2 or len(token_block) != s or not token_block.shape[1]:
+        raise ShapeError(f"decoder block has shape {token_block.shape}, want ({s}, p >= 1)")
+    p = token_block.shape[1]
+    if start + p > state.capacity:
+        raise LengthError(f"cache overflow: {start} + {p} exceeds capacity {state.capacity}")
+    pos = start + np.arange(s * p) % p  # stream-major, start .. start+p-1 per stream
     x = _embed(weights, token_block.reshape(-1), pos, sink)
-    # row i sees every cached position and the new positions up to its own
-    causal = np.tri(p, state.length + p, state.length, dtype=bool)
-    x = _decoder_sublayers(config, weights, state, x, causal, sink, tape)
+    causal = np.tri(p, start + p, start, dtype=bool) if p > 1 else None
+    for li, layer in enumerate(weights.dec_layers):
+        x = _attention_sublayer(
+            config, layer.self_attn, x, s, "decoder_self", sink, mask_rows=causal,
+            cache=(state.self_k[li], state.self_v[li], start), tape=tape,
+        )
+        x = _attention_sublayer(
+            config, layer.cross_attn, x, s, "decoder_cross", sink,
+            kv=(state.cross_k[li], state.cross_v[li]), kv_group=state.kv_group, tape=tape,
+        )
+        x = _ffn_sublayer(layer.ffn, x, sink, tape)
     state.length += p
     x = _final_norm(x, weights.dec_final_gain, sink, tape)
     with sink.scope("embedding"):
         if return_all_logits:
             logits = kernels.matmul(x, weights.head, sink)
             return logits.reshape(s, p, config.vocab_size)
-        return kernels.matmul(x.reshape(s, p, d)[:, -1], weights.head, sink)
+        return kernels.matmul(x[p - 1 :: p], weights.head, sink)  # each stream's last row
 
 
 def decoder_step(
@@ -516,23 +493,11 @@ def decoder_step(
     new_tokens: np.ndarray,
     sink: CounterSink,
 ) -> np.ndarray:
-    """Advance every stream by one position; returns logits ``[S, vocab]``.
-
-    Appends exactly one self-attention cache position per stream.  Streams
-    are independent: no stream's logits depend on another stream's tokens.
+    """Advance every stream by one position: a one-position :func:`decoder_prefill`
+    of ``new_tokens [S]``; returns logits ``[S, vocab]``.  Streams are
+    independent: no stream's logits depend on another stream's tokens.
     """
     new_tokens = np.asarray(new_tokens, dtype=np.int64)
-    s = state.n_streams
-    if new_tokens.shape != (s,):
-        raise ShapeError(f"step tokens have shape {new_tokens.shape}, want ({s},)")
-    if state.length + 1 > state.capacity:
-        raise LengthError(
-            f"cache overflow: {state.length} + 1 exceeds capacity {state.capacity}"
-        )
-    pos = np.full(s, state.length)
-    x = _embed(weights, new_tokens, pos, sink)
-    x = _decoder_sublayers(config, weights, state, x, None, sink, None)
-    state.length += 1
-    x = _final_norm(x, weights.dec_final_gain, sink, None)
-    with sink.scope("embedding"):
-        return kernels.matmul(x, weights.head, sink)
+    if new_tokens.shape != (state.n_streams,):
+        raise ShapeError(f"step tokens have shape {new_tokens.shape}, want ({state.n_streams},)")
+    return decoder_prefill(config, weights, state, new_tokens[:, None], sink)

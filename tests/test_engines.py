@@ -1,10 +1,12 @@
 """Engine contracts: sharing equivalence, counters, lifecycle, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from multiprompt.bench import random_workload
-from multiprompt.costmodel import MODEL_PRESETS
+from multiprompt.costmodel import MODEL_PRESETS, ShapeParams, predict_run_counters
 from multiprompt.engines import (
     ENGINES,
     PID,
@@ -27,7 +29,11 @@ from multiprompt.model import (
     init_decode_state,
     init_weights,
 )
-from multiprompt.verify import FAULT_CORRUPT_SHARED_KV, check_broadcast_equivalence
+from multiprompt.verify import (
+    FAULT_CORRUPT_SHARED_KV,
+    check_broadcast_equivalence,
+    mirror_mismatches,
+)
 
 
 def make_workload(rng, config, b=2, u=3, n_s=10, n_p=2, max_new=6):
@@ -371,3 +377,56 @@ def test_outputs_and_waste_equal_the_per_step_loop_on_early_finishers():
     # these weights let pid streams finish early, so waste is exercised
     assert (wasted[PID], stream_steps[PID]) == (109, 1840)
     assert wasted[PIE] == 0
+
+
+# -- the benchmark's inference shapes ------------------------------------------------
+
+# perfbench's two inference workloads, as its harness declares them
+BENCH_SHAPES = {
+    "long-decode": dict(U=4, b=2, n_s=128, n_p=6, n_t=64),
+    "shared-input": dict(U=16, b=1, n_s=192, n_p=4, n_t=8),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(BENCH_SHAPES))
+def bench_runs(request):
+    """Both engines on one benchmark shape: toy preset, weights seed 0, input seed 1."""
+    toy = MODEL_PRESETS["toy"]
+    weights = init_weights(toy, 0)
+    s = BENCH_SHAPES[request.param]
+    wl = random_workload(
+        np.random.default_rng(1), toy.vocab_size, s["U"], s["b"], s["n_s"], s["n_p"], s["n_t"]
+    )
+    runs = {engine: infer(engine, toy, weights, wl) for engine in ENGINES}
+    return toy, weights, wl, ShapeParams(d=toy.d_model, h=toy.n_heads, **s), runs
+
+
+def _mirror(config, shape, engine, res):
+    # the mirror replays a run to its last step, however early the streams stopped
+    return predict_run_counters(config, replace(shape, n_t=res.steps_taken), engine)
+
+
+def test_benchmark_shapes_decode_the_oracle_tokens_under_an_exact_mirror(bench_runs):
+    # the benchmark's gate holds tokens and flops; this also holds both byte counts
+    toy, weights, wl, shape, runs = bench_runs
+    for engine, res in runs.items():
+        assert res.outputs == reference_decode(toy, weights, wl, engine).outputs
+        mismatches = mirror_mismatches(res, _mirror(toy, shape, engine, res))
+        assert mismatches == {"by_component": {}, "encode": {}}
+
+
+def test_a_mirror_counting_a_one_position_mask_fails_on_bytes_read_only(bench_runs):
+    # negative control for the mask rule: a pie prefill has one position per
+    # stream, and a mirror that counts its causal mask, S*h bytes per decoder
+    # layer, must disagree on decoder_self bytes read and nothing else
+    toy, _, _, shape, runs = bench_runs
+    res = runs[PIE]
+    encode, run = _mirror(toy, shape, PIE, res)
+    mask_bytes = shape.U * shape.b * shape.h * toy.n_dec_layers
+    with run.scope("decoder_self"):
+        run.add("softmax", 0, mask_bytes, 0)
+    mismatches = mirror_mismatches(res, (encode, run))
+    assert mismatches["encode"] == {}
+    assert list(mismatches["by_component"]) == ["decoder_self"]
+    (flops, read, written), want = mismatches["by_component"]["decoder_self"]
+    assert want == [flops, read + mask_bytes, written]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from multiprompt import kernels, reference
-from multiprompt.errors import ConfigError, LengthError, MaskError
+from multiprompt.errors import ConfigError, LengthError, MaskError, ShapeError
 from multiprompt.kernels import CounterSink
 from multiprompt.model import (
     BOS,
@@ -166,11 +166,16 @@ def _fresh_state(config, weights, memory, sink, capacity=32, group=1):
 def test_decoder_step_on_fresh_state_equals_full_forward(tiny_config, tiny_weights):
     toks = random_tokens(np.random.default_rng(6), 8, tiny_config.vocab_size)
     memory = encode_batch(tiny_config, tiny_weights, [toks], CounterSink())
+    # a step is a one-position prefill: the same bits, counted the same way
+    # (no causal mask on a single position)
     s1 = _fresh_state(tiny_config, tiny_weights, memory, CounterSink())
-    step_logits = decoder_step(tiny_config, tiny_weights, s1, np.array([BOS]), CounterSink())
+    step_sink, prefill_sink = CounterSink(), CounterSink()
+    step_logits = decoder_step(tiny_config, tiny_weights, s1, np.array([BOS]), step_sink)
     s2 = _fresh_state(tiny_config, tiny_weights, memory, CounterSink())
-    prefill_logits = decoder_prefill(tiny_config, tiny_weights, s2, np.array([[BOS]]), CounterSink())
-    np.testing.assert_allclose(step_logits, prefill_logits, atol=1e-6)
+    prefill_logits = decoder_prefill(tiny_config, tiny_weights, s2, np.array([[BOS]]), prefill_sink)
+    assert step_logits.dtype == prefill_logits.dtype and step_logits.shape == prefill_logits.shape
+    assert step_logits.tobytes() == prefill_logits.tobytes()
+    assert step_sink.kind_totals() == prefill_sink.kind_totals()
 
 
 def test_decode_step_kernel_calls(tiny_config, tiny_weights, monkeypatch):
@@ -242,6 +247,35 @@ def test_cache_overflow_raises(tiny_config, tiny_weights):
     decoder_step(tiny_config, tiny_weights, state, np.array([5]), CounterSink())
     with pytest.raises(LengthError, match="overflow"):
         decoder_step(tiny_config, tiny_weights, state, np.array([6]), CounterSink())
+
+
+@pytest.mark.parametrize(
+    "call, tokens, error",
+    [
+        ("prefill", [[5, 23]], ShapeError),  # token id out of range (vocab_size 23)
+        ("step", [-1], ShapeError),  # negative token id
+        ("prefill", [[5], [6]], ShapeError),  # two streams' block for a one-stream state
+        ("prefill", np.zeros((1, 0), dtype=np.int64), ShapeError),  # no new position
+        ("step", [[5]], ShapeError),  # 2-D step tokens
+        ("prefill", [[5, 6, 7]], LengthError),  # cache overflow: 1 + 3 > capacity 3
+    ],
+    ids=["token_id", "negative_token_id", "streams", "empty_block", "step_2d", "overflow"],
+)
+def test_decoder_pass_rejects_bad_input_before_counting_or_caching(
+    tiny_config, tiny_weights, call, tokens, error
+):
+    memory = encode_batch(tiny_config, tiny_weights, [np.array([5, 6, 7])], CounterSink())
+    state = _fresh_state(tiny_config, tiny_weights, memory, CounterSink(), capacity=3)
+    decoder_step(tiny_config, tiny_weights, state, np.array([BOS]), CounterSink())
+    caches = [a.copy() for a in state.self_k + state.self_v]
+    sink = CounterSink()
+    fn = decoder_prefill if call == "prefill" else decoder_step
+    with pytest.raises(error):
+        fn(tiny_config, tiny_weights, state, np.asarray(tokens), sink)
+    assert sink.kind_totals() == {}
+    assert state.length == 1
+    for before, after in zip(caches, state.self_k + state.self_v):
+        assert before.tobytes() == after.tobytes()
 
 
 def test_init_decode_state_reads_each_cross_weight_once(tiny_config, tiny_weights):
