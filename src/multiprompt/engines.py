@@ -129,44 +129,40 @@ def _regroup(flat: list[list[int]], b: int, u: int) -> list[list[list[int]]]:
     return [[flat[i * u + j] for j in range(u)] for i in range(b)]
 
 
-def _layout(engine: str, workload: Workload) -> tuple[list[np.ndarray], np.ndarray, int]:
-    """Where ``engine`` puts the prompts: ``(encoder inputs, prefix block [S, p], kv_group)``.
+def _layout(engine: str, workload: Workload) -> tuple[np.ndarray, np.ndarray, int]:
+    """Where ``engine`` puts the prompts: ``(encoder block, prefix block [S, p], kv_group)``.
 
     Stream ``s`` (instance-major, ``S = b·U``) starts from ``prefix[s]`` and
-    attends to the encoding of input ``s // kv_group``.  pie encodes every
-    (instance, prompt) pair as ``x ‖ SEP ‖ z`` (just ``x`` for an empty
-    prompt) and starts each stream at the begin token; pid encodes each
-    shared input once and prefills the prompts (the begin token when prompts
-    are empty), so ``U`` streams share one encoding.  Training builds its
-    batches from the same layout.
+    attends to the encoding of row ``s // kv_group``.  pie encodes every
+    (instance, prompt) pair as ``x ‖ SEP ‖ z`` (``x`` for empty prompts), a
+    ``[b·U, n_s+1+n_p]`` block, and starts each stream at the begin token;
+    pid encodes the ``[b, n_s]`` shared inputs once and prefills the prompts
+    (the begin token when they are empty), so ``U`` streams share one
+    encoding.  All blocks are int64; training batches take the same layout.
     """
-    xs = [np.asarray(inst.x, dtype=np.int64) for inst in workload.instances]
-    zs = [np.asarray(z, dtype=np.int64) for inst in workload.instances for z in inst.prompts]
+    u = workload.n_prompts
+    xs = np.array([inst.x for inst in workload.instances], dtype=np.int64)
+    zs = np.array([z for inst in workload.instances for z in inst.prompts], dtype=np.int64)
     bos = np.full((len(zs), 1), BOS, dtype=np.int64)
     if engine == PIE:
-        u = workload.n_prompts
-        encoder_inputs = [
-            np.concatenate([xs[s // u], [SEP], z]) if z.size else xs[s // u]
-            for s, z in enumerate(zs)
-        ]
-        return encoder_inputs, bos, 1
+        x_per_prompt = np.repeat(xs, u, axis=0)
+        if not workload.prompt_len:
+            return x_per_prompt, bos, 1
+        return np.concatenate([x_per_prompt, np.full_like(bos, SEP), zs], axis=1), bos, 1
     if engine == PID:
-        return xs, (np.stack(zs) if workload.prompt_len else bos), workload.n_prompts
+        return xs, (zs if workload.prompt_len else bos), u
     raise ConfigError(f"unknown engine {engine!r}; choose from {ENGINES}")
 
 
-def _check_lengths(
-    config: ModelConfig, encoder_inputs: list[np.ndarray], prefix: np.ndarray, n_t: int
-) -> None:
-    """Reject a layout that does not fit ``max_len``, before any kernel runs.
+def _check_lengths(config: ModelConfig, prefix: np.ndarray, n_t: int) -> None:
+    """Reject a decode that does not fit ``max_len``, before any kernel runs.
 
     The last fed-back token sits at decoder position ``p + n_t - 2``, so a
     decode of ``n_t`` tokens after a prefix of ``p`` needs ``p + n_t - 1``
-    positions.
+    positions.  An over-long encoder block is rejected by ``encode_batch``,
+    also before any kernel runs.
     """
-    enc_len, p = encoder_inputs[0].size, prefix.shape[1]
-    if enc_len > config.max_len:
-        raise LengthError(f"encoder input of {enc_len} tokens exceeds max_len {config.max_len}")
+    p = prefix.shape[1]
     if n_t and p + n_t - 1 > config.max_len:
         raise LengthError(f"decoder needs {p + n_t - 1} positions, max_len is {config.max_len}")
 
@@ -195,7 +191,7 @@ def infer(
     sink = sink if sink is not None else CounterSink()
     encoder_inputs, prefix, kv_group = _layout(engine, workload)
     p, n_t = prefix.shape[1], workload.max_new_tokens
-    _check_lengths(config, encoder_inputs, prefix, n_t)
+    _check_lengths(config, prefix, n_t)
     before = sink.kind_totals()
     memories = encode_batch(config, weights, encoder_inputs, sink)
     encode_counters = sink.since(before)
@@ -243,7 +239,7 @@ def reference_decode(
     """
     sink = sink if sink is not None else CounterSink()
     encoder_inputs, prefix, kv_group = _layout(engine, workload)
-    _check_lengths(config, encoder_inputs, prefix, workload.max_new_tokens)
+    _check_lengths(config, prefix, workload.max_new_tokens)
     before = sink.kind_totals()
     memories = encode_batch(config, weights, encoder_inputs, sink)
     encode_counters = sink.since(before)

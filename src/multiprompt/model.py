@@ -13,6 +13,8 @@ pass, :func:`decoder_prefill` of ``p`` new positions per stream (a step is
 appended at the new positions, cross-attention keys/values are projected
 once from the encoder output ``M`` and owned per stream or per instance
 (the latter lets several decode streams share one broadcast cache).
+Both passes embed a token block (``[b, L]`` encoder, ``[S, p]`` decoder)
+through one ``_embed``, whose lookup checks the ids before anything counts.
 
 Training runs this same forward: ``encode_batch`` and ``decoder_prefill``
 take an optional activation ``tape`` (a list the sublayers append their
@@ -197,26 +199,17 @@ def init_weights(config: ModelConfig, seed: int) -> WeightSet:
 # -- embedding and attention ---------------------------------------------------
 
 
-def _validate_tokens(config: ModelConfig, tokens: np.ndarray, what: str) -> np.ndarray:
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.ndim != 1 or tokens.size == 0:
-        raise LengthError(f"{what} must be a non-empty 1-D id sequence, got shape {tokens.shape}")
-    if tokens.size > config.max_len:
-        raise LengthError(f"{what} has {tokens.size} tokens, max_len is {config.max_len}")
-    if tokens.min() < 0 or tokens.max() >= config.vocab_size:
-        raise ShapeError(
-            f"{what} ids span [{tokens.min()}, {tokens.max()}], vocab_size is {config.vocab_size}"
-        )
-    return tokens
-
-
-def _embed(weights: WeightSet, tokens_flat: np.ndarray, pos_flat: np.ndarray, sink: CounterSink) -> np.ndarray:
+def _embed(weights: WeightSet, block: np.ndarray, start: int, sink: CounterSink) -> np.ndarray:
+    """``[S*p, d]`` rows of a ``[S, p]`` token block at positions ``start ..
+    start+p-1``; the lookup checks the ids before anything counts."""
+    s, p = block.shape
+    pos = start + np.arange(s * p) % p
     # embeddings are scaled by sqrt(d) before the position add so token
     # identity is not drowned out by the unit-magnitude sinusoids
     with sink.scope("embedding"):
-        x = kernels.gather_rows(weights.embedding, tokens_flat, sink)
+        x = kernels.gather_rows(weights.embedding, block.reshape(-1), sink)
         x = kernels.scale(x, math.sqrt(weights.config.d_model), sink)
-        return kernels.add(x, weights.positions[pos_flat], sink)
+        return kernels.add(x, weights.positions[pos], sink)
 
 
 def _fold_heads(rows: np.ndarray, groups: int, n_heads: int) -> np.ndarray:
@@ -337,28 +330,26 @@ def _final_norm(
 def encode_batch(
     config: ModelConfig,
     weights: WeightSet,
-    sequences: list[np.ndarray],
+    tokens: np.ndarray,
     sink: CounterSink,
     tape: list[dict] | None = None,
 ) -> np.ndarray:
-    """Encoder forward over ``b`` equal-length sequences; returns ``[b, L, d]``.
+    """Encoder forward over a ``[b, L]`` token block; returns ``[b, L, d]``.
 
+    A list of equal-length sequences is the block of its rows.  An empty,
+    non-2-D or over-long block raises :class:`LengthError` before any kernel
+    counts, as the lookup does :class:`ShapeError` for an unknown id.
     Projections and norms are row-stacked across the batch so each weight
     matrix is read once per call; attention mixes positions only within a
     sequence, so batching never changes any instance's output.  With a
     ``tape``, records one entry per sublayer (attention, feed-forward per
     layer) and a last one for the final norm.
     """
-    if not sequences:
-        raise LengthError("encoder batch is empty")
-    toks = [_validate_tokens(config, s, "encoder input") for s in sequences]
-    lengths = {t.size for t in toks}
-    if len(lengths) != 1:
-        raise ShapeError(f"encoder batch has mixed lengths {sorted(lengths)}")
-    b, n = len(toks), toks[0].size
-    flat_tokens = np.concatenate(toks)
-    flat_pos = np.tile(np.arange(n), b)
-    x = _embed(weights, flat_tokens, flat_pos, sink)  # [b*n, d]
+    tokens = np.asarray(tokens, dtype=np.int64)
+    if tokens.ndim != 2 or not tokens.size or tokens.shape[1] > config.max_len:
+        raise LengthError(f"encoder block has shape {tokens.shape}; max_len is {config.max_len}")
+    b, n = tokens.shape
+    x = _embed(weights, tokens, 0, sink)  # [b*n, d]
     for layer in weights.enc_layers:
         x = _attention_sublayer(config, layer.attn, x, b, "encoder_self", sink, tape=tape)
         x = _ffn_sublayer(layer.ffn, x, sink, tape)
@@ -425,7 +416,7 @@ def init_decode_state(
         for layer in weights.dec_layers:
             k = kernels.matmul(rows, layer.cross_attn.w_k, sink).reshape(owners, m, h, dh)
             k4 = k.transpose(0, 2, 3, 1).reshape(owners * h, dh, m)
-            cross_k.append(np.ascontiguousarray(k4))
+            cross_k.append(np.ascontiguousarray(k4))  # one owner: strided k4 rounds differently
             cross_v.append(_fold_heads(kernels.matmul(rows, layer.cross_attn.w_v, sink), owners, h))
     return KVCacheSet(
         n_streams=n_streams,
@@ -464,8 +455,7 @@ def decoder_prefill(
     p = token_block.shape[1]
     if start + p > state.capacity:
         raise LengthError(f"cache overflow: {start} + {p} exceeds capacity {state.capacity}")
-    pos = start + np.arange(s * p) % p  # stream-major, start .. start+p-1 per stream
-    x = _embed(weights, token_block.reshape(-1), pos, sink)
+    x = _embed(weights, token_block, start, sink)
     causal = np.tri(p, start + p, start, dtype=bool) if p > 1 else None
     for li, layer in enumerate(weights.dec_layers):
         x = _attention_sublayer(

@@ -72,8 +72,6 @@ class SyntheticTask:
     n_prompts: int
     n_s: int
     vocab_size: int
-    prompt_len: int = 1
-    answer_len: int = 1
 
 
 def synthetic_vocab_ranges(vocab_size: int) -> tuple[range, range, int]:
@@ -148,10 +146,11 @@ class DecStream:
 
 @dataclass(frozen=True)
 class TrainBatch:
-    """Uniform-shape training batch: ``group_size`` decoder streams share
-    each encoder input (1 for prompt-in-encoder, U for prompt-in-decoder)."""
+    """Uniform-shape training batch: a ``[groups, L]`` block of encoder
+    inputs, each shared by ``group_size`` consecutive decoder streams (1 for
+    prompt-in-encoder, U for prompt-in-decoder)."""
 
-    enc_inputs: list[np.ndarray]
+    enc_inputs: np.ndarray
     streams: list[DecStream]
     group_size: int
 
@@ -170,12 +169,12 @@ def _stream(prefix: np.ndarray, answer: tuple[int, ...]) -> DecStream:
 
 def _laid_out(
     layout: str, examples: list[LabeledInstance], batch_instances: int
-) -> tuple[list[np.ndarray], list[DecStream], int, int]:
-    """``(encoder inputs, streams, kv_group, encoder inputs per batch)`` in ``layout``.
+) -> tuple[np.ndarray, list[DecStream], int, int]:
+    """``(encoder block, streams, kv_group, encoder rows per batch)`` in ``layout``.
 
-    The encoder inputs, decoder prefixes and ``kv_group`` come from
+    The encoder block, decoder prefixes and ``kv_group`` come from
     ``engines._layout``, so training puts the prompts where inference does;
-    stream ``i·kv_group + j`` attends to encoder input ``i``.  Built once per
+    stream ``i·kv_group + j`` attends to encoder row ``i``.  Built once per
     run: only the order changes between epochs.
     """
     if not examples:
@@ -188,9 +187,9 @@ def _laid_out(
 
 
 def _shuffled(
-    laid: tuple[list[np.ndarray], list[DecStream], int, int], rng: np.random.Generator
+    laid: tuple[np.ndarray, list[DecStream], int, int], rng: np.random.Generator
 ) -> list[TrainBatch]:
-    """One epoch of batches: each holds ``per_batch`` shuffled encoder inputs
+    """One epoch of batches: each holds ``per_batch`` shuffled encoder rows
     and the ``kv_group`` streams attending to each."""
     enc_inputs, streams, kv_group, per_batch = laid
     order = rng.permutation(len(enc_inputs))
@@ -199,7 +198,7 @@ def _shuffled(
         chunk = order[start : start + per_batch]
         batches.append(
             TrainBatch(
-                enc_inputs=[enc_inputs[i] for i in chunk],
+                enc_inputs=enc_inputs[chunk],
                 streams=[streams[i * kv_group + j] for i in chunk for j in range(kv_group)],
                 group_size=kv_group,
             )
@@ -400,7 +399,7 @@ def training_forward_backward(
         )
     with sink.scope("embedding"):
         kernels.scatter_add_rows(
-            grads["embedding"], np.concatenate(batch.enc_inputs),
+            grads["embedding"], batch.enc_inputs.reshape(-1),
             kernels.scale(dx, emb_scale, sink), sink,
         )
     return loss, grads
@@ -460,7 +459,6 @@ def train_layout(
     learning_rate: float,
     batch_instances: int,
     seed: int,
-    sink: CounterSink | None = None,
 ) -> tuple[WeightSet, TrainingRun]:
     """Train a fresh model with one batch layout; flops measured per epoch."""
     from .model import init_weights
@@ -468,7 +466,7 @@ def train_layout(
     if layout not in (PIE, PID):
         raise ConfigError(f"unknown layout {layout!r}")
     weights = init_weights(config, seed)
-    sink = sink if sink is not None else CounterSink()
+    sink = CounterSink()
     rng = np.random.default_rng(seed)
     run = TrainingRun(layout=layout)
     laid = _laid_out(layout, list(task.train), batch_instances)
@@ -491,12 +489,12 @@ def evaluate_exact_match(
     weights: WeightSet,
     examples: list[LabeledInstance],
     layout: str,
-    batch_instances: int = 16,
 ) -> float:
     """Fraction of prompts whose greedy decode equals answer plus end token."""
     if not examples:
         return 0.0
     max_new = len(examples[0].answers[0]) + 1 if examples[0].answers else 1
+    batch_instances = 16  # instances per ``infer`` call
     hits = total = 0
     for start in range(0, len(examples), batch_instances):
         chunk = examples[start : start + batch_instances]
@@ -573,8 +571,8 @@ def predicted_training_flop_ratio(config: ModelConfig, task: SyntheticTask) -> f
     layouts by nearly the same factor, so it cancels in the ratio.
     """
     u = task.n_prompts
-    ans = task.answer_len
-    pie_enc_len = task.n_s + 1 + task.prompt_len
-    _, pie = replay_forward(config, u, pie_enc_len, 1, 1 + ans, 1, all_logits=True)
-    _, pid = replay_forward(config, 1, task.n_s, u, task.prompt_len + ans, 1, all_logits=True)
+    example = task.train[0]
+    prompt_len, ans = example.instance.prompts[0].size, len(example.answers[0])
+    _, pie = replay_forward(config, u, task.n_s + 1 + prompt_len, 1, 1 + ans, 1, all_logits=True)
+    _, pid = replay_forward(config, 1, task.n_s, u, prompt_len + ans, 1, all_logits=True)
     return pie.flops / pid.flops

@@ -21,7 +21,9 @@ from multiprompt.engines import (
 from multiprompt.errors import ConfigError, LengthError
 from multiprompt.kernels import CounterSink
 from multiprompt.model import (
+    BOS,
     EOS,
+    SEP,
     ModelConfig,
     decoder_prefill,
     decoder_step,
@@ -121,13 +123,38 @@ def test_encoder_pass_counts(setup):
 
 
 def test_overlength_raises(setup):
+    # encode_batch rejects an over-long encoder block before any kernel runs
     config, weights, rng = setup
-    wl = make_workload(rng, config, n_s=config.max_len, n_p=2)
-    with pytest.raises(LengthError):
-        infer(PIE, config, weights, wl)
+    wl = make_workload(rng, config, n_s=config.max_len, n_p=2)  # only pie's x ‖ SEP ‖ z is too long
     wl2 = make_workload(rng, config, n_s=config.max_len + 1)
-    with pytest.raises(LengthError):
-        infer(PID, config, weights, wl2)
+    sink = CounterSink()
+    for engine, w in ((PIE, wl), (PIE, wl2), (PID, wl2)):
+        with pytest.raises(LengthError):
+            infer(engine, config, weights, w, sink=sink)
+        with pytest.raises(LengthError):
+            reference_decode(config, weights, w, engine, sink=sink)
+        assert sink.kind_totals() == {}
+
+
+@pytest.mark.parametrize("n_p", [0, 2])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_layout_puts_every_token_where_its_engine_reads_it(setup, engine, n_p):
+    config, _, rng = setup
+    b, u = 2, 3
+    wl = make_workload(rng, config, b=b, u=u, n_p=n_p)
+    xs = [inst.x.tolist() for inst in wl.instances]
+    zs = [z.tolist() for inst in wl.instances for z in inst.prompts]
+    enc, prefix, kv_group = _layout(engine, wl)
+    if engine == PIE:
+        want_enc = [xs[s // u] + [SEP] + zs[s] if n_p else xs[s // u] for s in range(b * u)]
+        want_prefix, want_group = [[BOS]] * (b * u), 1
+    else:
+        want_enc = xs
+        want_prefix, want_group = (zs if n_p else [[BOS]] * (b * u)), u
+    for got, want in ((enc, want_enc), (prefix, want_prefix)):
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+    assert kv_group == want_group
 
 
 def test_pie_decode_longer_than_max_len_raises_before_any_kernel(setup):

@@ -118,10 +118,32 @@ def test_attention_rows_sum_to_one_under_causal_mask(sink):
 
 
 def test_encoder_rejects_empty_and_overlength(tiny_config, tiny_weights, sink):
-    with pytest.raises(LengthError):
-        encode_batch(tiny_config, tiny_weights, [np.array([], dtype=np.int64)], sink)
-    with pytest.raises(LengthError):
-        encode_batch(tiny_config, tiny_weights, [np.zeros(65, dtype=np.int64)], sink)
+    # every bad input raises before any kernel counts; ids are checked by the lookup
+    vocab, max_len = tiny_config.vocab_size, tiny_config.max_len
+    cases = [
+        ([np.array([], dtype=np.int64)], LengthError, "encoder block"),
+        ([np.zeros(max_len + 1, dtype=np.int64)], LengthError, "encoder block"),
+        (np.array([5, 6, 7]), LengthError, "encoder block"),  # 1-D
+        (np.zeros((2, 0), dtype=np.int64), LengthError, "encoder block"),
+        (np.full((2, max_len + 1), 5), LengthError, "encoder block"),
+        ([[5, 6, vocab]], ShapeError, "gather"),
+        ([[5, -1, 6]], ShapeError, "gather"),
+        ([[5, 6], [7]], ValueError, None),  # ragged: NumPy refuses the block
+    ]
+    for tokens, error, match in cases:
+        with pytest.raises(error, match=match):
+            encode_batch(tiny_config, tiny_weights, tokens, sink)
+        assert sink.kind_totals() == {}
+
+
+def test_encoder_block_and_the_list_of_its_rows_agree_bit_for_bit(tiny_config, tiny_weights):
+    block = np.random.default_rng(6).integers(4, tiny_config.vocab_size, size=(3, 7))
+    block_sink, list_sink = CounterSink(), CounterSink()
+    a = encode_batch(tiny_config, tiny_weights, block, block_sink)
+    b = encode_batch(tiny_config, tiny_weights, list(block), list_sink)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape) == (F32, (3, 7, tiny_config.d_model))
+    assert a.tobytes() == b.tobytes()
+    assert block_sink.kind_totals() == list_sink.kind_totals()
 
 
 def test_encoder_deterministic(tiny_config, tiny_weights):
