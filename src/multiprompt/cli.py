@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 resource guard
 tripped.  Report documents are JSON (one object) and CSV with a fixed
 column order; the ``MULTIPROMPT_OUT_DIR`` environment variable supplies
-the default directory for relative output paths.
+the default directory for relative output paths.  With ``--json``,
+standard output carries the document alone and a command's table goes to
+standard error.
 """
 
 from __future__ import annotations
@@ -77,6 +79,12 @@ def _load_profile(parser, raw: str | None) -> cm.HardwareProfile:
         parser.error(f"cannot load hardware profile {raw!r}: {exc}")
 
 
+def _table_stream(args):
+    """Where a command prints its table: standard error when ``--json``
+    gives standard output to the document alone."""
+    return sys.stderr if args.json else sys.stdout
+
+
 def _emit(doc: dict, args, csv_rows=None, csv_columns=None) -> None:
     if args.json:
         print(json.dumps(doc, sort_keys=True, indent=2))
@@ -140,22 +148,29 @@ def cmd_cost(parser, args) -> int:
         body,
     )
 
-    print(f"workload: {stem}  shape: {rep.shape_slug(shape.to_dict())}")
-    print(f"model: {model_name}  hw profile: {profile.name}")
-    print(f"note: {cm.DECODER_ROW_NOTE}")
+    table = _table_stream(args)
+    print(f"workload: {stem}  shape: {rep.shape_slug(shape.to_dict())}", file=table)
+    print(f"model: {model_name}  hw profile: {profile.name}", file=table)
+    print(f"note: {cm.DECODER_ROW_NOTE}", file=table)
     for engine in ENGINES:
         for mode in modes:
             bd = breakdowns[engine][mode]
-            print(f"\n[{engine} / {mode}]  (memory in symbols, x4 for bytes)")
-            print(f"  {'component':<22}{'memory':>14}{'operations':>16}")
+            print(f"\n[{engine} / {mode}]  (memory in symbols, x4 for bytes)", file=table)
+            print(f"  {'component':<22}{'memory':>14}{'operations':>16}", file=table)
             for comp, cell in bd["components"].items():
-                print(f"  {comp:<22}{cell['memory_symbols']:>14}{cell['ops_symbols']:>16}")
+                print(
+                    f"  {comp:<22}{cell['memory_symbols']:>14}{cell['ops_symbols']:>16}",
+                    file=table,
+                )
         print(f"  inverse intensity: " + ", ".join(
             f"{k}={v:.6g}" for k, v in intensity[engine].items()
-        ))
-        print(f"  roofline total: {roofline[engine]['total_seconds']:.6g} s ({profile.name})")
+        ), file=table)
+        print(
+            f"  roofline total: {roofline[engine]['total_seconds']:.6g} s ({profile.name})",
+            file=table,
+        )
     if ratio is not None:
-        print(f"\nwhole-model flop ratio (pid/pie): {ratio:.4f}")
+        print(f"\nwhole-model flop ratio (pid/pie): {ratio:.4f}", file=table)
 
     csv_rows = []
     for engine in ENGINES:
@@ -215,24 +230,28 @@ def cmd_bench(parser, args) -> int:
         },
         result.to_dict(),
     )
+    table = _table_stream(args)
     for engine, t in sorted(result.engines.items()):
         flag = "  UNSTABLE" if t.unstable else ""
         faults = "n/a" if t.minor_faults_per_op is None else f"{t.minor_faults_per_op:.0f}"
         print(
             f"{engine}: single {t.single_mean_s * 1e3:.2f} ms mean "
             f"(median {t.single_median_s * 1e3:.2f}, std {t.single_std_s * 1e3:.2f}), "
-            f"minor faults/op {faults}{flag}"
+            f"minor faults/op {faults}{flag}",
+            file=table,
         )
         for b, s in sorted(t.batched_per_instance_s.items()):
-            print(f"   batch {b}: {s * 1e3:.2f} ms/instance")
+            print(f"   batch {b}: {s * 1e3:.2f} ms/instance", file=table)
         print(
             f"   optimal batch {t.optimal_batch}, tokens {t.token_checksum}, "
-            f"wasted stream-steps {t.wasted_stream_steps}"
+            f"wasted stream-steps {t.wasted_stream_steps}",
+            file=table,
         )
     if result.speedup_single is not None:
         print(
             f"speedup pid vs pie: single {result.speedup_single:.2f}x, "
-            f"batched {result.speedup_batched:.2f}x"
+            f"batched {result.speedup_batched:.2f}x",
+            file=table,
         )
         print(
             f"flop ratio measured {result.measured_flop_ratio:.4f}"
@@ -240,7 +259,8 @@ def cmd_bench(parser, args) -> int:
                 f", analytic {result.analytic_flop_ratio:.4f}"
                 if result.analytic_flop_ratio is not None
                 else ""
-            )
+            ),
+            file=table,
         )
     csv_rows = [
         {
@@ -268,8 +288,9 @@ def cmd_verify(parser, args) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
+    table = _table_stream(args)
     for r in results:
-        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}")
+        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}", file=table)
     passed = all(r.passed for r in results)
     run_id = f"verify-s{args.seed}"
     doc = rep.make_document(
@@ -282,7 +303,7 @@ def cmd_verify(parser, args) -> int:
         },
         {"checks": [r.to_dict() for r in results], "all_passed": passed},
     )
-    print(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
+    print(f"{sum(r.passed for r in results)}/{len(results)} checks passed", file=table)
     csv_rows = [
         {"run_id": run_id, "check": r.name, "passed": r.passed} for r in results
     ]
@@ -333,16 +354,19 @@ def cmd_train_toy(parser, args) -> int:
          "layouts": list(layouts), "hw_profile": None},
         body,
     )
+    table = _table_stream(args)
     for layout, run in runs.items():
         print(
             f"{layout}: loss {run.losses[0]:.3f} -> {run.losses[-1]:.4f}, "
             f"held-out exact match {run.exact_match:.3f}, "
-            f"epoch flops {run.flops_per_epoch}"
+            f"epoch flops {run.flops_per_epoch}",
+            file=table,
         )
     if measured is not None:
         print(
             f"epoch flop ratio pie/pid: measured {measured:.3f}, "
-            f"predicted {predicted:.3f}"
+            f"predicted {predicted:.3f}",
+            file=table,
         )
     csv_rows = [
         {
@@ -404,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--shape", help="explicit shape, e.g. U=8,b=1,n_s=64,n_t=8,n_p=4,d=64,h=4")
             p.add_argument("--model", help="model preset (toy, t5-base-like, t5-large-like)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--json", action="store_true", help="print the JSON document to stdout")
+        p.add_argument("--json", action="store_true", help="print the JSON document to stdout, and the table to stderr")
         p.add_argument("--out", help="write the JSON document to this path")
         p.add_argument("--csv", help="write the CSV table to this path")
 

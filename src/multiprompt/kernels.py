@@ -30,20 +30,29 @@ Counting conventions, fixed package-wide:
   calls would, in the same order: :func:`attention` reports what
   :func:`bmm`, :func:`softmax_rows` and :func:`bmm` would,
   :func:`attention_backward` what two :func:`bmm` calls,
-  :func:`softmax_rows_backward` and two more :func:`bmm` calls would, and
+  :func:`softmax_rows_backward` and two more :func:`bmm` calls would,
   :func:`matmul` with a GEMM epilogue (``scale=`` or ``residual=``) what
-  :func:`matmul` followed by :func:`scale` or :func:`add` would.  It keeps
-  every constituent's finite check that can fire and names the constituent
-  that failed in its error; the softmax inside :func:`attention` cannot
-  fail once its scores are finite.  Fusion changes what is allocated,
-  re-read and checked on the host, never the counted traffic.
+  :func:`matmul` followed by :func:`scale` or :func:`add` would, and
+  :func:`embed_rows` what :func:`gather_rows`, :func:`scale` and
+  :func:`add` would.  It keeps every constituent's finite check that can
+  fire and names the constituent that failed in its error; the softmax
+  inside :func:`attention` cannot fail once its scores are finite.  Fusion
+  changes what is allocated, re-read and checked on the host, never the
+  counted traffic.
 * The two attention kernels run their ``B`` slices in chunks whose
   score-shaped arrays fit ``ATTENTION_CHUNK_BYTES`` (a forward chunk holds
   whole runs of its mask), each constituent on a chunk before the next
   chunk.  Every slice and row is computed by the same NumPy call on the
   same operands as unchunked, so chunking changes neither bits nor
   counts; a non-finite output raises at the first chunk and constituent
-  that produces one.
+  that produces one.  When one chunk holds every slice, as it does at the
+  benchmark's shapes for every decode step, every inference prefill and
+  pid's encoder, :func:`attention` skips the loop: its products run on the
+  whole operands and allocate their own outputs, with no chunk buffers.
+* The forward kernels and the index and finite checks call their
+  reductions as ufunc methods (``np.add.reduce``, ``np.maximum.reduce``):
+  the same loops the ndarray methods reach through a Python wrapper, so a
+  small decode-step call costs less without changing a bit.
 
 Allocation: every kernel allocates its outputs and temporaries as the
 plain NumPy expression does; ``out=`` names only an array the kernel
@@ -285,7 +294,7 @@ def _as_f32_matrix(a: np.ndarray, name: str, ndim: int) -> np.ndarray:
 
 
 def _finite(x: np.ndarray) -> bool:
-    return not x.size or np.isfinite(x).all()
+    return not x.size or np.logical_and.reduce(np.isfinite(x), axis=None)
 
 
 def _non_finite(kind: str) -> FloatingPointError:
@@ -395,8 +404,8 @@ def _chunk_slices(slices: int, slice_bytes: int, run: int) -> int:
 
 def _check_visible(mask: np.ndarray) -> None:
     """Raise :class:`MaskError` if ``mask`` hides every entry of a row."""
-    visible = mask.any(axis=1)
-    if not visible.all():
+    visible = np.logical_or.reduce(mask, axis=1)
+    if not np.logical_and.reduce(visible):
         raise MaskError(f"softmax row {int(np.flatnonzero(~visible)[0])} has no visible entries")
 
 
@@ -412,9 +421,9 @@ def _softmax_in_place(flat: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
         # hidden lanes may exceed the visible row max and would overflow;
         # at -inf they neither set the max nor survive the exponent
         np.copyto(flat.reshape(-1, *mask.shape), -np.inf, where=~mask)
-    flat -= flat.max(axis=1, keepdims=True)
+    flat -= np.maximum.reduce(flat, axis=1, keepdims=True)
     np.exp(flat, out=flat)
-    sums = flat.sum(axis=1, keepdims=True)
+    sums = np.add.reduce(flat, axis=1, keepdims=True)
     flat /= sums
     return sums
 
@@ -502,9 +511,16 @@ def attention(
         if slices * rows * m:
             _check_visible(mask_rows)
     count_attention(sink, slices, rows, dh, m, v4.shape[2], mask_rows is not None)
+    step = _chunk_slices(slices, 4 * rows * m, run)
+    if step >= slices:
+        # one chunk holds every slice: the same three calls on the whole
+        # operands, with no chunk buffers or slicing
+        probs = _check_finite(np.matmul(q4, k4), "bmm")
+        if probs.size:
+            _softmax_in_place(probs.reshape(-1, m), mask_rows)
+        return probs, _check_finite(np.matmul(probs, v4), "bmm")
     probs = np.empty((slices, rows, m), F32)
     ctx = np.empty((slices, rows, v4.shape[2]), F32)
-    step = _chunk_slices(slices, 4 * rows * m, run)
     for s in range(0, slices, step):
         e = s + step
         scores = _check_finite(np.matmul(q4[s:e], k4[s:e], out=probs[s:e]), "bmm")
@@ -638,12 +654,15 @@ def layer_norm(a: np.ndarray, gain: np.ndarray, sink: CounterSink) -> np.ndarray
     count_layer_norm(sink, n, m)
     # the centred rows serve the variance and then become the output; an
     # overflow warns here and raises at the variance check below
-    mean = a.sum(axis=1, keepdims=True)
+    mean = np.add.reduce(a, axis=1, keepdims=True)
     mean /= m
     out = a - mean
-    var = np.multiply(out, out).sum(axis=1, keepdims=True)
+    var = np.add.reduce(np.multiply(out, out), axis=1, keepdims=True)
     var /= m
-    if not np.isfinite(var).all():
+    # every variance is a sum of squares, >= 0 or NaN, so the largest is
+    # finite exactly when all are; the max has no identity, so a block of
+    # no rows skips the check and returns its empty output
+    if n and not math.isfinite(np.maximum.reduce(var, axis=None)):
         raise FloatingPointError("layer_norm row variance overflowed float32")
     var += LN_EPS
     out /= np.sqrt(var, out=var)
@@ -752,11 +771,12 @@ def _row_indices(indices: np.ndarray, rows: int, kind: str) -> np.ndarray:
     indices = np.asarray(indices)
     if indices.ndim != 1:
         raise ShapeError(f"{kind} indices must be 1-D, got shape {indices.shape}")
-    if indices.size and (indices.min() < 0 or indices.max() >= rows):
-        raise ShapeError(
-            f"{kind} index out of range: table has {rows} rows, "
-            f"indices span [{indices.min()}, {indices.max()}]"
-        )
+    if indices.size:
+        lo, hi = np.minimum.reduce(indices), np.maximum.reduce(indices)
+        if lo < 0 or hi >= rows:
+            raise ShapeError(
+                f"{kind} index out of range: table has {rows} rows, indices span [{lo}, {hi}]"
+            )
     return indices
 
 
@@ -770,6 +790,46 @@ def gather_rows(table: np.ndarray, indices: np.ndarray, sink: CounterSink) -> np
     indices = _row_indices(indices, table.shape[0], "gather")
     count_gather(sink, indices.size, table.shape[1])
     return table[indices]
+
+
+def embed_rows(
+    table: np.ndarray, ids: np.ndarray, factor: float, positions: np.ndarray, sink: CounterSink
+) -> np.ndarray:
+    """Embedding of an ``ids [S,p]`` block: ``table[ids] * factor + positions``
+    as ``[S*p, d]`` rows, the ``positions [p,d]`` broadcast over the ``S`` rows
+    of the block.
+
+    Checked, counted and bit-identical as ``add(scale(gather_rows(table,
+    ids.reshape(-1)), factor), positions tiled S times)`` would be: ids out
+    of range, a ``table`` that is not 2-D float32 and ``positions`` that are
+    not float32 ``[p,d]`` raise :class:`ShapeError` before anything is
+    counted.  A non-finite output raises naming ``scale`` if the scaled
+    rows are non-finite, else ``add``.
+    """
+    table = _as_f32_matrix(table, "table", 2)
+    ids = np.asarray(ids)
+    if ids.ndim != 2:
+        raise ShapeError(f"embed ids must be a 2-D [S, p] block, got shape {ids.shape}")
+    s, p = ids.shape
+    d = table.shape[1]
+    flat = _row_indices(ids.reshape(-1), table.shape[0], "gather")
+    positions = np.asarray(positions)
+    if positions.shape != (p, d) or positions.dtype != F32:
+        raise ShapeError(
+            f"embed positions must be float32 ({p}, {d}), got {positions.dtype} {positions.shape}"
+        )
+    count_gather(sink, s * p, d)
+    count_elementwise(sink, "scale", s * p * d, 1)
+    count_elementwise(sink, "add", s * p * d, 2)
+    out = table[flat]
+    out *= F32(factor)
+    np.add(out.reshape(s, p, d), positions, out=out.reshape(s, p, d))
+    # one check for both elementwise steps, as in the matmul epilogue: adding
+    # positions keeps a non-finite scaled row non-finite, and only a failed
+    # check recomputes the scaled rows
+    if not _finite(out):
+        raise _non_finite("scale" if not _finite(table[flat] * F32(factor)) else "add")
+    return out
 
 
 def scatter_add_rows(

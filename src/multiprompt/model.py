@@ -202,14 +202,13 @@ def init_weights(config: ModelConfig, seed: int) -> WeightSet:
 def _embed(weights: WeightSet, block: np.ndarray, start: int, sink: CounterSink) -> np.ndarray:
     """``[S*p, d]`` rows of a ``[S, p]`` token block at positions ``start ..
     start+p-1``; the lookup checks the ids before anything counts."""
-    s, p = block.shape
-    pos = start + np.arange(s * p) % p
+    positions = weights.positions[start : start + block.shape[1]]
     # embeddings are scaled by sqrt(d) before the position add so token
     # identity is not drowned out by the unit-magnitude sinusoids
     with sink.scope("embedding"):
-        x = kernels.gather_rows(weights.embedding, block.reshape(-1), sink)
-        x = kernels.scale(x, math.sqrt(weights.config.d_model), sink)
-        return kernels.add(x, weights.positions[pos], sink)
+        return kernels.embed_rows(
+            weights.embedding, block, math.sqrt(weights.config.d_model), positions, sink
+        )
 
 
 def _fold_heads(rows: np.ndarray, groups: int, n_heads: int) -> np.ndarray:

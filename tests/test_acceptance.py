@@ -193,8 +193,8 @@ def test_criterion_8_verify_determinism(capsys, tmp_path):
     out1 = capsys.readouterr().out
     code2 = main(list(argv))
     out2 = capsys.readouterr().out
-    doc1 = json.loads(out1[out1.index("{") :])
-    doc2 = json.loads(out2[out2.index("{") :])
+    doc1 = json.loads(out1)
+    doc2 = json.loads(out2)
     identical = body_bytes(doc1) == body_bytes(doc2)
     conclude(
         8, "verify command is deterministic",

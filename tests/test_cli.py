@@ -14,20 +14,25 @@ def run_cli(capsys, *argv):
     return code, captured.out
 
 
+def run_cli_json(capsys, *argv):
+    """Exit code, the document that is all of standard output, and the table
+    that ``--json`` sends to standard error."""
+    code = main([*argv, "--json"])
+    captured = capsys.readouterr()
+    return code, json.loads(captured.out), captured.err
+
+
 def test_cost_multiwoz_includes_ratio(capsys):
-    code, out = run_cli(capsys, "cost", "--preset", "multiwoz", "--json")
+    code, doc, table = run_cli_json(capsys, "cost", "--preset", "multiwoz")
     assert code == 0
-    doc = json.loads(out[out.index("{") :])
+    assert "whole-model flop ratio" in table
     ratio = doc["body"]["flop_ratio"]
     assert 0.05 <= ratio <= 0.2
 
 
 def test_cost_trivial_shape_rows_identical(capsys):
-    code, out = run_cli(
-        capsys, "cost", "--shape", "U=1,b=1,n_s=16,n_t=4,n_p=0,d=16,h=2", "--json"
-    )
+    code, doc, _ = run_cli_json(capsys, "cost", "--shape", "U=1,b=1,n_s=16,n_t=4,n_p=0,d=16,h=2")
     assert code == 0
-    doc = json.loads(out[out.index("{") :])
     bd = doc["body"]["breakdowns"]
     assert bd["pie"]["table1"]["components"] == bd["pid"]["table1"]["components"]
 
@@ -81,13 +86,11 @@ def test_bench_resource_guard_exit_code():
 def test_bench_tokens_deterministic_across_runs(capsys, tmp_path):
     argv = [
         "bench", "--shape", "U=2,b=1,n_s=16,n_t=3,n_p=0,d=64,h=4", "--model", "toy",
-        "--reps", "3", "--warmup", "0", "--batch-sizes", "1", "--seed", "5", "--json",
+        "--reps", "3", "--warmup", "0", "--batch-sizes", "1", "--seed", "5",
     ]
-    code1, out1 = run_cli(capsys, *argv)
-    code2, out2 = run_cli(capsys, *argv)
+    code1, doc1, _ = run_cli_json(capsys, *argv)
+    code2, doc2, _ = run_cli_json(capsys, *argv)
     assert code1 == code2 == 0
-    doc1 = json.loads(out1[out1.index("{") :])
-    doc2 = json.loads(out2[out2.index("{") :])
     sums1 = {e: t["token_checksum"] for e, t in doc1["body"]["engines"].items()}
     sums2 = {e: t["token_checksum"] for e, t in doc2["body"]["engines"].items()}
     assert sums1 == sums2
@@ -102,18 +105,18 @@ def test_bench_reports_wasted_stream_steps_per_engine(capsys):
     from multiprompt.model import init_weights
 
     # on weights seed 1 two of pid's four streams emit the end token early
-    code, out = run_cli(
+    code, doc, table = run_cli_json(
         capsys, "bench", "--shape", "U=4,b=1,n_s=16,n_t=16,n_p=2,d=64,h=4", "--model", "toy",
-        "--reps", "3", "--warmup", "0", "--batch-sizes", "1", "--seed", "1", "--json",
+        "--reps", "3", "--warmup", "0", "--batch-sizes", "1", "--seed", "1",
     )
     assert code == 0
-    engines = json.loads(out[out.index("{") :])["body"]["engines"]
+    engines = doc["body"]["engines"]
     toy = MODEL_PRESETS["toy"]
     wl = random_workload(np.random.default_rng(1), toy.vocab_size, 4, 1, 16, 2, 16)
     for engine, timing in engines.items():
         wasted = infer(engine, toy, init_weights(toy, 1), wl).wasted_stream_steps
         assert timing["wasted_stream_steps"] == wasted
-        assert f"wasted stream-steps {wasted}" in out
+        assert f"wasted stream-steps {wasted}" in table
     assert engines["pid"]["wasted_stream_steps"] == 12
     assert engines["pie"]["wasted_stream_steps"] == 0
 
@@ -126,23 +129,23 @@ def test_bench_reports_minor_faults_per_op(capsys, monkeypatch, tmp_path):
     path = tmp_path / "bench.csv"
     argv = [
         "bench", "--shape", "U=2,b=1,n_s=16,n_t=3,n_p=0,d=64,h=4", "--model", "toy",
-        "--reps", "3", "--warmup", "0", "--batch-sizes", "1", "--json", "--csv", str(path),
+        "--reps", "3", "--warmup", "0", "--batch-sizes", "1", "--csv", str(path),
     ]
-    code, out = run_cli(capsys, *argv)
+    code, doc, table = run_cli_json(capsys, *argv)
     assert code == 0
     rows = {row["engine"]: row for row in csv.DictReader(open(path))}
-    for engine, timing in json.loads(out[out.index("{") :])["body"]["engines"].items():
+    for engine, timing in doc["body"]["engines"].items():
         faults = timing["minor_faults_per_op"]
         assert isinstance(faults, float) and faults >= 0
-        assert f"{engine}: single " in out and f"minor faults/op {faults:.0f}" in out
+        assert f"{engine}: single " in table and f"minor faults/op {faults:.0f}" in table
         assert float(rows[engine]["minor_faults_per_op"]) == faults
     # without the resource module there is no count, and none is made up
     monkeypatch.setattr(bench, "resource", None)
-    code, out = run_cli(capsys, *argv)
+    code, doc, table = run_cli_json(capsys, *argv)
     assert code == 0
-    engines = json.loads(out[out.index("{") :])["body"]["engines"]
+    engines = doc["body"]["engines"]
     assert all(timing["minor_faults_per_op"] is None for timing in engines.values())
-    assert out.count("minor faults/op n/a") == 2
+    assert table.count("minor faults/op n/a") == 2
     rows = list(csv.DictReader(open(path)))
     assert len(rows) == 2 and all(row["minor_faults_per_op"] == "" for row in rows)
 
@@ -203,13 +206,12 @@ def test_cost_csv_rows_use_their_own_mode_roofline(tmp_path):
 def test_verify_subset_deterministic_json(capsys):
     argv = [
         "verify", "--checks", "counter_additivity,intensity_formulas,flop_ratio_presets",
-        "--seed", "3", "--json",
+        "--seed", "3",
     ]
-    code1, out1 = run_cli(capsys, *argv)
-    code2, out2 = run_cli(capsys, *argv)
+    code1, doc1, table = run_cli_json(capsys, *argv)
+    code2, doc2, _ = run_cli_json(capsys, *argv)
     assert code1 == code2 == 0
-    doc1 = json.loads(out1[out1.index("{") :])
-    doc2 = json.loads(out2[out2.index("{") :])
+    assert table.splitlines()[-1] == "3/3 checks passed"
     assert body_bytes(doc1) == body_bytes(doc2)
 
 

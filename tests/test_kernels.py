@@ -12,7 +12,7 @@ from multiprompt import kernels
 from multiprompt.engines import Instance, Workload, infer
 from multiprompt.errors import MaskError, ShapeError
 from multiprompt.kernels import CounterSink
-from multiprompt.model import N_RESERVED
+from multiprompt.model import N_RESERVED, sinusoid_table
 
 F32 = np.float32
 
@@ -229,6 +229,63 @@ def test_row_mean_bound_rejects_a_mean_shifted_output():
     assert row_means_within_float32_bound(a, out)
     # well-conditioned rows allow a few 1e-6; a shift the old atol=1e-5 let through fails
     assert not row_means_within_float32_bound(a, out + F32(5e-6))
+
+
+def all_finite_layer_norm(a, gain, sink):
+    """:func:`kernels.layer_norm` with its variance checked entry by entry,
+    by ``np.isfinite(var).all()``."""
+    m = a.shape[1]
+    kernels.count_layer_norm(sink, *a.shape)
+    mean = a.sum(axis=1, keepdims=True)
+    mean /= m
+    out = a - mean
+    var = np.multiply(out, out).sum(axis=1, keepdims=True)
+    var /= m
+    if not np.isfinite(var).all():
+        raise FloatingPointError("layer_norm row variance overflowed float32")
+    var += kernels.LN_EPS
+    out /= np.sqrt(var, out=var)
+    out *= gain
+    if out.size and not np.isfinite(out).all():
+        raise FloatingPointError("layer_norm produced non-finite values")
+    return out
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1.0, np.nan, 2.0]],
+        [[1.0, np.inf, 2.0]],
+        [[1.0, -np.inf, 2.0]],
+        [[1e20, -1e20, 0.0]],  # finite entries whose squares overflow
+        [[-1e20, 3.0, 1e20], [1.0, 2.0, 3.0]],
+        [[1.0, 2.0, 3.0], [np.nan, 0.0, 0.0], [1e20, -1e20, 0.0]],  # NaN before +inf
+        [[1.0, 2.0, 3.0], [np.inf, 0.0, 0.0], [np.nan, 0.0, 0.0]],  # +inf before NaN
+        [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],  # zero variance, kept finite by the epsilon
+        [[3e38, 3e38, 3e38]],
+        np.zeros((0, 3)),  # no rows
+        np.zeros((2, 0)),  # rows without columns: a 0/0 variance
+    ],
+    ids=[
+        "nan", "inf", "negative_inf", "squares_overflow", "squares_overflow_first_row",
+        "nan_then_overflow", "inf_then_nan", "all_zero_rows", "huge_constant_row", "zero_rows",
+        "zero_columns",
+    ],
+)
+def test_layer_norm_variance_check_agrees_with_the_entrywise_check(rows):
+    # every variance is >= 0 or NaN, so one max over them is finite exactly
+    # when every entry is; the max has no identity, and a block of no rows
+    # returns its empty output as the entrywise check lets it
+    a = np.array(rows, F32)
+    gain = np.ones(a.shape[1], F32)
+    got, counts = outcome(kernels.layer_norm, a, gain)
+    want, want_counts = outcome(all_finite_layer_norm, a, gain)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert counts == want_counts
 
 
 def test_layer_norm_backward_matches_finite_differences():
@@ -973,6 +1030,8 @@ def test_attention_backward_raises_like_five_kernels(salts, error, monkeypatch):
         (4, 0, 3, None, 1, 1, 1),  # empty r*m: one chunk
         (4, 3, 0, 3, 1, 1, 1),
         (64, 197, 197, None, None, 11, 22),  # pie's encoder on shared-input
+        (4, 192, 192, None, None, 1, 2),  # pid's encoder on shared-input
+        (8, 128, 128, None, None, 1, 1),  # pid's encoder on long-decode
     ],
 )
 def test_attention_kernels_make_one_pass_per_chunk(
@@ -999,6 +1058,39 @@ def test_attention_kernels_make_one_pass_per_chunk(
     chunk_budget(monkeypatch, chunk, 8 * r * m)
     kernels.attention_backward(q4, k4, v4, probs, ctx, CounterSink())
     assert len(products) == 4 * backward_chunks and sum(products) == 4 * slices
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("slices, r, chunk", [(8, 1, 1), (8, 1, 3), (6, 3, 2), (4, 4, 1)])
+def test_attention_one_chunk_path_equals_the_chunk_loop(slices, r, chunk, masked, monkeypatch):
+    # keys and values are strided views of head-major caches, read up to the
+    # filled length as the decoder's self-attention reads them; with the
+    # module's budget one chunk holds every slice and the products write no
+    # ``out=``, with a smaller one the loop writes each chunk into its buffers
+    rng = np.random.default_rng(slices * r + chunk)
+    dh, capacity, end = 4, 12, 9
+    k4 = rand(rng, slices, dh, capacity)[:, :, :end]
+    v4 = rand(rng, slices, capacity, dh)[:, :end]
+    q4 = (rand(rng, slices, r, dh) * 4).astype(F32)
+    mask_rows = np.tri(r, end, end - r, dtype=bool) if masked else None
+    outs = []
+    matmul = np.matmul
+
+    def recorded(*args, **kwargs):
+        outs.append("out" in kwargs)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    whole, whole_counts = outcome(kernels.attention, q4, k4, v4, mask_rows=mask_rows)
+    assert outs == [False, False]
+    outs.clear()
+    chunk_budget(monkeypatch, chunk, 4 * r * end)
+    looped, loop_counts = outcome(kernels.attention, q4, k4, v4, mask_rows=mask_rows)
+    assert outs == [True, True] * -(-slices // chunk)
+    for w, lp in zip(whole, looped, strict=True):
+        assert w.dtype == lp.dtype and w.shape == lp.shape
+        assert w.tobytes() == lp.tobytes()
+    assert whole_counts == loop_counts
 
 
 # -- matmul epilogues equal matmul -> scale and matmul -> add ------------------------
@@ -1099,3 +1191,84 @@ def test_matmul_takes_one_epilogue():
     ones = np.ones((1, 1), F32)
     with pytest.raises(ValueError, match="not both"):
         kernels.matmul(ones, ones, CounterSink(), scale=2.0, residual=ones)
+
+
+# -- the fused embedding equals gather_rows -> scale -> add -------------------------
+
+
+def three_kernel_embed(table, ids, factor, positions, sink):
+    rows = kernels.gather_rows(table, ids.reshape(-1), sink)
+    scaled = kernels.scale(rows, factor, sink)
+    return kernels.add(scaled, np.tile(positions, (len(ids), 1)), sink)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    s=st.integers(1, 5),
+    p=st.integers(1, 6),
+    start=st.integers(0, 6),
+    d=st.integers(1, 8),
+    seed=st.integers(0, 2**31),
+)
+@example(s=1, p=1, start=0, d=4, seed=0)  # a decode step of one stream
+@example(s=3, p=1, start=5, d=4, seed=1)  # a decode step of three streams
+@example(s=2, p=4, start=3, d=6, seed=2)  # a prefill past the first position
+def test_embed_rows_bit_identical_to_three_kernels(s, p, start, d, seed):
+    rng = np.random.default_rng(seed)
+    table = rand(rng, 11, d)
+    ids = rng.integers(0, 11, size=(s, p))
+    positions = sinusoid_table(start + p, d)[start:]
+    operands = (table, ids, math.sqrt(d), positions)
+    got, counts = outcome(kernels.embed_rows, *operands)
+    want, want_counts = outcome(three_kernel_embed, *operands)
+    assert got.dtype == want.dtype and got.shape == want.shape == (s * p, d)
+    assert got.tobytes() == want.tobytes()
+    assert counts == want_counts
+
+
+EMBED_TABLE = np.arange(12, dtype=F32).reshape(4, 3)
+EMBED_POSITIONS = np.ones((2, 3), F32)
+
+
+@pytest.mark.parametrize(
+    "table, ids, positions, error",
+    [
+        (EMBED_TABLE, np.array([[0, 4]]), EMBED_POSITIONS,
+         (ShapeError, "gather index out of range: table has 4 rows, indices span [0, 4]")),
+        (EMBED_TABLE, np.array([[-1, 2], [1, 0]]), EMBED_POSITIONS,
+         (ShapeError, "gather index out of range: table has 4 rows, indices span [-1, 2]")),
+        (EMBED_TABLE, np.array([[0, 1]]), np.ones((3, 3), F32),
+         (ShapeError, "embed positions must be float32 (2, 3), got float32 (3, 3)")),
+        (EMBED_TABLE, np.array([[0, 1]]), np.ones((2, 3)),
+         (ShapeError, "embed positions must be float32 (2, 3), got float64 (2, 3)")),
+        (EMBED_TABLE.astype(np.float64), np.array([[0, 1]]), EMBED_POSITIONS,
+         (ShapeError, "table must be float32, got float64")),
+        # non-finite outputs, with every constituent's counts recorded
+        (salted((4, 3), (2, 1), 1e38, fill=0.0), np.array([[0, 2]]), EMBED_POSITIONS,
+         (FloatingPointError, "scale produced non-finite values")),
+        (salted((4, 3), (2, 1), np.nan, fill=0.0), np.array([[2, 0], [0, 0]]), EMBED_POSITIONS,
+         (FloatingPointError, "scale produced non-finite values")),
+        (salted((4, 3), (1, 0), 8e37, fill=0.0), np.array([[0, 1]]),
+         salted((2, 3), (1, 0), 3e38, fill=0.0),
+         (FloatingPointError, "add produced non-finite values")),
+        (EMBED_TABLE, np.array([[0, 1]]), salted((2, 3), (0, 2), np.inf),
+         (FloatingPointError, "add produced non-finite values")),
+    ],
+    ids=[
+        "id_equal_to_vocab", "negative_id", "position_rows", "float64_positions",
+        "float64_table", "scale_overflow", "nan_table_entry", "add_overflow", "inf_position",
+    ],
+)
+def test_embed_rows_raises_like_three_kernels(table, ids, positions, error):
+    # the factor 4 (sqrt(16)) takes 8e37 to 3.2e38, still finite, and 1e38 past
+    # float32's max of 3.4e38
+    assert_fails_fast(
+        kernels.embed_rows, three_kernel_embed, error, table, ids, 4.0, positions
+    )
+
+
+def test_embed_rows_takes_a_two_d_block():
+    sink = CounterSink()
+    with pytest.raises(ShapeError, match=r"2-D \[S, p\] block"):
+        kernels.embed_rows(EMBED_TABLE, np.array([0, 1]), 1.0, EMBED_POSITIONS, sink)
+    assert sink.kind_totals() == {}

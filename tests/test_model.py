@@ -203,13 +203,13 @@ def test_decoder_step_on_fresh_state_equals_full_forward(tiny_config, tiny_weigh
 def test_decode_step_kernel_calls(tiny_config, tiny_weights, monkeypatch):
     # per decoder layer, 14 calls: self-attention 6 (norm, Q projection with
     # its scale, K, V, attention core, output projection with its residual),
-    # cross-attention 4 and feed-forward 4; then the embedding's gather,
-    # scale and position add, the final norm and the head
+    # cross-attention 4 and feed-forward 4; then the embedding (gather, scale
+    # and position add in one kernel), the final norm and the head
     memory = encode_batch(tiny_config, tiny_weights, [np.array([5, 6, 7])], CounterSink())
     state = _fresh_state(tiny_config, tiny_weights, memory, CounterSink())
     calls = Counter()
     for name in ("matmul", "bmm", "attention", "softmax_rows", "layer_norm", "add", "scale",
-                 "relu", "gather_rows"):
+                 "relu", "gather_rows", "embed_rows"):
         def counted(*args, _name=name, _kernel=getattr(kernels, name), **kwargs):
             calls[_name] += 1
             return _kernel(*args, **kwargs)
@@ -218,10 +218,10 @@ def test_decode_step_kernel_calls(tiny_config, tiny_weights, monkeypatch):
     decoder_step(tiny_config, tiny_weights, state, np.array([BOS]), CounterSink())
     layers = tiny_config.n_dec_layers
     assert calls == Counter(
-        gather_rows=1, scale=1, add=1, layer_norm=3 * layers + 1, matmul=8 * layers + 1,
+        embed_rows=1, layer_norm=3 * layers + 1, matmul=8 * layers + 1,
         attention=2 * layers, relu=layers,
     )
-    assert sum(calls.values()) == 14 * layers + 5 == 33
+    assert sum(calls.values()) == 14 * layers + 3 == 31
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
