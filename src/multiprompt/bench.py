@@ -74,22 +74,6 @@ class EngineTiming:
     minor_faults_per_op: float | None
     unstable: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "engine": self.engine,
-            "single_mean_s": self.single_mean_s,
-            "single_std_s": self.single_std_s,
-            "single_median_s": self.single_median_s,
-            "batched_per_instance_s": {str(k): v for k, v in self.batched_per_instance_s.items()},
-            "optimal_batch": self.optimal_batch,
-            "optimal_per_instance_s": self.optimal_per_instance_s,
-            "total_flops": self.total_flops,
-            "token_checksum": self.token_checksum,
-            "wasted_stream_steps": self.wasted_stream_steps,
-            "minor_faults_per_op": self.minor_faults_per_op,
-            "unstable": self.unstable,
-        }
-
 
 @dataclass
 class LatencyReport:
@@ -102,19 +86,6 @@ class LatencyReport:
     speedup_batched: float | None = None
     measured_flop_ratio: float | None = None
     analytic_flop_ratio: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "shape": self.shape.to_dict(),
-            "seed": self.seed,
-            "repetitions": self.repetitions,
-            "warmup": self.warmup,
-            "engines": {k: v.to_dict() for k, v in sorted(self.engines.items())},
-            "speedup_single": self.speedup_single,
-            "speedup_batched": self.speedup_batched,
-            "measured_flop_ratio": self.measured_flop_ratio,
-            "analytic_flop_ratio": self.analytic_flop_ratio,
-        }
 
 
 def random_workload(

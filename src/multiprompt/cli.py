@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import costmodel as cm
@@ -85,16 +86,17 @@ def _table_stream(args):
     return sys.stderr if args.json else sys.stdout
 
 
-def _emit(doc: dict, args, csv_rows=None, csv_columns=None) -> None:
+def _emit(doc: dict, args, csv_rows: list[dict]) -> None:
+    """Print and write ``doc`` as ``args`` ask; the CSV header is the first row's keys."""
     if args.json:
         print(json.dumps(doc, sort_keys=True, indent=2))
     out = _out_path(args.out)
     if out:
         rep.write_json(doc, out)
         print(f"wrote {out}", file=sys.stderr)
-    csv_out = _out_path(getattr(args, "csv", None))
-    if csv_out and csv_rows is not None:
-        rep.write_csv(csv_rows, csv_columns, csv_out)
+    csv_out = _out_path(args.csv)
+    if csv_out:
+        rep.write_csv(csv_rows, list(csv_rows[0]), csv_out)
         print(f"wrote {csv_out}", file=sys.stderr)
 
 
@@ -188,7 +190,7 @@ def cmd_cost(parser, args) -> int:
                         "hw_profile": profile.name,
                     }
                 )
-    _emit(doc, args, csv_rows, rep.COST_COLUMNS)
+    _emit(doc, args, csv_rows)
     return EXIT_OK
 
 
@@ -228,7 +230,7 @@ def cmd_bench(parser, args) -> int:
             "batch_sizes": list(batch_sizes), "hw_profile": None,
             "workload_note": "synthetic instances of matching shape stand in for corpus data",
         },
-        result.to_dict(),
+        asdict(result),
     )
     table = _table_stream(args)
     for engine, t in sorted(result.engines.items()):
@@ -265,7 +267,7 @@ def cmd_bench(parser, args) -> int:
     csv_rows = [
         {
             "run_id": run_id, "preset": args.preset, "engine": engine,
-            **{k: v for k, v in t.to_dict().items() if k != "batched_per_instance_s"},
+            **{k: v for k, v in asdict(t).items() if k != "batched_per_instance_s"},
             "speedup_single": result.speedup_single,
             "speedup_batched": result.speedup_batched,
             "measured_flop_ratio": result.measured_flop_ratio,
@@ -273,7 +275,7 @@ def cmd_bench(parser, args) -> int:
         }
         for engine, t in sorted(result.engines.items())
     ]
-    _emit(doc, args, csv_rows, rep.BENCH_COLUMNS)
+    _emit(doc, args, csv_rows)
     return EXIT_OK
 
 
@@ -301,13 +303,13 @@ def cmd_verify(parser, args) -> int:
             "inject_fault": args.inject_fault, "hw_profile": None,
             "checks": names or (list(DEFAULT_CHECKS) + (list(FULL_ONLY_CHECKS) if args.full else [])),
         },
-        {"checks": [r.to_dict() for r in results], "all_passed": passed},
+        {"checks": [asdict(r) for r in results], "all_passed": passed},
     )
     print(f"{sum(r.passed for r in results)}/{len(results)} checks passed", file=table)
     csv_rows = [
         {"run_id": run_id, "check": r.name, "passed": r.passed} for r in results
     ]
-    _emit(doc, args, csv_rows, rep.VERIFY_COLUMNS)
+    _emit(doc, args, csv_rows)
     return EXIT_OK if passed else EXIT_CHECK_FAILURE
 
 
@@ -336,14 +338,7 @@ def cmd_train_toy(parser, args) -> int:
             "n_s": spec.n_s, "vocab_size": spec.vocab_size,
             "n_instances": spec.n_instances, "optimizer": "sgd",
         },
-        "layouts": {
-            layout: {
-                "losses": run.losses,
-                "exact_match": run.exact_match,
-                "epoch_flops": run.epoch_flops,
-            }
-            for layout, run in runs.items()
-        },
+        "layouts": {layout: asdict(run) for layout, run in runs.items()},
         "measured_epoch_flop_ratio": measured,
         "predicted_epoch_flop_ratio": predicted,
     }
@@ -377,7 +372,7 @@ def cmd_train_toy(parser, args) -> int:
         }
         for layout, run in runs.items()
     ]
-    _emit(doc, args, csv_rows, rep.TRAIN_COLUMNS)
+    _emit(doc, args, csv_rows)
     return EXIT_OK
 
 

@@ -216,7 +216,8 @@ class _Scope:
 #
 # The one copy of each kernel kind's counts.  Each kernel records through
 # these after its checks pass, and ``costmodel.predict_run_counters``
-# replays an engine run through them from shapes alone.
+# replays an engine run through them from shapes alone.  Training records its
+# loss gradient and SGD update through ``count_loss_grad`` and ``count_sgd``.
 
 
 def count_matmul(sink: CounterSink, m: int, k: int, n: int, batch: int = 1) -> None:
@@ -256,6 +257,16 @@ def count_layer_norm_backward(sink: CounterSink, n: int, m: int) -> None:
 
 def count_gather(sink: CounterSink, rows: int, d: int) -> None:
     sink.add("gather", 0, 4 * rows * d, 4 * rows * d)
+
+
+def count_loss_grad(sink: CounterSink, rows: int, vocab: int) -> None:
+    """Cross-entropy's logits gradient from ``[rows, vocab]`` probabilities."""
+    sink.add("loss_grad", 3 * rows * vocab, 8 * rows * vocab, 4 * rows * vocab)
+
+
+def count_sgd(sink: CounterSink, size: int) -> None:
+    """One SGD update of a ``size``-element weight from its gradient."""
+    sink.add("sgd", 2 * size, 8 * size, 4 * size)
 
 
 # -- allocator --------------------------------------------------------------

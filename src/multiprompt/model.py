@@ -98,7 +98,11 @@ class DecoderLayerWeights:
 
 @dataclass
 class WeightSet:
-    """All trainable arrays, finite and shape-consistent with the config."""
+    """All trainable arrays, plus the untrained sinusoid position table.
+
+    Nothing checks the arrays on construction: the kernels check every
+    operand's shape and dtype, and every output's finiteness, on each call.
+    """
 
     config: ModelConfig
     embedding: np.ndarray  # [vocab, d]

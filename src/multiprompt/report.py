@@ -43,27 +43,6 @@ MERGED_COLUMNS = [
     "train_flop_ratio_predicted",
 ]
 
-COST_COLUMNS = [
-    "run_id", "preset", "engine", "mode", "component",
-    "memory_symbols", "ops_symbols", "bytes",
-    "inverse_intensity", "roofline_seconds", "hw_profile",
-]
-
-BENCH_COLUMNS = [
-    "run_id", "preset", "engine",
-    "single_mean_s", "single_std_s", "single_median_s",
-    "optimal_batch", "optimal_per_instance_s", "total_flops",
-    "token_checksum", "wasted_stream_steps", "minor_faults_per_op", "unstable",
-    "speedup_single", "speedup_batched",
-    "measured_flop_ratio", "analytic_flop_ratio",
-]
-
-VERIFY_COLUMNS = ["run_id", "check", "passed"]
-
-TRAIN_COLUMNS = [
-    "run_id", "layout", "exact_match", "flops_per_epoch", "final_loss",
-]
-
 
 def make_document(
     kind: str,

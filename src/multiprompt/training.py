@@ -14,9 +14,11 @@ The forward pass is the inference forward itself: ``encode_batch``,
 only the loss and the backward.  The backward pass is exact and runs
 through the same counted kernels as the forward pass (matrix multiplies,
 softmax/layer-norm/relu backward), so per-epoch training flops are
-measured rather than estimated.  Gradient
-buffer accumulation (the ``+=`` into weight-gradient arrays) is plain
-numpy and is not counted; it is linear in parameter count and negligible
+measured rather than estimated.  Gradients that fan in from several
+places, such as the encoder memory's from every decoder layer's
+cross-attention, accumulate through counted kernels.  Only the ``+=``
+that adds each weight's gradient into its buffer is plain NumPy and goes
+uncounted; it touches each parameter once per step, which is negligible
 next to the matmul terms.
 """
 
@@ -44,6 +46,7 @@ from .model import (
     decoder_prefill,
     encode_batch,
     init_decode_state,
+    init_weights,
 )
 
 # -- synthetic decomposable task ----------------------------------------------
@@ -223,58 +226,48 @@ def pie_batches(
 # -- forward/backward ---------------------------------------------------------------
 
 
-def _attn_backward(
-    d_out: np.ndarray, mh: dict, n_heads: int, sink: CounterSink
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward of the head-folded attention of ``model._attention_sublayer``.
-
-    ``d_out`` is ``[O*r, d]`` rows matching the context rows; ``mh`` holds
-    the taped ``q4 [O*h, r, dh]`` (already scaled by ``1/sqrt(dh)``),
-    ``k4 [O*h, dh, m]``, ``v4 [O*h, m, dh]`` and ``probs``.  Returns the
-    gradient at the unscaled query rows ``[O*r, d]`` and at the attended
-    K/V rows ``[O*m, d]`` each.
-    """
-    q4 = mh["q4"]
-    oh, _, dh = q4.shape
-    d_ctx = _fold_heads(d_out, oh // n_heads, n_heads)
-    d_q4, d_k4, d_v4 = kernels.attention_backward(q4, mh["k4"], mh["v4"], mh["probs"], d_ctx, sink)
-    d_q = kernels.scale(_unfold_heads(d_q4, n_heads), 1.0 / math.sqrt(dh), sink)
-    return d_q, _unfold_heads(d_k4, n_heads), _unfold_heads(d_v4, n_heads)
-
-
 def _attention_backward(
     name: str,
     component: str,
     attn: AttentionWeights,
     t: dict,
     dx: np.ndarray,
-    self_kv: bool,
     n_heads: int,
     grads: dict[str, np.ndarray],
     sink: CounterSink,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    memory: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Backward of ``model._attention_sublayer`` from its taped activations.
 
-    Returns ``(dx, d_k, d_v)``: the gradient at the sublayer input and at
-    the attended K/V rows.  With ``self_kv`` the K/V were projected from the
-    sublayer's own normed input, so their weight gradients and their share
-    of the input gradient are taken here; otherwise the caller owns them.
+    The tape's ``q4`` is already scaled by ``1/sqrt(dh)``.  Self-attention
+    projected its K/V from its own normed rows; cross-attention passes
+    ``memory``: the encoder rows it projected them from and their gradient
+    so far.  Returns ``(dx, d_rows)``: the gradients at the sublayer input
+    and at the K/V source rows, this sublayer's share included.
     """
     with sink.scope(component):
         grads[f"{name}.w_o"] += kernels.matmul(t["ctx"].T, dx, sink)
         d_ctx = kernels.matmul(dx, attn.w_o.T, sink)
-        d_q, d_k, d_v = _attn_backward(d_ctx, t, n_heads, sink)
+        q4 = t["q4"]
+        oh, _, dh = q4.shape
+        d_q4, d_k4, d_v4 = kernels.attention_backward(
+            q4, t["k4"], t["v4"], t["probs"], _fold_heads(d_ctx, oh // n_heads, n_heads), sink
+        )
+        d_q = kernels.scale(_unfold_heads(d_q4, n_heads), 1.0 / math.sqrt(dh), sink)
+        d_k, d_v = _unfold_heads(d_k4, n_heads), _unfold_heads(d_v4, n_heads)
         normed = t["normed"]
         grads[f"{name}.w_q"] += kernels.matmul(normed.T, d_q, sink)
         d_normed = kernels.matmul(d_q, attn.w_q.T, sink)
-        if self_kv:
-            grads[f"{name}.w_k"] += kernels.matmul(normed.T, d_k, sink)
-            grads[f"{name}.w_v"] += kernels.matmul(normed.T, d_v, sink)
-            d_normed = kernels.matmul(d_k, attn.w_k.T, sink, residual=d_normed)
-            d_normed = kernels.matmul(d_v, attn.w_v.T, sink, residual=d_normed)
+        rows, d_rows = (normed, d_normed) if memory is None else memory
+        grads[f"{name}.w_k"] += kernels.matmul(rows.T, d_k, sink)
+        grads[f"{name}.w_v"] += kernels.matmul(rows.T, d_v, sink)
+        d_rows = kernels.matmul(d_k, attn.w_k.T, sink, residual=d_rows)
+        d_rows = kernels.matmul(d_v, attn.w_v.T, sink, residual=d_rows)
+        if memory is None:
+            d_normed = d_rows
         d_ln, dg = kernels.layer_norm_backward(t["x_in"], attn.gain, d_normed, sink)
         grads[f"{name}.gain"] += dg
-        return kernels.add(dx, d_ln, sink), d_k, d_v
+        return kernels.add(dx, d_ln, sink), d_rows
 
 
 def _ffn_backward(
@@ -347,8 +340,7 @@ def training_forward_backward(
         d_logits = probs.copy()
         d_logits[np.arange(rd), targets] -= 1.0
         d_logits *= (loss_mask / n_count).astype(F32)[:, None]
-        sink.add("loss_grad", 3 * rd * config.vocab_size, 8 * rd * config.vocab_size,
-                 4 * rd * config.vocab_size)
+        kernels.count_loss_grad(sink, rd, config.vocab_size)
     if not math.isfinite(loss):
         raise TrainingError("non-finite loss")
 
@@ -366,17 +358,12 @@ def training_forward_backward(
         layer = weights.dec_layers[li]
         t_self, t_cross, t_ffn = dec_tape[3 * li : 3 * li + 3]
         dx = _ffn_backward(f"dec.{li}.ffn", layer.ffn, t_ffn, dx, grads, sink)
-        dx, d_k, d_v = _attention_backward(
-            f"dec.{li}.cross", "decoder_cross", layer.cross_attn, t_cross, dx, False, h,
-            grads, sink,
+        dx, d_memory = _attention_backward(
+            f"dec.{li}.cross", "decoder_cross", layer.cross_attn, t_cross, dx, h, grads, sink,
+            memory=(memory_rows, d_memory),
         )
-        with sink.scope("decoder_cross"):
-            grads[f"dec.{li}.cross.w_k"] += kernels.matmul(memory_rows.T, d_k, sink)
-            d_memory += kernels.matmul(d_k, layer.cross_attn.w_k.T, sink)
-            grads[f"dec.{li}.cross.w_v"] += kernels.matmul(memory_rows.T, d_v, sink)
-            d_memory += kernels.matmul(d_v, layer.cross_attn.w_v.T, sink)
-        dx, _, _ = _attention_backward(
-            f"dec.{li}.self", "decoder_self", layer.self_attn, t_self, dx, True, h, grads, sink
+        dx, _ = _attention_backward(
+            f"dec.{li}.self", "decoder_self", layer.self_attn, t_self, dx, h, grads, sink
         )
     with sink.scope("embedding"):
         kernels.scatter_add_rows(
@@ -394,8 +381,8 @@ def training_forward_backward(
         layer = weights.enc_layers[li]
         t_attn, t_ffn = enc_tape[2 * li : 2 * li + 2]
         dx = _ffn_backward(f"enc.{li}.ffn", layer.ffn, t_ffn, dx, grads, sink)
-        dx, _, _ = _attention_backward(
-            f"enc.{li}.attn", "encoder_self", layer.attn, t_attn, dx, True, h, grads, sink
+        dx, _ = _attention_backward(
+            f"enc.{li}.attn", "encoder_self", layer.attn, t_attn, dx, h, grads, sink
         )
     with sink.scope("embedding"):
         kernels.scatter_add_rows(
@@ -407,9 +394,8 @@ def training_forward_backward(
 
 def sgd_update(weights: WeightSet, grads: dict[str, np.ndarray], lr: float, sink: CounterSink) -> None:
     for name, arr in weights.named_arrays():
-        g = grads[name]
-        arr -= F32(lr) * g
-        sink.add("sgd", 2 * arr.size, 8 * arr.size, 4 * arr.size)
+        arr -= F32(lr) * grads[name]
+        kernels.count_sgd(sink, arr.size)
 
 
 def train_step(
@@ -441,7 +427,6 @@ def train_step(
 
 @dataclass
 class TrainingRun:
-    layout: str
     losses: list[float] = field(default_factory=list)
     epoch_flops: list[int] = field(default_factory=list)
     exact_match: float | None = None
@@ -461,14 +446,12 @@ def train_layout(
     seed: int,
 ) -> tuple[WeightSet, TrainingRun]:
     """Train a fresh model with one batch layout; flops measured per epoch."""
-    from .model import init_weights
-
     if layout not in (PIE, PID):
         raise ConfigError(f"unknown layout {layout!r}")
     weights = init_weights(config, seed)
     sink = CounterSink()
     rng = np.random.default_rng(seed)
-    run = TrainingRun(layout=layout)
+    run = TrainingRun()
     laid = _laid_out(layout, list(task.train), batch_instances)
     step = 0
     for _ in range(epochs):

@@ -49,9 +49,6 @@ class CheckResult:
     passed: bool
     details: dict
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "details": self.details}
-
 
 def _toy_model(d=64, h=4, layers=2, vocab=96, max_len=640) -> ModelConfig:
     return ModelConfig(

@@ -203,6 +203,52 @@ def test_cost_csv_rows_use_their_own_mode_roofline(tmp_path):
     assert rows["pie", "appendixB", "decoder_cross"]["roofline_seconds"] != "0.001130496"
 
 
+#: The CSV column order each command promises; the headers come from the
+#: commands' own rows, so this table is where the order is pinned.
+CSV_HEADERS = {
+    "cost": [
+        "run_id", "preset", "engine", "mode", "component",
+        "memory_symbols", "ops_symbols", "bytes",
+        "inverse_intensity", "roofline_seconds", "hw_profile",
+    ],
+    "bench": [
+        "run_id", "preset", "engine",
+        "single_mean_s", "single_std_s", "single_median_s",
+        "optimal_batch", "optimal_per_instance_s", "total_flops",
+        "token_checksum", "wasted_stream_steps", "minor_faults_per_op", "unstable",
+        "speedup_single", "speedup_batched",
+        "measured_flop_ratio", "analytic_flop_ratio",
+    ],
+    "verify": ["run_id", "check", "passed"],
+    "train-toy": ["run_id", "layout", "exact_match", "flops_per_epoch", "final_loss"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cost", "--preset", "toy"],
+        [
+            "bench", "--shape", "U=2,b=1,n_s=16,n_t=3,n_p=0,d=64,h=4", "--model", "toy",
+            "--reps", "3", "--warmup", "0", "--batch-sizes", "1",
+        ],
+        ["verify", "--checks", "counter_additivity"],
+        ["train-toy", "--epochs", "1", "--layout", "pid"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_csv_headers_keep_their_column_order(capsys, tmp_path, argv):
+    import csv
+
+    path = tmp_path / "out.csv"
+    assert main([*argv, "--csv", str(path)]) == 0
+    capsys.readouterr()
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == CSV_HEADERS[argv[0]]
+    assert rows and all(len(row) == len(header) for row in rows)
+
+
 def test_verify_subset_deterministic_json(capsys):
     argv = [
         "verify", "--checks", "counter_additivity,intensity_formulas,flop_ratio_presets",

@@ -156,6 +156,27 @@ def test_training_learns_within_a_few_epochs():
     assert run.epoch_flops[0] == run.epoch_flops[1]  # same work every epoch
 
 
+@pytest.mark.parametrize("layout", ["pie", "pid"])
+def test_cross_attention_counts_its_memory_gradient_adds(layout):
+    """Per decoder layer, cross-attention adds at its ``S·T`` decoder rows
+    twice (the forward residual, the backward input gradient) and at the
+    ``owners·m`` encoder rows twice (the K and V shares of the memory
+    gradient)."""
+    config = ModelConfig(
+        d_model=8, n_heads=2, n_enc_layers=1, n_dec_layers=2,
+        d_ff=16, vocab_size=15, max_len=16,
+    )
+    batch, _ = _batch_and_examples(config, layout)
+    sink = CounterSink()
+    train_step(config, init_weights(config, seed=0), batch, 0.1, sink)
+    s_t = len(batch.streams) * batch.streams[0].tokens.size
+    owners_m = batch.enc_inputs.size
+    d = config.d_model
+    flops, read, written = sink.kind_totals()[("decoder_cross", "add")]
+    assert flops == config.n_dec_layers * (2 * s_t * d + 2 * owners_m * d)
+    assert (read, written) == (8 * flops, 4 * flops)
+
+
 # -- glibc keeps a train step's freed arrays for the next one ---------------------------
 
 #: Minor page faults per train step, 3 warm-up and 3 measured steps per
