@@ -49,10 +49,15 @@ Counting conventions, fixed package-wide:
   benchmark's shapes for every decode step, every inference prefill and
   pid's encoder, :func:`attention` skips the loop: its products run on the
   whole operands and allocate their own outputs, with no chunk buffers.
-* The forward kernels and the index and finite checks call their
-  reductions as ufunc methods (``np.add.reduce``, ``np.maximum.reduce``):
-  the same loops the ndarray methods reach through a Python wrapper, so a
-  small decode-step call costs less without changing a bit.
+* The forward kernels and the index checks call their reductions as ufunc
+  methods (``np.add.reduce``, ``np.maximum.reduce``): the same loops the
+  ndarray methods reach through a Python wrapper, so a small decode-step
+  call costs less without changing a bit.
+* Each finite check is one BLAS pass, ``np.vdot(x, x)``: NaN and
+  infinities carry through a sum of squares, so a finite sum proves every
+  entry finite, with no bool mask and no warning.  Only a sum that
+  overflows (an entry of about ``1e19`` or more) falls back to the
+  entrywise ``np.isfinite`` check, so the answer never changes.
 
 Allocation: every kernel allocates its outputs and temporaries as the
 plain NumPy expression does; ``out=`` names only an array the kernel
@@ -305,7 +310,8 @@ def _as_f32_matrix(a: np.ndarray, name: str, ndim: int) -> np.ndarray:
 
 
 def _finite(x: np.ndarray) -> bool:
-    return not x.size or np.logical_and.reduce(np.isfinite(x), axis=None)
+    # a finite sum of squares proves every entry finite; only overflow pays the entrywise pass
+    return math.isfinite(np.vdot(x, x)) or np.logical_and.reduce(np.isfinite(x), axis=None)
 
 
 def _non_finite(kind: str) -> FloatingPointError:

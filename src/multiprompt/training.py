@@ -494,7 +494,13 @@ def evaluate_exact_match(
 
 @dataclass(frozen=True)
 class ToyTrainingSpec:
-    """Frozen defaults that reach full held-out exact match with plain SGD."""
+    """Frozen defaults for the toy task, trained with plain SGD.
+
+    Full held-out exact match is not reached at every training seed (the
+    seed draws the initial weights and the batch order): over seeds 0 to 7,
+    pie reached 1.0 at six (0.493 at seed 3, 0.578 at seed 7) and pid at
+    seven (0.957 at seed 1).
+    """
 
     n_prompts: int = 4
     n_s: int = 8

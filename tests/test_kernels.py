@@ -1,6 +1,7 @@
 """Kernel contracts: numeric results and exact counter accounting."""
 
 import math
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -538,6 +539,39 @@ def test_finite_checks_raise(call, message):
     with np.errstate(all="ignore"):
         with pytest.raises(FloatingPointError, match=f"^{message}$"):
             call(CounterSink())
+
+
+#: the squares of ±3e38 and ±2e19 overflow float32, so the sum-of-squares
+#: check overflows on finite entries and must fall back to the entrywise check
+FINITE_SALTS = (np.nan, np.inf, -np.inf, 3e38, -3e38, 2e19, -2e19)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.lists(st.integers(0, 5), max_size=3).map(tuple),
+    layout=st.sampled_from(["C", "F", "strided", "transposed"]),
+    salts=st.lists(st.tuples(st.integers(0, 124), st.sampled_from(FINITE_SALTS)), max_size=4),
+    seed=st.integers(0, 2**31),
+)
+@example(shape=(3,), layout="C", salts=[(1, 2e19)], seed=0)
+@example(shape=(2, 2), layout="F", salts=[(0, np.nan)], seed=0)
+def test_finite_check_equals_numpys_definition(shape, layout, salts, seed):
+    # the fused kernels and their unfused compositions share this check, so
+    # the "raises like" tests cannot catch a wrong one; pin it to NumPy here
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal([2 * n for n in shape] if layout == "strided" else shape).astype(F32)
+    x = {
+        "C": base,
+        "F": np.asfortranarray(base),
+        "strided": base[(..., *[slice(None, None, 2)] * base.ndim)],
+        "transposed": base.T,
+    }[layout]
+    for pos, value in salts:
+        if x.size:
+            x.flat[pos % x.size] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the check itself may raise no RuntimeWarning
+        assert kernels._finite(x) == bool(np.isfinite(x).all())
 
 
 def test_softmax_masked_nan_in_hidden_lane_is_inert():
