@@ -23,6 +23,7 @@ Two layers of fidelity, from coarse to exact:
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -102,8 +103,9 @@ class HardwareProfile:
     mem_bytes_per_s: float
 
     def __post_init__(self) -> None:
-        if self.peak_flops_per_s <= 0 or self.mem_bytes_per_s <= 0:
-            raise ConfigError("hardware profile rates must be positive")
+        for rate in (self.peak_flops_per_s, self.mem_bytes_per_s):
+            if not (math.isfinite(rate) and rate > 0):
+                raise ConfigError(f"hardware profile rates must be finite and positive, got {rate}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "HardwareProfile":
@@ -120,11 +122,13 @@ class HardwareProfile:
         missing = {"name", "peak_flops_per_s", "mem_bytes_per_s"} - set(fields)
         if missing:
             raise ConfigError(f"profile {path} is missing keys: {sorted(missing)}")
-        return cls(
-            name=fields["name"],
-            peak_flops_per_s=float(fields["peak_flops_per_s"]),
-            mem_bytes_per_s=float(fields["mem_bytes_per_s"]),
-        )
+        rates = {}
+        for key in ("peak_flops_per_s", "mem_bytes_per_s"):
+            try:
+                rates[key] = float(fields[key])
+            except ValueError:
+                raise ConfigError(f"profile {path}: {key} = {fields[key]!r} is not a number") from None
+        return cls(name=fields["name"], **rates)
 
 
 #: Two A100-flavored profiles: the first pairs the 312 TFLOP/s compute

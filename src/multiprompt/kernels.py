@@ -26,29 +26,28 @@ Counting conventions, fixed package-wide:
   a :class:`ShapeError` or :class:`MaskError` leaves the sink untouched;
   then it records its counts; then it computes, and a non-finite output
   raises ``FloatingPointError`` with the full counts already recorded.
-* A fused kernel records each constituent's counts exactly as the separate
-  calls would, in the same order: :func:`attention` reports what
-  :func:`bmm`, :func:`softmax_rows` and :func:`bmm` would,
-  :func:`attention_backward` what two :func:`bmm` calls,
-  :func:`softmax_rows_backward` and two more :func:`bmm` calls would,
-  :func:`matmul` with a GEMM epilogue (``scale=`` or ``residual=``) what
-  :func:`matmul` followed by :func:`scale` or :func:`add` would, and
-  :func:`embed_rows` what :func:`gather_rows`, :func:`scale` and
-  :func:`add` would.  It keeps every constituent's finite check that can
-  fire and names the constituent that failed in its error; the softmax
-  inside :func:`attention` cannot fail once its scores are finite.  Fusion
-  changes what is allocated, re-read and checked on the host, never the
-  counted traffic.
+* A fused kernel records each constituent's counts exactly as its unfused
+  composition would, in the same order: :func:`attention` a batched score
+  product, a softmax and a batched context product;
+  :func:`attention_backward` two batched products, a softmax backward and
+  two more products; :func:`matmul` with a GEMM epilogue (``scale=`` or
+  ``residual=``) the product, then a scale or an add; and
+  :func:`embed_rows` a row gather, a scale and an add.  It keeps every
+  constituent's finite check that can fire and names the constituent that
+  failed in its error (``bmm``, ``softmax backward``, ``matmul``,
+  ``scale``, ``add``); the softmax inside :func:`attention` cannot fail
+  once its scores are finite.  Fusion changes what is allocated, re-read
+  and checked on the host, never the counted traffic.
 * The two attention kernels run their ``B`` slices in chunks whose
-  score-shaped arrays fit ``ATTENTION_CHUNK_BYTES`` (a forward chunk holds
-  whole runs of its mask), each constituent on a chunk before the next
-  chunk.  Every slice and row is computed by the same NumPy call on the
-  same operands as unchunked, so chunking changes neither bits nor
-  counts; a non-finite output raises at the first chunk and constituent
-  that produces one.  When one chunk holds every slice, as it does at the
-  benchmark's shapes for every decode step, every inference prefill and
-  pid's encoder, :func:`attention` skips the loop: its products run on the
-  whole operands and allocate their own outputs, with no chunk buffers.
+  score-shaped arrays fit ``ATTENTION_CHUNK_BYTES``, each constituent on
+  a chunk before the next chunk.  Every slice and row is computed by the
+  same NumPy call on the same operands as unchunked, so chunking changes
+  neither bits nor counts; a non-finite output raises at the first chunk
+  and constituent that produces one.  When one chunk holds every slice,
+  as it does at the benchmark's shapes for every decode step, every
+  inference prefill and pid's encoder, :func:`attention` skips the loop:
+  its products run on the whole operands and allocate their own outputs,
+  with no chunk buffers.
 * The forward kernels and the index checks call their reductions as ufunc
   methods (``np.add.reduce``, ``np.maximum.reduce``): the same loops the
   ndarray methods reach through a Python wrapper, so a small decode-step
@@ -390,11 +389,10 @@ def bmm(a: np.ndarray, b: np.ndarray, sink: CounterSink) -> np.ndarray:
     Equivalent to ``B`` independent :func:`matmul` calls and counted
     identically: each slice's operands are read once.  A shared operand
     must therefore be passed as a single slice (smaller ``B``) to be
-    counted once; materializing copies costs the copies.  The attention
-    kernels run their products chunk by chunk instead of calling it, with
-    the same shape checks, counts and finite checks; it stays a kernel for
-    callers that wrap it by name, such as ``perfbench``'s tracer, and as
-    the unfused reference the tests compare the attention kernels with.
+    counted once; materializing copies costs the copies.  No model code
+    calls it: the attention kernels run their products chunk by chunk, with
+    the same shape checks, counts and finite checks.  It stays only as a
+    name ``perfbench``'s tracer patches.
     """
     a = _as_f32_matrix(a, "a", 3)
     b = _as_f32_matrix(b, "b", 3)
@@ -412,11 +410,11 @@ def bmm(a: np.ndarray, b: np.ndarray, sink: CounterSink) -> np.ndarray:
 ATTENTION_CHUNK_BYTES = 1 << 20
 
 
-def _chunk_slices(slices: int, slice_bytes: int, run: int) -> int:
-    """Slices per attention chunk: the most whole runs of ``run`` slices
-    whose ``slice_bytes`` each fit ``ATTENTION_CHUNK_BYTES``, at least one."""
+def _chunk_slices(slices: int, slice_bytes: int) -> int:
+    """Slices per attention chunk: the most whose ``slice_bytes`` each fit
+    ``ATTENTION_CHUNK_BYTES``, at least one (so the chunk loop advances)."""
     fit = ATTENTION_CHUNK_BYTES // slice_bytes if slice_bytes else slices
-    return max(fit // run * run, run)
+    return max(fit, 1)
 
 
 def _check_visible(mask: np.ndarray) -> None:
@@ -430,9 +428,9 @@ def _softmax_in_place(flat: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     """Row softmax of a non-empty ``flat [n,m]``, written over ``flat``;
     returns the row sums ``[n,1]``.
 
-    ``mask`` is None or a bool ``[nq,m]`` that leaves every row a visible
-    entry (:func:`_check_visible`), applied to every run of ``nq`` rows
-    (``nq`` divides ``n``); it is broadcast, never tiled.
+    ``mask`` is None or a bool ``[r,m]`` that leaves every row a visible
+    entry (:func:`_check_visible`), applied to every slice's ``r`` rows
+    (``r`` divides ``n``); it is broadcast, never tiled.
     """
     if mask is not None:
         # hidden lanes may exceed the visible row max and would overflow;
@@ -445,26 +443,16 @@ def _softmax_in_place(flat: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     return sums
 
 
-def softmax_rows(a: np.ndarray, sink: CounterSink, mask: np.ndarray | None = None) -> np.ndarray:
-    """Row softmax of ``a [n,m]``, numerically stabilized by row-max subtraction.
-
-    ``mask`` is an optional boolean ``[n,m]`` array; masked-out (False)
-    entries receive exactly zero weight.  A row with no visible entries
-    raises :class:`MaskError` before anything is counted.  Empty input
-    returns an empty matrix.
+def softmax_rows(a: np.ndarray, sink: CounterSink) -> np.ndarray:
+    """Row softmax of ``a [n,m]``, numerically stabilized by row-max
+    subtraction (the training loss's probabilities).  Empty input returns
+    an empty matrix.
 
     Counts: flops ``4*n*m`` (subtract, exp, accumulate, divide), bytes read
-    ``4*n*m`` plus ``n*m`` for the mask, bytes written ``4*n*m``.
+    ``4*n*m``, bytes written ``4*n*m``.
     """
     a = _as_f32_matrix(a, "a", 2)
-    n, m = a.shape
-    if mask is not None:
-        mask = np.asarray(mask)
-        if mask.shape != a.shape or mask.dtype != np.bool_:
-            raise ShapeError(f"softmax mask must be bool {a.shape}, got {mask.dtype} {mask.shape}")
-        if a.size:
-            _check_visible(mask)
-    count_softmax(sink, n, m, mask is not None)
+    count_softmax(sink, *a.shape, False)
     if a.size == 0:
         return a.copy()
     # one float32 copy to work in: ``np.positive`` copies every value
@@ -472,18 +460,14 @@ def softmax_rows(a: np.ndarray, sink: CounterSink, mask: np.ndarray | None = Non
     out = np.positive(a)
     # every lane is exp(x - rowmax), in [0, 1] or NaN, and the max lane is
     # 1, so a row sum is finite exactly when every output in its row is
-    if not _finite(_softmax_in_place(out, mask)):
+    if not _finite(_softmax_in_place(out, None)):
         raise _non_finite("softmax")
     return out
 
 
-def _check_attention_mask(mask: np.ndarray, n: int, m: int) -> None:
-    nq = mask.shape[0] if mask.ndim == 2 else 0
-    if mask.dtype != np.bool_ or mask.shape != (nq, m) or not nq or n % nq:
-        raise ShapeError(
-            f"attention mask must be bool [nq, {m}] with nq dividing {n} rows, "
-            f"got {mask.dtype} {mask.shape}"
-        )
+def _check_attention_mask(mask: np.ndarray, rows: int, m: int) -> None:
+    if mask.dtype != np.bool_ or mask.shape != (rows, m):
+        raise ShapeError(f"attention mask must be bool ({rows}, {m}), got {mask.dtype} {mask.shape}")
 
 
 def attention(
@@ -497,20 +481,21 @@ def attention(
 
     ``q4`` is ``[B,r,dh]``, ``k4`` ``[B,dh,m]`` and ``v4`` ``[B,m,dh]``;
     ``probs`` is ``[B,r,m]`` and ``ctx`` ``[B,r,dh]``.  ``mask_rows`` is an
-    optional bool ``[nq,m]`` mask applied to every run of ``nq`` of the
-    ``B*r`` score rows.  The softmax runs in place on the score buffer,
-    which becomes ``probs``, and the mask is broadcast rather than tiled.
-    The slices run in chunks of whole mask runs whose scores fit
-    ``ATTENTION_CHUNK_BYTES``: each chunk's score product, softmax and
-    context product run while its scores are in cache.
+    optional bool ``[r,m]`` mask applied to the ``r`` score rows of every
+    slice.  The softmax runs in place on the score buffer, which becomes
+    ``probs``, and the mask is broadcast rather than tiled.  The slices run
+    in chunks whose scores fit ``ATTENTION_CHUNK_BYTES``: each chunk's
+    score product, softmax and context product run while its scores are in
+    cache.
 
-    Checks and counts are those of ``bmm(q4, k4)``, then
-    :func:`softmax_rows` on the ``[B*r, m]`` scores with the tiled
-    ``[B*r, m]`` mask, then ``bmm(probs, v4)``, with every shape, dtype
-    and mask check made before anything is counted.  A non-finite product
-    raises naming ``bmm``, at the first chunk where one does.  The softmax
-    takes no check of its own: finite scores give every row a finite max,
-    so every output lies in [0, 1] and every row sum is finite.
+    Checks and counts are those of the batched products ``q4 @ k4`` and
+    ``probs @ v4`` (:func:`bmm`'s shape checks and counts) around a softmax
+    of the ``[B*r, m]`` scores that counts a mask byte per score, with every
+    shape, dtype and mask check made before anything is counted.  A
+    non-finite product raises naming ``bmm``, at the first chunk where one
+    does.  The softmax takes no check of its own: finite scores give every
+    row a finite max, so every output lies in [0, 1] and every row sum is
+    finite.
     """
     q4 = _as_f32_matrix(q4, "q4", 3)
     k4 = _as_f32_matrix(k4, "k4", 3)
@@ -519,16 +504,13 @@ def attention(
     m = k4.shape[2]
     _check_bmm(q4.shape, k4.shape)
     _check_bmm((slices, rows, m), v4.shape)
-    run = 1
     if mask_rows is not None:
         mask_rows = np.asarray(mask_rows)
-        _check_attention_mask(mask_rows, slices * rows, m)
-        nq = len(mask_rows)
-        run = nq // math.gcd(nq, rows)  # slices per whole run of mask rows
+        _check_attention_mask(mask_rows, rows, m)
         if slices * rows * m:
             _check_visible(mask_rows)
     count_attention(sink, slices, rows, dh, m, v4.shape[2], mask_rows is not None)
-    step = _chunk_slices(slices, 4 * rows * m, run)
+    step = _chunk_slices(slices, 4 * rows * m)
     if step >= slices:
         # one chunk holds every slice: the same three calls on the whole
         # operands, with no chunk buffers or slicing
@@ -568,8 +550,8 @@ def softmax_rows_backward(
     ``dS = P * (dP - rowsum(dP * P))``.  Masked entries have ``P == 0`` and
     receive zero gradient automatically.  Training reaches this formula
     through :func:`attention_backward`, which makes the same checks and
-    counts; like :func:`bmm`, the kernel stays for callers that wrap it by
-    name and as the tests' unfused reference.
+    counts; like :func:`bmm`, the kernel stays only as a name
+    ``perfbench``'s tracer patches.
 
     Counts: flops ``4*n*m``, bytes read ``8*n*m``, bytes written ``4*n*m``.
     """
@@ -633,7 +615,7 @@ def attention_backward(
     d_v4 = np.empty((slices, probs.shape[2], d_ctx.shape[2]), F32)
     d_q4 = np.empty((slices, rows, k4.shape[1]), F32)
     d_k4 = np.empty((slices, m, q4.shape[2]), F32)
-    step = _chunk_slices(slices, 8 * rows * m, 1)
+    step = _chunk_slices(slices, 8 * rows * m)
     scratch = np.empty((min(step, slices), rows, m), F32)
     for s in range(0, slices, step):
         e = min(s + step, slices)
@@ -801,7 +783,9 @@ def gather_rows(table: np.ndarray, indices: np.ndarray, sink: CounterSink) -> np
     """Select rows of ``table [V,d]`` by integer index (embedding lookup).
 
     Pure data movement: zero flops; reads and writes ``4 * len(indices) * d``
-    bytes (index bytes are not counted).
+    bytes (index bytes are not counted).  No model code calls it (the
+    embedding is :func:`embed_rows`); like :func:`bmm`, it stays only as a
+    name ``perfbench``'s tracer patches.
     """
     table = _as_f32_matrix(table, "table", 2)
     indices = _row_indices(indices, table.shape[0], "gather")

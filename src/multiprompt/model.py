@@ -271,8 +271,9 @@ def _attention_sublayer(
     cache, which the products read in place.  A slice shared by several
     sequences is therefore read once per owner rather than once per
     stream (the broadcast at the heart of the shared-cache path).
-    ``mask_rows`` is an optional bool ``[nq, m]`` mask applied to every
-    run of ``nq`` query rows.
+    ``mask_rows`` is an optional bool ``[r, m]`` mask applied to the
+    ``r`` query rows of every slice; only decoder self-attention passes
+    one, at ``kv_group = 1``, so ``r = nq``, the new positions.
     """
     h, dh = config.n_heads, config.head_dim
     nq = x.shape[0] // n_seq

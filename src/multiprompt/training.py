@@ -521,6 +521,8 @@ class ToyTrainingSpec:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_instances < 1:
             raise ConfigError(f"batch_instances must be >= 1, got {self.batch_instances}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(

@@ -70,6 +70,7 @@ def test_bench_refuses_parallel():
         ["train-toy", "--batch", "0"],
         # a fault that no selected check applies
         ["verify", "--checks", "encoder_sharing", "--inject-fault", "corrupt-shared-kv"],
+        ["train-toy", "--lr", "nan"],
     ],
 )
 def test_bad_values_are_usage_errors(capsys, argv):
@@ -77,6 +78,15 @@ def test_bad_values_are_usage_errors(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_a_malformed_hardware_profile_is_a_usage_error(tmp_path, capsys):
+    p = tmp_path / "bad.profile"
+    p.write_text("name = x\npeak_flops_per_s = abc\nmem_bytes_per_s = 2e9\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["cost", "--preset", "toy", "--hw-profile", str(p)])
+    assert exc.value.code == 2
+    assert "is not a number" in capsys.readouterr().err
 
 
 def test_bench_resource_guard_exit_code():

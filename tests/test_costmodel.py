@@ -163,9 +163,18 @@ def test_hardware_profile_file_roundtrip(tmp_path):
 
 def test_hardware_profile_file_errors(tmp_path):
     p = tmp_path / "bad.profile"
-    p.write_text("name = x\n")
-    with pytest.raises(ConfigError, match="missing"):
-        cm.HardwareProfile.from_file(p)
+    for peak, message in [
+        (None, "missing"),
+        ("abc", "peak_flops_per_s = 'abc' is not a number"),
+        ("nan", "must be finite and positive, got nan"),
+        ("inf", "must be finite and positive, got inf"),
+        ("0", "must be finite and positive, got 0.0"),
+        ("-5", "must be finite and positive, got -5.0"),
+    ]:
+        rates = "" if peak is None else f"peak_flops_per_s = {peak}\nmem_bytes_per_s = 2e9\n"
+        p.write_text("name = x\n" + rates)
+        with pytest.raises(ConfigError, match=message):
+            cm.HardwareProfile.from_file(p)
 
 
 # -- shape parsing and presets ---------------------------------------------------

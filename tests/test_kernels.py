@@ -3,6 +3,7 @@
 import math
 import warnings
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -122,21 +123,11 @@ def test_softmax_empty_matrix():
 
 
 def test_softmax_mask_zeroes_entries():
-    a = np.array([[1.0, 2.0, 3.0]], dtype=F32)
-    mask = np.array([[True, False, True]])
-    out = kernels.softmax_rows(a, CounterSink(), mask=mask)
-    assert out[0, 1] == 0.0
+    a = np.array([[1.0, 2.0, 3.0]], dtype=F32)  # attention's masked softmax, in place
+    kernels._softmax_in_place(a, np.array([[True, False, True]]))
+    assert a[0, 1] == 0.0
     e = math.exp(1.0 - 3.0)
-    np.testing.assert_allclose(out, [[e / (1 + e), 0.0, 1 / (1 + e)]], atol=1e-6)
-
-
-def test_softmax_fully_masked_row_raises():
-    a = np.zeros((2, 3), dtype=F32)
-    mask = np.array([[True, True, True], [False, False, False]])
-    sink = CounterSink()
-    with pytest.raises(MaskError, match="row 1"):
-        kernels.softmax_rows(a, sink, mask=mask)
-    assert sink.kind_totals() == {}  # a mask fault is found before counting
+    np.testing.assert_allclose(a, [[e / (1 + e), 0.0, 1 / (1 + e)]], atol=1e-6)
 
 
 @settings(max_examples=25, deadline=None)
@@ -281,11 +272,7 @@ def test_layer_norm_variance_check_agrees_with_the_entrywise_check(rows):
     gain = np.ones(a.shape[1], F32)
     got, counts = outcome(kernels.layer_norm, a, gain)
     want, want_counts = outcome(all_finite_layer_norm, a, gain)
-    if isinstance(want, tuple):
-        assert got == want
-    else:
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    assert fingerprint(got) == fingerprint(want)
     assert counts == want_counts
 
 
@@ -513,9 +500,10 @@ HUGE = F32(1e30)
          "bmm produced non-finite values"),
         (lambda s: kernels.softmax_rows(np.array([[0.0, np.nan]], dtype=F32), s),
          "softmax produced non-finite values"),
-        (lambda s: kernels.softmax_rows(
-            np.array([[0.0, np.nan]], dtype=F32), s, mask=np.array([[True, True]])),
-         "softmax produced non-finite values"),
+        # a NaN score in a hidden lane still fails the score product's check
+        (lambda s: kernels.attention(np.ones((1, 1, 1), F32), np.array([[[0.0, np.nan]]], F32),
+                                     np.ones((1, 2, 1), F32), s, np.array([[True, False]])),
+         "bmm produced non-finite values"),
         (lambda s: kernels.layer_norm(
             np.array([[1.0, np.inf, 2.0]], dtype=F32), np.ones(3, dtype=F32), s),
          "layer_norm row variance overflowed float32"),
@@ -531,7 +519,7 @@ HUGE = F32(1e30)
          "scale produced non-finite values"),
     ],
     ids=[
-        "matmul", "bmm", "softmax_nan", "softmax_masked_nan", "layer_norm_inf_row",
+        "matmul", "bmm", "softmax_nan", "attention_nan_in_hidden_lane", "layer_norm_inf_row",
         "layer_norm_variance_overflow", "layer_norm_inf_gain", "add", "scale",
     ],
 )
@@ -577,8 +565,9 @@ def test_finite_check_equals_numpys_definition(shape, layout, salts, seed):
 def test_softmax_masked_nan_in_hidden_lane_is_inert():
     # a hidden lane never reaches the exponent, so its NaN cannot leak
     a = np.array([[0.0, np.nan, math.log(3.0)]], dtype=F32)
-    out = kernels.softmax_rows(a, CounterSink(), mask=np.array([[True, False, True]]))
-    np.testing.assert_allclose(out, [[0.25, 0.0, 0.75]], atol=1e-6)
+    sums = kernels._softmax_in_place(a, np.array([[True, False, True]]))
+    assert kernels._finite(sums)
+    np.testing.assert_allclose(a, [[0.25, 0.0, 0.75]], atol=1e-6)
 
 
 # -- in-place kernels equal the textbook formulas bit for bit ----------------------
@@ -615,7 +604,9 @@ def test_kernels_bit_identical_to_textbook_formulas(n, m, magnitude, seed):
     factor = float(rng.uniform(0.01, 3.0))
     sink = CounterSink()
     assert np.array_equal(kernels.softmax_rows(a, sink), textbook_softmax(a))
-    assert np.array_equal(kernels.softmax_rows(a, sink, mask=mask), textbook_softmax(a, mask))
+    masked = a.copy()  # attention's masked softmax, in place on its scores
+    kernels._softmax_in_place(masked, mask)
+    assert np.array_equal(masked, textbook_softmax(a, mask))
     assert np.array_equal(kernels.layer_norm(a, gain, sink), textbook_layer_norm(a, gain))
     assert np.array_equal(kernels.scale(a, factor, sink), (a * F32(factor)).astype(F32))
     for out in (kernels.softmax_rows(a, sink), kernels.layer_norm(a, gain, sink)):
@@ -636,8 +627,9 @@ SALTS = (np.nan, np.inf, -np.inf, 3e38, -3e38)
 @example(n=1, m=2, salts=[(1, -3e38), (0, 3e38)], masked=False, seed=0)
 @example(n=2, m=3, salts=[(1, np.nan)], masked=True, seed=1)
 def test_softmax_row_sum_check_equals_full_check(n, m, salts, masked, seed):
-    # the kernel checks the [n, 1] row sums; that must flag exactly the
-    # inputs whose textbook softmax has a non-finite entry anywhere
+    # the [n, 1] row sums the in-place softmax returns, which softmax_rows
+    # checks, must flag exactly the inputs whose textbook softmax has a
+    # non-finite entry anywhere, with or without a mask
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, m)).astype(F32)
     for pos, value in salts:
@@ -646,13 +638,17 @@ def test_softmax_row_sum_check_equals_full_check(n, m, salts, masked, seed):
     if masked:
         mask = rng.random((n, m)) < 0.6
         mask[np.arange(n), rng.integers(0, m, size=n)] = True
+    out = a.copy()
     with np.errstate(all="ignore"):
         expected = textbook_softmax(a, mask)
-        if np.isfinite(expected).all():
-            assert np.array_equal(kernels.softmax_rows(a, CounterSink(), mask=mask), expected)
-        else:
-            with pytest.raises(FloatingPointError, match="^softmax produced non-finite values$"):
-                kernels.softmax_rows(a, CounterSink(), mask=mask)
+        sums = kernels._softmax_in_place(out, mask)
+    finite = bool(np.isfinite(expected).all())
+    assert kernels._finite(sums) == finite
+    assert np.array_equal(out, expected) or not finite
+    if mask is None:  # softmax_rows raises on exactly these inputs
+        got, _ = outcome(kernels.softmax_rows, a)
+        error = (FloatingPointError, "softmax produced non-finite values")
+        assert fingerprint(got) == fingerprint(expected if finite else error)
 
 
 # -- backward kernels equal the textbook formulas bit for bit ------------------------
@@ -706,9 +702,7 @@ def test_relu_backward_byte_equal_to_where_formula(shape, a_salts, d_salts, tran
     want = textbook_relu_backward(a, d_out)
     # relu(x) > 0 exactly when x > 0, so the kernel may mask on its output
     for at in (a, kernels.relu(a, CounterSink())):
-        got = kernels.relu_backward(at, d_out, CounterSink())
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        assert fingerprint(kernels.relu_backward(at, d_out, CounterSink())) == fingerprint(want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -735,78 +729,170 @@ def test_backward_kernels_bit_identical_to_textbook_formulas(n, m, magnitude, se
         assert np.array_equal(got, want)
 
 
-# -- fused attention equals bmm -> softmax_rows -> bmm -------------------------------
+# -- fused kernels equal their unfused compositions ----------------------------------
+#
+# One table, a row per fused kernel: its unfused composition in plain NumPy,
+# which records every constituent's counts through the ``count_*`` helpers up
+# front, as the fused kernels do, then computes and checks each constituent
+# in order; an operand strategy with pinned examples; and error cases, each
+# an exact (type, message).  Two generic tests run every row.
 
 
-def three_kernel_attention(q4, k4, v4, sink, mask_rows=None):
-    scores = kernels.bmm(q4, k4, sink)
-    slices, rows, m = scores.shape
-    flat = scores.reshape(slices * rows, m)
-    mask = None if mask_rows is None else np.tile(mask_rows, (flat.shape[0] // len(mask_rows), 1))
-    probs = kernels.softmax_rows(flat, sink, mask=mask).reshape(slices, rows, m)
-    return probs, kernels.bmm(probs, v4, sink)
+class Case(NamedTuple):
+    """One call, and the score bytes an attention chunk holds (None: the module's)."""
+
+    operands: tuple
+    options: dict
+    budget: int | None = None
 
 
-def outcome(kernel, *operands, **options):
-    """``kernel(*operands, sink, **options)`` as (result or (exception type,
-    message), per-kind counts in insertion order)."""
+def chunk_bytes(slices_per_chunk, slice_bytes):
+    """A budget of ``slices_per_chunk`` slices (0 is below one slice), or None."""
+    return None if slices_per_chunk is None else slices_per_chunk * slice_bytes
+
+
+def outcome(kernel, *operands, budget=None, **options):
+    """``kernel(*operands, sink, **options)``, under an attention chunk
+    ``budget`` if given, as (result or (exception type, message), per-kind
+    counts in insertion order)."""
     sink = CounterSink()
     try:
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as monkeypatch:
+            if budget is not None:
+                monkeypatch.setattr(kernels, "ATTENTION_CHUNK_BYTES", budget)
             result = kernel(*operands, sink, **options)
     except (FloatingPointError, MaskError, ShapeError) as exc:
         result = (type(exc), str(exc))
     return result, list(sink.kind_totals().items())
 
 
-def chunk_budget(monkeypatch, slices_per_chunk, slice_bytes):
-    """Set ``kernels.ATTENTION_CHUNK_BYTES`` to hold ``slices_per_chunk``
-    slices of ``slice_bytes`` score bytes each; None keeps the module's."""
-    if slices_per_chunk is not None:
-        monkeypatch.setattr(kernels, "ATTENTION_CHUNK_BYTES", slices_per_chunk * slice_bytes)
+def fingerprint(result):
+    """An :func:`outcome` error as it is; each result array as (dtype, shape, bytes)."""
+    if isinstance(result, tuple) and isinstance(result[0], type):
+        return result
+    arrays = result if isinstance(result, tuple) else [result]
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    slices=st.integers(0, 7),
-    r=st.integers(0, 6),
-    m=st.integers(0, 9),
-    dh=st.integers(1, 8),
-    runs=st.sampled_from([None, 1, 2, 3]),
-    chunk=st.sampled_from([None, 1, 2, 3]),
-    seed=st.integers(0, 2**31),
-)
-@example(slices=2, r=3, m=0, dh=2, runs=3, chunk=None, seed=0)
-@example(slices=2, r=2, m=5, dh=3, runs=2, chunk=None, seed=3)
-@example(slices=0, r=3, m=4, dh=2, runs=None, chunk=None, seed=0)
-@example(slices=7, r=2, m=5, dh=3, runs=7, chunk=2, seed=1)  # masked, 4 chunks, last partial
-@example(slices=5, r=3, m=4, dh=2, runs=None, chunk=2, seed=2)  # 3 chunks, last partial
-@example(slices=6, r=2, m=4, dh=2, runs=2, chunk=1, seed=4)  # a mask run spans 3 slices
-@example(slices=4, r=3, m=3, dh=2, runs=None, chunk=4, seed=5)  # one full chunk
-@example(slices=4, r=0, m=3, dh=2, runs=None, chunk=1, seed=6)  # empty r*m
-@example(slices=4, r=3, m=0, dh=2, runs=1, chunk=1, seed=7)
-def test_attention_bit_identical_to_three_kernels(slices, r, m, dh, runs, chunk, seed):
+def finite(x, kind):
+    """``x``, or the error a kernel raises when ``kind`` produced a non-finite entry."""
+    if not np.isfinite(x).all():
+        raise FloatingPointError(f"{kind} produced non-finite values")
+    return x
+
+
+def unfused_attention(q4, k4, v4, sink, mask_rows=None):
+    """``q4 @ k4``, a row softmax with the ``[r, m]`` mask tiled over the slices, ``@ v4``."""
+    slices, r, dh = q4.shape
+    m = k4.shape[2]
+    kernels.count_matmul(sink, r, dh, m, slices)
+    kernels.count_softmax(sink, slices * r, m, mask_rows is not None)
+    kernels.count_matmul(sink, r, m, v4.shape[2], slices)
+    probs = finite(q4 @ k4, "bmm")
+    if probs.size:
+        mask = None if mask_rows is None else np.tile(mask_rows, (slices, 1))
+        probs = textbook_softmax(probs.reshape(-1, m), mask).reshape(probs.shape)
+    # finite scores keep every probability in [0, 1]: the softmax needs no check
+    return probs, finite(probs @ v4, "bmm")
+
+
+def unfused_attention_backward(q4, k4, v4, probs, d_ctx, sink):
+    """``d_probs = d_ctx @ v4ᵀ``, ``d_v4 = probsᵀ @ d_ctx``, the softmax
+    backward on the ``[B*r, m]`` rows, ``d_q4 = d_scores @ k4ᵀ`` and ``d_k4
+    = d_scoresᵀ @ q4``, where ``ᵀ`` swaps the last two axes."""
+    slices, r, dv = d_ctx.shape
+    m = probs.shape[2]
+    kernels.count_matmul(sink, r, dv, m, slices)
+    kernels.count_matmul(sink, m, r, dv, slices)
+    kernels.count_softmax_backward(sink, slices * r, m)
+    kernels.count_matmul(sink, r, m, k4.shape[1], slices)
+    kernels.count_matmul(sink, m, r, q4.shape[2], slices)
+    d_probs = finite(d_ctx @ v4.transpose(0, 2, 1), "bmm")
+    d_v4 = finite(probs.transpose(0, 2, 1) @ d_ctx, "bmm")
+    flat = (slices * r, m)
+    d_scores = textbook_softmax_backward(probs.reshape(flat), d_probs.reshape(flat))
+    d_scores = finite(d_scores, "softmax backward").reshape(probs.shape)
+    d_q4 = finite(d_scores @ k4.transpose(0, 2, 1), "bmm")
+    return d_q4, finite(d_scores.transpose(0, 2, 1) @ q4, "bmm"), d_v4
+
+
+def unfused_matmul(a, b, sink, scale=None, residual=None):
+    """``a @ b``, then ``* F32(scale)`` or ``residual +``."""
+    (m, k), n = a.shape, b.shape[1]
+    kernels.count_matmul(sink, m, k, n)
+    if scale is not None:
+        kernels.count_elementwise(sink, "scale", m * n, 1)
+        return finite(finite(a @ b, "matmul") * F32(scale), "scale")
+    kernels.count_elementwise(sink, "add", m * n, 2)
+    return finite(residual + finite(a @ b, "matmul"), "add")
+
+
+def unfused_embed(table, ids, factor, positions, sink):
+    """``table[ids] * factor`` as rows, plus the position rows tiled over the block."""
+    (s, p), d = ids.shape, table.shape[1]
+    kernels.count_gather(sink, s * p, d)
+    kernels.count_elementwise(sink, "scale", s * p * d, 1)
+    kernels.count_elementwise(sink, "add", s * p * d, 2)
+    scaled = finite(table[ids.reshape(-1)] * F32(factor), "scale")
+    return finite(scaled + np.tile(positions, (s, 1)), "add")
+
+
+# -- operand strategies: a case from drawn sizes and a seed --------------------------
+
+
+def attention_case(slices, r, m, dh, masked, chunk, seed):
     rng = np.random.default_rng(seed)
     q4 = (rand(rng, slices, r, dh) * 4).astype(F32)
     k4 = rand(rng, slices, m, dh).transpose(0, 2, 1)  # keys stored transposed, read as a view
     v4 = rand(rng, slices, m, dh)
     mask_rows = None
-    n = slices * r
-    if runs is not None and n % runs == 0:
-        nq = max(n // runs, 1)
-        mask_rows = rng.random((nq, m)) < 0.5
+    if masked:
+        mask_rows = rng.random((r, m)) < 0.5
         if m:
-            mask_rows[np.arange(nq), rng.integers(0, m, size=nq)] = True
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        chunk_budget(monkeypatch, chunk, 4 * r * m)
-        (probs, ctx), counts = outcome(kernels.attention, q4, k4, v4, mask_rows=mask_rows)
-    (ref_probs, ref_ctx), ref_counts = outcome(
-        three_kernel_attention, q4, k4, v4, mask_rows=mask_rows
-    )
-    for got, want in ((probs, ref_probs), (ctx, ref_ctx)):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert np.array_equal(got, want)
-    assert counts == ref_counts
+            mask_rows[np.arange(r), rng.integers(0, m, size=r)] = True
+    return Case((q4, k4, v4), {"mask_rows": mask_rows}, chunk_bytes(chunk, 4 * r * m))
+
+
+def backward_case(slices, r, m, dh, dv, masked, chunk, seed):
+    rng = np.random.default_rng(seed)
+    q4 = (rand(rng, slices, r, dh) * 4).astype(F32)
+    k4 = rand(rng, slices, m, dh).transpose(0, 2, 1)
+    v4 = rand(rng, slices, m, dv)
+    # causal: masked probabilities are exact zeros
+    mask_rows = np.tri(r, m, dtype=bool) if masked and r and m else None
+    probs, _ = unfused_attention(q4, k4, v4, CounterSink(), mask_rows)
+    d_ctx = rand(rng, slices, r, dv)
+    return Case((q4, k4, v4, probs, d_ctx), {}, chunk_bytes(chunk, 8 * r * m))
+
+
+def matmul_case(m, k, n, epilogue, salts, transposed, seed):
+    rng = np.random.default_rng(seed)
+    # uniform operands; strided transposed views when asked
+    arrays = {
+        name: rand(rng, *shape[::-1]).T if transposed else rand(rng, *shape)
+        for name, shape in (("a", (m, k)), ("b", (k, n)), ("r", (m, n)))
+    }
+    for name, pos, value in salts:
+        arr = arrays[name]
+        if arr.size:
+            arr[np.unravel_index(pos % arr.size, arr.shape)] = value
+    kind, factor = epilogue
+    options = {"scale": factor} if kind == "scale" else {"residual": arrays["r"]}
+    return Case((arrays["a"], arrays["b"]), options)
+
+
+def embed_case(s, p, start, d, seed):
+    rng = np.random.default_rng(seed)
+    table = rand(rng, 11, d)
+    ids = rng.integers(0, 11, size=(s, p))
+    return Case((table, ids, math.sqrt(d), sinusoid_table(start + p, d)[start:]), {})
+
+
+CHUNKS = st.sampled_from([None, 0, 1, 2, 3])  # slices per chunk
+SEEDS = st.integers(0, 2**31)
+
+
+# -- error cases ---------------------------------------------------------------------
 
 
 def salted(shape, at, value, fill=1.0):
@@ -816,82 +902,293 @@ def salted(shape, at, value, fill=1.0):
     return a
 
 
-def zeroed(x):
-    """A float32 array's zeros of the same shape, which no kernel finds
-    non-finite; anything else (a mask, a scale factor) as it is."""
-    return np.zeros_like(x) if isinstance(x, np.ndarray) and x.dtype == F32 else x
-
-
-def assert_fails_fast(kernel, reference, error, *operands, **options):
-    """``kernel`` raises ``error`` where its unfused ``reference`` raises,
-    and fails fast: a validation fault (shape, dtype, mask) before anything
-    is counted, a non-finite output with every constituent's counts
-    recorded, as ``reference`` records them on finite operands of the same
-    shapes."""
-    # ValueError covers ShapeError, MaskError and NumPy's own shape errors
-    with np.errstate(all="ignore"), pytest.raises((FloatingPointError, ValueError)):
-        reference(*operands, CounterSink(), **options)
-    got, counts = outcome(kernel, *operands, **options)
-    assert got == error
-    if error[0] is FloatingPointError:
-        sink = CounterSink()
-        reference(*map(zeroed, operands), sink, **{k: zeroed(v) for k, v in options.items()})
-        assert counts == list(sink.kind_totals().items())
-    else:
-        assert counts == []
+def attention_error(id, error, q4, k4, v4, mask_rows=None, chunk=None):
+    budget = chunk_bytes(chunk, 4 * q4.shape[1] * k4.shape[2])
+    return pytest.param(Case((q4, k4, v4), {"mask_rows": mask_rows}, budget), error, id=id)
 
 
 ONES = np.ones((3, 1, 1), F32)
 ONES_K = np.ones((3, 1, 2), F32)
 ONES_V = np.ones((3, 2, 1), F32)
+Q2, K2, V2 = np.ones((2, 2, 1), F32), np.ones((2, 1, 3), F32), np.ones((2, 3, 1), F32)
 HIDDEN = np.array([[False, False]])  # every score row hidden
+BMM = (FloatingPointError, "bmm produced non-finite values")
+HIDDEN_ROW_0 = (MaskError, "softmax row 0 has no visible entries")
+V4_MISMATCH = (ShapeError, "bmm: a is 3x1x2, b is 3x3x1 (batch or inner mismatch)")
+
+ATTENTION_ERRORS = [
+    attention_error("score_overflow", BMM, np.full((2, 1, 1), HUGE), np.full((2, 1, 3), HUGE), V2),
+    attention_error("score_negative_overflow", BMM,
+                    np.full((2, 1, 1), HUGE), np.full((2, 1, 3), -HUGE), V2),
+    attention_error("nan_in_v4", BMM,
+                    np.ones((2, 1, 1), F32), K2, np.full((2, 3, 1), np.nan, F32)),
+    attention_error("masked_row_without_lane", (MaskError, "softmax row 1 has no visible entries"),
+                    Q2, K2, V2, np.array([[True, False, True], [False, False, False]])),
+    # one slice per chunk: the context product fails in the first chunk,
+    # before the score product fails in the last
+    attention_error("chunked_nan_in_first_v4_inf_in_last_q4", BMM,
+                    salted((3, 1, 1), 2, np.inf), ONES_K, salted((3, 2, 1), 0, np.nan), chunk=1),
+    # a validation fault is raised before any chunk is computed
+    attention_error("chunked_hidden_row_inf_in_last_q4", HIDDEN_ROW_0,
+                    salted((3, 1, 1), 2, np.inf), ONES_K, ONES_V, HIDDEN, 1),
+    attention_error("chunked_nan_in_first_v4_hidden_row", HIDDEN_ROW_0,
+                    ONES, ONES_K, salted((3, 2, 1), 0, np.nan), HIDDEN, 1),
+    attention_error("chunked_nan_in_last_v4", BMM,
+                    ONES, ONES_K, salted((3, 2, 1), 2, np.nan), chunk=1),
+    attention_error("chunked_float64_v4_inf_in_last_q4", (ShapeError, "v4 must be float32, got float64"),
+                    salted((3, 1, 1), 2, np.inf), ONES_K, np.ones((3, 2, 1)), chunk=1),
+    attention_error("chunked_v4_mismatch_hidden_row", V4_MISMATCH,
+                    ONES, ONES_K, np.ones((3, 3, 1), F32), HIDDEN, 1),
+    attention_error("chunked_v4_mismatch", V4_MISMATCH, ONES, ONES_K, np.ones((3, 3, 1), F32), chunk=1),
+    # the mask is one slice's [r, m]: not a row for r = 2 rows, not two slices' rows
+    attention_error("mask_of_one_row",
+                    (ShapeError, "attention mask must be bool (2, 3), got bool (1, 3)"),
+                    Q2, K2, V2, np.ones((1, 3), bool)),
+    attention_error("mask_of_two_slices",
+                    (ShapeError, "attention mask must be bool (2, 3), got bool (4, 3)"),
+                    Q2, K2, V2, np.ones((4, 3), bool)),
+    attention_error("float_mask",
+                    (ShapeError, "attention mask must be bool (2, 3), got float64 (2, 3)"),
+                    Q2, K2, V2, np.ones((2, 3))),
+]
 
 
-@pytest.mark.parametrize(
-    "args, chunk, error",
-    [
-        ((np.full((2, 1, 1), HUGE), np.full((2, 1, 3), HUGE), np.ones((2, 3, 1), F32), None),
-         None, (FloatingPointError, "bmm produced non-finite values")),
-        ((np.full((2, 1, 1), HUGE), np.full((2, 1, 3), -HUGE), np.ones((2, 3, 1), F32), None),
-         None, (FloatingPointError, "bmm produced non-finite values")),
-        ((np.ones((2, 1, 1), F32), np.ones((2, 1, 3), F32), np.full((2, 3, 1), np.nan, F32), None),
-         None, (FloatingPointError, "bmm produced non-finite values")),
-        ((np.ones((2, 2, 1), F32), np.ones((2, 1, 3), F32), np.ones((2, 3, 1), F32),
-          np.array([[True, False, True], [False, False, False]])),
-         None, (MaskError, "softmax row 1 has no visible entries")),
-        # one slice per chunk: the context product fails in the first
-        # chunk, before the score product fails in the last
-        ((salted((3, 1, 1), 2, np.inf), ONES_K, salted((3, 2, 1), 0, np.nan), None),
-         1, (FloatingPointError, "bmm produced non-finite values")),
-        # a validation fault is raised before any chunk is computed
-        ((salted((3, 1, 1), 2, np.inf), ONES_K, ONES_V, HIDDEN),
-         1, (MaskError, "softmax row 0 has no visible entries")),
-        ((ONES, ONES_K, salted((3, 2, 1), 0, np.nan), HIDDEN),
-         1, (MaskError, "softmax row 0 has no visible entries")),
-        ((ONES, ONES_K, salted((3, 2, 1), 2, np.nan), None),
-         1, (FloatingPointError, "bmm produced non-finite values")),
-        ((salted((3, 1, 1), 2, np.inf), ONES_K, np.ones((3, 2, 1)), None),
-         1, (ShapeError, "v4 must be float32, got float64")),
-        ((ONES, ONES_K, np.ones((3, 3, 1), F32), HIDDEN),
-         1, (ShapeError, "bmm: a is 3x1x2, b is 3x3x1 (batch or inner mismatch)")),
-        ((ONES, ONES_K, np.ones((3, 3, 1), F32), None),
-         1, (ShapeError, "bmm: a is 3x1x2, b is 3x3x1 (batch or inner mismatch)")),
-    ],
-    ids=[
-        "score_overflow", "score_negative_overflow", "nan_in_v4", "masked_row_without_lane",
-        "chunked_nan_in_first_v4_inf_in_last_q4", "chunked_hidden_row_inf_in_last_q4",
-        "chunked_nan_in_first_v4_hidden_row", "chunked_nan_in_last_v4",
-        "chunked_float64_v4_inf_in_last_q4", "chunked_v4_mismatch_hidden_row",
-        "chunked_v4_mismatch",
-    ],
+def backward_error(id, error, **salts):
+    """Three one-slice chunks of all-ones backward operands (``r=1``, ``m=2``,
+    ``dh=dv=1``, uniform ``probs``), with ``salts`` replacing whole operands."""
+    operands = dict(q4=ONES, k4=ONES_K, v4=ONES_V, probs=np.full((3, 1, 2), 0.5, F32), d_ctx=ONES)
+    operands.update(salts)
+    return pytest.param(Case(tuple(operands.values()), {}, chunk_bytes(1, 8 * 1 * 2)), error, id=id)
+
+
+# only the softmax backward overflows, on the last slice: there dP = d_ctx
+# @ v4ᵀ is [3e38, -3e38] and P = [1, 0], so dP - rowsum(dP * P) = [0, -inf]
+# and the hidden lane's -inf * 0 is NaN
+OVERFLOW = dict(
+    probs=np.array([[[0.5, 0.5]], [[0.5, 0.5]], [[1.0, 0.0]]], F32),
+    v4=np.array([[[3e19], [3e19]], [[3e19], [3e19]], [[3e19], [-3e19]]], F32),
+    d_ctx=np.full((3, 1, 1), 1e19, F32),
 )
-def test_attention_raises_like_three_kernels(args, chunk, error, monkeypatch):
-    *operands, mask_rows = args
-    q4, k4, _ = operands
-    chunk_budget(monkeypatch, chunk, 4 * q4.shape[1] * k4.shape[2])
-    assert_fails_fast(
-        kernels.attention, three_kernel_attention, error, *operands, mask_rows=mask_rows
-    )
+NAN_Q4, NAN_K4 = salted((3, 1, 1), 0, np.nan), salted((3, 1, 2), 0, np.nan)  # in the first chunk
+Q4_MISMATCH = (ShapeError, "bmm: a is 3x2x1, b is 3x2x1 (batch or inner mismatch)")
+
+ATTENTION_BACKWARD_ERRORS = [
+    backward_error("nan_in_last_v4_nan_in_first_k4", BMM, v4=salted((3, 2, 1), 2, np.nan), k4=NAN_K4),
+    backward_error("nan_in_first_d_ctx", BMM, d_ctx=salted((3, 1, 1), 0, np.nan)),
+    backward_error("nan_in_last_probs_nan_in_first_q4", BMM,
+                   probs=salted((3, 1, 2), 2, np.nan), q4=NAN_Q4),
+    backward_error("softmax_overflow_in_last",
+                   (FloatingPointError, "softmax backward produced non-finite values"), **OVERFLOW),
+    # the d_q4 product fails in the first chunk, before the softmax backward
+    # fails in the last: the first failure found wins
+    backward_error("softmax_overflow_in_last_nan_in_first_k4", BMM, **dict(OVERFLOW, k4=NAN_K4)),
+    backward_error("nan_in_last_k4_nan_in_first_q4", BMM, k4=salted((3, 1, 2), 2, np.nan), q4=NAN_Q4),
+    backward_error("inf_in_last_q4", BMM, q4=salted((3, 1, 1), 2, np.inf)),
+    backward_error("probs_mismatch",
+                   (ShapeError, "softmax backward: probs is (3, 3), d_probs is (3, 2)"),
+                   probs=np.full((3, 1, 3), 0.5, F32)),
+    backward_error("float64_probs_nan_in_first_q4", (ShapeError, "probs must be float32, got float64"),
+                   probs=np.full((3, 1, 2), 0.5), q4=NAN_Q4),
+    backward_error("two_d_v4", (ShapeError, "v4 must be 3-D, got shape (3, 2)"), v4=np.ones((3, 2), F32)),
+    backward_error("k4_mismatch_nan_in_first_q4",
+                   (ShapeError, "bmm: a is 3x1x2, b is 2x2x1 (batch or inner mismatch)"),
+                   k4=np.ones((2, 1, 2), F32), q4=NAN_Q4),
+    backward_error("q4_mismatch_nan_in_last_probs", Q4_MISMATCH,
+                   q4=np.ones((3, 2, 1), F32), probs=salted((3, 1, 2), 2, np.nan)),
+    backward_error("q4_mismatch", Q4_MISMATCH, q4=np.ones((3, 2, 1), F32)),
+    # every backward product fits; only the forward's q4 @ k4 does not
+    backward_error("head_width_mismatch",
+                   (ShapeError, "bmm: a is 2x3x2, b is 2x3x4 (batch or inner mismatch)"),
+                   q4=np.ones((2, 3, 2), F32), k4=np.ones((2, 3, 4), F32), v4=np.ones((2, 4, 1), F32),
+                   probs=np.full((2, 3, 4), 0.25, F32), d_ctx=np.ones((2, 3, 1), F32)),
+]
+
+
+def matmul_error(id, error, a, b, **options):
+    return pytest.param(Case((a, b), options), error, id=id)
+
+
+PRODUCT = (FloatingPointError, "matmul produced non-finite values")
+ADD = (FloatingPointError, "add produced non-finite values")
+RESIDUAL_SHAPE = (ShapeError, "add: a is (2, 1), b is (2, 2)")
+A, B = np.ones((2, 1), F32), np.ones((1, 2), F32)
+
+MATMUL_ERRORS = [
+    matmul_error("product_overflow_scale", PRODUCT,
+                 np.full((1, 2), HUGE), np.full((2, 1), HUGE), scale=0.5),
+    matmul_error("product_overflow_residual", PRODUCT,
+                 np.full((1, 2), HUGE), np.full((2, 1), -HUGE), residual=np.ones((1, 1), F32)),
+    matmul_error("scale_overflow", (FloatingPointError, "scale produced non-finite values"),
+                 np.full((2, 1), HUGE), B, scale=1e10),
+    matmul_error("add_overflow", ADD,
+                 np.full((2, 1), F32(3e38)), B, residual=np.full((2, 2), F32(3e38))),
+    matmul_error("nan_residual", ADD, A, B, residual=np.array([[0.0, np.nan], [0.0, 0.0]], F32)),
+    matmul_error("residual_shape", RESIDUAL_SHAPE, A, B, residual=np.ones((2, 1), F32)),
+    matmul_error("residual_dtype",
+                 (ShapeError, "add: operands must be float32, got float64 and float32"),
+                 A, B, residual=np.ones((2, 2))),
+    # the residual is validated before the product is computed
+    matmul_error("product_overflow_before_residual_shape", RESIDUAL_SHAPE,
+                 np.full((2, 1), HUGE), np.full((1, 2), HUGE), residual=np.ones((2, 1), F32)),
+]
+
+
+EMBED_TABLE = np.arange(12, dtype=F32).reshape(4, 3)
+EMBED_POSITIONS = np.ones((2, 3), F32)
+
+
+def embed_error(id, error, table, ids, positions=EMBED_POSITIONS):
+    # the factor 4 (sqrt(16)) takes 8e37 to 3.2e38, still finite, and 1e38
+    # past float32's max of 3.4e38
+    return pytest.param(Case((table, np.array(ids), 4.0, positions), {}), error, id=id)
+
+
+SCALE = (FloatingPointError, "scale produced non-finite values")
+
+EMBED_ERRORS = [
+    embed_error("id_equal_to_vocab",
+                (ShapeError, "gather index out of range: table has 4 rows, indices span [0, 4]"),
+                EMBED_TABLE, [[0, 4]]),
+    embed_error("negative_id",
+                (ShapeError, "gather index out of range: table has 4 rows, indices span [-1, 2]"),
+                EMBED_TABLE, [[-1, 2], [1, 0]]),
+    embed_error("position_rows",
+                (ShapeError, "embed positions must be float32 (2, 3), got float32 (3, 3)"),
+                EMBED_TABLE, [[0, 1]], np.ones((3, 3), F32)),
+    embed_error("float64_positions",
+                (ShapeError, "embed positions must be float32 (2, 3), got float64 (2, 3)"),
+                EMBED_TABLE, [[0, 1]], np.ones((2, 3))),
+    embed_error("float64_table", (ShapeError, "table must be float32, got float64"),
+                EMBED_TABLE.astype(np.float64), [[0, 1]]),
+    # non-finite outputs, with every constituent's counts recorded
+    embed_error("scale_overflow", SCALE, salted((4, 3), (2, 1), 1e38, fill=0.0), [[0, 2]]),
+    embed_error("nan_table_entry", SCALE, salted((4, 3), (2, 1), np.nan, fill=0.0), [[2, 0], [0, 0]]),
+    embed_error("add_overflow", ADD, salted((4, 3), (1, 0), 8e37, fill=0.0), [[0, 1]],
+                salted((2, 3), (1, 0), 3e38, fill=0.0)),
+    embed_error("inf_position", ADD, EMBED_TABLE, [[0, 1]], salted((2, 3), (0, 2), np.inf)),
+]
+
+
+# -- the table and its two generic tests ---------------------------------------------
+
+
+class Fused(NamedTuple):
+    kernel: object
+    composition: object
+    cases: st.SearchStrategy
+    examples: tuple
+    errors: list
+    max_examples: int
+
+
+FUSED = {
+    "attention": Fused(
+        kernels.attention, unfused_attention,
+        st.builds(attention_case, st.integers(0, 7), st.integers(0, 6), st.integers(0, 9),
+                  st.integers(1, 8), st.booleans(), CHUNKS, SEEDS),
+        (  # slices, r, m, dh, masked, chunk, seed
+            attention_case(2, 3, 0, 2, True, None, 0), attention_case(2, 2, 5, 3, True, None, 3),
+            attention_case(0, 3, 4, 2, False, None, 0), attention_case(4, 3, 3, 2, False, 4, 5),
+            # 4 and 3 chunks, the last partial; one slice per chunk, by budget or over it
+            attention_case(7, 2, 5, 3, True, 2, 1), attention_case(5, 3, 4, 2, False, 2, 2),
+            attention_case(6, 2, 4, 2, True, 1, 4), attention_case(3, 2, 4, 2, True, 0, 8),
+            attention_case(4, 0, 3, 2, False, 1, 6), attention_case(4, 3, 0, 2, True, 1, 7),  # empty
+        ),
+        ATTENTION_ERRORS, 80,
+    ),
+    "backward": Fused(
+        kernels.attention_backward, unfused_attention_backward,
+        st.builds(backward_case, st.integers(0, 7), st.integers(0, 6), st.integers(0, 9),
+                  st.integers(1, 8), st.integers(1, 8), st.booleans(), CHUNKS, SEEDS),
+        (  # slices, r, m, dh, dv, masked, chunk, seed
+            # 4, 2 and 3 chunks; a slice over the budget; empty r*m
+            backward_case(7, 2, 5, 3, 2, True, 2, 1), backward_case(5, 3, 4, 2, 3, False, 3, 2),
+            backward_case(3, 3, 4, 2, 2, False, 1, 3), backward_case(3, 2, 4, 2, 2, True, 0, 7),
+            backward_case(4, 0, 3, 2, 2, False, 1, 4), backward_case(4, 3, 0, 2, 2, False, 1, 5),
+            # no slices; with no score bytes either, the chunk step must still be 1
+            backward_case(0, 3, 4, 2, 2, False, None, 6), backward_case(0, 0, 3, 2, 2, False, None, 8),
+        ),
+        ATTENTION_BACKWARD_ERRORS, 80,
+    ),
+    "matmul": Fused(
+        kernels.matmul, unfused_matmul,
+        st.builds(
+            matmul_case, st.integers(0, 5), st.integers(0, 6), st.integers(0, 5),
+            st.sampled_from([("scale", 0.125), ("scale", 1 / math.sqrt(3)), ("scale", 1e10),
+                             ("scale", 0.0), ("residual", None)]),
+            st.lists(st.tuples(st.sampled_from("abr"), st.integers(0, 35), st.sampled_from(SALTS)),
+                     max_size=4),
+            st.booleans(), SEEDS,
+        ),
+        (  # m, k, n, epilogue, salts, transposed, seed
+            matmul_case(1, 1, 1, ("scale", 1e10), [("a", 0, 3e38)], False, 0),
+            matmul_case(2, 1, 2, ("residual", None), [("r", 3, 3e38), ("a", 1, 3e38)], True, 1),
+            matmul_case(2, 0, 3, ("residual", None), [("r", 0, np.nan)], False, 2),
+        ),
+        MATMUL_ERRORS, 120,
+    ),
+    "embed_rows": Fused(
+        kernels.embed_rows, unfused_embed,
+        st.builds(embed_case, st.integers(1, 5), st.integers(1, 6), st.integers(0, 6),
+                  st.integers(1, 8), SEEDS),
+        (  # s, p, start, d, seed
+            embed_case(1, 1, 0, 4, 0),  # a decode step of one stream
+            embed_case(3, 1, 5, 4, 1),  # a decode step of three streams
+            embed_case(2, 4, 3, 6, 2),  # a prefill past the first position
+        ),
+        EMBED_ERRORS, 60,
+    ),
+}
+
+
+def equals_its_composition(row):
+    """On every case the kernel's outputs (bits, dtype, shape) or error,
+    and its ``kind_totals()``, equal the composition's."""
+
+    @settings(max_examples=row.max_examples, deadline=None)
+    @given(case=row.cases)
+    def test(case):
+        got, counts = outcome(row.kernel, *case.operands, budget=case.budget, **case.options)
+        want, want_counts = outcome(row.composition, *case.operands, **case.options)
+        assert fingerprint(got) == fingerprint(want)
+        assert counts == want_counts
+
+    for case in row.examples:
+        test = example(case=case)(test)
+    return test
+
+
+def raises_like_its_composition(row):
+    """Each error case raises its (type, message) with the composition's
+    sink state: empty for a validation fault, and for a non-finite output
+    the full counts of a composition that fails too."""
+
+    @pytest.mark.parametrize("case, error", row.errors)
+    def test(case, error):
+        got, counts = outcome(row.kernel, *case.operands, budget=case.budget, **case.options)
+        assert got == error
+        if error[0] is FloatingPointError:
+            want, want_counts = outcome(row.composition, *case.operands, **case.options)
+            assert want[0] is FloatingPointError
+            assert counts == want_counts
+        else:
+            assert counts == []
+
+    return test
+
+
+# each row under the names its hand-written test pair had, so the test ids stay
+test_attention_bit_identical_to_three_kernels = equals_its_composition(FUSED["attention"])
+test_attention_raises_like_three_kernels = raises_like_its_composition(FUSED["attention"])
+test_attention_backward_bit_identical_to_five_kernels = equals_its_composition(FUSED["backward"])
+test_attention_backward_raises_like_five_kernels = raises_like_its_composition(FUSED["backward"])
+test_matmul_epilogue_bit_identical_to_two_kernels = equals_its_composition(FUSED["matmul"])
+test_matmul_epilogue_raises_like_two_kernels = raises_like_its_composition(FUSED["matmul"])
+test_embed_rows_bit_identical_to_three_kernels = equals_its_composition(FUSED["embed_rows"])
+test_embed_rows_raises_like_three_kernels = raises_like_its_composition(FUSED["embed_rows"])
+
+
+# -- the attention kernels' chunks ---------------------------------------------------
 
 
 #: operand values from zero through float32's extremes to the non-finite
@@ -923,141 +1220,12 @@ def test_attention_softmax_cannot_fail_once_scores_are_finite(masked):
     assert returned >= 20
 
 
-# -- fused attention backward equals the five kernels it replaces ----------------------
-
-
-def five_kernel_attention_backward(q4, k4, v4, probs, d_ctx, sink):
-    d_probs = kernels.bmm(d_ctx, v4.transpose(0, 2, 1), sink)
-    d_v4 = kernels.bmm(probs.transpose(0, 2, 1), d_ctx, sink)
-    d_scores = kernels.softmax_rows_backward(
-        probs.reshape(probs.shape[0] * probs.shape[1], probs.shape[2]),
-        d_probs.reshape(d_probs.shape[0] * d_probs.shape[1], d_probs.shape[2]),
-        sink,
-    ).reshape(probs.shape)
-    d_q4 = kernels.bmm(d_scores, k4.transpose(0, 2, 1), sink)
-    d_k4 = kernels.bmm(d_scores.transpose(0, 2, 1), q4, sink)
-    kernels._check_bmm(q4.shape, k4.shape)  # the forward's score product
-    return d_q4, d_k4, d_v4
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    slices=st.integers(0, 7),
-    r=st.integers(0, 6),
-    m=st.integers(0, 9),
-    dh=st.integers(1, 8),
-    dv=st.integers(1, 8),
-    masked=st.booleans(),
-    chunk=st.sampled_from([None, 1, 2, 3]),
-    seed=st.integers(0, 2**31),
-)
-@example(slices=7, r=2, m=5, dh=3, dv=2, masked=True, chunk=2, seed=1)  # 4 chunks
-@example(slices=5, r=3, m=4, dh=2, dv=3, masked=False, chunk=3, seed=2)  # 2 chunks
-@example(slices=3, r=3, m=4, dh=2, dv=2, masked=False, chunk=1, seed=3)  # 3 chunks
-@example(slices=4, r=0, m=3, dh=2, dv=2, masked=False, chunk=1, seed=4)  # empty r*m
-@example(slices=4, r=3, m=0, dh=2, dv=2, masked=False, chunk=1, seed=5)
-@example(slices=0, r=3, m=4, dh=2, dv=2, masked=False, chunk=None, seed=6)
-def test_attention_backward_bit_identical_to_five_kernels(
-    slices, r, m, dh, dv, masked, chunk, seed
-):
-    rng = np.random.default_rng(seed)
-    q4 = (rand(rng, slices, r, dh) * 4).astype(F32)
-    k4 = rand(rng, slices, m, dh).transpose(0, 2, 1)
-    v4 = rand(rng, slices, m, dv)
-    mask_rows = None
-    if masked and r and m:
-        mask_rows = np.tri(r, m, dtype=bool)  # causal: masked probabilities are exact zeros
-    probs, _ = kernels.attention(q4, k4, v4, CounterSink(), mask_rows)
-    d_ctx = rand(rng, slices, r, dv)
-    operands = (q4, k4, v4, probs, d_ctx)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        chunk_budget(monkeypatch, chunk, 8 * r * m)
-        got, counts = outcome(kernels.attention_backward, *operands)
-    want, ref_counts = outcome(five_kernel_attention_backward, *operands)
-    for g, w in zip(got, want, strict=True):
-        assert g.dtype == w.dtype and g.shape == w.shape
-        assert g.tobytes() == w.tobytes()
-    assert counts == ref_counts
-
-
-def backward_operands(**salts):
-    """Three one-slice chunks of all-ones backward operands (``r=1``,
-    ``m=2``, ``dh=dv=1``, uniform ``probs``), with ``salts`` replacing
-    whole operands."""
-    operands = dict(
-        q4=np.ones((3, 1, 1), F32),
-        k4=np.ones((3, 1, 2), F32),
-        v4=np.ones((3, 2, 1), F32),
-        probs=np.full((3, 1, 2), 0.5, F32),
-        d_ctx=np.ones((3, 1, 1), F32),
-    )
-    operands.update(salts)
-    return tuple(operands.values())
-
-
-# only the softmax backward overflows, on the last slice: there dP = d_ctx
-# @ v4ᵀ is [3e38, -3e38] and P = [1, 0], so dP - rowsum(dP * P) = [0, -inf]
-# and the hidden lane's -inf * 0 is NaN
-OVERFLOW = dict(
-    probs=np.array([[[0.5, 0.5]], [[0.5, 0.5]], [[1.0, 0.0]]], F32),
-    v4=np.array([[[3e19], [3e19]], [[3e19], [3e19]], [[3e19], [-3e19]]], F32),
-    d_ctx=np.full((3, 1, 1), 1e19, F32),
-)
-BMM = (FloatingPointError, "bmm produced non-finite values")
-
-
-@pytest.mark.parametrize(
-    "salts, error",
-    [
-        (dict(v4=salted((3, 2, 1), 2, np.nan), k4=salted((3, 1, 2), 0, np.nan)), BMM),
-        (dict(d_ctx=salted((3, 1, 1), 0, np.nan)), BMM),
-        (dict(probs=salted((3, 1, 2), 2, np.nan), q4=salted((3, 1, 1), 0, np.nan)), BMM),
-        (OVERFLOW, (FloatingPointError, "softmax backward produced non-finite values")),
-        # the d_q4 product fails in the first chunk, before the softmax
-        # backward fails in the last: the first failure found wins
-        (dict(OVERFLOW, k4=salted((3, 1, 2), 0, np.nan)), BMM),
-        (dict(k4=salted((3, 1, 2), 2, np.nan), q4=salted((3, 1, 1), 0, np.nan)), BMM),
-        (dict(q4=salted((3, 1, 1), 2, np.inf)), BMM),
-        (dict(probs=np.full((3, 1, 3), 0.5, F32)),
-         (ShapeError, "softmax backward: probs is (3, 3), d_probs is (3, 2)")),
-        (dict(probs=np.full((3, 1, 2), 0.5), q4=salted((3, 1, 1), 0, np.nan)),
-         (ShapeError, "probs must be float32, got float64")),
-        (dict(v4=np.ones((3, 2), F32)), (ShapeError, "v4 must be 3-D, got shape (3, 2)")),
-        (dict(k4=np.ones((2, 1, 2), F32), q4=salted((3, 1, 1), 0, np.nan)),
-         (ShapeError, "bmm: a is 3x1x2, b is 2x2x1 (batch or inner mismatch)")),
-        (dict(q4=np.ones((3, 2, 1), F32), probs=salted((3, 1, 2), 2, np.nan)),
-         (ShapeError, "bmm: a is 3x2x1, b is 3x2x1 (batch or inner mismatch)")),
-        (dict(q4=np.ones((3, 2, 1), F32)),
-         (ShapeError, "bmm: a is 3x2x1, b is 3x2x1 (batch or inner mismatch)")),
-        # every backward product fits; only the forward's q4 @ k4 does not
-        (dict(q4=np.ones((2, 3, 2), F32), k4=np.ones((2, 3, 4), F32), v4=np.ones((2, 4, 1), F32),
-              probs=np.full((2, 3, 4), 0.25, F32), d_ctx=np.ones((2, 3, 1), F32)),
-         (ShapeError, "bmm: a is 2x3x2, b is 2x3x4 (batch or inner mismatch)")),
-    ],
-    ids=[
-        "nan_in_last_v4_nan_in_first_k4", "nan_in_first_d_ctx",
-        "nan_in_last_probs_nan_in_first_q4", "softmax_overflow_in_last",
-        "softmax_overflow_in_last_nan_in_first_k4",
-        "nan_in_last_k4_nan_in_first_q4", "inf_in_last_q4", "probs_mismatch",
-        "float64_probs_nan_in_first_q4", "two_d_v4", "k4_mismatch_nan_in_first_q4",
-        "q4_mismatch_nan_in_last_probs", "q4_mismatch", "head_width_mismatch",
-    ],
-)
-def test_attention_backward_raises_like_five_kernels(salts, error, monkeypatch):
-    # one slice per chunk, so each operand's slices fall in three chunks
-    chunk_budget(monkeypatch, 1, 8 * 1 * 2)
-    assert_fails_fast(
-        kernels.attention_backward, five_kernel_attention_backward, error,
-        *backward_operands(**salts),
-    )
-
-
 @pytest.mark.parametrize(
     "slices, r, m, nq, chunk, chunks, backward_chunks",
     [
         (7, 2, 5, None, 2, 4, 4),  # the last chunk partial
         (5, 3, 4, None, 2, 3, 3),
-        (6, 2, 4, 6, 1, 2, 6),  # a mask run spans 3 forward slices: chunks of whole runs
+        (6, 2, 4, 2, 1, 6, 6),  # masked, one slice per chunk
         (7, 2, 5, 2, 3, 3, 3),
         (4, 3, 3, None, 4, 1, 1),
         (4, 3, 3, None, None, 1, 1),  # the module's budget
@@ -1072,8 +1240,8 @@ def test_attention_kernels_make_one_pass_per_chunk(
     slices, r, m, nq, chunk, chunks, backward_chunks, monkeypatch
 ):
     # each chunk runs every product once: 2 in the forward, 4 in the
-    # backward, whose chunks hold 2 score-shaped arrays per slice and need
-    # not align with a mask
+    # backward, whose chunks hold 2 score-shaped arrays per slice; a masked
+    # row (nq = r) chunks as an unmasked one
     rng = np.random.default_rng(0)
     q4, k4, v4 = rand(rng, slices, r, 4), rand(rng, slices, 4, m), rand(rng, slices, m, 4)
     mask_rows = None if nq is None else np.ones((nq, m), bool)
@@ -1084,13 +1252,12 @@ def test_attention_kernels_make_one_pass_per_chunk(
         products.append(args[0].shape[0])
         return matmul(*args, **kwargs)
 
-    chunk_budget(monkeypatch, chunk, 4 * r * m)
     monkeypatch.setattr(np, "matmul", counted)
-    probs, ctx = kernels.attention(q4, k4, v4, CounterSink(), mask_rows)
+    budget = chunk_bytes(chunk, 4 * r * m)
+    (probs, ctx), _ = outcome(kernels.attention, q4, k4, v4, mask_rows=mask_rows, budget=budget)
     assert len(products) == 2 * chunks and sum(products) == 2 * slices
     products.clear()
-    chunk_budget(monkeypatch, chunk, 8 * r * m)
-    kernels.attention_backward(q4, k4, v4, probs, ctx, CounterSink())
+    outcome(kernels.attention_backward, q4, k4, v4, probs, ctx, budget=chunk_bytes(chunk, 8 * r * m))
     assert len(products) == 4 * backward_chunks and sum(products) == 4 * slices
 
 
@@ -1118,187 +1285,17 @@ def test_attention_one_chunk_path_equals_the_chunk_loop(slices, r, chunk, masked
     whole, whole_counts = outcome(kernels.attention, q4, k4, v4, mask_rows=mask_rows)
     assert outs == [False, False]
     outs.clear()
-    chunk_budget(monkeypatch, chunk, 4 * r * end)
-    looped, loop_counts = outcome(kernels.attention, q4, k4, v4, mask_rows=mask_rows)
+    budget = chunk_bytes(chunk, 4 * r * end)
+    looped, loop_counts = outcome(kernels.attention, q4, k4, v4, mask_rows=mask_rows, budget=budget)
     assert outs == [True, True] * -(-slices // chunk)
-    for w, lp in zip(whole, looped, strict=True):
-        assert w.dtype == lp.dtype and w.shape == lp.shape
-        assert w.tobytes() == lp.tobytes()
+    assert fingerprint(whole) == fingerprint(looped)
     assert whole_counts == loop_counts
-
-
-# -- matmul epilogues equal matmul -> scale and matmul -> add ------------------------
-
-
-def two_kernel_matmul(a, b, sink, scale=None, residual=None):
-    product = kernels.matmul(a, b, sink)
-    if scale is not None:
-        return kernels.scale(product, scale, sink)
-    return kernels.add(residual, product, sink)
-
-
-def operand(rng, shape, transposed):
-    """Uniform float32 ``shape``; a strided transposed view when asked."""
-    if transposed:
-        return rand(rng, *shape[::-1]).T
-    return rand(rng, *shape)
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    m=st.integers(0, 5),
-    k=st.integers(0, 6),
-    n=st.integers(0, 5),
-    epilogue=st.sampled_from([("scale", 0.125), ("scale", 1 / math.sqrt(3)),
-                              ("scale", 1e10), ("scale", 0.0), ("residual", None)]),
-    salts=st.lists(
-        st.tuples(st.sampled_from("abr"), st.integers(0, 35), st.sampled_from(SALTS)),
-        max_size=4,
-    ),
-    transposed=st.booleans(),
-    seed=st.integers(0, 2**31),
-)
-@example(m=1, k=1, n=1, epilogue=("scale", 1e10), salts=[("a", 0, 3e38)], transposed=False, seed=0)
-@example(m=2, k=1, n=2, epilogue=("residual", None), salts=[("r", 3, 3e38), ("a", 1, 3e38)],
-         transposed=True, seed=1)
-@example(m=2, k=0, n=3, epilogue=("residual", None), salts=[("r", 0, np.nan)],
-         transposed=False, seed=2)
-def test_matmul_epilogue_bit_identical_to_two_kernels(m, k, n, epilogue, salts, transposed, seed):
-    rng = np.random.default_rng(seed)
-    arrays = {
-        "a": operand(rng, (m, k), transposed),
-        "b": operand(rng, (k, n), transposed),
-        "r": operand(rng, (m, n), transposed),
-    }
-    for name, pos, value in salts:
-        arr = arrays[name]
-        if arr.size:
-            idx = np.unravel_index(pos % arr.size, arr.shape)
-            arr[idx] = value
-    kind, factor = epilogue
-    options = {"scale": factor} if kind == "scale" else {"residual": arrays["r"]}
-    got, counts = outcome(kernels.matmul, arrays["a"], arrays["b"], **options)
-    want, want_counts = outcome(two_kernel_matmul, arrays["a"], arrays["b"], **options)
-    if isinstance(want, tuple):
-        # both check the product first, so they name the same failing
-        # kernel; the fused kernel has counted its epilogue as well
-        assert got == want
-    else:
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-        assert counts == want_counts
-
-
-@pytest.mark.parametrize(
-    "a, b, options, error",
-    [
-        (np.full((1, 2), HUGE), np.full((2, 1), HUGE), {"scale": 0.5},
-         (FloatingPointError, "matmul produced non-finite values")),
-        (np.full((1, 2), HUGE), np.full((2, 1), -HUGE), {"residual": np.ones((1, 1), F32)},
-         (FloatingPointError, "matmul produced non-finite values")),
-        (np.full((2, 1), HUGE), np.ones((1, 2), F32), {"scale": 1e10},
-         (FloatingPointError, "scale produced non-finite values")),
-        (np.full((2, 1), F32(3e38)), np.ones((1, 2), F32), {"residual": np.full((2, 2), F32(3e38))},
-         (FloatingPointError, "add produced non-finite values")),
-        (np.ones((2, 1), F32), np.ones((1, 2), F32),
-         {"residual": np.array([[0.0, np.nan], [0.0, 0.0]], F32)},
-         (FloatingPointError, "add produced non-finite values")),
-        (np.ones((2, 1), F32), np.ones((1, 2), F32), {"residual": np.ones((2, 1), F32)},
-         (ShapeError, "add: a is (2, 1), b is (2, 2)")),
-        (np.ones((2, 1), F32), np.ones((1, 2), F32), {"residual": np.ones((2, 2))},
-         (ShapeError, "add: operands must be float32, got float64 and float32")),
-        # the residual is validated before the product is computed
-        (np.full((2, 1), HUGE), np.full((1, 2), HUGE), {"residual": np.ones((2, 1), F32)},
-         (ShapeError, "add: a is (2, 1), b is (2, 2)")),
-    ],
-    ids=[
-        "product_overflow_scale", "product_overflow_residual", "scale_overflow",
-        "add_overflow", "nan_residual", "residual_shape", "residual_dtype",
-        "product_overflow_before_residual_shape",
-    ],
-)
-def test_matmul_epilogue_raises_like_two_kernels(a, b, options, error):
-    assert_fails_fast(kernels.matmul, two_kernel_matmul, error, a, b, **options)
 
 
 def test_matmul_takes_one_epilogue():
     ones = np.ones((1, 1), F32)
     with pytest.raises(ValueError, match="not both"):
         kernels.matmul(ones, ones, CounterSink(), scale=2.0, residual=ones)
-
-
-# -- the fused embedding equals gather_rows -> scale -> add -------------------------
-
-
-def three_kernel_embed(table, ids, factor, positions, sink):
-    rows = kernels.gather_rows(table, ids.reshape(-1), sink)
-    scaled = kernels.scale(rows, factor, sink)
-    return kernels.add(scaled, np.tile(positions, (len(ids), 1)), sink)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    s=st.integers(1, 5),
-    p=st.integers(1, 6),
-    start=st.integers(0, 6),
-    d=st.integers(1, 8),
-    seed=st.integers(0, 2**31),
-)
-@example(s=1, p=1, start=0, d=4, seed=0)  # a decode step of one stream
-@example(s=3, p=1, start=5, d=4, seed=1)  # a decode step of three streams
-@example(s=2, p=4, start=3, d=6, seed=2)  # a prefill past the first position
-def test_embed_rows_bit_identical_to_three_kernels(s, p, start, d, seed):
-    rng = np.random.default_rng(seed)
-    table = rand(rng, 11, d)
-    ids = rng.integers(0, 11, size=(s, p))
-    positions = sinusoid_table(start + p, d)[start:]
-    operands = (table, ids, math.sqrt(d), positions)
-    got, counts = outcome(kernels.embed_rows, *operands)
-    want, want_counts = outcome(three_kernel_embed, *operands)
-    assert got.dtype == want.dtype and got.shape == want.shape == (s * p, d)
-    assert got.tobytes() == want.tobytes()
-    assert counts == want_counts
-
-
-EMBED_TABLE = np.arange(12, dtype=F32).reshape(4, 3)
-EMBED_POSITIONS = np.ones((2, 3), F32)
-
-
-@pytest.mark.parametrize(
-    "table, ids, positions, error",
-    [
-        (EMBED_TABLE, np.array([[0, 4]]), EMBED_POSITIONS,
-         (ShapeError, "gather index out of range: table has 4 rows, indices span [0, 4]")),
-        (EMBED_TABLE, np.array([[-1, 2], [1, 0]]), EMBED_POSITIONS,
-         (ShapeError, "gather index out of range: table has 4 rows, indices span [-1, 2]")),
-        (EMBED_TABLE, np.array([[0, 1]]), np.ones((3, 3), F32),
-         (ShapeError, "embed positions must be float32 (2, 3), got float32 (3, 3)")),
-        (EMBED_TABLE, np.array([[0, 1]]), np.ones((2, 3)),
-         (ShapeError, "embed positions must be float32 (2, 3), got float64 (2, 3)")),
-        (EMBED_TABLE.astype(np.float64), np.array([[0, 1]]), EMBED_POSITIONS,
-         (ShapeError, "table must be float32, got float64")),
-        # non-finite outputs, with every constituent's counts recorded
-        (salted((4, 3), (2, 1), 1e38, fill=0.0), np.array([[0, 2]]), EMBED_POSITIONS,
-         (FloatingPointError, "scale produced non-finite values")),
-        (salted((4, 3), (2, 1), np.nan, fill=0.0), np.array([[2, 0], [0, 0]]), EMBED_POSITIONS,
-         (FloatingPointError, "scale produced non-finite values")),
-        (salted((4, 3), (1, 0), 8e37, fill=0.0), np.array([[0, 1]]),
-         salted((2, 3), (1, 0), 3e38, fill=0.0),
-         (FloatingPointError, "add produced non-finite values")),
-        (EMBED_TABLE, np.array([[0, 1]]), salted((2, 3), (0, 2), np.inf),
-         (FloatingPointError, "add produced non-finite values")),
-    ],
-    ids=[
-        "id_equal_to_vocab", "negative_id", "position_rows", "float64_positions",
-        "float64_table", "scale_overflow", "nan_table_entry", "add_overflow", "inf_position",
-    ],
-)
-def test_embed_rows_raises_like_three_kernels(table, ids, positions, error):
-    # the factor 4 (sqrt(16)) takes 8e37 to 3.2e38, still finite, and 1e38 past
-    # float32's max of 3.4e38
-    assert_fails_fast(
-        kernels.embed_rows, three_kernel_embed, error, table, ids, 4.0, positions
-    )
 
 
 def test_embed_rows_takes_a_two_d_block():
