@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import costmodel as cm
@@ -52,7 +52,7 @@ def _resolve_workload(parser: argparse.ArgumentParser, args) -> tuple[cm.ShapePa
         except ConfigError as exc:
             parser.error(str(exc))
         model_name = args.model or "toy"
-        stem = rep.shape_slug(shape.to_dict())
+        stem = rep.shape_slug(asdict(shape))
     else:
         name = args.preset or "toy"
         try:
@@ -103,13 +103,6 @@ def _emit(doc: dict, args, csv_rows: list[dict]) -> None:
 # -- cost -----------------------------------------------------------------------
 
 
-def _intensity_map(shape: cm.ShapeParams, engine: str) -> dict[str, float]:
-    return {
-        comp: cm.inverse_intensity(shape, comp, engine)
-        for comp in cm.intensity_pairs(engine, shape.n_p)
-    }
-
-
 def cmd_cost(parser, args) -> int:
     shape, model_name, stem = _resolve_workload(parser, args)
     profile = _load_profile(parser, args.hw_profile)
@@ -117,7 +110,6 @@ def cmd_cost(parser, args) -> int:
     modes = (cm.TABLE1, cm.APPENDIX_B)
     counts = {(e, mode): cm.table1_counts(shape, e, mode) for e in ENGINES for mode in modes}
     breakdowns = {e: {mode: counts[e, mode].to_dict() for mode in modes} for e in ENGINES}
-    intensity = {engine: _intensity_map(shape, engine) for engine in ENGINES}
     # each mode's cells get that mode's roofline; the document reports table1's
     rooflines = {key: cm.roofline_estimate(c, profile).to_dict() for key, c in counts.items()}
     roofline = {engine: rooflines[engine, cm.TABLE1] for engine in ENGINES}
@@ -128,11 +120,10 @@ def cmd_cost(parser, args) -> int:
             parser.error(str(exc))
         ratio = None
     body = {
-        "shape": shape.to_dict(),
+        "shape": asdict(shape),
         "model_preset": model_name,
         "note": cm.DECODER_ROW_NOTE,
         "breakdowns": breakdowns,
-        "intensity": intensity,
         "roofline": roofline,
         "flop_ratio": ratio,
         "flops_per_mac": cm.FLOPS_PER_MAC,
@@ -142,8 +133,8 @@ def cmd_cost(parser, args) -> int:
     doc = rep.make_document(
         "cost", run_id, args.seed,
         {
-            "preset": args.preset, "shape_slug": rep.shape_slug(shape.to_dict()),
-            "shape": shape.to_dict(), "model": model_name, "seed": args.seed,
+            "preset": args.preset, "shape_slug": rep.shape_slug(asdict(shape)),
+            "shape": asdict(shape), "model": model_name, "seed": args.seed,
             "hw_profile": profile.name,
             "workload_note": "synthetic instances of matching shape stand in for corpus data",
         },
@@ -151,7 +142,7 @@ def cmd_cost(parser, args) -> int:
     )
 
     table = _table_stream(args)
-    print(f"workload: {stem}  shape: {rep.shape_slug(shape.to_dict())}", file=table)
+    print(f"workload: {stem}  shape: {rep.shape_slug(asdict(shape))}", file=table)
     print(f"model: {model_name}  hw profile: {profile.name}", file=table)
     print(f"note: {cm.DECODER_ROW_NOTE}", file=table)
     for engine in ENGINES:
@@ -164,8 +155,9 @@ def cmd_cost(parser, args) -> int:
                     f"  {comp:<22}{cell['memory_symbols']:>14}{cell['ops_symbols']:>16}",
                     file=table,
                 )
-        print(f"  inverse intensity: " + ", ".join(
-            f"{k}={v:.6g}" for k, v in intensity[engine].items()
+        cells = breakdowns[engine][cm.APPENDIX_B]["components"]
+        print(f"  inverse intensity ({cm.APPENDIX_B}): " + ", ".join(
+            f"{label}={cell['inverse_intensity']:.6g}" for label, cell in cells.items()
         ), file=table)
         print(
             f"  roofline total: {roofline[engine]['total_seconds']:.6g} s ({profile.name})",
@@ -174,22 +166,16 @@ def cmd_cost(parser, args) -> int:
     if ratio is not None:
         print(f"\nwhole-model flop ratio (pid/pie): {ratio:.4f}", file=table)
 
-    csv_rows = []
-    for engine in ENGINES:
-        for mode in modes:
-            for comp, cell in breakdowns[engine][mode]["components"].items():
-                csv_rows.append(
-                    {
-                        "run_id": run_id, "preset": args.preset, "engine": engine,
-                        "mode": mode, "component": comp,
-                        "memory_symbols": cell["memory_symbols"],
-                        "ops_symbols": cell["ops_symbols"],
-                        "bytes": cell["bytes"],
-                        "inverse_intensity": cell["memory_symbols"] / cell["ops_symbols"],
-                        "roofline_seconds": rooflines[engine, mode]["components"][comp]["seconds"],
-                        "hw_profile": profile.name,
-                    }
-                )
+    csv_rows = [
+        {
+            "run_id": run_id, "preset": args.preset, "engine": engine, "mode": mode,
+            "component": comp, **cell,
+            "roofline_seconds": rooflines[engine, mode]["components"][comp]["seconds"],
+            "hw_profile": profile.name,
+        }
+        for engine, mode in counts
+        for comp, cell in breakdowns[engine][mode]["components"].items()
+    ]
     _emit(doc, args, csv_rows)
     return EXIT_OK
 
@@ -207,7 +193,7 @@ def cmd_bench(parser, args) -> int:
         parser.error(f"malformed --batch-sizes {args.batch_sizes!r}")
     try:
         if args.max_new is not None:
-            shape = cm.ShapeParams(**{**shape.to_dict(), "n_t": args.max_new})
+            shape = replace(shape, n_t=args.max_new)
         config = BenchConfig(
             model=model, shape=shape, engines=engines, seed=args.seed,
             repetitions=args.reps, warmup=args.warmup, batch_sizes=batch_sizes,
@@ -224,8 +210,8 @@ def cmd_bench(parser, args) -> int:
     doc = rep.make_document(
         "bench", run_id, args.seed,
         {
-            "preset": args.preset, "shape_slug": rep.shape_slug(shape.to_dict()),
-            "shape": shape.to_dict(), "model": model_name, "seed": args.seed,
+            "preset": args.preset, "shape_slug": rep.shape_slug(asdict(shape)),
+            "shape": asdict(shape), "model": model_name, "seed": args.seed,
             "engines": list(engines), "repetitions": args.reps, "warmup": args.warmup,
             "batch_sizes": list(batch_sizes), "hw_profile": None,
             "workload_note": "synthetic instances of matching shape stand in for corpus data",
@@ -383,9 +369,9 @@ def cmd_report(parser, args) -> int:
     docs = []
     for raw in args.paths:
         try:
-            docs.append(rep.load_json(raw))
-        except (OSError, json.JSONDecodeError) as exc:
-            parser.error(f"cannot read report {raw!r}: {exc}")
+            docs.append(rep.load_document(raw))
+        except (OSError, ValueError) as exc:
+            parser.error(f"cannot read report: {exc}")
     try:
         rows = rep.merge_documents(docs)
     except ValueError as exc:

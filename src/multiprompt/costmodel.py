@@ -10,9 +10,10 @@ Two layers of fidelity, from coarse to exact:
    prompt and output phases.  Decoder rows are totals over all ``n_t``
    decode steps.  Memory symbols convert to bytes at 4 bytes per float32
    symbol (``BYTES_PER_SYMBOL``); operation symbols convert to flops at
-   2 flops per multiply-add (``FLOPS_PER_MAC``).  Inverse operational
-   intensity (``inverse_intensity``) is the memory cell over the operation
-   cell of the Appendix B evaluation.
+   2 flops per multiply-add (``FLOPS_PER_MAC``).  Each cell carries its
+   inverse operational intensity (``ComponentCost.inverse_intensity``),
+   its memory symbols over its operation symbols; a cell has one name,
+   its label, in both modes.
 2. ``predict_run_counters``: a replay of every kernel call an engine run
    makes (projections, attention cores, norms, embeddings, vocabulary
    head) through the kernels' own count helpers, checked for integer
@@ -23,6 +24,7 @@ Two layers of fidelity, from coarse to exact:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from dataclasses import dataclass
@@ -68,12 +70,10 @@ class ShapeParams:
         if self.d % self.h != 0:
             raise ConfigError(f"h={self.h} does not divide d={self.d}")
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in ("U", "b", "n_s", "n_t", "n_p", "d", "h")}
-
 
 def parse_shape(text: str) -> ShapeParams:
-    """Parse ``U=8,b=1,n_s=256,...`` (whitespace tolerated, any order)."""
+    """Parse ``U=8,b=1,n_s=256,...`` (whitespace tolerated, any order, each key once)."""
+    keys = [f.name for f in dataclasses.fields(ShapeParams)]
     fields = {}
     for part in re.split(r"[,\s]+", text.strip()):
         if not part:
@@ -81,15 +81,17 @@ def parse_shape(text: str) -> ShapeParams:
         if "=" not in part:
             raise ConfigError(f"malformed shape entry {part!r}; want key=value")
         key, _, value = part.partition("=")
-        if key not in ("U", "b", "n_s", "n_t", "n_p", "d", "h"):
+        if key not in keys:
             raise ConfigError(f"unknown shape key {key!r}")
+        if key in fields:
+            raise ConfigError(f"shape key {key!r} is given twice")
         try:
             fields[key] = int(value)
         except ValueError as exc:
             raise ConfigError(f"shape value for {key} is not an integer: {value!r}") from exc
-    missing = {"U", "b", "n_s", "n_t", "n_p", "d", "h"} - set(fields)
+    missing = [key for key in keys if key not in fields]
     if missing:
-        raise ConfigError(f"shape is missing keys: {sorted(missing)}")
+        raise ConfigError(f"shape is missing keys: {missing}")
     return ShapeParams(**fields)
 
 
@@ -160,6 +162,11 @@ class ComponentCost:
     def flops_from_symbols(self) -> int:
         return FLOPS_PER_MAC * self.ops_symbols
 
+    @property
+    def inverse_intensity(self) -> float:
+        """Memory access per operation (lower means higher intensity)."""
+        return self.memory_symbols / self.ops_symbols
+
 
 @dataclass(frozen=True)
 class CostBreakdown:
@@ -167,33 +174,24 @@ class CostBreakdown:
     mode: str
     shape: ShapeParams
     components: dict[str, ComponentCost]
-    note: str = DECODER_ROW_NOTE
-
-    @property
-    def total_memory_symbols(self) -> int:
-        return sum(c.memory_symbols for c in self.components.values())
-
-    @property
-    def total_ops_symbols(self) -> int:
-        return sum(c.ops_symbols for c in self.components.values())
 
     def to_dict(self) -> dict:
         return {
             "engine": self.engine,
             "mode": self.mode,
-            "shape": self.shape.to_dict(),
-            "note": self.note,
+            "shape": dataclasses.asdict(self.shape),
             "components": {
                 label: {
                     "memory_symbols": c.memory_symbols,
                     "ops_symbols": c.ops_symbols,
                     "bytes": c.bytes,
+                    "inverse_intensity": c.inverse_intensity,
                 }
                 for label, c in sorted(self.components.items())
             },
             "totals": {
-                "memory_symbols": self.total_memory_symbols,
-                "ops_symbols": self.total_ops_symbols,
+                "memory_symbols": sum(c.memory_symbols for c in self.components.values()),
+                "ops_symbols": sum(c.ops_symbols for c in self.components.values()),
             },
         }
 
@@ -247,52 +245,6 @@ def table1_counts(shape: ShapeParams, engine: str, mode: str = TABLE1) -> CostBr
         ops_symbols=streams * n_t * d * d,
     )
     return CostBreakdown(engine=engine, mode=mode, shape=shape, components=comps)
-
-
-# -- inverse operational intensity ---------------------------------------------
-
-#: Component -> (Appendix B cell label, engines that have it).  The order
-#: is the order :func:`intensity_pairs` reports; prompt-in-decoder splits
-#: the decoder rows into a prompt phase and an output phase.
-INTENSITY_CELLS: dict[str, tuple[str, tuple[str, ...]]] = {
-    "enc_self": ("encoder_self", (PIE, PID)),
-    "dec_self_prompt": ("decoder_self_prompt", (PID,)),
-    "dec_self": ("decoder_self", (PIE, PID)),
-    "dec_cross": ("decoder_cross", (PIE,)),
-    "dec_cross_output": ("decoder_cross", (PID,)),
-    "dec_cross_prompt": ("decoder_cross_prompt", (PID,)),
-}
-
-
-def inverse_intensity(shape: ShapeParams, component: str, engine: str) -> float:
-    """Memory access per arithmetic operation (lower means higher intensity).
-
-    The ratio ``memory_symbols / ops_symbols`` of the component's Appendix B
-    cell.  Prompt-phase components exist only for the prompt-in-decoder
-    engine, ``dec_cross`` only for prompt-in-encoder (its prompt-in-decoder
-    counterparts are the ``dec_cross_prompt`` and ``dec_cross_output``
-    phases).
-    """
-    if component not in INTENSITY_CELLS:
-        raise ConfigError(f"unknown component {component!r}; choose from {tuple(INTENSITY_CELLS)}")
-    if engine not in (PIE, PID):
-        raise ConfigError(f"unknown engine {engine!r}")
-    if component.endswith("_prompt") and shape.n_p < 1:
-        raise ConfigError(f"{component} requires n_p >= 1, shape has n_p={shape.n_p}")
-    label, engines = INTENSITY_CELLS[component]
-    if engine not in engines:
-        raise ConfigError(f"component {component!r} is not defined for engine {engine!r}")
-    cell = table1_counts(shape, engine, APPENDIX_B).components[label]
-    return cell.memory_symbols / cell.ops_symbols
-
-
-def intensity_pairs(engine: str, n_p: int) -> list[str]:
-    """Components defined for an engine at a given prompt length."""
-    return [
-        component
-        for component, (_, engines) in INTENSITY_CELLS.items()
-        if engine in engines and (n_p >= 1 or not component.endswith("_prompt"))
-    ]
 
 
 # -- roofline --------------------------------------------------------------------

@@ -83,8 +83,24 @@ def write_json(doc: dict, path: str | Path) -> Path:
     return path
 
 
-def load_json(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
+def load_document(path: str | Path) -> dict:
+    """Read a report document; ``ValueError`` names the path and what it lacks."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not JSON: {exc}") from None
+    missing = [
+        key for key in ("meta", "config", "body")
+        if not (isinstance(doc, dict) and isinstance(doc.get(key), dict))
+    ]
+    if missing:
+        raise ValueError(f"{path} is not a report document: no {', '.join(missing)} object")
+    meta = doc["meta"]
+    if meta.get("kind") not in KINDS:
+        raise ValueError(f"{path}: meta.kind {meta.get('kind')!r} is not one of {', '.join(KINDS)}")
+    if not isinstance(meta.get("run_id"), str):
+        raise ValueError(f"{path}: meta.run_id is missing or not a string")
+    return doc
 
 
 def write_csv(rows: Iterable[dict], columns: list[str], path: str | Path) -> Path:

@@ -174,31 +174,34 @@ def check_encoder_sharing(seed: int) -> CheckResult:
 
 
 def check_intensity_formulas(seed: int) -> CheckResult:
-    """Cell ratios equal hand values and stay near the simplified cells."""
+    """Appendix B cell ratios equal hand values; table1 cells stay near them."""
     s = cm.ShapeParams(U=4, b=2, n_s=256, n_t=64, n_p=8, d=512, h=8)
     # hand-substituted values, written as explicit arithmetic
     hand = {
-        ("enc_self", "pie"): 1 / 512 + 1 / (4 * 2 * (256 + 8)),
-        ("enc_self", "pid"): 1 / 512 + 1 / (2 * 256),
-        ("dec_self", "pie"): 64 / 512 + 1 / 8,
-        ("dec_self_prompt", "pid"): 1 / 512 + 1 / (4 * 2 * 8),
-        ("dec_cross", "pie"): (256 + 8 + 1) / 512 + 1 / 8,
-        ("dec_cross_prompt", "pid"): (1 / 512) * (256 / (4 * 8) + 1) + 1 / (4 * 2 * 8),
-        ("dec_cross_output", "pid"): (1 / 512) * (256 / 4 + 1) + 1 / 8,
+        ("encoder_self", "pie"): 1 / 512 + 1 / (4 * 2 * (256 + 8)),
+        ("encoder_self", "pid"): 1 / 512 + 1 / (2 * 256),
+        ("decoder_self", "pie"): 64 / 512 + 1 / 8,
+        ("decoder_self_prompt", "pid"): 1 / 512 + 1 / (4 * 2 * 8),
+        ("decoder_cross", "pie"): (256 + 8 + 1) / 512 + 1 / 8,
+        ("decoder_cross_prompt", "pid"): (1 / 512) * (256 / (4 * 8) + 1) + 1 / (4 * 2 * 8),
+        ("decoder_cross", "pid"): (1 / 512) * (256 / 4 + 1) + 1 / 8,
+    }
+    cells = {
+        (label, engine): cell.inverse_intensity
+        for engine in ENGINES
+        for label, cell in cm.table1_counts(s, engine, cm.APPENDIX_B).components.items()
     }
     exact = all(
-        math.isclose(cm.inverse_intensity(s, comp, engine), want, rel_tol=1e-12)
-        for (comp, engine), want in hand.items()
+        math.isclose(cells.get(key, math.nan), want, rel_tol=1e-12) for key, want in hand.items()
     )
+    # the dominant-term gap: each table1 cell against its Appendix B cell
     big = cm.ShapeParams(U=4, b=2, n_s=512, n_t=64, n_p=8, d=4096, h=16)
     gaps = []
     for engine in ENGINES:
-        for component in cm.intensity_pairs(engine, big.n_p):
-            r = cm.inverse_intensity(big, component, engine)
-            label = cm.INTENSITY_CELLS[component][0]
-            mode = cm.APPENDIX_B if label.endswith("_prompt") else cm.TABLE1
-            cell = cm.table1_counts(big, engine, mode).components[label]
-            gaps.append(abs(r - cell.memory_symbols / cell.ops_symbols) / r)
+        full = cm.table1_counts(big, engine, cm.APPENDIX_B).components
+        for label, cell in cm.table1_counts(big, engine, cm.TABLE1).components.items():
+            r = full[label].inverse_intensity
+            gaps.append(abs(r - cell.inverse_intensity) / r)
     passed = exact and max(gaps) <= 0.02
     return CheckResult(
         "intensity_formulas",

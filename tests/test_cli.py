@@ -5,7 +5,7 @@ import json
 import pytest
 
 from multiprompt.cli import main
-from multiprompt.report import body_bytes, load_json
+from multiprompt.report import body_bytes, load_document
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +71,7 @@ def test_bench_refuses_parallel():
         # a fault that no selected check applies
         ["verify", "--checks", "encoder_sharing", "--inject-fault", "corrupt-shared-kv"],
         ["train-toy", "--lr", "nan"],
+        ["cost", "--shape", "U=2,U=30,b=1,n_s=16,n_t=4,n_p=0,d=64,h=4"],
     ],
 )
 def test_bad_values_are_usage_errors(capsys, argv):
@@ -311,11 +312,35 @@ def test_report_join_and_duplicate_error(capsys, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "content, missing",
+    [
+        ("{}", "no meta, config, body object"),
+        ("[1, 2]", "no meta, config, body object"),
+        (
+            '{"meta": {"kind": "nope", "run_id": "r"}, "config": {}, "body": {}}',
+            "meta.kind 'nope'",
+        ),
+    ],
+    ids=["empty_object", "list", "unknown_kind"],
+)
+def test_report_on_a_file_that_is_not_a_report_is_a_usage_error(
+    capsys, tmp_path, content, missing
+):
+    path = tmp_path / "x.json"
+    path.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["report", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and missing in err
+
+
 def test_out_dir_environment_variable(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MULTIPROMPT_OUT_DIR", str(tmp_path))
     code, _ = run_cli(capsys, "cost", "--preset", "toy", "--out", "sub/cost.json")
     assert code == 0
-    doc = load_json(tmp_path / "sub" / "cost.json")
+    doc = load_document(tmp_path / "sub" / "cost.json")
     assert doc["meta"]["kind"] == "cost"
     assert doc["meta"]["version"]
     assert doc["config"]["hw_profile"] == "a100-as-printed"

@@ -77,42 +77,32 @@ def test_all_cells_nonnegative():
 # -- inverse operational intensity ----------------------------------------------
 
 
+def intensity(s, engine, label):
+    return cm.table1_counts(s, engine, cm.APPENDIX_B).components[label].inverse_intensity
+
+
 def test_intensity_hand_value_enc_self_pid():
     s = shape(U=1, b=2, n_s=256, d=512, h=8, n_t=1)
-    got = cm.inverse_intensity(s, "enc_self", "pid")
+    got = intensity(s, "pid", "encoder_self")
     assert math.isclose(got, 1 / 512 + 1 / 512, rel_tol=1e-12)
     assert math.isclose(got, 0.00390625, rel_tol=1e-9)
 
 
 def test_intensity_hand_value_dec_self_pie():
-    s = shape(U=4, b=2, n_t=64, d=512, h=8, n_s=16)
-    assert math.isclose(
-        cm.inverse_intensity(s, "dec_self", "pie"), 64 / 512 + 1 / 8, rel_tol=1e-12
-    )
-
-
-def test_intensity_hand_values_cross_pair():
     s = shape(U=4, b=2, n_t=64, d=512, h=8, n_s=256, n_p=8)
-    pie = cm.inverse_intensity(s, "dec_cross", "pie")
-    pid_out = cm.inverse_intensity(s, "dec_cross_output", "pid")
-    assert math.isclose(pie, 265 / 512 + 0.125, rel_tol=1e-12)
-    assert math.isclose(pid_out, 65 / 512 + 0.125, rel_tol=1e-12)
-    # sharing cuts the dominant term by roughly a factor of U
-    assert pid_out < pie
+    assert math.isclose(intensity(s, "pie", "decoder_self"), 64 / 512 + 1 / 8, rel_tol=1e-12)
+    # sharing cuts the cross-attention's dominant term by roughly a factor of U
+    assert intensity(s, "pid", "decoder_cross") < intensity(s, "pie", "decoder_cross")
 
 
-def test_invalid_component_engine_combinations():
-    s = shape(n_p=4)
-    for component, engine in [
-        ("dec_self_prompt", "pie"),
-        ("dec_cross_prompt", "pie"),
-        ("dec_cross_output", "pie"),
-        ("dec_cross", "pid"),
-    ]:
-        with pytest.raises(ConfigError):
-            cm.inverse_intensity(s, component, engine)
-    with pytest.raises(ConfigError, match="n_p"):
-        cm.inverse_intensity(shape(n_p=0), "dec_self_prompt", "pid")
+def test_appendix_b_cell_labels():
+    base = {"encoder_self", "decoder_self", "decoder_cross"}
+    prompt = {"decoder_self_prompt", "decoder_cross_prompt"}
+    for n_p in (0, 1, 4):
+        s = shape(n_p=n_p)
+        assert cm.table1_counts(s, "pie", cm.APPENDIX_B).components.keys() == base
+        pid = cm.table1_counts(s, "pid", cm.APPENDIX_B).components.keys()
+        assert pid == (base | prompt if n_p >= 1 else base)
 
 
 # -- roofline ----------------------------------------------------------------------
@@ -192,6 +182,8 @@ def test_parse_shape_errors():
         cm.parse_shape("U=8,b=1,n_s=4,n_t=2,n_p=0,d=8,h=1,zz=3")
     with pytest.raises(ConfigError, match="malformed"):
         cm.parse_shape("U:8")
+    with pytest.raises(ConfigError, match="'U' is given twice"):
+        cm.parse_shape("U=2,U=30,b=1,n_s=16,n_t=4,n_p=0,d=64,h=4")
 
 
 def test_resolve_preset_error_lists_names():

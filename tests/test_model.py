@@ -224,29 +224,6 @@ def test_decode_step_kernel_calls(tiny_config, tiny_weights, monkeypatch):
     assert sum(calls.values()) == 14 * layers + 3 == 31
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_incremental_steps_match_single_prefill(tiny_config, tiny_weights, seed):
-    rng = np.random.default_rng(seed)
-    toks = random_tokens(rng, 8, tiny_config.vocab_size)
-    memory = encode_batch(tiny_config, tiny_weights, [toks], CounterSink())
-    dec_tokens = random_tokens(rng, 6, tiny_config.vocab_size)
-
-    s_inc = _fresh_state(tiny_config, tiny_weights, memory, CounterSink())
-    inc_logits = [
-        decoder_step(tiny_config, tiny_weights, s_inc, np.array([t]), CounterSink())
-        for t in dec_tokens
-    ]
-    s_full = _fresh_state(tiny_config, tiny_weights, memory, CounterSink())
-    full = decoder_prefill(
-        tiny_config, tiny_weights, s_full, dec_tokens[None, :], CounterSink(),
-        return_all_logits=True,
-    )
-    drift = max(
-        float(np.abs(inc_logits[t][0] - full[0, t]).max()) for t in range(len(dec_tokens))
-    )
-    assert drift <= 1e-4
-
-
 def test_decoder_full_forward_matches_float64_reference(tiny_config, tiny_weights):
     rng = np.random.default_rng(7)
     enc_toks = random_tokens(rng, 8, tiny_config.vocab_size)
