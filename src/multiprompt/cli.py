@@ -108,17 +108,16 @@ def cmd_cost(parser, args) -> int:
     profile = _load_profile(parser, args.hw_profile)
     model = cm.MODEL_PRESETS[model_name]
     modes = (cm.TABLE1, cm.APPENDIX_B)
-    counts = {(e, mode): cm.table1_counts(shape, e, mode) for e in ENGINES for mode in modes}
-    breakdowns = {e: {mode: counts[e, mode].to_dict() for mode in modes} for e in ENGINES}
-    # each mode's cells get that mode's roofline; the document reports table1's
-    rooflines = {key: cm.roofline_estimate(c, profile).to_dict() for key, c in counts.items()}
-    roofline = {engine: rooflines[engine, cm.TABLE1] for engine in ENGINES}
+    breakdowns = {e: {m: cm.table1_counts(shape, e, m).to_dict() for m in modes} for e in ENGINES}
+    # the flop ratio and the roofline both read one exact replay of each engine's run
     try:
-        ratio = cm.flop_ratio(model, shape)
+        runs = {e: cm.predict_run_counters(model, shape, e)[1] for e in ENGINES}
     except ConfigError as exc:  # the model's width or heads differ from the shape's
         if args.model:
             parser.error(str(exc))
-        ratio = None
+        runs = {}
+    ratio = runs[cm.PID].flops / runs[cm.PIE].flops if runs else None
+    roofline = {e: cm.roofline_estimate(run, profile) for e, run in runs.items()} if runs else None
     body = {
         "shape": asdict(shape),
         "model_preset": model_name,
@@ -159,21 +158,19 @@ def cmd_cost(parser, args) -> int:
         print(f"  inverse intensity ({cm.APPENDIX_B}): " + ", ".join(
             f"{label}={cell['inverse_intensity']:.6g}" for label, cell in cells.items()
         ), file=table)
-        print(
-            f"  roofline total: {roofline[engine]['total_seconds']:.6g} s ({profile.name})",
-            file=table,
-        )
+        if roofline is not None:
+            seconds = roofline[engine]["total_seconds"]
+            print(f"  whole-run roofline: {seconds:.6g} s ({profile.name})", file=table)
     if ratio is not None:
         print(f"\nwhole-model flop ratio (pid/pie): {ratio:.4f}", file=table)
 
     csv_rows = [
         {
             "run_id": run_id, "preset": args.preset, "engine": engine, "mode": mode,
-            "component": comp, **cell,
-            "roofline_seconds": rooflines[engine, mode]["components"][comp]["seconds"],
-            "hw_profile": profile.name,
+            "component": comp, **cell, "hw_profile": profile.name,
         }
-        for engine, mode in counts
+        for engine in ENGINES
+        for mode in modes
         for comp, cell in breakdowns[engine][mode]["components"].items()
     ]
     _emit(doc, args, csv_rows)
@@ -413,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the JSON document to this path")
         p.add_argument("--csv", help="write the CSV table to this path")
 
-    p_cost = sub.add_parser("cost", help="analytic cost tables, intensity, roofline")
+    p_cost = sub.add_parser("cost", help="analytic cost tables, intensity, whole-run roofline")
     common(p_cost)
     p_cost.add_argument("--hw-profile", help="builtin profile name or key=value file")
     p_cost.set_defaults(fn=cmd_cost)

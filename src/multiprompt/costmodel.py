@@ -1,25 +1,23 @@
-"""Closed-form cost model: memory access, operation counts, intensity, roofline.
+"""Closed-form cost model: the paper's table cells, and an exact mirror of a run.
 
-Two layers of fidelity, from coarse to exact:
-
-1. Symbol cells (``table1_counts``): per-component memory-access and
-   operation counts in symbol units, the granularity used for the
-   analytic engine comparison.  Two evaluation modes: ``table1`` drops
-   prompt-length terms (treating them as negligible), ``appendixB``
-   retains them and splits the prompt-in-decoder rows into separate
-   prompt and output phases.  Decoder rows are totals over all ``n_t``
-   decode steps.  Memory symbols convert to bytes at 4 bytes per float32
-   symbol (``BYTES_PER_SYMBOL``); operation symbols convert to flops at
-   2 flops per multiply-add (``FLOPS_PER_MAC``).  Each cell carries its
-   inverse operational intensity (``ComponentCost.inverse_intensity``),
-   its memory symbols over its operation symbols; a cell has one name,
-   its label, in both modes.
-2. ``predict_run_counters``: a replay of every kernel call an engine run
-   makes (projections, attention cores, norms, embeddings, vocabulary
-   head) through the kernels' own count helpers, checked for integer
-   equality of flops, bytes read and bytes written against the
-   instrumented counters; its flops view ``predict_run_flops`` gives
-   whole-model flop ratios.
+1. Symbol cells (``table1_counts``) are the paper's Table 1 / Appendix B
+   table: per-component memory-access and operation counts in symbol
+   units, for one layer's attention terms.  Two evaluation modes:
+   ``table1`` drops prompt-length terms (treating them as negligible),
+   ``appendixB`` retains them and splits the prompt-in-decoder rows into
+   separate prompt and output phases.  Decoder rows are totals over all
+   ``n_t`` decode steps.  Memory symbols convert to bytes at 4 bytes per
+   float32 symbol (``BYTES_PER_SYMBOL``).  Each cell carries its inverse
+   operational intensity (``ComponentCost.inverse_intensity``), its
+   memory symbols over its operation symbols; a cell has one name, its
+   label, in both modes.
+2. ``predict_run_counters`` gives every count about a run: a replay of
+   every kernel call an engine run makes (projections, attention cores,
+   norms, embeddings, vocabulary head) through the kernels' own count
+   helpers, checked for integer equality of flops, bytes read and bytes
+   written against the instrumented counters.  Its flops view
+   ``predict_run_flops`` gives whole-model flop ratios, and
+   ``roofline_estimate`` turns its counts into seconds.
 """
 
 from __future__ import annotations
@@ -111,7 +109,8 @@ class HardwareProfile:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "HardwareProfile":
-        """Load ``key = value`` lines: name, peak_flops_per_s, mem_bytes_per_s."""
+        """Load ``key = value`` lines: name, peak_flops_per_s, mem_bytes_per_s, each once."""
+        keys = [f.name for f in dataclasses.fields(cls)]
         fields: dict[str, str] = {}
         for raw in Path(path).read_text().splitlines():
             line = raw.split("#", 1)[0].strip()
@@ -119,9 +118,13 @@ class HardwareProfile:
                 continue
             if "=" not in line:
                 raise ConfigError(f"malformed profile line {raw!r}; want key = value")
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-        missing = {"name", "peak_flops_per_s", "mem_bytes_per_s"} - set(fields)
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key not in keys:
+                raise ConfigError(f"profile {path}: unknown key {key!r}")
+            if key in fields:
+                raise ConfigError(f"profile {path}: key {key!r} is given twice")
+            fields[key] = value
+        missing = set(keys) - set(fields)
         if missing:
             raise ConfigError(f"profile {path} is missing keys: {sorted(missing)}")
         rates = {}
@@ -157,10 +160,6 @@ class ComponentCost:
     @property
     def bytes(self) -> int:
         return BYTES_PER_SYMBOL * self.memory_symbols
-
-    @property
-    def flops_from_symbols(self) -> int:
-        return FLOPS_PER_MAC * self.ops_symbols
 
     @property
     def inverse_intensity(self) -> float:
@@ -245,54 +244,6 @@ def table1_counts(shape: ShapeParams, engine: str, mode: str = TABLE1) -> CostBr
         ops_symbols=streams * n_t * d * d,
     )
     return CostBreakdown(engine=engine, mode=mode, shape=shape, components=comps)
-
-
-# -- roofline --------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RooflineComponent:
-    seconds: float
-    bound: str  # "memory" or "compute"
-    flops: int
-    bytes: int
-
-
-@dataclass(frozen=True)
-class RooflineEstimate:
-    profile: HardwareProfile
-    components: dict[str, RooflineComponent]
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(c.seconds for c in self.components.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "profile": self.profile.name,
-            "total_seconds": self.total_seconds,
-            "components": {
-                k: {"seconds": c.seconds, "bound": c.bound, "flops": c.flops, "bytes": c.bytes}
-                for k, c in sorted(self.components.items())
-            },
-        }
-
-
-def roofline_estimate(cost: CostBreakdown, hw: HardwareProfile) -> RooflineEstimate:
-    """Lower-bound seconds per component: max of compute time and transfer time."""
-    comps = {}
-    for label, c in cost.components.items():
-        flops = c.flops_from_symbols
-        nbytes = c.bytes
-        compute_s = flops / hw.peak_flops_per_s
-        memory_s = nbytes / hw.mem_bytes_per_s
-        comps[label] = RooflineComponent(
-            seconds=max(compute_s, memory_s),
-            bound="compute" if compute_s >= memory_s else "memory",
-            flops=flops,
-            bytes=nbytes,
-        )
-    return RooflineEstimate(profile=hw, components=comps)
 
 
 # -- exact engine mirror ------------------------------------------------------------
@@ -418,6 +369,27 @@ def flop_ratio(config: ModelConfig, shape: ShapeParams) -> float:
     pid_total = predict_run_flops(config, shape, PID)["total"]
     pie_total = predict_run_flops(config, shape, PIE)["total"]
     return pid_total / pie_total
+
+
+def roofline_estimate(run: CounterSink, hw: HardwareProfile) -> dict:
+    """A counted run's roofline: per component label, the lower-bound seconds
+    ``max(flops / peak, bytes / bandwidth)``, where bytes are bytes read plus
+    bytes written; ``total_seconds`` is the components' sum."""
+    components = {}
+    for label, c in sorted(run.component_totals().items()):
+        nbytes = c.bytes_read + c.bytes_written
+        compute_s, memory_s = c.flops / hw.peak_flops_per_s, nbytes / hw.mem_bytes_per_s
+        components[label] = {
+            "seconds": max(compute_s, memory_s),
+            "bound": "compute" if compute_s >= memory_s else "memory",
+            "flops": c.flops,
+            "bytes": nbytes,
+        }
+    return {
+        "profile": hw.name,
+        "total_seconds": sum(c["seconds"] for c in components.values()),
+        "components": components,
+    }
 
 
 # -- presets ---------------------------------------------------------------------

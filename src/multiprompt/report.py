@@ -100,6 +100,10 @@ def load_document(path: str | Path) -> dict:
         raise ValueError(f"{path}: meta.kind {meta.get('kind')!r} is not one of {', '.join(KINDS)}")
     if not isinstance(meta.get("run_id"), str):
         raise ValueError(f"{path}: meta.run_id is missing or not a string")
+    try:
+        _EXTRACTORS[meta["kind"]](doc["body"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return doc
 
 
@@ -114,50 +118,76 @@ def write_csv(rows: Iterable[dict], columns: list[str], path: str | Path) -> Pat
     return path
 
 
-def _cost_fields(doc: dict) -> dict:
-    body = doc["body"]
+def _at(body: dict, *path: str | int, required: bool = False) -> Any:
+    """The body entry at ``path`` (object keys, list indices), ``None`` where it or an entry
+    on the way is absent or null; ``ValueError`` names a missing ``required`` entry."""
+    node: Any = body
+    for depth, key in enumerate(path):
+        if node is None:
+            break
+        kind = list if isinstance(key, int) else dict
+        if not isinstance(node, kind):
+            raise ValueError(f"{_field(path[:depth])} is not {'a list' if kind is list else 'an object'}")
+        node = node[key] if kind is list else node.get(key)
+    if node is None and required:
+        raise ValueError(f"{_field(path)} is missing")
+    return node
+
+
+def _field(path: tuple) -> str:
+    return "body" + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
+
+
+def _cost_fields(body: dict) -> dict:
     out = {"cost_flop_ratio": body.get("flop_ratio")}
     for engine in ("pie", "pid"):
-        table = body.get("breakdowns", {}).get(engine, {}).get("table1")
-        if table:
-            out[f"cost_total_ops_{engine}"] = table["totals"]["ops_symbols"]
-        roof = body.get("roofline", {}).get(engine)
-        if roof:
-            out[f"cost_roofline_total_s_{engine}"] = roof["total_seconds"]
+        if _at(body, "breakdowns", engine, "table1") is not None:
+            out[f"cost_total_ops_{engine}"] = _at(
+                body, "breakdowns", engine, "table1", "totals", "ops_symbols", required=True
+            )
+        if _at(body, "roofline", engine) is not None:
+            out[f"cost_roofline_total_s_{engine}"] = _at(
+                body, "roofline", engine, "total_seconds", required=True
+            )
     return out
 
 
-def _bench_fields(doc: dict) -> dict:
-    body = doc["body"]
+def _bench_fields(body: dict) -> dict:
     out = {
         "bench_speedup_single": body.get("speedup_single"),
         "bench_speedup_batched": body.get("speedup_batched"),
         "bench_measured_flop_ratio": body.get("measured_flop_ratio"),
     }
     for engine in ("pie", "pid"):
-        timing = body.get("engines", {}).get(engine)
-        if timing:
-            out[f"bench_{engine}_single_median_s"] = timing["single_median_s"]
+        if _at(body, "engines", engine) is not None:
+            out[f"bench_{engine}_single_median_s"] = _at(
+                body, "engines", engine, "single_median_s", required=True
+            )
     return out
 
 
-def _verify_fields(doc: dict) -> dict:
-    checks = doc["body"].get("checks", [])
+def _verify_fields(body: dict) -> dict:
+    checks = body.get("checks") or []
+    if not isinstance(checks, list):
+        raise ValueError("body.checks is not a list")
+    passed = [_at(body, "checks", i, "passed", required=True) for i in range(len(checks))]
     return {
-        "verify_passed": all(c["passed"] for c in checks) if checks else None,
-        "verify_checks_passed": sum(1 for c in checks if c["passed"]),
-        "verify_checks_total": len(checks),
+        "verify_passed": all(passed) if passed else None,
+        "verify_checks_passed": sum(1 for p in passed if p),
+        "verify_checks_total": len(passed),
     }
 
 
-def _train_fields(doc: dict) -> dict:
-    body = doc["body"]
+def _train_fields(body: dict) -> dict:
     out = {
         "train_flop_ratio_measured": body.get("measured_epoch_flop_ratio"),
         "train_flop_ratio_predicted": body.get("predicted_epoch_flop_ratio"),
     }
-    for layout, run in body.get("layouts", {}).items():
-        out[f"train_{layout}_exact_match"] = run.get("exact_match")
+    layouts = body.get("layouts") or {}
+    if not isinstance(layouts, dict):
+        raise ValueError("body.layouts is not an object")
+    for layout in layouts:
+        out[f"train_{layout}_exact_match"] = _at(body, "layouts", layout, "exact_match")
     return out
 
 
@@ -184,7 +214,7 @@ def merge_documents(docs: list[dict]) -> list[dict]:
         row.setdefault("preset", doc["config"].get("preset"))
         row.setdefault("shape", doc["config"].get("shape_slug"))
         row.setdefault("seed", doc["config"].get("seed"))
-        row.update(_EXTRACTORS[kind](doc))
+        row.update(_EXTRACTORS[kind](doc["body"]))
     return [rows[k] for k in sorted(rows)]
 
 

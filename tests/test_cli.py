@@ -5,7 +5,7 @@ import json
 import pytest
 
 from multiprompt.cli import main
-from multiprompt.report import body_bytes, load_document
+from multiprompt.report import body_bytes, load_document, merge_documents
 
 
 def run_cli(capsys, *argv):
@@ -35,6 +35,8 @@ def test_cost_trivial_shape_rows_identical(capsys):
     assert code == 0
     bd = doc["body"]["breakdowns"]
     assert bd["pie"]["table1"]["components"] == bd["pid"]["table1"]["components"]
+    # the default toy model does not fit d=16, h=2, so nothing is counted
+    assert doc["body"]["flop_ratio"] is None and doc["body"]["roofline"] is None
 
 
 def test_unknown_preset_usage_error():
@@ -197,21 +199,43 @@ def test_run_bench_interleaves_engines_and_reuses_batch1_series(monkeypatch):
     assert report.speedup_batched == 6.5 / 3.5
 
 
-def test_cost_csv_rows_use_their_own_mode_roofline(tmp_path):
-    import csv
+def roofline_matches_mirror(roofline, run, profile):
+    """Whether a ``cost`` roofline carries ``run``'s counts per component (bytes
+    read plus written), each component's seconds are its roofline bound, and
+    the total is their sum."""
+    counts = run.component_totals()
+    comps = roofline["components"]
+    return (
+        comps.keys() == counts.keys()
+        and all(
+            c["flops"] == counts[label].flops
+            and c["bytes"] == counts[label].bytes_read + counts[label].bytes_written
+            and c["seconds"] == max(
+                c["flops"] / profile.peak_flops_per_s, c["bytes"] / profile.mem_bytes_per_s
+            )
+            for label, c in comps.items()
+        )
+        and roofline["total_seconds"] == sum(c["seconds"] for c in comps.values())
+    )
 
+
+def test_cost_roofline_reads_the_exact_mirror(capsys):
     from multiprompt import costmodel as cm
 
-    path = tmp_path / "c.csv"
-    assert main(["cost", "--preset", "toy", "--csv", str(path)]) == 0
-    rows = {(r["engine"], r["mode"], r["component"]): r for r in csv.DictReader(open(path))}
-    shape, profile = cm.resolve_preset("toy").shape, cm.BUILTIN_PROFILES["a100-as-printed"]
-    for (engine, mode, comp), row in rows.items():
-        want = cm.roofline_estimate(cm.table1_counts(shape, engine, mode), profile)
-        assert float(row["roofline_seconds"]) == want.components[comp].seconds
-    # the appendixB row moves more bytes than the table1 row it used to copy
-    assert rows["pie", "table1", "decoder_cross"]["roofline_seconds"] == "0.001130496"
-    assert rows["pie", "appendixB", "decoder_cross"]["roofline_seconds"] != "0.001130496"
+    profile = cm.BUILTIN_PROFILES["a100-as-printed"]
+    for name, preset in cm.SHAPE_PRESETS.items():
+        code, doc, _ = run_cli_json(capsys, "cost", "--preset", name)
+        assert code == 0
+        model = cm.MODEL_PRESETS[preset.model]
+        assert doc["body"]["flop_ratio"] == cm.flop_ratio(model, preset.shape)
+        for engine in ("pie", "pid"):
+            encode, run = cm.predict_run_counters(model, preset.shape, engine)
+            roofline = doc["body"]["roofline"][engine]
+            assert roofline["profile"] == profile.name
+            assert roofline_matches_mirror(roofline, run, profile), (name, engine)
+            # negative control: the encode phase alone is not the run
+            encode_only = json.loads(json.dumps(cm.roofline_estimate(encode, profile)))
+            assert not roofline_matches_mirror(encode_only, run, profile), (name, engine)
 
 
 #: The CSV column order each command promises; the headers come from the
@@ -220,7 +244,7 @@ CSV_HEADERS = {
     "cost": [
         "run_id", "preset", "engine", "mode", "component",
         "memory_symbols", "ops_symbols", "bytes",
-        "inverse_intensity", "roofline_seconds", "hw_profile",
+        "inverse_intensity", "hw_profile",
     ],
     "bench": [
         "run_id", "preset", "engine",
@@ -312,6 +336,14 @@ def test_report_join_and_duplicate_error(capsys, tmp_path):
     assert exc.value.code == 2
 
 
+def test_report_joins_a_cost_document_without_a_roofline(capsys, tmp_path):
+    path = tmp_path / "cost.json"
+    assert main(["cost", "--shape", "U=2,b=1,n_s=16,n_t=4,n_p=0,d=512,h=8", "--out", str(path)]) == 0
+    (row,) = merge_documents([load_document(path)])
+    assert row["cost_flop_ratio"] is None and "cost_roofline_total_s_pie" not in row
+    assert row["cost_total_ops_pie"] > row["cost_total_ops_pid"]
+
+
 @pytest.mark.parametrize(
     "content, missing",
     [
@@ -321,8 +353,17 @@ def test_report_join_and_duplicate_error(capsys, tmp_path):
             '{"meta": {"kind": "nope", "run_id": "r"}, "config": {}, "body": {}}',
             "meta.kind 'nope'",
         ),
+        (
+            '{"meta": {"kind": "verify", "run_id": "r"}, "config": {}, "body": {"checks": [{}]}}',
+            "body.checks[0].passed is missing",
+        ),
+        (
+            '{"meta": {"kind": "cost", "run_id": "r"}, "config": {},'
+            ' "body": {"breakdowns": {"pie": {"table1": {"components": {}}}}}}',
+            "body.breakdowns.pie.table1.totals.ops_symbols is missing",
+        ),
     ],
-    ids=["empty_object", "list", "unknown_kind"],
+    ids=["empty_object", "list", "unknown_kind", "verify_check_without_passed", "cost_without_totals"],
 )
 def test_report_on_a_file_that_is_not_a_report_is_a_usage_error(
     capsys, tmp_path, content, missing

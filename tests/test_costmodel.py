@@ -1,6 +1,7 @@
-"""Cost model: symbol cells, intensity formulas, roofline, exact calibration."""
+"""Cost model: symbol cells, intensity formulas, the whole-run roofline, exact calibration."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,26 +109,34 @@ def test_appendix_b_cell_labels():
 # -- roofline ----------------------------------------------------------------------
 
 
+def mirror_run(preset, engine):
+    """The whole-run counts of ``engine`` on a shape preset at its own model."""
+    p = cm.SHAPE_PRESETS[preset]
+    return cm.predict_run_counters(cm.MODEL_PRESETS[p.model], p.shape, engine)[1]
+
+
 def test_roofline_bandwidth_linearity():
-    s = shape(U=4, b=1, n_s=256, n_t=24, n_p=4, d=512, h=8)
-    bd = cm.table1_counts(s, "pie")
-    hw1 = cm.HardwareProfile("hw1", 1e12, 1e9)
-    hw2 = cm.HardwareProfile("hw2", 1e12, 2e9)
-    r1 = cm.roofline_estimate(bd, hw1)
-    r2 = cm.roofline_estimate(bd, hw2)
-    for label, c1 in r1.components.items():
-        c2 = r2.components[label]
-        if c1.bound == "memory" and c2.bound == "memory":
-            assert math.isclose(c2.seconds, c1.seconds / 2, rel_tol=1e-12)
-    assert r2.total_seconds <= r1.total_seconds
+    run = mirror_run("multiwoz", "pie")
+    r1 = cm.roofline_estimate(run, cm.HardwareProfile("hw1", 1e12, 1e9))
+    r2 = cm.roofline_estimate(run, cm.HardwareProfile("hw2", 1e12, 2e9))
+    memory_bound = [
+        label for label, c1 in r1["components"].items()
+        if c1["bound"] == "memory" and r2["components"][label]["bound"] == "memory"
+    ]
+    assert memory_bound
+    for label in memory_bound:
+        assert math.isclose(
+            r2["components"][label]["seconds"], r1["components"][label]["seconds"] / 2,
+            rel_tol=1e-12,
+        )
+    assert r2["total_seconds"] <= r1["total_seconds"]
 
 
 def test_roofline_monotone_in_peak_flops():
-    s = shape(U=4, b=1, n_s=256, n_t=24, n_p=4, d=512, h=8)
-    bd = cm.table1_counts(s, "pid")
-    slow = cm.roofline_estimate(bd, cm.HardwareProfile("slow", 1e11, 2e9))
-    fast = cm.roofline_estimate(bd, cm.HardwareProfile("fast", 1e13, 2e9))
-    assert fast.total_seconds <= slow.total_seconds
+    run = mirror_run("multiwoz", "pid")
+    slow = cm.roofline_estimate(run, cm.HardwareProfile("slow", 1e11, 2e9))
+    fast = cm.roofline_estimate(run, cm.HardwareProfile("fast", 1e13, 2e9))
+    assert fast["total_seconds"] <= slow["total_seconds"]
 
 
 def test_builtin_a100_as_printed_profile():
@@ -138,10 +147,13 @@ def test_builtin_a100_as_printed_profile():
 
 def test_memory_bound_when_ratio_above_balance():
     # with the as-printed profile the balance point is enormous, so every
-    # attention component is memory bound
-    s = shape(U=4, b=1, n_s=256, n_t=24, n_p=4, d=512, h=8)
-    est = cm.roofline_estimate(cm.table1_counts(s, "pie"), cm.BUILTIN_PROFILES["a100-as-printed"])
-    assert all(c.bound == "memory" for c in est.components.values())
+    # component of a whole run is memory bound
+    hw = cm.BUILTIN_PROFILES["a100-as-printed"]
+    for preset in ("toy", "multiwoz"):
+        for engine in ("pie", "pid"):
+            est = cm.roofline_estimate(mirror_run(preset, engine), hw)
+            assert est["components"]
+            assert all(c["bound"] == "memory" for c in est["components"].values())
 
 
 def test_hardware_profile_file_roundtrip(tmp_path):
@@ -153,18 +165,26 @@ def test_hardware_profile_file_roundtrip(tmp_path):
 
 def test_hardware_profile_file_errors(tmp_path):
     p = tmp_path / "bad.profile"
-    for peak, message in [
-        (None, "missing"),
-        ("abc", "peak_flops_per_s = 'abc' is not a number"),
-        ("nan", "must be finite and positive, got nan"),
-        ("inf", "must be finite and positive, got inf"),
-        ("0", "must be finite and positive, got 0.0"),
-        ("-5", "must be finite and positive, got -5.0"),
+    rates = "peak_flops_per_s = {}\nmem_bytes_per_s = 2e9\n"
+    for text, message in [
+        ("", "missing"),
+        (rates.format("abc"), "peak_flops_per_s = 'abc' is not a number"),
+        (rates.format("nan"), "must be finite and positive, got nan"),
+        (rates.format("inf"), "must be finite and positive, got inf"),
+        (rates.format("0"), "must be finite and positive, got 0.0"),
+        (rates.format("-5"), "must be finite and positive, got -5.0"),
+        (rates.format("1e12") + "peak_flops_per_s = 3e12\n", "'peak_flops_per_s' is given twice"),
+        (rates.format("1e12") + "bandwidth = 3e9\n", "unknown key 'bandwidth'"),
     ]:
-        rates = "" if peak is None else f"peak_flops_per_s = {peak}\nmem_bytes_per_s = 2e9\n"
-        p.write_text("name = x\n" + rates)
+        p.write_text("name = x\n" + text)
         with pytest.raises(ConfigError, match=message):
             cm.HardwareProfile.from_file(p)
+
+
+def test_profile_files_match_builtin_profiles():
+    profiles = Path(__file__).resolve().parent.parent / "profiles"
+    for name, builtin in cm.BUILTIN_PROFILES.items():
+        assert cm.HardwareProfile.from_file(profiles / f"{name}.profile") == builtin
 
 
 # -- shape parsing and presets ---------------------------------------------------
