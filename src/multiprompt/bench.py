@@ -4,8 +4,9 @@ Workloads are synthesized from a shape (random content tokens, seeded), so
 the benchmark measures shapes rather than any corpus.  Timings use the
 monotonic performance clock; warmup runs are excluded and the median is
 reported next to the mean to blunt scheduler noise.  Decoded tokens are
-checksummed into the report so nondeterminism would be visible, and minor
-page faults per timed op show allocator churn.
+checksummed into the report so nondeterminism would be visible, minor
+page faults per timed op show allocator churn, and the ``tracemalloc`` peak
+of one untimed op shows the footprint.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import statistics
 import time
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +74,7 @@ class EngineTiming:
     token_checksum: str
     wasted_stream_steps: int
     minor_faults_per_op: float | None
+    op_peak_bytes: int  # tracemalloc peak of one untimed batch-1 op
     unstable: bool
 
 
@@ -130,6 +133,22 @@ def _minor_faults() -> int | None:
     return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def traced_peak_bytes(call) -> int:
+    """Peak bytes ``tracemalloc`` sees ``call()`` hold above what was traced
+    when it began: NumPy's array buffers as well as Python's objects."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
 def _time_once(engine: str, model: ModelConfig, weights: WeightSet, wl: Workload):
     start = time.perf_counter()
     result = infer(engine, model, weights, wl)
@@ -145,7 +164,9 @@ def run_bench(config: BenchConfig) -> LatencyReport:
     and serves both the single-instance and the batch-1 figures.  The
     pie/pid speedups are medians of the per-repetition ratios (batched:
     each engine at its own optimal batch), not ratios of medians.  Minor
-    page faults are summed over every timed op of an engine.
+    page faults are summed over every timed op of an engine.  After the
+    timed repetitions, each engine runs one more batch-1 op under
+    ``tracemalloc`` for its peak bytes.
     """
     guard_batch = max(config.batch_sizes)
     estimated = estimate_run_bytes(config.model, config.shape, guard_batch)
@@ -184,6 +205,10 @@ def run_bench(config: BenchConfig) -> LatencyReport:
                     faults[engine] += _minor_faults() - before
                 per_instance[engine, b].append(seconds / b)
     timed_ops = config.repetitions * len(workloads)
+    peaks = {
+        engine: traced_peak_bytes(lambda: infer(engine, config.model, weights, workloads[1]))
+        for engine in config.engines
+    }
     for engine in config.engines:
         times = per_instance[engine, 1]
         mean = statistics.fmean(times)
@@ -203,6 +228,7 @@ def run_bench(config: BenchConfig) -> LatencyReport:
             token_checksum=_checksum(single.flat_outputs()),
             wasted_stream_steps=single.wasted_stream_steps,
             minor_faults_per_op=None if resource is None else faults[engine] / timed_ops,
+            op_peak_bytes=peaks[engine],
             unstable=std > 0.5 * mean,
         )
     if "pie" in report.engines and "pid" in report.engines:

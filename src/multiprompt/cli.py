@@ -167,7 +167,7 @@ def cmd_cost(parser, args) -> int:
     csv_rows = [
         {
             "run_id": run_id, "preset": args.preset, "engine": engine, "mode": mode,
-            "component": comp, **cell, "hw_profile": profile.name,
+            "component": comp, **cell,
         }
         for engine in ENGINES
         for mode in modes
@@ -222,7 +222,7 @@ def cmd_bench(parser, args) -> int:
         print(
             f"{engine}: single {t.single_mean_s * 1e3:.2f} ms mean "
             f"(median {t.single_median_s * 1e3:.2f}, std {t.single_std_s * 1e3:.2f}), "
-            f"minor faults/op {faults}{flag}",
+            f"minor faults/op {faults}, traced peak {t.op_peak_bytes / 2**20:.2f} MiB{flag}",
             file=table,
         )
         for b, s in sorted(t.batched_per_instance_s.items()):

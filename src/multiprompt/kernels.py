@@ -60,17 +60,19 @@ Counting conventions, fixed package-wide:
 
 Allocation: every kernel allocates its outputs and temporaries as the
 plain NumPy expression does; ``out=`` names only an array the kernel
-allocated itself.  A training step frees and allocates the same large
-arrays step after step.  With glibc's defaults each one is mapped afresh,
-or carved from a heap top that ``free`` trims, so its pages fault in again
-on every step.  :func:`raise_malloc_thresholds`, called by
-``training.train_step``, raises glibc's trim and mmap thresholds once per
-process, so a freed block stays in the heap and the next step reuses it
+allocated itself.  A training step or an engine run frees and allocates
+the same large arrays op after op.  With glibc's defaults each one is
+mapped afresh, or carved from a heap top that ``free`` trims, so its pages
+fault in again on every op.  :func:`raise_malloc_thresholds`, called by
+``model.encode_batch`` (which every engine run, the oracle and every
+training step call first), raises glibc's trim and mmap thresholds once
+per process, so a freed block stays in the heap and the next op reuses it
 with its pages in place.  Both are needed: with the trim threshold alone
 every block of 128 KiB or more is still mapped afresh, and with the mmap
-threshold alone ``free`` still trims the heap top.  Inference never sets
-them: its buffers are few, and with the thresholds set no engine ran
-faster while peak memory rose.
+threshold alone ``free`` still trims the heap top.  Inference needs them
+together with :func:`attention`'s probability-free path: that path holds
+one chunk of scores instead of all of them, and the smaller heap is
+trimmed and faulted in again on every op unless the thresholds are set.
 """
 
 from __future__ import annotations
@@ -476,17 +478,22 @@ def attention(
     v4: np.ndarray,
     sink: CounterSink,
     mask_rows: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    *,
+    keep_probs: bool,
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Attention core ``softmax(q4 @ k4) @ v4`` per slice; returns ``(probs, ctx)``.
 
     ``q4`` is ``[B,r,dh]``, ``k4`` ``[B,dh,m]`` and ``v4`` ``[B,m,dh]``;
     ``probs`` is ``[B,r,m]`` and ``ctx`` ``[B,r,dh]``.  ``mask_rows`` is an
     optional bool ``[r,m]`` mask applied to the ``r`` score rows of every
-    slice.  The softmax runs in place on the score buffer, which becomes
-    ``probs``, and the mask is broadcast rather than tiled.  The slices run
-    in chunks whose scores fit ``ATTENTION_CHUNK_BYTES``: each chunk's
-    score product, softmax and context product run while its scores are in
-    cache.
+    slice.  The softmax runs in place on the score buffer, and the mask is
+    broadcast rather than tiled.  The slices run in chunks whose scores fit
+    ``ATTENTION_CHUNK_BYTES``: each chunk's score product, softmax and
+    context product run while its scores are in cache.  With
+    ``keep_probs`` the chunks write one ``[B,r,m]`` buffer, returned as
+    ``probs`` for the backward; without it every chunk reuses one chunk's
+    buffer, so the call holds one chunk of scores rather than all of them,
+    and ``probs`` is None.  Either way ``ctx`` has the same bits.
 
     Checks and counts are those of the batched products ``q4 @ k4`` and
     ``probs @ v4`` (:func:`bmm`'s shape checks and counts) around a softmax
@@ -517,16 +524,17 @@ def attention(
         probs = _check_finite(np.matmul(q4, k4), "bmm")
         if probs.size:
             _softmax_in_place(probs.reshape(-1, m), mask_rows)
-        return probs, _check_finite(np.matmul(probs, v4), "bmm")
-    probs = np.empty((slices, rows, m), F32)
+        return probs if keep_probs else None, _check_finite(np.matmul(probs, v4), "bmm")
+    probs = np.empty((slices if keep_probs else step, rows, m), F32)
     ctx = np.empty((slices, rows, v4.shape[2]), F32)
     for s in range(0, slices, step):
-        e = s + step
-        scores = _check_finite(np.matmul(q4[s:e], k4[s:e], out=probs[s:e]), "bmm")
+        e = min(s + step, slices)
+        scores = probs[s:e] if keep_probs else probs[: e - s]
+        _check_finite(np.matmul(q4[s:e], k4[s:e], out=scores), "bmm")
         if scores.size:
             _softmax_in_place(scores.reshape(-1, m), mask_rows)
         _check_finite(np.matmul(scores, v4[s:e], out=ctx[s:e]), "bmm")
-    return probs, ctx
+    return probs if keep_probs else None, ctx
 
 
 def _check_softmax_backward(probs_shape: tuple[int, ...], d_probs_shape: tuple[int, ...]) -> None:

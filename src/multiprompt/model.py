@@ -261,7 +261,7 @@ def _attention_sublayer(
     ``[owners*h, m, dh]``), each owner shared by ``kv_group`` consecutive
     sequences.  A ``tape`` receives the activations the exact backward
     needs (``q4``/``k4``/``v4`` and ``probs`` among them); without one
-    nothing is recorded.
+    nothing is recorded and the attention core keeps no probabilities.
 
     The attention core is one fused :func:`kernels.attention` call on
     head-folded tensors: ``q4`` is ``[O*h, r, dh]``, for each of ``O``
@@ -294,9 +294,10 @@ def _attention_sublayer(
                 v_cache.reshape(n_seq, h, -1, dh)[:, :, start:end] = v
                 kv = (k_cache[:, :, :end], v_cache[:, :end])
         q4 = _fold_heads(q, n_seq // kv_group, h)
-        probs, ctx = kernels.attention(q4, *kv, sink, mask_rows)
+        # without a tape the kernel keeps no probabilities, only one chunk of
+        # scores at a time (peak memory)
+        probs, ctx = kernels.attention(q4, *kv, sink, mask_rows, keep_probs=tape is not None)
         saved = None if tape is None else dict(q4=q4, k4=kv[0], v4=kv[1], probs=probs)
-        del probs  # without a tape the scores are freed before the projection (peak memory)
         ctx = _unfold_heads(ctx, h)
         out = kernels.matmul(ctx, attn.w_o, sink, residual=x)
     if tape is not None:
@@ -348,7 +349,14 @@ def encode_batch(
     sequence, so batching never changes any instance's output.  With a
     ``tape``, records one entry per sublayer (attention, feed-forward per
     layer) and a last one for the final norm.
+
+    Every engine run, the oracle and every training step encode first, so
+    this is where glibc's malloc thresholds are raised
+    (:func:`kernels.raise_malloc_thresholds`, once per process): a run's
+    freed arrays then stay in the heap for the next run, with their pages
+    in place.
     """
+    kernels.raise_malloc_thresholds()
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim != 2 or not tokens.size or tokens.shape[1] > config.max_len:
         raise LengthError(f"encoder block has shape {tokens.shape}; max_len is {config.max_len}")

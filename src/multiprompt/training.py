@@ -406,14 +406,8 @@ def train_step(
     sink: CounterSink | None = None,
     step_index: int | None = None,
 ) -> float:
-    """One SGD step in place; returns the batch loss.
-
-    Sets glibc's malloc thresholds (:func:`kernels.raise_malloc_thresholds`)
-    first, so that steps of the same shapes reuse each other's freed
-    arrays instead of faulting their pages in again.
-    """
+    """One SGD step in place; returns the batch loss."""
     sink = sink if sink is not None else CounterSink()
-    kernels.raise_malloc_thresholds()
     try:
         loss, grads = training_forward_backward(config, weights, batch, sink)
     except (TrainingError, FloatingPointError) as exc:

@@ -163,6 +163,26 @@ def test_bench_reports_minor_faults_per_op(capsys, monkeypatch, tmp_path):
     assert len(rows) == 2 and all(row["minor_faults_per_op"] == "" for row in rows)
 
 
+def test_bench_reports_each_engines_traced_peak(capsys, tmp_path):
+    import csv
+
+    path = tmp_path / "bench.csv"
+    code, doc, table = run_cli_json(
+        capsys, "bench", "--shape", "U=2,b=1,n_s=16,n_t=3,n_p=0,d=64,h=4", "--model", "toy",
+        "--reps", "3", "--warmup", "0", "--batch-sizes", "1", "--csv", str(path),
+    )
+    assert code == 0
+    engines = doc["body"]["engines"]
+    rows = {row["engine"]: row for row in csv.DictReader(open(path))}
+    for engine, timing in engines.items():
+        peak = timing["op_peak_bytes"]
+        assert isinstance(peak, int) and peak > 0
+        assert int(rows[engine]["op_peak_bytes"]) == peak
+        assert f"traced peak {peak / 2**20:.2f} MiB" in table
+    # pie encodes each of the U = 2 streams' inputs, pid the shared one once
+    assert engines["pie"]["op_peak_bytes"] > engines["pid"]["op_peak_bytes"]
+
+
 def test_run_bench_interleaves_engines_and_reuses_batch1_series(monkeypatch):
     from types import SimpleNamespace
 
@@ -244,13 +264,14 @@ CSV_HEADERS = {
     "cost": [
         "run_id", "preset", "engine", "mode", "component",
         "memory_symbols", "ops_symbols", "bytes",
-        "inverse_intensity", "hw_profile",
+        "inverse_intensity",
     ],
     "bench": [
         "run_id", "preset", "engine",
         "single_mean_s", "single_std_s", "single_median_s",
         "optimal_batch", "optimal_per_instance_s", "total_flops",
-        "token_checksum", "wasted_stream_steps", "minor_faults_per_op", "unstable",
+        "token_checksum", "wasted_stream_steps", "minor_faults_per_op", "op_peak_bytes",
+        "unstable",
         "speedup_single", "speedup_batched",
         "measured_flop_ratio", "analytic_flop_ratio",
     ],

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multiprompt import kernels
+from multiprompt.bench import traced_peak_bytes
 from multiprompt.engines import Instance, Workload, infer
 from multiprompt.errors import MaskError, ShapeError
 from multiprompt.kernels import CounterSink
@@ -502,7 +503,8 @@ HUGE = F32(1e30)
          "softmax produced non-finite values"),
         # a NaN score in a hidden lane still fails the score product's check
         (lambda s: kernels.attention(np.ones((1, 1, 1), F32), np.array([[[0.0, np.nan]]], F32),
-                                     np.ones((1, 2, 1), F32), s, np.array([[True, False]])),
+                                     np.ones((1, 2, 1), F32), s, np.array([[True, False]]),
+                                     keep_probs=False),
          "bmm produced non-finite values"),
         (lambda s: kernels.layer_norm(
             np.array([[1.0, np.inf, 2.0]], dtype=F32), np.ones(3, dtype=F32), s),
@@ -767,11 +769,12 @@ def outcome(kernel, *operands, budget=None, **options):
 
 
 def fingerprint(result):
-    """An :func:`outcome` error as it is; each result array as (dtype, shape, bytes)."""
+    """An :func:`outcome` error as it is; each result array as (dtype, shape,
+    bytes), and a result that is no array (attention's dropped probabilities) as None."""
     if isinstance(result, tuple) and isinstance(result[0], type):
         return result
     arrays = result if isinstance(result, tuple) else [result]
-    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+    return [None if a is None else (a.dtype, a.shape, a.tobytes()) for a in arrays]
 
 
 def finite(x, kind):
@@ -781,8 +784,9 @@ def finite(x, kind):
     return x
 
 
-def unfused_attention(q4, k4, v4, sink, mask_rows=None):
-    """``q4 @ k4``, a row softmax with the ``[r, m]`` mask tiled over the slices, ``@ v4``."""
+def unfused_attention(q4, k4, v4, sink, mask_rows=None, keep_probs=True):
+    """``q4 @ k4``, a row softmax with the ``[r, m]`` mask tiled over the slices, ``@ v4``;
+    the probabilities are returned only with ``keep_probs``."""
     slices, r, dh = q4.shape
     m = k4.shape[2]
     kernels.count_matmul(sink, r, dh, m, slices)
@@ -793,7 +797,7 @@ def unfused_attention(q4, k4, v4, sink, mask_rows=None):
         mask = None if mask_rows is None else np.tile(mask_rows, (slices, 1))
         probs = textbook_softmax(probs.reshape(-1, m), mask).reshape(probs.shape)
     # finite scores keep every probability in [0, 1]: the softmax needs no check
-    return probs, finite(probs @ v4, "bmm")
+    return probs if keep_probs else None, finite(probs @ v4, "bmm")
 
 
 def unfused_attention_backward(q4, k4, v4, probs, d_ctx, sink):
@@ -840,7 +844,7 @@ def unfused_embed(table, ids, factor, positions, sink):
 # -- operand strategies: a case from drawn sizes and a seed --------------------------
 
 
-def attention_case(slices, r, m, dh, masked, chunk, seed):
+def attention_case(slices, r, m, dh, masked, chunk, seed, keep_probs=True):
     rng = np.random.default_rng(seed)
     q4 = (rand(rng, slices, r, dh) * 4).astype(F32)
     k4 = rand(rng, slices, m, dh).transpose(0, 2, 1)  # keys stored transposed, read as a view
@@ -850,7 +854,8 @@ def attention_case(slices, r, m, dh, masked, chunk, seed):
         mask_rows = rng.random((r, m)) < 0.5
         if m:
             mask_rows[np.arange(r), rng.integers(0, m, size=r)] = True
-    return Case((q4, k4, v4), {"mask_rows": mask_rows}, chunk_bytes(chunk, 4 * r * m))
+    options = {"mask_rows": mask_rows, "keep_probs": keep_probs}
+    return Case((q4, k4, v4), options, chunk_bytes(chunk, 4 * r * m))
 
 
 def backward_case(slices, r, m, dh, dv, masked, chunk, seed):
@@ -904,7 +909,15 @@ def salted(shape, at, value, fill=1.0):
 
 def attention_error(id, error, q4, k4, v4, mask_rows=None, chunk=None):
     budget = chunk_bytes(chunk, 4 * q4.shape[1] * k4.shape[2])
-    return pytest.param(Case((q4, k4, v4), {"mask_rows": mask_rows}, budget), error, id=id)
+    options = {"mask_rows": mask_rows, "keep_probs": True}
+    return pytest.param(Case((q4, k4, v4), options, budget), error, id=id)
+
+
+def without_probs(param):
+    """An attention error case run without keeping its probabilities."""
+    case, error = param.values
+    options = dict(case.options, keep_probs=False)
+    return pytest.param(case._replace(options=options), error, id=f"{param.id}_without_probs")
 
 
 ONES = np.ones((3, 1, 1), F32)
@@ -951,6 +964,8 @@ ATTENTION_ERRORS = [
                     (ShapeError, "attention mask must be bool (2, 3), got float64 (2, 3)"),
                     Q2, K2, V2, np.ones((2, 3))),
 ]
+# the probability-free path raises every error the same, with the same sink state
+ATTENTION_ERRORS += [without_probs(param) for param in ATTENTION_ERRORS]
 
 
 def backward_error(id, error, **salts):
@@ -1085,14 +1100,19 @@ FUSED = {
     "attention": Fused(
         kernels.attention, unfused_attention,
         st.builds(attention_case, st.integers(0, 7), st.integers(0, 6), st.integers(0, 9),
-                  st.integers(1, 8), st.booleans(), CHUNKS, SEEDS),
-        (  # slices, r, m, dh, masked, chunk, seed
+                  st.integers(1, 8), st.booleans(), CHUNKS, SEEDS, st.booleans()),
+        (  # slices, r, m, dh, masked, chunk, seed, keep_probs
             attention_case(2, 3, 0, 2, True, None, 0), attention_case(2, 2, 5, 3, True, None, 3),
             attention_case(0, 3, 4, 2, False, None, 0), attention_case(4, 3, 3, 2, False, 4, 5),
             # 4 and 3 chunks, the last partial; one slice per chunk, by budget or over it
             attention_case(7, 2, 5, 3, True, 2, 1), attention_case(5, 3, 4, 2, False, 2, 2),
             attention_case(6, 2, 4, 2, True, 1, 4), attention_case(3, 2, 4, 2, True, 0, 8),
             attention_case(4, 0, 3, 2, False, 1, 6), attention_case(4, 3, 0, 2, True, 1, 7),  # empty
+            # without the probabilities: one chunk; 4 and 3 chunks in one reused
+            # buffer, the last partial, masked and not; one slice per chunk; empty
+            attention_case(2, 2, 5, 3, True, None, 3, False),
+            attention_case(7, 2, 5, 3, True, 2, 1, False), attention_case(5, 3, 4, 2, False, 2, 2, False),
+            attention_case(6, 2, 4, 2, True, 1, 4, False), attention_case(4, 3, 0, 2, True, 1, 7, False),
         ),
         ATTENTION_ERRORS, 80,
     ),
@@ -1188,6 +1208,22 @@ test_embed_rows_bit_identical_to_three_kernels = equals_its_composition(FUSED["e
 test_embed_rows_raises_like_three_kernels = raises_like_its_composition(FUSED["embed_rows"])
 
 
+@settings(max_examples=FUSED["attention"].max_examples, deadline=None)
+@given(case=FUSED["attention"].cases)
+def test_attention_without_probs_equals_the_kept_path(case):
+    # the same context bits or error, with the same counts, whichever path runs
+    (kept, kept_counts), (free, free_counts) = (
+        outcome(kernels.attention, *case.operands, budget=case.budget,
+                **dict(case.options, keep_probs=keep))
+        for keep in (True, False)
+    )
+    want = fingerprint(kept)
+    if not isinstance(kept[0], type):  # a result, not an error: no probabilities, the same ctx
+        want = [None, want[1]]
+    assert fingerprint(free) == want
+    assert free_counts == kept_counts
+
+
 # -- the attention kernels' chunks ---------------------------------------------------
 
 
@@ -1209,7 +1245,7 @@ def test_attention_softmax_cannot_fail_once_scores_are_finite(masked):
         mask_rows = rng.random((r, m)) < 0.7 if masked else None
         try:
             with np.errstate(all="ignore"):
-                probs, _ = kernels.attention(q4, k4, v4, CounterSink(), mask_rows)
+                probs, _ = kernels.attention(q4, k4, v4, CounterSink(), mask_rows, keep_probs=True)
         except (ShapeError, MaskError):
             continue
         except FloatingPointError as exc:
@@ -1254,8 +1290,12 @@ def test_attention_kernels_make_one_pass_per_chunk(
 
     monkeypatch.setattr(np, "matmul", counted)
     budget = chunk_bytes(chunk, 4 * r * m)
-    (probs, ctx), _ = outcome(kernels.attention, q4, k4, v4, mask_rows=mask_rows, budget=budget)
-    assert len(products) == 2 * chunks and sum(products) == 2 * slices
+    for keep_probs in (False, True):  # the kept path last: the backward reads its probs
+        products.clear()
+        (probs, ctx), _ = outcome(
+            kernels.attention, q4, k4, v4, mask_rows=mask_rows, keep_probs=keep_probs, budget=budget
+        )
+        assert len(products) == 2 * chunks and sum(products) == 2 * slices
     products.clear()
     outcome(kernels.attention_backward, q4, k4, v4, probs, ctx, budget=chunk_bytes(chunk, 8 * r * m))
     assert len(products) == 4 * backward_chunks and sum(products) == 4 * slices
@@ -1267,7 +1307,8 @@ def test_attention_one_chunk_path_equals_the_chunk_loop(slices, r, chunk, masked
     # keys and values are strided views of head-major caches, read up to the
     # filled length as the decoder's self-attention reads them; with the
     # module's budget one chunk holds every slice and the products write no
-    # ``out=``, with a smaller one the loop writes each chunk into its buffers
+    # ``out=``, with a smaller one the loop writes each chunk into its buffers,
+    # with the probabilities kept or without them
     rng = np.random.default_rng(slices * r + chunk)
     dh, capacity, end = 4, 12, 9
     k4 = rand(rng, slices, dh, capacity)[:, :, :end]
@@ -1282,14 +1323,60 @@ def test_attention_one_chunk_path_equals_the_chunk_loop(slices, r, chunk, masked
         return matmul(*args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", recorded)
-    whole, whole_counts = outcome(kernels.attention, q4, k4, v4, mask_rows=mask_rows)
-    assert outs == [False, False]
-    outs.clear()
     budget = chunk_bytes(chunk, 4 * r * end)
-    looped, loop_counts = outcome(kernels.attention, q4, k4, v4, mask_rows=mask_rows, budget=budget)
-    assert outs == [True, True] * -(-slices // chunk)
-    assert fingerprint(whole) == fingerprint(looped)
-    assert whole_counts == loop_counts
+    for keep_probs in (True, False):
+        outs.clear()
+        whole, whole_counts = outcome(
+            kernels.attention, q4, k4, v4, mask_rows=mask_rows, keep_probs=keep_probs
+        )
+        assert outs == [False, False]
+        outs.clear()
+        looped, loop_counts = outcome(
+            kernels.attention, q4, k4, v4, mask_rows=mask_rows, keep_probs=keep_probs, budget=budget
+        )
+        assert outs == [True, True] * -(-slices // chunk)
+        assert fingerprint(whole) == fingerprint(looped)
+        assert whole_counts == loop_counts
+
+
+# -- what an attention call holds --------------------------------------------------
+
+#: 64 slices of [64, 64] scores, 1 MiB in all, run in chunks of 2 slices
+PEAK_SLICES, PEAK_ROWS, PEAK_DH = 64, 64, 16
+PEAK_SCORE_BYTES = 4 * PEAK_SLICES * PEAK_ROWS * PEAK_ROWS
+PEAK_CHUNK_BYTES = PEAK_SCORE_BYTES // PEAK_SLICES * 2
+#: what a call holds besides its score buffer and ``ctx``: NumPy's ufunc
+#: buffers (8,192 elements), the chunk's row maxima and sums, the inverted mask
+PEAK_SLACK = 64 << 10
+
+
+def attention_peak(masked, keep_probs, monkeypatch):
+    """The ``tracemalloc`` peak of one chunked attention call, above its operands."""
+    rng = np.random.default_rng(3)
+    q4 = rand(rng, PEAK_SLICES, PEAK_ROWS, PEAK_DH)
+    k4 = rand(rng, PEAK_SLICES, PEAK_ROWS, PEAK_DH).transpose(0, 2, 1)
+    v4 = rand(rng, PEAK_SLICES, PEAK_ROWS, PEAK_DH)
+    mask_rows = np.tri(PEAK_ROWS, dtype=bool) if masked else None
+    monkeypatch.setattr(kernels, "ATTENTION_CHUNK_BYTES", PEAK_CHUNK_BYTES)
+    sink = CounterSink()
+    return traced_peak_bytes(
+        lambda: kernels.attention(q4, k4, v4, sink, mask_rows, keep_probs=keep_probs)
+    )
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_attention_without_probs_holds_one_chunk_of_scores(masked, monkeypatch):
+    ctx_bytes = 4 * PEAK_SLICES * PEAK_ROWS * PEAK_DH
+    held = attention_peak(masked, False, monkeypatch)
+    assert held <= PEAK_CHUNK_BYTES + ctx_bytes + PEAK_SLACK, held
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_attention_keeping_probs_holds_every_score(masked, monkeypatch):
+    # the negative control: the kept path, which training takes, holds the
+    # whole [B, r, m] buffer, so the gate above can fail
+    held = attention_peak(masked, True, monkeypatch)
+    assert held > PEAK_SCORE_BYTES, held
 
 
 def test_matmul_takes_one_epilogue():

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from multiprompt import kernels, reference
+from multiprompt.bench import traced_peak_bytes
+from multiprompt.costmodel import MODEL_PRESETS
 from multiprompt.errors import ConfigError, LengthError, MaskError, ShapeError
 from multiprompt.kernels import CounterSink
 from multiprompt.model import (
     BOS,
+    N_RESERVED,
     ModelConfig,
     _fold_heads,
     _unfold_heads,
@@ -39,7 +42,8 @@ def attend(q, k, v, w_o, mask_rows, n_heads, sink):
     q4 = _fold_heads(q * F32(1.0 / math.sqrt(dh)), 1, n_heads)
     k4 = _fold_heads(k, 1, n_heads).transpose(0, 2, 1)
     v4 = _fold_heads(v, 1, n_heads)
-    return _unfold_heads(kernels.attention(q4, k4, v4, sink, mask_rows)[1], n_heads) @ w_o
+    _, ctx = kernels.attention(q4, k4, v4, sink, mask_rows, keep_probs=False)
+    return _unfold_heads(ctx, n_heads) @ w_o
 
 
 # -- init_weights -----------------------------------------------------------
@@ -169,6 +173,32 @@ def test_encoder_batch_matches_per_instance(tiny_config, tiny_weights):
     for i, s in enumerate(seqs):
         single = encode_batch(tiny_config, tiny_weights, [s], CounterSink())
         np.testing.assert_allclose(batched[i], single[0], atol=1e-6)
+
+
+def test_untaped_encoder_holds_less_than_one_layers_scores(monkeypatch):
+    # toy's encoder over 2 sequences of 384 tokens: one layer's [2*h, 384, 384]
+    # scores are 4.5 MiB, run in 64 KiB chunks; without a tape the encoder
+    # holds one chunk of them at a time
+    config = MODEL_PRESETS["toy"]
+    weights = init_weights(config, seed=0)
+    b, n = 2, 384
+    tokens = np.random.default_rng(0).integers(N_RESERVED, config.vocab_size, size=(b, n))
+    score_bytes = 4 * b * config.n_heads * n * n
+    monkeypatch.setattr(kernels, "ATTENTION_CHUNK_BYTES", 1 << 16)
+
+    def encode():
+        return encode_batch(config, weights, tokens, CounterSink())
+
+    held = traced_peak_bytes(encode)
+    assert held < score_bytes, held
+    # the negative control: with every call keeping its probabilities, as
+    # the encoder did before, the same encode holds more than those scores
+    attention = kernels.attention
+    monkeypatch.setattr(
+        kernels, "attention", lambda *args, keep_probs: attention(*args, keep_probs=True)
+    )
+    held = traced_peak_bytes(encode)
+    assert held > score_bytes, held
 
 
 def test_encoder_matches_float64_reference(tiny_config, tiny_weights):
