@@ -27,7 +27,7 @@ from .training import (
     predicted_training_flop_ratio,
     run_toy_training,
 )
-from .verify import DEFAULT_CHECKS, FULL_ONLY_CHECKS, FAULT_CORRUPT_SHARED_KV, run_checks
+from .verify import FAULT_CORRUPT_SHARED_KV, run_checks
 
 EXIT_OK, EXIT_CHECK_FAILURE, EXIT_USAGE, EXIT_RESOURCE = 0, 1, 2, 3
 
@@ -284,7 +284,7 @@ def cmd_verify(parser, args) -> int:
             "preset": None, "shape_slug": None, "seed": args.seed,
             "full": args.full,
             "inject_fault": args.inject_fault, "hw_profile": None,
-            "checks": names or (list(DEFAULT_CHECKS) + (list(FULL_ONLY_CHECKS) if args.full else [])),
+            "checks": [r.name for r in results],
         },
         {"checks": [asdict(r) for r in results], "all_passed": passed},
     )
@@ -427,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the deterministic check suite")
     common(p_verify, with_workload=False)
-    p_verify.add_argument("--full", action="store_true", help="include training and latency checks")
-    p_verify.add_argument("--checks", help="comma-separated subset of checks")
+    p_verify.add_argument("--full", action="store_true", help="also run the training and latency checks")
+    p_verify.add_argument("--checks", help="comma-separated checks to run, from every check")
     p_verify.add_argument(
         "--inject-fault", choices=(FAULT_CORRUPT_SHARED_KV,), default=None,
         help="debug fault: corrupt the shared cross-attention cache",

@@ -29,25 +29,26 @@ Counting conventions, fixed package-wide:
 * A fused kernel records each constituent's counts exactly as its unfused
   composition would, in the same order: :func:`attention` a batched score
   product, a softmax and a batched context product;
-  :func:`attention_backward` two batched products, a softmax backward and
-  two more products; :func:`matmul` with a GEMM epilogue (``scale=`` or
-  ``residual=``) the product, then a scale or an add; and
+  :func:`attention_backward` a batched score product and a softmax (the
+  forward's probabilities, recomputed), two batched products, a softmax
+  backward and two more products; :func:`matmul` with a GEMM epilogue
+  (``scale=`` or ``residual=``) the product, then a scale or an add; and
   :func:`embed_rows` a row gather, a scale and an add.  It keeps every
   constituent's finite check that can fire and names the constituent that
   failed in its error (``bmm``, ``softmax backward``, ``matmul``,
-  ``scale``, ``add``); the softmax inside :func:`attention` cannot fail
-  once its scores are finite.  Fusion changes what is allocated, re-read
+  ``scale``, ``add``); the softmax inside either attention kernel cannot
+  fail once its scores are finite.  Fusion changes what is allocated, re-read
   and checked on the host, never the counted traffic.
 * The two attention kernels run their ``B`` slices in chunks whose
   score-shaped arrays fit ``ATTENTION_CHUNK_BYTES``, each constituent on
-  a chunk before the next chunk.  Every slice and row is computed by the
-  same NumPy call on the same operands as unchunked, so chunking changes
-  neither bits nor counts; a non-finite output raises at the first chunk
-  and constituent that produces one.  When one chunk holds every slice,
-  as it does at the benchmark's shapes for every decode step, every
-  inference prefill and pid's encoder, :func:`attention` skips the loop:
-  its products run on the whole operands and allocate their own outputs,
-  with no chunk buffers.
+  a chunk before the next chunk, and every chunk reuses one chunk's
+  buffers.  Every slice and row is computed by the same NumPy call on the
+  same operands as unchunked, so chunking changes neither bits nor counts;
+  a non-finite output raises at the first chunk and constituent that
+  produces one.  When one chunk holds every slice, as it does at the
+  benchmark's shapes for every decode step, every inference prefill and
+  pid's encoder, :func:`attention` skips the loop: its products run on the
+  whole operands and allocate their own outputs, with no chunk buffers.
 * The forward kernels and the index checks call their reductions as ufunc
   methods (``np.add.reduce``, ``np.maximum.reduce``): the same loops the
   ndarray methods reach through a Python wrapper, so a small decode-step
@@ -69,8 +70,8 @@ training step call first), raises glibc's trim and mmap thresholds once
 per process, so a freed block stays in the heap and the next op reuses it
 with its pages in place.  Both are needed: with the trim threshold alone
 every block of 128 KiB or more is still mapped afresh, and with the mmap
-threshold alone ``free`` still trims the heap top.  Inference needs them
-together with :func:`attention`'s probability-free path: that path holds
+threshold alone ``free`` still trims the heap top.  The attention kernels
+rely on them: neither keeps probabilities, so inference and training hold
 one chunk of scores instead of all of them, and the smaller heap is
 trimmed and faulted in again on every op unless the thresholds are set.
 """
@@ -467,9 +468,37 @@ def softmax_rows(a: np.ndarray, sink: CounterSink) -> np.ndarray:
     return out
 
 
-def _check_attention_mask(mask: np.ndarray, rows: int, m: int) -> None:
-    if mask.dtype != np.bool_ or mask.shape != (rows, m):
-        raise ShapeError(f"attention mask must be bool ({rows}, {m}), got {mask.dtype} {mask.shape}")
+def _attention_operands(
+    q4: np.ndarray, k4: np.ndarray, v4: np.ndarray, mask_rows: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """The checks both attention kernels make: 3-D float32 operands shaped for ``q4 @ k4`` and
+    ``probs @ v4``, and a bool ``[r, m]`` mask (or None) that leaves every row a visible entry."""
+    q4 = _as_f32_matrix(q4, "q4", 3)
+    k4 = _as_f32_matrix(k4, "k4", 3)
+    v4 = _as_f32_matrix(v4, "v4", 3)
+    slices, rows, _ = q4.shape
+    m = k4.shape[2]
+    _check_bmm(q4.shape, k4.shape)
+    _check_bmm((slices, rows, m), v4.shape)
+    if mask_rows is not None:
+        mask_rows = np.asarray(mask_rows)
+        if mask_rows.dtype != np.bool_ or mask_rows.shape != (rows, m):
+            got = f"{mask_rows.dtype} {mask_rows.shape}"
+            raise ShapeError(f"attention mask must be bool ({rows}, {m}), got {got}")
+        if slices * rows * m:
+            _check_visible(mask_rows)
+    return q4, k4, v4, mask_rows
+
+
+def _probs_into(
+    q4: np.ndarray, k4: np.ndarray, mask_rows: np.ndarray | None, out: np.ndarray | None
+) -> np.ndarray:
+    """``softmax(q4 @ k4)`` of a chunk, written into ``out`` (None: a new
+    array): the score product, checked as ``bmm``, then the softmax in place."""
+    probs = _check_finite(np.matmul(q4, k4, out=out), "bmm")
+    if probs.size:
+        _softmax_in_place(probs.reshape(-1, probs.shape[2]), mask_rows)
+    return probs
 
 
 def attention(
@@ -478,22 +507,18 @@ def attention(
     v4: np.ndarray,
     sink: CounterSink,
     mask_rows: np.ndarray | None = None,
-    *,
-    keep_probs: bool,
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """Attention core ``softmax(q4 @ k4) @ v4`` per slice; returns ``(probs, ctx)``.
+) -> np.ndarray:
+    """Attention core ``softmax(q4 @ k4) @ v4`` per slice; returns ``ctx``.
 
     ``q4`` is ``[B,r,dh]``, ``k4`` ``[B,dh,m]`` and ``v4`` ``[B,m,dh]``;
-    ``probs`` is ``[B,r,m]`` and ``ctx`` ``[B,r,dh]``.  ``mask_rows`` is an
-    optional bool ``[r,m]`` mask applied to the ``r`` score rows of every
-    slice.  The softmax runs in place on the score buffer, and the mask is
-    broadcast rather than tiled.  The slices run in chunks whose scores fit
+    ``ctx`` is ``[B,r,dh]``.  ``mask_rows`` is an optional bool ``[r,m]``
+    mask applied to the ``r`` score rows of every slice.  The softmax runs
+    in place on the score buffer, and the mask is broadcast rather than
+    tiled.  The slices run in chunks whose scores fit
     ``ATTENTION_CHUNK_BYTES``: each chunk's score product, softmax and
-    context product run while its scores are in cache.  With
-    ``keep_probs`` the chunks write one ``[B,r,m]`` buffer, returned as
-    ``probs`` for the backward; without it every chunk reuses one chunk's
-    buffer, so the call holds one chunk of scores rather than all of them,
-    and ``probs`` is None.  Either way ``ctx`` has the same bits.
+    context product run while its scores are in cache, in one reused chunk
+    buffer, so the call holds one chunk of scores rather than all of them.
+    No probabilities are kept; :func:`attention_backward` recomputes them.
 
     Checks and counts are those of the batched products ``q4 @ k4`` and
     ``probs @ v4`` (:func:`bmm`'s shape checks and counts) around a softmax
@@ -504,42 +529,21 @@ def attention(
     row a finite max, so every output lies in [0, 1] and every row sum is
     finite.
     """
-    q4 = _as_f32_matrix(q4, "q4", 3)
-    k4 = _as_f32_matrix(k4, "k4", 3)
-    v4 = _as_f32_matrix(v4, "v4", 3)
-    slices, rows, dh = q4.shape
-    m = k4.shape[2]
-    _check_bmm(q4.shape, k4.shape)
-    _check_bmm((slices, rows, m), v4.shape)
-    if mask_rows is not None:
-        mask_rows = np.asarray(mask_rows)
-        _check_attention_mask(mask_rows, rows, m)
-        if slices * rows * m:
-            _check_visible(mask_rows)
-    count_attention(sink, slices, rows, dh, m, v4.shape[2], mask_rows is not None)
+    q4, k4, v4, mask_rows = _attention_operands(q4, k4, v4, mask_rows)
+    (slices, rows, dh), m, dv = q4.shape, k4.shape[2], v4.shape[2]
+    count_attention(sink, slices, rows, dh, m, dv, mask_rows is not None)
     step = _chunk_slices(slices, 4 * rows * m)
     if step >= slices:
         # one chunk holds every slice: the same three calls on the whole
         # operands, with no chunk buffers or slicing
-        probs = _check_finite(np.matmul(q4, k4), "bmm")
-        if probs.size:
-            _softmax_in_place(probs.reshape(-1, m), mask_rows)
-        return probs if keep_probs else None, _check_finite(np.matmul(probs, v4), "bmm")
-    probs = np.empty((slices if keep_probs else step, rows, m), F32)
-    ctx = np.empty((slices, rows, v4.shape[2]), F32)
+        return _check_finite(np.matmul(_probs_into(q4, k4, mask_rows, None), v4), "bmm")
+    probs = np.empty((step, rows, m), F32)
+    ctx = np.empty((slices, rows, dv), F32)
     for s in range(0, slices, step):
         e = min(s + step, slices)
-        scores = probs[s:e] if keep_probs else probs[: e - s]
-        _check_finite(np.matmul(q4[s:e], k4[s:e], out=scores), "bmm")
-        if scores.size:
-            _softmax_in_place(scores.reshape(-1, m), mask_rows)
-        _check_finite(np.matmul(scores, v4[s:e], out=ctx[s:e]), "bmm")
-    return probs if keep_probs else None, ctx
-
-
-def _check_softmax_backward(probs_shape: tuple[int, ...], d_probs_shape: tuple[int, ...]) -> None:
-    if probs_shape != d_probs_shape:
-        raise ShapeError(f"softmax backward: probs is {probs_shape}, d_probs is {d_probs_shape}")
+        chunk = _probs_into(q4[s:e], k4[s:e], mask_rows, probs[: e - s])
+        _check_finite(np.matmul(chunk, v4[s:e], out=ctx[s:e]), "bmm")
+    return ctx
 
 
 def _softmax_backward_in_place(probs: np.ndarray, d_probs: np.ndarray) -> bool:
@@ -565,7 +569,8 @@ def softmax_rows_backward(
     """
     probs = _as_f32_matrix(probs, "probs", 2)
     d_probs = _as_f32_matrix(d_probs, "d_probs", 2)
-    _check_softmax_backward(probs.shape, d_probs.shape)
+    if probs.shape != d_probs.shape:
+        raise ShapeError(f"softmax backward: probs is {probs.shape}, d_probs is {d_probs.shape}")
     count_softmax_backward(sink, *probs.shape)
     out = np.positive(d_probs)
     if not _softmax_backward_in_place(probs, out):
@@ -577,60 +582,54 @@ def attention_backward(
     q4: np.ndarray,
     k4: np.ndarray,
     v4: np.ndarray,
-    probs: np.ndarray,
+    mask_rows: np.ndarray | None,
     d_ctx: np.ndarray,
     sink: CounterSink,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward of :func:`attention` from its ``probs``; returns ``(d_q4, d_k4, d_v4)``.
+    """Backward of :func:`attention` from its operands; returns ``(d_q4, d_k4, d_v4)``.
 
     ``d_ctx`` is the gradient at ``ctx [B,r,dv]``.  ``d_q4 [B,r,dh]`` and
     ``d_v4 [B,m,dv]`` are the gradients at ``q4`` and ``v4``, and ``d_k4``
     the gradient at the keys as rows, ``[B,m,dh]``.  The slices run in
     chunks as in :func:`attention`, each holding two score-shaped arrays
-    per slice: its ``probs`` and the scratch that takes ``d_probs`` and
-    then, in place, ``d_scores``.
+    per slice: its probabilities, recomputed bit for bit, and the scratch
+    that takes ``d_probs`` and then, in place, ``d_scores``.
 
-    Checks and counts are those of ``d_probs = bmm(d_ctx, v4ᵀ)``, ``d_v4 =
-    bmm(probsᵀ, d_ctx)``, :func:`softmax_rows_backward` on the ``[B*r, m]``
-    rows giving ``d_scores``, ``d_q4 = bmm(d_scores, k4ᵀ)`` and ``d_k4 =
-    bmm(d_scoresᵀ, q4)``, where ``ᵀ`` swaps the last two axes, then the
-    forward's ``bmm(q4, k4)`` shape check, with every operand checked to be
-    3-D float32 and every shape check made before anything is counted.  A
-    non-finite output raises naming the first constituent that produced
-    one (``bmm`` or ``softmax backward``), at the first chunk where one
-    does.
+    Checks and counts are :func:`attention`'s for ``probs = softmax(q4 @
+    k4)``, then those of ``d_probs = bmm(d_ctx, v4ᵀ)``, ``d_v4 = bmm(probsᵀ,
+    d_ctx)``, :func:`softmax_rows_backward` on the ``[B*r, m]`` rows giving
+    ``d_scores``, ``d_q4 = bmm(d_scores, k4ᵀ)`` and ``d_k4 = bmm(d_scoresᵀ,
+    q4)`` (``ᵀ`` swaps the last two axes), with ``d_ctx`` 3-D float32 and
+    every check made before anything is counted.  A non-finite output
+    raises naming the first constituent that produced one (``bmm`` or
+    ``softmax backward``), at the first chunk where one does.
     """
-    q4, k4, v4, probs, d_ctx = (
-        _as_f32_matrix(x, name, 3)
-        for x, name in ((q4, "q4"), (k4, "k4"), (v4, "v4"), (probs, "probs"), (d_ctx, "d_ctx"))
-    )
-    v4_t, probs_t, k4_t = (x.transpose(0, 2, 1) for x in (v4, probs, k4))
-    slices, rows, dv = d_ctx.shape
-    m = v4_t.shape[2]
+    q4, k4, v4, mask_rows = _attention_operands(q4, k4, v4, mask_rows)
+    d_ctx = _as_f32_matrix(d_ctx, "d_ctx", 3)
+    v4_t, k4_t = v4.transpose(0, 2, 1), k4.transpose(0, 2, 1)
+    (slices, rows, dh), m = q4.shape, k4.shape[2]
     _check_bmm(d_ctx.shape, v4_t.shape)
-    _check_bmm(probs_t.shape, d_ctx.shape)
-    bp, rp, mp = probs.shape
-    _check_softmax_backward((bp * rp, mp), (slices * rows, m))
-    _check_bmm(probs.shape, k4_t.shape)
-    _check_bmm(probs_t.shape, q4.shape)
-    _check_bmm(q4.shape, k4.shape)  # the forward's score product
-    # past the checks ``probs`` is [slices, rows, m]
+    _check_bmm((slices, m, rows), d_ctx.shape)
+    dv = d_ctx.shape[2]  # past the checks ``d_ctx`` is [slices, rows, dv]
+    count_matmul(sink, rows, dh, m, slices)
+    count_softmax(sink, slices * rows, m, mask_rows is not None)
     count_matmul(sink, rows, dv, m, slices)
     count_matmul(sink, m, rows, dv, slices)
     count_softmax_backward(sink, slices * rows, m)
-    count_matmul(sink, rows, m, k4.shape[1], slices)
-    count_matmul(sink, m, rows, q4.shape[2], slices)
-    d_v4 = np.empty((slices, probs.shape[2], d_ctx.shape[2]), F32)
-    d_q4 = np.empty((slices, rows, k4.shape[1]), F32)
-    d_k4 = np.empty((slices, m, q4.shape[2]), F32)
+    count_matmul(sink, rows, m, dh, slices)
+    count_matmul(sink, m, rows, dh, slices)
+    d_v4 = np.empty((slices, m, dv), F32)
+    d_q4 = np.empty((slices, rows, dh), F32)
+    d_k4 = np.empty((slices, m, dh), F32)
     step = _chunk_slices(slices, 8 * rows * m)
-    scratch = np.empty((min(step, slices), rows, m), F32)
+    probs, scratch = (np.empty((min(step, slices), rows, m), F32) for _ in range(2))
     for s in range(0, slices, step):
         e = min(s + step, slices)
+        chunk = _probs_into(q4[s:e], k4[s:e], mask_rows, probs[: e - s])
         d_probs = _check_finite(np.matmul(d_ctx[s:e], v4_t[s:e], out=scratch[: e - s]), "bmm")
-        _check_finite(np.matmul(probs_t[s:e], d_ctx[s:e], out=d_v4[s:e]), "bmm")
+        _check_finite(np.matmul(chunk.transpose(0, 2, 1), d_ctx[s:e], out=d_v4[s:e]), "bmm")
         flat = ((e - s) * rows, m)
-        if not _softmax_backward_in_place(probs[s:e].reshape(flat), d_probs.reshape(flat)):
+        if not _softmax_backward_in_place(chunk.reshape(flat), d_probs.reshape(flat)):
             raise _non_finite("softmax backward")
         _check_finite(np.matmul(d_probs, k4_t[s:e], out=d_q4[s:e]), "bmm")
         _check_finite(np.matmul(d_probs.transpose(0, 2, 1), q4[s:e], out=d_k4[s:e]), "bmm")

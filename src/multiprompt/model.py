@@ -260,8 +260,8 @@ def _attention_sublayer(
     passes precomputed head-major ``kv`` (``[owners*h, dh, m]``,
     ``[owners*h, m, dh]``), each owner shared by ``kv_group`` consecutive
     sequences.  A ``tape`` receives the activations the exact backward
-    needs (``q4``/``k4``/``v4`` and ``probs`` among them); without one
-    nothing is recorded and the attention core keeps no probabilities.
+    needs (``q4``/``k4``/``v4`` and ``mask_rows`` among them, from which it
+    recomputes the probabilities); without one nothing is recorded.
 
     The attention core is one fused :func:`kernels.attention` call on
     head-folded tensors: ``q4`` is ``[O*h, r, dh]``, for each of ``O``
@@ -294,14 +294,12 @@ def _attention_sublayer(
                 v_cache.reshape(n_seq, h, -1, dh)[:, :, start:end] = v
                 kv = (k_cache[:, :, :end], v_cache[:, :end])
         q4 = _fold_heads(q, n_seq // kv_group, h)
-        # without a tape the kernel keeps no probabilities, only one chunk of
-        # scores at a time (peak memory)
-        probs, ctx = kernels.attention(q4, *kv, sink, mask_rows, keep_probs=tape is not None)
-        saved = None if tape is None else dict(q4=q4, k4=kv[0], v4=kv[1], probs=probs)
-        ctx = _unfold_heads(ctx, h)
+        ctx = _unfold_heads(kernels.attention(q4, *kv, sink, mask_rows), h)
         out = kernels.matmul(ctx, attn.w_o, sink, residual=x)
     if tape is not None:
-        tape.append(dict(saved, x_in=x, normed=normed, ctx=ctx))
+        tape.append(
+            dict(q4=q4, k4=kv[0], v4=kv[1], mask_rows=mask_rows, x_in=x, normed=normed, ctx=ctx)
+        )
     return out
 
 

@@ -251,7 +251,7 @@ def _attention_backward(
         q4 = t["q4"]
         oh, _, dh = q4.shape
         d_q4, d_k4, d_v4 = kernels.attention_backward(
-            q4, t["k4"], t["v4"], t["probs"], _fold_heads(d_ctx, oh // n_heads, n_heads), sink
+            q4, t["k4"], t["v4"], t["mask_rows"], _fold_heads(d_ctx, oh // n_heads, n_heads), sink
         )
         d_q = kernels.scale(_unfold_heads(d_q4, n_heads), 1.0 / math.sqrt(dh), sink)
         d_k, d_v = _unfold_heads(d_k4, n_heads), _unfold_heads(d_v4, n_heads)

@@ -460,11 +460,10 @@ def run_checks(
     fault: str | None = None,
     full: bool = False,
 ) -> list[CheckResult]:
-    """Run the suite; a ``fault`` that no selected check applies is an error."""
-    table = dict(DEFAULT_CHECKS)
-    if full:
-        table.update(FULL_ONLY_CHECKS)
-    selected = names if names is not None else list(table)
+    """Run ``names`` (any checks) or the default set, widened by the full-only
+    checks with ``full``; a ``fault`` that no selected check applies is an error."""
+    table = {**DEFAULT_CHECKS, **FULL_ONLY_CHECKS}
+    selected = names if names is not None else [*DEFAULT_CHECKS, *(FULL_ONLY_CHECKS if full else ())]
     unknown = [n for n in selected if n not in table]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; available: {sorted(table)}")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from multiprompt import verify
 from multiprompt.cli import main
 from multiprompt.report import body_bytes, load_document, merge_documents
 
@@ -330,6 +331,12 @@ def test_verify_exit_zero_on_pass(capsys):
     code, out = run_cli(capsys, "verify", "--checks", "counter_additivity")
     assert code == 0
     assert "PASS  counter_additivity" in out
+
+
+def test_verify_checks_select_a_full_only_check(capsys, monkeypatch):
+    # --checks selects from every check; --full only widens the default set
+    monkeypatch.setitem(verify.FULL_ONLY_CHECKS, "train_toy", lambda seed: verify.CheckResult("train_toy", True, {}))
+    assert run_cli(capsys, "verify", "--checks", "train_toy") == (0, "PASS  train_toy\n1/1 checks passed\n")
 
 
 def test_report_join_and_duplicate_error(capsys, tmp_path):

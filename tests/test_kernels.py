@@ -503,8 +503,7 @@ HUGE = F32(1e30)
          "softmax produced non-finite values"),
         # a NaN score in a hidden lane still fails the score product's check
         (lambda s: kernels.attention(np.ones((1, 1, 1), F32), np.array([[[0.0, np.nan]]], F32),
-                                     np.ones((1, 2, 1), F32), s, np.array([[True, False]]),
-                                     keep_probs=False),
+                                     np.ones((1, 2, 1), F32), s, np.array([[True, False]])),
          "bmm produced non-finite values"),
         (lambda s: kernels.layer_norm(
             np.array([[1.0, np.inf, 2.0]], dtype=F32), np.ones(3, dtype=F32), s),
@@ -769,12 +768,11 @@ def outcome(kernel, *operands, budget=None, **options):
 
 
 def fingerprint(result):
-    """An :func:`outcome` error as it is; each result array as (dtype, shape,
-    bytes), and a result that is no array (attention's dropped probabilities) as None."""
+    """An :func:`outcome` error as it is; each result array as (dtype, shape, bytes)."""
     if isinstance(result, tuple) and isinstance(result[0], type):
         return result
     arrays = result if isinstance(result, tuple) else [result]
-    return [None if a is None else (a.dtype, a.shape, a.tobytes()) for a in arrays]
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
 
 
 def finite(x, kind):
@@ -784,33 +782,37 @@ def finite(x, kind):
     return x
 
 
-def unfused_attention(q4, k4, v4, sink, mask_rows=None, keep_probs=True):
-    """``q4 @ k4``, a row softmax with the ``[r, m]`` mask tiled over the slices, ``@ v4``;
-    the probabilities are returned only with ``keep_probs``."""
-    slices, r, dh = q4.shape
-    m = k4.shape[2]
-    kernels.count_matmul(sink, r, dh, m, slices)
-    kernels.count_softmax(sink, slices * r, m, mask_rows is not None)
-    kernels.count_matmul(sink, r, m, v4.shape[2], slices)
+def unfused_probs(q4, k4, mask_rows):
+    """``q4 @ k4``, then a row softmax with the ``[r, m]`` mask tiled over the slices."""
     probs = finite(q4 @ k4, "bmm")
     if probs.size:
-        mask = None if mask_rows is None else np.tile(mask_rows, (slices, 1))
-        probs = textbook_softmax(probs.reshape(-1, m), mask).reshape(probs.shape)
+        mask = None if mask_rows is None else np.tile(mask_rows, (q4.shape[0], 1))
+        probs = textbook_softmax(probs.reshape(-1, k4.shape[2]), mask).reshape(probs.shape)
     # finite scores keep every probability in [0, 1]: the softmax needs no check
-    return probs if keep_probs else None, finite(probs @ v4, "bmm")
+    return probs
 
 
-def unfused_attention_backward(q4, k4, v4, probs, d_ctx, sink):
-    """``d_probs = d_ctx @ v4ᵀ``, ``d_v4 = probsᵀ @ d_ctx``, the softmax
-    backward on the ``[B*r, m]`` rows, ``d_q4 = d_scores @ k4ᵀ`` and ``d_k4
-    = d_scoresᵀ @ q4``, where ``ᵀ`` swaps the last two axes."""
+def unfused_attention(q4, k4, v4, sink, mask_rows=None):
+    """:func:`unfused_probs`, then ``@ v4``."""
+    (slices, r, dh), m = q4.shape, k4.shape[2]
+    kernels.count_attention(sink, slices, r, dh, m, v4.shape[2], mask_rows is not None)
+    return finite(unfused_probs(q4, k4, mask_rows) @ v4, "bmm")
+
+
+def unfused_attention_backward(q4, k4, v4, mask_rows, d_ctx, sink):
+    """:func:`unfused_probs`, ``d_probs = d_ctx @ v4ᵀ``, ``d_v4 = probsᵀ @ d_ctx``, the
+    softmax backward on the ``[B*r, m]`` rows, ``d_q4 = d_scores @ k4ᵀ`` and ``d_k4 =
+    d_scoresᵀ @ q4``, where ``ᵀ`` swaps the last two axes."""
     slices, r, dv = d_ctx.shape
-    m = probs.shape[2]
+    m = k4.shape[2]
+    kernels.count_matmul(sink, r, q4.shape[2], m, slices)
+    kernels.count_softmax(sink, slices * r, m, mask_rows is not None)
     kernels.count_matmul(sink, r, dv, m, slices)
     kernels.count_matmul(sink, m, r, dv, slices)
     kernels.count_softmax_backward(sink, slices * r, m)
     kernels.count_matmul(sink, r, m, k4.shape[1], slices)
     kernels.count_matmul(sink, m, r, q4.shape[2], slices)
+    probs = unfused_probs(q4, k4, mask_rows)
     d_probs = finite(d_ctx @ v4.transpose(0, 2, 1), "bmm")
     d_v4 = finite(probs.transpose(0, 2, 1) @ d_ctx, "bmm")
     flat = (slices * r, m)
@@ -844,7 +846,7 @@ def unfused_embed(table, ids, factor, positions, sink):
 # -- operand strategies: a case from drawn sizes and a seed --------------------------
 
 
-def attention_case(slices, r, m, dh, masked, chunk, seed, keep_probs=True):
+def attention_case(slices, r, m, dh, masked, chunk, seed):
     rng = np.random.default_rng(seed)
     q4 = (rand(rng, slices, r, dh) * 4).astype(F32)
     k4 = rand(rng, slices, m, dh).transpose(0, 2, 1)  # keys stored transposed, read as a view
@@ -854,8 +856,7 @@ def attention_case(slices, r, m, dh, masked, chunk, seed, keep_probs=True):
         mask_rows = rng.random((r, m)) < 0.5
         if m:
             mask_rows[np.arange(r), rng.integers(0, m, size=r)] = True
-    options = {"mask_rows": mask_rows, "keep_probs": keep_probs}
-    return Case((q4, k4, v4), options, chunk_bytes(chunk, 4 * r * m))
+    return Case((q4, k4, v4), {"mask_rows": mask_rows}, chunk_bytes(chunk, 4 * r * m))
 
 
 def backward_case(slices, r, m, dh, dv, masked, chunk, seed):
@@ -865,9 +866,8 @@ def backward_case(slices, r, m, dh, dv, masked, chunk, seed):
     v4 = rand(rng, slices, m, dv)
     # causal: masked probabilities are exact zeros
     mask_rows = np.tri(r, m, dtype=bool) if masked and r and m else None
-    probs, _ = unfused_attention(q4, k4, v4, CounterSink(), mask_rows)
     d_ctx = rand(rng, slices, r, dv)
-    return Case((q4, k4, v4, probs, d_ctx), {}, chunk_bytes(chunk, 8 * r * m))
+    return Case((q4, k4, v4, mask_rows, d_ctx), {}, chunk_bytes(chunk, 8 * r * m))
 
 
 def matmul_case(m, k, n, epilogue, salts, transposed, seed):
@@ -909,15 +909,7 @@ def salted(shape, at, value, fill=1.0):
 
 def attention_error(id, error, q4, k4, v4, mask_rows=None, chunk=None):
     budget = chunk_bytes(chunk, 4 * q4.shape[1] * k4.shape[2])
-    options = {"mask_rows": mask_rows, "keep_probs": True}
-    return pytest.param(Case((q4, k4, v4), options, budget), error, id=id)
-
-
-def without_probs(param):
-    """An attention error case run without keeping its probabilities."""
-    case, error = param.values
-    options = dict(case.options, keep_probs=False)
-    return pytest.param(case._replace(options=options), error, id=f"{param.id}_without_probs")
+    return pytest.param(Case((q4, k4, v4), {"mask_rows": mask_rows}, budget), error, id=id)
 
 
 ONES = np.ones((3, 1, 1), F32)
@@ -964,58 +956,55 @@ ATTENTION_ERRORS = [
                     (ShapeError, "attention mask must be bool (2, 3), got float64 (2, 3)"),
                     Q2, K2, V2, np.ones((2, 3))),
 ]
-# the probability-free path raises every error the same, with the same sink state
-ATTENTION_ERRORS += [without_probs(param) for param in ATTENTION_ERRORS]
 
 
 def backward_error(id, error, **salts):
     """Three one-slice chunks of all-ones backward operands (``r=1``, ``m=2``,
-    ``dh=dv=1``, uniform ``probs``), with ``salts`` replacing whole operands."""
-    operands = dict(q4=ONES, k4=ONES_K, v4=ONES_V, probs=np.full((3, 1, 2), 0.5, F32), d_ctx=ONES)
+    ``dh=dv=1``, no mask), with ``salts`` replacing whole operands."""
+    operands = dict(q4=ONES, k4=ONES_K, v4=ONES_V, mask_rows=None, d_ctx=ONES)
     operands.update(salts)
     return pytest.param(Case(tuple(operands.values()), {}, chunk_bytes(1, 8 * 1 * 2)), error, id=id)
 
 
-# only the softmax backward overflows, on the last slice: there dP = d_ctx
-# @ v4ᵀ is [3e38, -3e38] and P = [1, 0], so dP - rowsum(dP * P) = [0, -inf]
-# and the hidden lane's -inf * 0 is NaN
+# only the softmax backward overflows, on the last slice: there the keys [0, -200] give
+# P = [1, 0] (exp(-200) is 0 in float32) and dP = d_ctx @ v4ᵀ is [3e38, -3e38], so
+# dP - rowsum(dP * P) = [0, -inf] and the hidden lane's -inf * 0 is NaN
 OVERFLOW = dict(
-    probs=np.array([[[0.5, 0.5]], [[0.5, 0.5]], [[1.0, 0.0]]], F32),
+    k4=np.array([[[1.0, 1.0]], [[1.0, 1.0]], [[0.0, -200.0]]], F32),
     v4=np.array([[[3e19], [3e19]], [[3e19], [3e19]], [[3e19], [-3e19]]], F32),
     d_ctx=np.full((3, 1, 1), 1e19, F32),
 )
 NAN_Q4, NAN_K4 = salted((3, 1, 1), 0, np.nan), salted((3, 1, 2), 0, np.nan)  # in the first chunk
-Q4_MISMATCH = (ShapeError, "bmm: a is 3x2x1, b is 3x2x1 (batch or inner mismatch)")
 
 ATTENTION_BACKWARD_ERRORS = [
     backward_error("nan_in_last_v4_nan_in_first_k4", BMM, v4=salted((3, 2, 1), 2, np.nan), k4=NAN_K4),
     backward_error("nan_in_first_d_ctx", BMM, d_ctx=salted((3, 1, 1), 0, np.nan)),
-    backward_error("nan_in_last_probs_nan_in_first_q4", BMM,
-                   probs=salted((3, 1, 2), 2, np.nan), q4=NAN_Q4),
     backward_error("softmax_overflow_in_last",
                    (FloatingPointError, "softmax backward produced non-finite values"), **OVERFLOW),
-    # the d_q4 product fails in the first chunk, before the softmax backward
-    # fails in the last: the first failure found wins
-    backward_error("softmax_overflow_in_last_nan_in_first_k4", BMM, **dict(OVERFLOW, k4=NAN_K4)),
+    # the recomputed score product fails in the first chunk, before the
+    # softmax backward fails in the last: the first failure found wins
+    backward_error("softmax_overflow_in_last_nan_in_first_k4", BMM,
+                   **dict(OVERFLOW, k4=np.concatenate([NAN_K4[:1], OVERFLOW["k4"][1:]]))),
     backward_error("nan_in_last_k4_nan_in_first_q4", BMM, k4=salted((3, 1, 2), 2, np.nan), q4=NAN_Q4),
     backward_error("inf_in_last_q4", BMM, q4=salted((3, 1, 1), 2, np.inf)),
-    backward_error("probs_mismatch",
-                   (ShapeError, "softmax backward: probs is (3, 3), d_probs is (3, 2)"),
-                   probs=np.full((3, 1, 3), 0.5, F32)),
-    backward_error("float64_probs_nan_in_first_q4", (ShapeError, "probs must be float32, got float64"),
-                   probs=np.full((3, 1, 2), 0.5), q4=NAN_Q4),
+    # the forward's mask checks, made before any chunk is computed
+    backward_error("float_mask_nan_in_first_q4",
+                   (ShapeError, "attention mask must be bool (1, 2), got float64 (1, 2)"),
+                   mask_rows=np.ones((1, 2)), q4=NAN_Q4),
+    backward_error("mask_of_two_rows", (ShapeError, "attention mask must be bool (1, 2), got bool (2, 2)"),
+                   mask_rows=np.ones((2, 2), bool)),
+    backward_error("hidden_row_nan_in_first_q4", HIDDEN_ROW_0, mask_rows=HIDDEN, q4=NAN_Q4),
     backward_error("two_d_v4", (ShapeError, "v4 must be 3-D, got shape (3, 2)"), v4=np.ones((3, 2), F32)),
     backward_error("k4_mismatch_nan_in_first_q4",
-                   (ShapeError, "bmm: a is 3x1x2, b is 2x2x1 (batch or inner mismatch)"),
+                   (ShapeError, "bmm: a is 3x1x1, b is 2x1x2 (batch or inner mismatch)"),
                    k4=np.ones((2, 1, 2), F32), q4=NAN_Q4),
-    backward_error("q4_mismatch_nan_in_last_probs", Q4_MISMATCH,
-                   q4=np.ones((3, 2, 1), F32), probs=salted((3, 1, 2), 2, np.nan)),
-    backward_error("q4_mismatch", Q4_MISMATCH, q4=np.ones((3, 2, 1), F32)),
+    backward_error("q4_mismatch", (ShapeError, "bmm: a is 3x2x2, b is 3x1x1 (batch or inner mismatch)"),
+                   q4=np.ones((3, 2, 1), F32)),
     # every backward product fits; only the forward's q4 @ k4 does not
     backward_error("head_width_mismatch",
                    (ShapeError, "bmm: a is 2x3x2, b is 2x3x4 (batch or inner mismatch)"),
                    q4=np.ones((2, 3, 2), F32), k4=np.ones((2, 3, 4), F32), v4=np.ones((2, 4, 1), F32),
-                   probs=np.full((2, 3, 4), 0.25, F32), d_ctx=np.ones((2, 3, 1), F32)),
+                   d_ctx=np.ones((2, 3, 1), F32)),
 ]
 
 
@@ -1100,19 +1089,14 @@ FUSED = {
     "attention": Fused(
         kernels.attention, unfused_attention,
         st.builds(attention_case, st.integers(0, 7), st.integers(0, 6), st.integers(0, 9),
-                  st.integers(1, 8), st.booleans(), CHUNKS, SEEDS, st.booleans()),
-        (  # slices, r, m, dh, masked, chunk, seed, keep_probs
+                  st.integers(1, 8), st.booleans(), CHUNKS, SEEDS),
+        (  # slices, r, m, dh, masked, chunk, seed
             attention_case(2, 3, 0, 2, True, None, 0), attention_case(2, 2, 5, 3, True, None, 3),
             attention_case(0, 3, 4, 2, False, None, 0), attention_case(4, 3, 3, 2, False, 4, 5),
             # 4 and 3 chunks, the last partial; one slice per chunk, by budget or over it
             attention_case(7, 2, 5, 3, True, 2, 1), attention_case(5, 3, 4, 2, False, 2, 2),
             attention_case(6, 2, 4, 2, True, 1, 4), attention_case(3, 2, 4, 2, True, 0, 8),
             attention_case(4, 0, 3, 2, False, 1, 6), attention_case(4, 3, 0, 2, True, 1, 7),  # empty
-            # without the probabilities: one chunk; 4 and 3 chunks in one reused
-            # buffer, the last partial, masked and not; one slice per chunk; empty
-            attention_case(2, 2, 5, 3, True, None, 3, False),
-            attention_case(7, 2, 5, 3, True, 2, 1, False), attention_case(5, 3, 4, 2, False, 2, 2, False),
-            attention_case(6, 2, 4, 2, True, 1, 4, False), attention_case(4, 3, 0, 2, True, 1, 7, False),
         ),
         ATTENTION_ERRORS, 80,
     ),
@@ -1208,22 +1192,6 @@ test_embed_rows_bit_identical_to_three_kernels = equals_its_composition(FUSED["e
 test_embed_rows_raises_like_three_kernels = raises_like_its_composition(FUSED["embed_rows"])
 
 
-@settings(max_examples=FUSED["attention"].max_examples, deadline=None)
-@given(case=FUSED["attention"].cases)
-def test_attention_without_probs_equals_the_kept_path(case):
-    # the same context bits or error, with the same counts, whichever path runs
-    (kept, kept_counts), (free, free_counts) = (
-        outcome(kernels.attention, *case.operands, budget=case.budget,
-                **dict(case.options, keep_probs=keep))
-        for keep in (True, False)
-    )
-    want = fingerprint(kept)
-    if not isinstance(kept[0], type):  # a result, not an error: no probabilities, the same ctx
-        want = [None, want[1]]
-    assert fingerprint(free) == want
-    assert free_counts == kept_counts
-
-
 # -- the attention kernels' chunks ---------------------------------------------------
 
 
@@ -1234,8 +1202,8 @@ EXTREMES = np.array([0, 1, -1, 3e38, -3e38, 1e19, -1e19, 1e-45, np.inf, -np.inf,
 @pytest.mark.parametrize("masked", [False, True])
 def test_attention_softmax_cannot_fail_once_scores_are_finite(masked):
     # finite scores give every row a finite max, so every probability lies
-    # in [0, 1] and every row sum is finite: attention raises a validation
-    # error or a product's error, or returns finite probabilities
+    # in [0, 1] and every row sum is finite: operands that pass attention's
+    # checks give the score product's error or finite probabilities
     rng = np.random.default_rng(17 + masked)
     returned = 0
     for _ in range(2000):
@@ -1244,8 +1212,9 @@ def test_attention_softmax_cannot_fail_once_scores_are_finite(masked):
         q4, k4, v4 = (rng.choice(EXTREMES, size=shape) for shape in shapes)
         mask_rows = rng.random((r, m)) < 0.7 if masked else None
         try:
+            q4, k4, _, mask_rows = kernels._attention_operands(q4, k4, v4, mask_rows)
             with np.errstate(all="ignore"):
-                probs, _ = kernels.attention(q4, k4, v4, CounterSink(), mask_rows, keep_probs=True)
+                probs = kernels._probs_into(q4, k4, mask_rows, None)
         except (ShapeError, MaskError):
             continue
         except FloatingPointError as exc:
@@ -1275,9 +1244,9 @@ def test_attention_softmax_cannot_fail_once_scores_are_finite(masked):
 def test_attention_kernels_make_one_pass_per_chunk(
     slices, r, m, nq, chunk, chunks, backward_chunks, monkeypatch
 ):
-    # each chunk runs every product once: 2 in the forward, 4 in the
-    # backward, whose chunks hold 2 score-shaped arrays per slice; a masked
-    # row (nq = r) chunks as an unmasked one
+    # each chunk runs every product once: 2 in the forward, 5 in the backward
+    # (the recomputed scores, then 4), whose chunks hold 2 score-shaped arrays
+    # per slice; a masked row (nq = r) chunks as an unmasked one
     rng = np.random.default_rng(0)
     q4, k4, v4 = rand(rng, slices, r, 4), rand(rng, slices, 4, m), rand(rng, slices, m, 4)
     mask_rows = None if nq is None else np.ones((nq, m), bool)
@@ -1289,16 +1258,11 @@ def test_attention_kernels_make_one_pass_per_chunk(
         return matmul(*args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", counted)
-    budget = chunk_bytes(chunk, 4 * r * m)
-    for keep_probs in (False, True):  # the kept path last: the backward reads its probs
-        products.clear()
-        (probs, ctx), _ = outcome(
-            kernels.attention, q4, k4, v4, mask_rows=mask_rows, keep_probs=keep_probs, budget=budget
-        )
-        assert len(products) == 2 * chunks and sum(products) == 2 * slices
+    ctx, _ = outcome(kernels.attention, q4, k4, v4, mask_rows=mask_rows, budget=chunk_bytes(chunk, 4 * r * m))
+    assert len(products) == 2 * chunks and sum(products) == 2 * slices
     products.clear()
-    outcome(kernels.attention_backward, q4, k4, v4, probs, ctx, budget=chunk_bytes(chunk, 8 * r * m))
-    assert len(products) == 4 * backward_chunks and sum(products) == 4 * slices
+    outcome(kernels.attention_backward, q4, k4, v4, mask_rows, ctx, budget=chunk_bytes(chunk, 8 * r * m))
+    assert len(products) == 5 * backward_chunks and sum(products) == 5 * slices
 
 
 @pytest.mark.parametrize("masked", [False, True])
@@ -1306,9 +1270,9 @@ def test_attention_kernels_make_one_pass_per_chunk(
 def test_attention_one_chunk_path_equals_the_chunk_loop(slices, r, chunk, masked, monkeypatch):
     # keys and values are strided views of head-major caches, read up to the
     # filled length as the decoder's self-attention reads them; with the
-    # module's budget one chunk holds every slice and the products write no
-    # ``out=``, with a smaller one the loop writes each chunk into its buffers,
-    # with the probabilities kept or without them
+    # module's budget one chunk holds every slice and the products write into
+    # no ``out=`` buffer, with a smaller one the loop writes each chunk into
+    # its buffers
     rng = np.random.default_rng(slices * r + chunk)
     dh, capacity, end = 4, 12, 9
     k4 = rand(rng, slices, dh, capacity)[:, :, :end]
@@ -1319,24 +1283,19 @@ def test_attention_one_chunk_path_equals_the_chunk_loop(slices, r, chunk, masked
     matmul = np.matmul
 
     def recorded(*args, **kwargs):
-        outs.append("out" in kwargs)
+        outs.append(kwargs.get("out") is not None)
         return matmul(*args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", recorded)
-    budget = chunk_bytes(chunk, 4 * r * end)
-    for keep_probs in (True, False):
-        outs.clear()
-        whole, whole_counts = outcome(
-            kernels.attention, q4, k4, v4, mask_rows=mask_rows, keep_probs=keep_probs
-        )
-        assert outs == [False, False]
-        outs.clear()
-        looped, loop_counts = outcome(
-            kernels.attention, q4, k4, v4, mask_rows=mask_rows, keep_probs=keep_probs, budget=budget
-        )
-        assert outs == [True, True] * -(-slices // chunk)
-        assert fingerprint(whole) == fingerprint(looped)
-        assert whole_counts == loop_counts
+    whole, whole_counts = outcome(kernels.attention, q4, k4, v4, mask_rows=mask_rows)
+    assert outs == [False, False]
+    outs.clear()
+    looped, loop_counts = outcome(
+        kernels.attention, q4, k4, v4, mask_rows=mask_rows, budget=chunk_bytes(chunk, 4 * r * end)
+    )
+    assert outs == [True, True] * -(-slices // chunk)
+    assert fingerprint(whole) == fingerprint(looped)
+    assert whole_counts == loop_counts
 
 
 # -- what an attention call holds --------------------------------------------------
@@ -1350,32 +1309,30 @@ PEAK_CHUNK_BYTES = PEAK_SCORE_BYTES // PEAK_SLICES * 2
 PEAK_SLACK = 64 << 10
 
 
-def attention_peak(masked, keep_probs, monkeypatch):
-    """The ``tracemalloc`` peak of one chunked attention call, above its operands."""
+def attention_peak(masked, budget, monkeypatch):
+    """The ``tracemalloc`` peak of one attention call in chunks of ``budget`` bytes, above its operands."""
     rng = np.random.default_rng(3)
     q4 = rand(rng, PEAK_SLICES, PEAK_ROWS, PEAK_DH)
     k4 = rand(rng, PEAK_SLICES, PEAK_ROWS, PEAK_DH).transpose(0, 2, 1)
     v4 = rand(rng, PEAK_SLICES, PEAK_ROWS, PEAK_DH)
     mask_rows = np.tri(PEAK_ROWS, dtype=bool) if masked else None
-    monkeypatch.setattr(kernels, "ATTENTION_CHUNK_BYTES", PEAK_CHUNK_BYTES)
+    monkeypatch.setattr(kernels, "ATTENTION_CHUNK_BYTES", budget)
     sink = CounterSink()
-    return traced_peak_bytes(
-        lambda: kernels.attention(q4, k4, v4, sink, mask_rows, keep_probs=keep_probs)
-    )
+    return traced_peak_bytes(lambda: kernels.attention(q4, k4, v4, sink, mask_rows))
 
 
 @pytest.mark.parametrize("masked", [False, True])
 def test_attention_without_probs_holds_one_chunk_of_scores(masked, monkeypatch):
     ctx_bytes = 4 * PEAK_SLICES * PEAK_ROWS * PEAK_DH
-    held = attention_peak(masked, False, monkeypatch)
+    held = attention_peak(masked, PEAK_CHUNK_BYTES, monkeypatch)
     assert held <= PEAK_CHUNK_BYTES + ctx_bytes + PEAK_SLACK, held
 
 
 @pytest.mark.parametrize("masked", [False, True])
 def test_attention_keeping_probs_holds_every_score(masked, monkeypatch):
-    # the negative control: the kept path, which training takes, holds the
-    # whole [B, r, m] buffer, so the gate above can fail
-    held = attention_peak(masked, True, monkeypatch)
+    # the negative control: in one chunk of every slice the call keeps every
+    # probability at once, the whole [B, r, m] scores, so the gate can fail
+    held = attention_peak(masked, PEAK_SCORE_BYTES, monkeypatch)
     assert held > PEAK_SCORE_BYTES, held
 
 

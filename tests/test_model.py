@@ -42,8 +42,7 @@ def attend(q, k, v, w_o, mask_rows, n_heads, sink):
     q4 = _fold_heads(q * F32(1.0 / math.sqrt(dh)), 1, n_heads)
     k4 = _fold_heads(k, 1, n_heads).transpose(0, 2, 1)
     v4 = _fold_heads(v, 1, n_heads)
-    _, ctx = kernels.attention(q4, k4, v4, sink, mask_rows, keep_probs=False)
-    return _unfold_heads(ctx, n_heads) @ w_o
+    return _unfold_heads(kernels.attention(q4, k4, v4, sink, mask_rows), n_heads) @ w_o
 
 
 # -- init_weights -----------------------------------------------------------
@@ -175,30 +174,42 @@ def test_encoder_batch_matches_per_instance(tiny_config, tiny_weights):
         np.testing.assert_allclose(batched[i], single[0], atol=1e-6)
 
 
-def test_untaped_encoder_holds_less_than_one_layers_scores(monkeypatch):
-    # toy's encoder over 2 sequences of 384 tokens: one layer's [2*h, 384, 384]
-    # scores are 4.5 MiB, run in 64 KiB chunks; without a tape the encoder
-    # holds one chunk of them at a time
+#: one layer's [2*h, 384, 384] scores in toy's encoder on 2 x 384 tokens: 4.5 MiB
+PEAK_SCORES = 4 * 2 * MODEL_PRESETS["toy"].n_heads * 384**2
+
+
+def encode_peak(tape, chunk_bytes, monkeypatch):
+    """That encoder's ``tracemalloc`` peak in ``chunk_bytes`` chunks above the
+    bytes of the ``tape``'s distinct base buffers, and the largest buffer."""
     config = MODEL_PRESETS["toy"]
     weights = init_weights(config, seed=0)
-    b, n = 2, 384
-    tokens = np.random.default_rng(0).integers(N_RESERVED, config.vocab_size, size=(b, n))
-    score_bytes = 4 * b * config.n_heads * n * n
-    monkeypatch.setattr(kernels, "ATTENTION_CHUNK_BYTES", 1 << 16)
+    tokens = np.random.default_rng(0).integers(N_RESERVED, config.vocab_size, size=(2, 384))
+    monkeypatch.setattr(kernels, "ATTENTION_CHUNK_BYTES", chunk_bytes)
+    held = traced_peak_bytes(lambda: encode_batch(config, weights, tokens, CounterSink(), tape=tape))
+    buffers = {}
+    for a in (a for entry in tape or () for a in entry.values() if a is not None):
+        while a.base is not None:
+            a = a.base
+        buffers[id(a)] = a.nbytes
+    return held - sum(buffers.values()), max(buffers.values(), default=0)
 
-    def encode():
-        return encode_batch(config, weights, tokens, CounterSink())
 
-    held = traced_peak_bytes(encode)
-    assert held < score_bytes, held
-    # the negative control: with every call keeping its probabilities, as
-    # the encoder did before, the same encode holds more than those scores
-    attention = kernels.attention
-    monkeypatch.setattr(
-        kernels, "attention", lambda *args, keep_probs: attention(*args, keep_probs=True)
-    )
-    held = traced_peak_bytes(encode)
-    assert held > score_bytes, held
+def test_untaped_encoder_holds_less_than_one_layers_scores(monkeypatch):
+    # in 64 KiB chunks the encoder holds one chunk of scores at a time; the
+    # negative control, a budget that one chunk of every slice fits, holds
+    # a whole layer's scores
+    assert encode_peak(None, 1 << 16, monkeypatch)[0] < PEAK_SCORES
+    assert encode_peak(None, PEAK_SCORES, monkeypatch)[0] > PEAK_SCORES
+
+
+def test_taped_encoder_holds_no_layers_scores(monkeypatch):
+    # the tape keeps no probabilities, and the encoder holds one chunk of
+    # scores besides it.  The bound is half a layer's scores: the tape's
+    # last 1.7 MiB (the last layer's context, feed-forward and final norm)
+    # is not yet held when the one-chunk control peaks, which reads 3.6 MiB
+    held, largest = encode_peak([], 1 << 16, monkeypatch)
+    assert held < PEAK_SCORES // 2 and largest < PEAK_SCORES, (held, largest)
+    assert encode_peak([], PEAK_SCORES, monkeypatch)[0] > PEAK_SCORES // 2
 
 
 def test_encoder_matches_float64_reference(tiny_config, tiny_weights):

@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,32 @@ def test_cross_attention_counts_its_memory_gradient_adds(layout):
     flops, read, written = sink.kind_totals()[("decoder_cross", "add")]
     assert flops == config.n_dec_layers * (2 * s_t * d + 2 * owners_m * d)
     assert (read, written) == (8 * flops, 4 * flops)
+
+
+@pytest.mark.parametrize("layout", ["pie", "pid"])
+def test_backward_recomputes_each_score_product_and_softmax(layout, monkeypatch):
+    """Per attention component, a forward/backward counts the taped forward's softmax twice, and
+    three times its product flops (two backward products each) plus its score products again."""
+    batch, _ = _batch_and_examples(GRAD_CONFIG, layout)
+    forward, score_flops = {}, Counter()
+    attention, softmax_rows = kernels.attention, kernels.softmax_rows
+
+    def recorded(q4, k4, v4, sink, *mask_rows):
+        score_flops[sink.current_component] += 2 * q4.size * k4.shape[2]
+        return attention(q4, k4, v4, sink, *mask_rows)
+
+    def loss_softmax(logits, sink):  # the first call past the forward
+        forward.update(sink.kind_totals())
+        return softmax_rows(logits, sink)
+
+    monkeypatch.setattr(kernels, "attention", recorded)
+    monkeypatch.setattr(kernels, "softmax_rows", loss_softmax)
+    sink = CounterSink()
+    training_forward_backward(GRAD_CONFIG, init_weights(GRAD_CONFIG, seed=0), batch, sink)
+    step = sink.kind_totals()
+    for comp in ("encoder_self", "decoder_self", "decoder_cross"):
+        assert step[comp, "softmax"] == tuple(2 * c for c in forward[comp, "softmax"])
+        assert step[comp, "matmul"][0] == 3 * forward[comp, "matmul"][0] + score_flops[comp]
 
 
 # -- glibc keeps a train step's freed arrays for the next one ---------------------------
