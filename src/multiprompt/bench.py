@@ -15,7 +15,7 @@ import hashlib
 import statistics
 import time
 import tracemalloc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ DEFAULT_MEM_CAP_BYTES = 1 << 30
 class BenchConfig:
     model: ModelConfig
     shape: ShapeParams
-    engines: tuple[str, ...] = ENGINES
     seed: int = 0
     repetitions: int = 5
     warmup: int = 2
@@ -49,9 +48,6 @@ class BenchConfig:
             raise ConfigError(f"repetitions must be >= {MIN_REPETITIONS}")
         if self.warmup < 0:
             raise ConfigError("warmup must be >= 0")
-        bad = [e for e in self.engines if e not in ENGINES]
-        if bad:
-            raise ConfigError(f"unknown engines {bad}; choose from {ENGINES}")
         if any(b < 1 for b in self.batch_sizes):
             raise ConfigError("batch sizes must be >= 1")
         if self.model.d_model != self.shape.d or self.model.n_heads != self.shape.h:
@@ -84,11 +80,11 @@ class LatencyReport:
     seed: int
     repetitions: int
     warmup: int
-    engines: dict[str, EngineTiming] = field(default_factory=dict)
-    speedup_single: float | None = None
-    speedup_batched: float | None = None
-    measured_flop_ratio: float | None = None
-    analytic_flop_ratio: float | None = None
+    engines: dict[str, EngineTiming]
+    speedup_single: float
+    speedup_batched: float
+    measured_flop_ratio: float
+    analytic_flop_ratio: float
 
 
 def random_workload(
@@ -175,12 +171,6 @@ def run_bench(config: BenchConfig) -> LatencyReport:
             f"estimated {estimated} bytes exceeds cap {config.mem_cap_bytes}"
         )
     weights = init_weights(config.model, config.seed)
-    report = LatencyReport(
-        shape=config.shape,
-        seed=config.seed,
-        repetitions=config.repetitions,
-        warmup=config.warmup,
-    )
     shape = config.shape
     workloads = {
         b: random_workload(
@@ -190,13 +180,13 @@ def run_bench(config: BenchConfig) -> LatencyReport:
         for b in sorted({1, *config.batch_sizes})
     }
     for _ in range(config.warmup):
-        for engine in config.engines:
+        for engine in ENGINES:
             _time_once(engine, config.model, weights, workloads[1])
-    per_instance = {(e, b): [] for e in config.engines for b in workloads}
-    faults = dict.fromkeys(config.engines, 0)
+    per_instance = {(e, b): [] for e in ENGINES for b in workloads}
+    faults = dict.fromkeys(ENGINES, 0)
     last = {}
     for rep in range(config.repetitions):
-        order = config.engines if rep % 2 == 0 else config.engines[::-1]
+        order = ENGINES if rep % 2 == 0 else ENGINES[::-1]
         for b, wl in workloads.items():
             for engine in order:
                 before = _minor_faults()
@@ -207,16 +197,17 @@ def run_bench(config: BenchConfig) -> LatencyReport:
     timed_ops = config.repetitions * len(workloads)
     peaks = {
         engine: traced_peak_bytes(lambda: infer(engine, config.model, weights, workloads[1]))
-        for engine in config.engines
+        for engine in ENGINES
     }
-    for engine in config.engines:
+    timings = {}
+    for engine in ENGINES:
         times = per_instance[engine, 1]
         mean = statistics.fmean(times)
         std = statistics.pstdev(times)
         batched = {b: statistics.median(per_instance[engine, b]) for b in config.batch_sizes}
         optimal_batch = min(batched, key=batched.get)
         single = last[engine, 1]
-        report.engines[engine] = EngineTiming(
+        timings[engine] = EngineTiming(
             engine=engine,
             single_mean_s=mean,
             single_std_s=std,
@@ -231,18 +222,23 @@ def run_bench(config: BenchConfig) -> LatencyReport:
             op_peak_bytes=peaks[engine],
             unstable=std > 0.5 * mean,
         )
-    if "pie" in report.engines and "pid" in report.engines:
-        pie, pid = report.engines["pie"], report.engines["pid"]
+    pie, pid = timings["pie"], timings["pid"]
 
-        def paired_speedup(pie_batch: int, pid_batch: int) -> float:
-            # median of the per-repetition ratios: both times of a pair come
-            # from one repetition, so drift on the host cancels within it
-            return statistics.median(
-                a / b for a, b in zip(per_instance["pie", pie_batch], per_instance["pid", pid_batch])
-            )
+    def paired_speedup(pie_batch: int, pid_batch: int) -> float:
+        # median of the per-repetition ratios: both times of a pair come
+        # from one repetition, so drift on the host cancels within it
+        return statistics.median(
+            a / b for a, b in zip(per_instance["pie", pie_batch], per_instance["pid", pid_batch])
+        )
 
-        report.speedup_single = paired_speedup(1, 1)
-        report.speedup_batched = paired_speedup(pie.optimal_batch, pid.optimal_batch)
-        report.measured_flop_ratio = pid.total_flops / pie.total_flops
-        report.analytic_flop_ratio = flop_ratio(config.model, config.shape)
-    return report
+    return LatencyReport(
+        shape=shape,
+        seed=config.seed,
+        repetitions=config.repetitions,
+        warmup=config.warmup,
+        engines=timings,
+        speedup_single=paired_speedup(1, 1),
+        speedup_batched=paired_speedup(pie.optimal_batch, pid.optimal_batch),
+        measured_flop_ratio=pid.total_flops / pie.total_flops,
+        analytic_flop_ratio=flop_ratio(config.model, shape),
+    )

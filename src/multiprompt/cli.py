@@ -20,13 +20,9 @@ from pathlib import Path
 from . import costmodel as cm
 from . import report as rep
 from .bench import BenchConfig, run_bench
-from .engines import ENGINES
+from .engines import ENGINES, PID, PIE
 from .errors import ConfigError, ResourceLimitError
-from .training import (
-    ToyTrainingSpec,
-    predicted_training_flop_ratio,
-    run_toy_training,
-)
+from .training import ToyTrainingSpec, replay_epoch, run_toy_training
 from .verify import FAULT_CORRUPT_SHARED_KV, run_checks
 
 EXIT_OK, EXIT_CHECK_FAILURE, EXIT_USAGE, EXIT_RESOURCE = 0, 1, 2, 3
@@ -183,7 +179,6 @@ def cmd_cost(parser, args) -> int:
 def cmd_bench(parser, args) -> int:
     shape, model_name, stem = _resolve_workload(parser, args)
     model = cm.MODEL_PRESETS[model_name]
-    engines = ENGINES if args.engine == "both" else (args.engine,)
     try:
         batch_sizes = tuple(int(x) for x in args.batch_sizes.split(","))
     except ValueError:
@@ -192,7 +187,7 @@ def cmd_bench(parser, args) -> int:
         if args.max_new is not None:
             shape = replace(shape, n_t=args.max_new)
         config = BenchConfig(
-            model=model, shape=shape, engines=engines, seed=args.seed,
+            model=model, shape=shape, seed=args.seed,
             repetitions=args.reps, warmup=args.warmup, batch_sizes=batch_sizes,
             mem_cap_bytes=args.mem_cap,
         )
@@ -209,7 +204,7 @@ def cmd_bench(parser, args) -> int:
         {
             "preset": args.preset, "shape_slug": rep.shape_slug(asdict(shape)),
             "shape": asdict(shape), "model": model_name, "seed": args.seed,
-            "engines": list(engines), "repetitions": args.reps, "warmup": args.warmup,
+            "repetitions": args.reps, "warmup": args.warmup,
             "batch_sizes": list(batch_sizes), "hw_profile": None,
             "workload_note": "synthetic instances of matching shape stand in for corpus data",
         },
@@ -232,21 +227,16 @@ def cmd_bench(parser, args) -> int:
             f"wasted stream-steps {t.wasted_stream_steps}",
             file=table,
         )
-    if result.speedup_single is not None:
-        print(
-            f"speedup pid vs pie: single {result.speedup_single:.2f}x, "
-            f"batched {result.speedup_batched:.2f}x",
-            file=table,
-        )
-        print(
-            f"flop ratio measured {result.measured_flop_ratio:.4f}"
-            + (
-                f", analytic {result.analytic_flop_ratio:.4f}"
-                if result.analytic_flop_ratio is not None
-                else ""
-            ),
-            file=table,
-        )
+    print(
+        f"speedup pid vs pie: single {result.speedup_single:.2f}x, "
+        f"batched {result.speedup_batched:.2f}x",
+        file=table,
+    )
+    print(
+        f"flop ratio measured {result.measured_flop_ratio:.4f}, "
+        f"analytic {result.analytic_flop_ratio:.4f}",
+        file=table,
+    )
     csv_rows = [
         {
             "run_id": run_id, "preset": args.preset, "engine": engine,
@@ -306,14 +296,11 @@ def cmd_train_toy(parser, args) -> int:
         )
     except ConfigError as exc:
         parser.error(str(exc))
-    layouts = ENGINES if args.layout == "both" else (args.layout,)
-    runs = run_toy_training(spec, seed=args.seed, layouts=layouts)
-    config = spec.model_config()
-    task = spec.task()
-    predicted = predicted_training_flop_ratio(config, task)
-    measured = None
-    if "pie" in runs and "pid" in runs:
-        measured = runs["pie"].flops_per_epoch / runs["pid"].flops_per_epoch
+    runs = run_toy_training(spec, seed=args.seed)
+    config, examples = spec.model_config(), list(spec.task().train)
+    replayed = {e: replay_epoch(config, examples, e, spec.batch_instances).flops for e in ENGINES}
+    predicted = replayed[PIE] / replayed[PID]
+    measured = runs[PIE].flops_per_epoch / runs[PID].flops_per_epoch
     body = {
         "spec": {
             "epochs": spec.epochs, "learning_rate": spec.learning_rate,
@@ -329,7 +316,7 @@ def cmd_train_toy(parser, args) -> int:
     doc = rep.make_document(
         "train-toy", run_id, args.seed,
         {"preset": None, "shape_slug": None, "seed": args.seed,
-         "layouts": list(layouts), "hw_profile": None},
+         "hw_profile": None},
         body,
     )
     table = _table_stream(args)
@@ -340,12 +327,10 @@ def cmd_train_toy(parser, args) -> int:
             f"epoch flops {run.flops_per_epoch}",
             file=table,
         )
-    if measured is not None:
-        print(
-            f"epoch flop ratio pie/pid: measured {measured:.3f}, "
-            f"predicted {predicted:.3f}",
-            file=table,
-        )
+    print(
+        f"epoch flop ratio pie/pid: measured {measured:.3f}, replayed {predicted:.3f}",
+        file=table,
+    )
     csv_rows = [
         {
             "run_id": run_id, "layout": layout,
@@ -392,6 +377,22 @@ def cmd_report(parser, args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``, else a usage
+    error that names the flag."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multiprompt",
@@ -405,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--preset", help="workload preset name")
             p.add_argument("--shape", help="explicit shape, e.g. U=8,b=1,n_s=64,n_t=8,n_p=4,d=64,h=4")
             p.add_argument("--model", help="model preset (toy, t5-base-like, t5-large-like)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_at_least(0), default=0)
         p.add_argument("--json", action="store_true", help="print the JSON document to stdout, and the table to stderr")
         p.add_argument("--out", help="write the JSON document to this path")
         p.add_argument("--csv", help="write the CSV table to this path")
@@ -417,12 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="wall-clock latency, single and batched")
     common(p_bench)
-    p_bench.add_argument("--engine", choices=("both",) + ENGINES, default="both")
     p_bench.add_argument("--reps", type=int, default=5)
     p_bench.add_argument("--warmup", type=int, default=2)
     p_bench.add_argument("--batch-sizes", default="1,2")
     p_bench.add_argument("--max-new", type=int, default=None)
-    p_bench.add_argument("--mem-cap", type=int, default=1 << 30, help="memory guard in bytes")
+    p_bench.add_argument(
+        "--mem-cap", type=_int_at_least(1), default=1 << 30, help="memory guard in bytes"
+    )
     p_bench.set_defaults(fn=cmd_bench)
 
     p_verify = sub.add_parser("verify", help="run the deterministic check suite")
@@ -440,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--epochs", type=int, default=ToyTrainingSpec.epochs)
     p_train.add_argument("--lr", type=float, default=ToyTrainingSpec.learning_rate)
     p_train.add_argument("--batch", type=int, default=ToyTrainingSpec.batch_instances)
-    p_train.add_argument("--layout", choices=("both",) + ENGINES, default="both")
     p_train.set_defaults(fn=cmd_train_toy)
 
     p_report = sub.add_parser("report", help="join cost/bench/verify documents by run id")

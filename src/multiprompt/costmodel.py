@@ -18,6 +18,9 @@
    written against the instrumented counters.  Its flops view
    ``predict_run_flops`` gives whole-model flop ratios, and
    ``roofline_estimate`` turns its counts into seconds.
+   ``replay_train_step`` is the same replay for one training step: the
+   all-positions forward, every backward kernel call and the SGD update,
+   equal to a measured step in every (component, kind) cell.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .kernels import (
-    CounterSink, count_attention, count_elementwise, count_gather, count_layer_norm, count_matmul,
+    CounterSink, count_attention, count_attention_backward, count_elementwise, count_gather,
+    count_layer_norm, count_layer_norm_backward, count_loss_grad, count_matmul, count_sgd,
+    count_softmax,
 )
 from .model import ModelConfig
 
@@ -285,6 +290,64 @@ def _ffn_sublayer(sink: CounterSink, config: ModelConfig, rows: int) -> None:
         count_elementwise(sink, "add", rows * d, 2)
 
 
+def _attention_backward(
+    sink: CounterSink, config: ModelConfig, component: str, n_seq: int, nq: int, m: int,
+    kv_group: int = 1, masked: bool = False,
+) -> None:
+    """Backward of :func:`_attention_sublayer` (``training._attention_backward``).
+
+    A training pass attends to no earlier cache, so K and V were projected
+    from ``n_seq // kv_group * m`` rows: the sublayer's own rows, or
+    cross-attention's encoder rows, where their gradient adds run too.
+    """
+    d, h = config.d_model, config.n_heads
+    rows, kv_rows = n_seq * nq, n_seq // kv_group * m
+    with sink.scope(component):
+        count_matmul(sink, d, rows, d)
+        count_matmul(sink, rows, d, d)
+        count_attention_backward(
+            sink, n_seq // kv_group * h, kv_group * nq, d // h, m, d // h, masked
+        )
+        count_elementwise(sink, "scale", rows * d, 1)
+        count_matmul(sink, d, rows, d)
+        count_matmul(sink, rows, d, d)
+        count_matmul(sink, d, kv_rows, d)
+        count_matmul(sink, d, kv_rows, d)
+        for _ in range(2):  # the K and V shares of the source rows' gradient
+            count_matmul(sink, kv_rows, d, d)
+            count_elementwise(sink, "add", kv_rows * d, 2)
+        count_layer_norm_backward(sink, rows, d)
+        count_elementwise(sink, "add", rows * d, 2)
+
+
+def _ffn_backward(sink: CounterSink, config: ModelConfig, rows: int) -> None:
+    d, dff = config.d_model, config.d_ff
+    with sink.scope("feed_forward"):
+        count_matmul(sink, dff, rows, d)
+        count_matmul(sink, rows, d, dff)
+        count_elementwise(sink, "relu_backward", rows * dff, 2)
+        count_matmul(sink, d, rows, dff)
+        count_matmul(sink, rows, dff, d)
+        count_layer_norm_backward(sink, rows, d)
+        count_elementwise(sink, "add", rows * d, 2)
+
+
+def _embed_backward(sink: CounterSink, d: int, rows: int) -> None:
+    with sink.scope("embedding"):
+        count_elementwise(sink, "scale", rows * d, 1)
+        count_elementwise(sink, "scatter_add", rows * d, 2)
+
+
+def _parameter_count(config: ModelConfig) -> int:
+    """Trainable float32 elements of a model (``WeightSet.named_arrays``)."""
+    d, dff = config.d_model, config.d_ff
+    attention, ffn = 4 * d * d + d, 2 * d * dff + d
+    return (
+        2 * config.vocab_size * d + 2 * d
+        + config.n_enc_layers * (attention + ffn) + config.n_dec_layers * (2 * attention + ffn)
+    )
+
+
 def replay_forward(
     config: ModelConfig, inputs: int, enc_len: int, kv_group: int, prefix: int, n_t: int,
     all_logits: bool = False,
@@ -331,6 +394,48 @@ def replay_forward(
             with decode.scope("embedding"):
                 count_matmul(decode, head_rows, d, config.vocab_size)
     return encode, encode.merge(decode)
+
+
+def replay_train_step(
+    config: ModelConfig, groups: int, enc_len: int, kv_group: int, t_dec: int
+) -> CounterSink:
+    """The counts of one ``training.train_step``, replayed from shapes.
+
+    The batch is ``groups`` encoder rows of ``enc_len`` tokens, each shared
+    by ``kv_group`` decoder streams of ``t_dec`` tokens.  The forward is
+    :func:`replay_forward`'s all-positions run; then, in
+    ``training_forward_backward``'s order, the loss softmax and its
+    gradient, the head's two products, the decoder's final-norm backward,
+    each decoder layer's feed-forward, cross- and self-attention backward
+    (last layer first), the decoder embedding's gradient, then the
+    encoder's; last, ``sgd_update``, whose counts are linear in size, as
+    one update over :func:`_parameter_count` elements.
+    """
+    d, vocab = config.d_model, config.vocab_size
+    streams, enc_rows = groups * kv_group, groups * enc_len
+    rows = streams * t_dec
+    _, step = replay_forward(config, groups, enc_len, kv_group, t_dec, 1, all_logits=True)
+    with step.scope("other"):
+        count_softmax(step, rows, vocab, False)
+        count_loss_grad(step, rows, vocab)
+    with step.scope("embedding"):
+        count_matmul(step, d, rows, vocab)
+        count_matmul(step, rows, vocab, d)
+    with step.scope("other"):
+        count_layer_norm_backward(step, rows, d)
+    for _ in range(config.n_dec_layers):
+        _ffn_backward(step, config, rows)
+        _attention_backward(step, config, "decoder_cross", streams, t_dec, enc_len, kv_group)
+        _attention_backward(step, config, "decoder_self", streams, t_dec, t_dec, 1, t_dec > 1)
+    _embed_backward(step, d, rows)
+    with step.scope("other"):
+        count_layer_norm_backward(step, enc_rows, d)
+    for _ in range(config.n_enc_layers):
+        _ffn_backward(step, config, enc_rows)
+        _attention_backward(step, config, "encoder_self", groups, enc_len, enc_len)
+    _embed_backward(step, d, enc_rows)
+    count_sgd(step, _parameter_count(config))
+    return step
 
 
 def predict_run_counters(

@@ -4,10 +4,14 @@ Every kernel takes a :class:`CounterSink` and reports two things about the
 call: arithmetic operations ("flops") and memory traffic in bytes.  The
 counts are closed-form functions of the operand shapes, and each kind's
 formula exists once, in a ``count_*`` helper that records into a sink.
-The kernels record through these helpers, and the analytic mirror
-(``costmodel.predict_run_counters``) replays an engine run's kernel calls
-through the same helpers from shapes alone, so measured and predicted
-counts are the same kind of object and tests can assert them exactly.
+The kernels record through these helpers (``count_matmul``,
+``count_elementwise``, ``count_softmax``, ``count_attention``,
+``count_attention_backward``, ``count_layer_norm``, ...), and the analytic
+mirror replays an engine run's kernel calls
+(``costmodel.predict_run_counters``) or a training step's
+(``costmodel.replay_train_step``) through the same helpers from shapes
+alone, so measured and predicted counts are the same kind of object and
+tests can assert them exactly.
 
 Counting conventions, fixed package-wide:
 
@@ -222,9 +226,10 @@ class _Scope:
 # -- count formulas ---------------------------------------------------------
 #
 # The one copy of each kernel kind's counts.  Each kernel records through
-# these after its checks pass, and ``costmodel.predict_run_counters``
-# replays an engine run through them from shapes alone.  Training records its
-# loss gradient and SGD update through ``count_loss_grad`` and ``count_sgd``.
+# these after its checks pass, and ``costmodel.predict_run_counters`` and
+# ``costmodel.replay_train_step`` replay an engine run or a training step
+# through them from shapes alone.  Training records its loss gradient and
+# SGD update through ``count_loss_grad`` and ``count_sgd``.
 
 
 def count_matmul(sink: CounterSink, m: int, k: int, n: int, batch: int = 1) -> None:
@@ -252,6 +257,20 @@ def count_attention(
     count_matmul(sink, rows, dh, m, slices)
     count_softmax(sink, slices * rows, m, masked)
     count_matmul(sink, rows, m, dv, slices)
+
+
+def count_attention_backward(
+    sink: CounterSink, slices: int, rows: int, dh: int, m: int, dv: int, masked: bool
+) -> None:
+    """:func:`attention_backward`'s constituents: the recomputed scores and
+    softmax, ``d_probs``, ``d_v4``, the softmax backward, ``d_q4``, ``d_k4``."""
+    count_matmul(sink, rows, dh, m, slices)
+    count_softmax(sink, slices * rows, m, masked)
+    count_matmul(sink, rows, dv, m, slices)
+    count_matmul(sink, m, rows, dv, slices)
+    count_softmax_backward(sink, slices * rows, m)
+    count_matmul(sink, rows, m, dh, slices)
+    count_matmul(sink, m, rows, dh, slices)
 
 
 def count_layer_norm(sink: CounterSink, n: int, m: int) -> None:
@@ -611,13 +630,7 @@ def attention_backward(
     _check_bmm(d_ctx.shape, v4_t.shape)
     _check_bmm((slices, m, rows), d_ctx.shape)
     dv = d_ctx.shape[2]  # past the checks ``d_ctx`` is [slices, rows, dv]
-    count_matmul(sink, rows, dh, m, slices)
-    count_softmax(sink, slices * rows, m, mask_rows is not None)
-    count_matmul(sink, rows, dv, m, slices)
-    count_matmul(sink, m, rows, dv, slices)
-    count_softmax_backward(sink, slices * rows, m)
-    count_matmul(sink, rows, m, dh, slices)
-    count_matmul(sink, m, rows, dh, slices)
+    count_attention_backward(sink, slices, rows, dh, m, dv, mask_rows is not None)
     d_v4 = np.empty((slices, m, dv), F32)
     d_q4 = np.empty((slices, rows, dh), F32)
     d_k4 = np.empty((slices, m, dh), F32)

@@ -13,9 +13,10 @@ The forward pass is the inference forward itself: ``encode_batch``,
 :mod:`multiprompt.model`, run with activation tapes.  This module holds
 only the loss and the backward.  The backward pass is exact and runs
 through the same counted kernels as the forward pass (matrix multiplies,
-softmax/layer-norm/relu backward), so per-epoch training flops are
-measured rather than estimated.  Gradients that fan in from several
-places, such as the encoder memory's from every decoder layer's
+softmax/layer-norm/relu backward), so per-epoch training counts are
+measured, and :func:`replay_epoch` replays them exactly from shapes
+(``costmodel.replay_train_step`` per batch).  Gradients that fan in from
+several places, such as the encoder memory's from every decoder layer's
 cross-attention, accumulate through counted kernels.  Only the ``+=``
 that adds each weight's gradient into its buffer is plain NumPy and goes
 uncounted; it touches each parameter once per step, which is negligible
@@ -31,10 +32,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .costmodel import replay_forward
+from .costmodel import replay_train_step
 from .engines import PID, PIE, Instance, Workload, _layout, infer
 from .errors import ConfigError, TrainingError
-from .kernels import CounterSink, F32
+from .kernels import CounterSink, Counts, F32
 from .model import (
     EOS,
     AttentionWeights,
@@ -422,12 +423,12 @@ def train_step(
 @dataclass
 class TrainingRun:
     losses: list[float] = field(default_factory=list)
-    epoch_flops: list[int] = field(default_factory=list)
+    epoch_counts: list[Counts] = field(default_factory=list)
     exact_match: float | None = None
 
     @property
     def flops_per_epoch(self) -> int:
-        return self.epoch_flops[0] if self.epoch_flops else 0
+        return self.epoch_counts[0].flops if self.epoch_counts else 0
 
 
 def train_layout(
@@ -439,7 +440,7 @@ def train_layout(
     batch_instances: int,
     seed: int,
 ) -> tuple[WeightSet, TrainingRun]:
-    """Train a fresh model with one batch layout; flops measured per epoch."""
+    """Train a fresh model with one batch layout; counts measured per epoch."""
     if layout not in (PIE, PID):
         raise ConfigError(f"unknown layout {layout!r}")
     weights = init_weights(config, seed)
@@ -449,7 +450,7 @@ def train_layout(
     laid = _laid_out(layout, list(task.train), batch_instances)
     step = 0
     for _ in range(epochs):
-        flops_before = sink.flops
+        before = sink.kind_totals()
         epoch_losses = []
         for batch in _shuffled(laid, rng):
             epoch_losses.append(
@@ -457,7 +458,8 @@ def train_layout(
             )
             step += 1
         run.losses.append(float(np.mean(epoch_losses)))
-        run.epoch_flops.append(sink.flops - flops_before)
+        epoch = sink.since(before)
+        run.epoch_counts.append(Counts(epoch.flops, epoch.bytes_read, epoch.bytes_written))
     return weights, run
 
 
@@ -531,14 +533,12 @@ class ToyTrainingSpec:
         )
 
 
-def run_toy_training(
-    spec: ToyTrainingSpec, seed: int, layouts: tuple[str, ...] = (PIE, PID)
-) -> dict[str, TrainingRun]:
-    """Train one model per layout and report exact match plus epoch flops."""
+def run_toy_training(spec: ToyTrainingSpec, seed: int) -> dict[str, TrainingRun]:
+    """Train one model per layout and report exact match plus epoch counts."""
     config = spec.model_config()
     task = spec.task()
     runs: dict[str, TrainingRun] = {}
-    for layout in layouts:
+    for layout in (PIE, PID):
         weights, run = train_layout(
             config, task, layout, spec.epochs, spec.learning_rate,
             spec.batch_instances, seed,
@@ -548,16 +548,20 @@ def run_toy_training(
     return runs
 
 
-def predicted_training_flop_ratio(config: ModelConfig, task: SyntheticTask) -> float:
-    """Analytic prompt-in-encoder over prompt-in-decoder per-epoch flops.
+def replay_epoch(
+    config: ModelConfig, examples: list[LabeledInstance], layout: str, batch_instances: int
+) -> CounterSink:
+    """The counts of one :func:`train_layout` epoch, replayed from shapes.
 
-    The replayed all-positions forward of one instance in each layout only
-    (``costmodel.replay_forward``): the backward pass multiplies both
-    layouts by nearly the same factor, so it cancels in the ratio.
+    Every epoch runs the same batch shapes, those of :func:`_laid_out`
+    (the last batch may be partial), and each is one
+    ``costmodel.replay_train_step``.
     """
-    u = task.n_prompts
-    example = task.train[0]
-    prompt_len, ans = example.instance.prompts[0].size, len(example.answers[0])
-    _, pie = replay_forward(config, u, task.n_s + 1 + prompt_len, 1, 1 + ans, 1, all_logits=True)
-    _, pid = replay_forward(config, 1, task.n_s, u, prompt_len + ans, 1, all_logits=True)
-    return pie.flops / pid.flops
+    enc_inputs, streams, kv_group, per_batch = _laid_out(layout, examples, batch_instances)
+    epoch = CounterSink()
+    for start in range(0, len(enc_inputs), per_batch):
+        groups = min(per_batch, len(enc_inputs) - start)
+        epoch = epoch.merge(
+            replay_train_step(config, groups, enc_inputs.shape[1], kv_group, streams[0].tokens.size)
+        )
+    return epoch

@@ -84,6 +84,25 @@ def test_bad_values_are_usage_errors(capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cost", "--preset", "toy", "--seed", "-1"],
+        ["bench", "--preset", "toy", "--seed", "-1"],
+        ["verify", "--checks", "counter_additivity", "--seed", "-1"],
+        ["train-toy", "--epochs", "1", "--seed", "-1"],
+        ["bench", "--preset", "toy", "--mem-cap", "0"],
+        ["bench", "--preset", "toy", "--mem-cap", "-5"],
+    ],
+    ids=lambda argv: " ".join([argv[0], *argv[-2:]]),
+)
+def test_a_negative_seed_or_a_non_positive_memory_cap_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}: must be >= " in capsys.readouterr().err
+
+
 def test_a_malformed_hardware_profile_is_a_usage_error(tmp_path, capsys):
     p = tmp_path / "bad.profile"
     p.write_text("name = x\npeak_flops_per_s = abc\nmem_bytes_per_s = 2e9\n")
@@ -290,7 +309,7 @@ CSV_HEADERS = {
             "--reps", "3", "--warmup", "0", "--batch-sizes", "1",
         ],
         ["verify", "--checks", "counter_additivity"],
-        ["train-toy", "--epochs", "1", "--layout", "pid"],
+        ["train-toy", "--epochs", "1"],
     ],
     ids=lambda argv: argv[0],
 )

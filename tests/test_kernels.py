@@ -1322,14 +1322,14 @@ def attention_peak(masked, budget, monkeypatch):
 
 
 @pytest.mark.parametrize("masked", [False, True])
-def test_attention_without_probs_holds_one_chunk_of_scores(masked, monkeypatch):
+def test_attention_holds_no_more_than_its_chunk_budget_of_scores(masked, monkeypatch):
     ctx_bytes = 4 * PEAK_SLICES * PEAK_ROWS * PEAK_DH
     held = attention_peak(masked, PEAK_CHUNK_BYTES, monkeypatch)
     assert held <= PEAK_CHUNK_BYTES + ctx_bytes + PEAK_SLACK, held
 
 
 @pytest.mark.parametrize("masked", [False, True])
-def test_attention_keeping_probs_holds_every_score(masked, monkeypatch):
+def test_attention_in_one_chunk_of_every_slice_holds_every_score(masked, monkeypatch):
     # the negative control: in one chunk of every slice the call keeps every
     # probability at once, the whole [B, r, m] scores, so the gate can fail
     held = attention_peak(masked, PEAK_SCORE_BYTES, monkeypatch)

@@ -1,20 +1,21 @@
-"""Training: gradient exactness, loss behavior, synthetic task, layouts."""
+"""Training: gradient exactness, loss behavior, synthetic task, layouts, the exact mirror."""
 
+import functools
 import json
 import math
 import os
 import platform
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from multiprompt import costmodel as cm
 from multiprompt import kernels, reference
 from multiprompt.errors import TrainingError
-from multiprompt.kernels import CounterSink
+from multiprompt.kernels import CounterSink, Counts
 from multiprompt.model import BOS, EOS, ModelConfig, init_weights
 from multiprompt.training import (
     ToyTrainingSpec,
@@ -22,6 +23,7 @@ from multiprompt.training import (
     make_synthetic_task,
     pid_batches,
     pie_batches,
+    replay_epoch,
     split_key,
     train_layout,
     train_step,
@@ -153,55 +155,122 @@ def test_training_learns_within_a_few_epochs():
     task = spec.task()
     weights, run = train_layout(config, task, "pid", 3, spec.learning_rate, 8, seed=1)
     assert run.losses[-1] < run.losses[0]
-    assert len(run.epoch_flops) == 3
-    assert run.epoch_flops[0] == run.epoch_flops[1]  # same work every epoch
+    assert len(run.epoch_counts) == 3
+    assert run.epoch_counts[0] == run.epoch_counts[1]  # same work every epoch
 
 
-@pytest.mark.parametrize("layout", ["pie", "pid"])
-def test_cross_attention_counts_its_memory_gradient_adds(layout):
-    """Per decoder layer, cross-attention adds at its ``S·T`` decoder rows
-    twice (the forward residual, the backward input gradient) and at the
-    ``owners·m`` encoder rows twice (the K and V shares of the memory
-    gradient)."""
+# -- the exact mirror of a training step ---------------------------------------------
+
+
+def _mirror_case(case, layout):
+    """``(config, batch)``: the first batch of a layout at one of three shapes."""
+    build = pid_batches if layout == "pid" else pie_batches
+    if case == "perfbench":  # the train-step workload: toy model, U=8, n_s=64, 8 instances
+        config = cm.MODEL_PRESETS["toy"]
+        task = make_synthetic_task(1, 8, 64, config.vocab_size, 64)
+        return config, build(list(task.train), 8, np.random.default_rng(1))[0]
+    if case == "toy-spec":
+        spec = ToyTrainingSpec()
+        config = spec.model_config()
+        task = spec.task()
+        return config, build(list(task.train), spec.batch_instances, np.random.default_rng(0))[0]
     config = ModelConfig(
         d_model=8, n_heads=2, n_enc_layers=1, n_dec_layers=2,
         d_ff=16, vocab_size=15, max_len=16,
     )
-    batch, _ = _batch_and_examples(config, layout)
+    return config, _batch_and_examples(config, layout)[0]
+
+
+@functools.cache
+def _measured_step(case, layout):
+    """``(config, batch, kind_totals)`` of one ``train_step``."""
+    config, batch = _mirror_case(case, layout)
     sink = CounterSink()
     train_step(config, init_weights(config, seed=0), batch, 0.1, sink)
-    s_t = len(batch.streams) * batch.streams[0].tokens.size
-    owners_m = batch.enc_inputs.size
-    d = config.d_model
-    flops, read, written = sink.kind_totals()[("decoder_cross", "add")]
-    assert flops == config.n_dec_layers * (2 * s_t * d + 2 * owners_m * d)
-    assert (read, written) == (8 * flops, 4 * flops)
+    return config, batch, sink.kind_totals()
+
+
+def _replayed(config, batch, t_dec=None):
+    groups, enc_len = batch.enc_inputs.shape
+    t_dec = batch.streams[0].tokens.size if t_dec is None else t_dec
+    return cm.replay_train_step(config, groups, enc_len, batch.group_size, t_dec).kind_totals()
+
+
+def _mismatched(measured, replayed):
+    """The (component, kind) cells where two ``kind_totals`` differ."""
+    return {key for key in measured.keys() | replayed.keys() if measured.get(key) != replayed.get(key)}
 
 
 @pytest.mark.parametrize("layout", ["pie", "pid"])
-def test_backward_recomputes_each_score_product_and_softmax(layout, monkeypatch):
-    """Per attention component, a forward/backward counts the taped forward's softmax twice, and
-    three times its product flops (two backward products each) plus its score products again."""
-    batch, _ = _batch_and_examples(GRAD_CONFIG, layout)
-    forward, score_flops = {}, Counter()
-    attention, softmax_rows = kernels.attention, kernels.softmax_rows
+@pytest.mark.parametrize("case", ["perfbench", "toy-spec", "two-decoder-layers"])
+def test_replayed_train_step_equals_the_measured_one_in_every_cell(case, layout):
+    config, batch, measured = _measured_step(case, layout)
+    assert _replayed(config, batch) == measured
 
-    def recorded(q4, k4, v4, sink, *mask_rows):
-        score_flops[sink.current_component] += 2 * q4.size * k4.shape[2]
-        return attention(q4, k4, v4, sink, *mask_rows)
 
-    def loss_softmax(logits, sink):  # the first call past the forward
-        forward.update(sink.kind_totals())
-        return softmax_rows(logits, sink)
+@pytest.mark.parametrize("layout", ["pie", "pid"])
+def test_a_toy_epoch_equals_its_replay(layout):
+    spec = ToyTrainingSpec()
+    config = spec.model_config()
+    task = spec.task()
+    # the last batch is partial in both layouts
+    assert len(task.train) % spec.batch_instances
+    _, run = train_layout(config, task, layout, 1, spec.learning_rate, spec.batch_instances, 0)
+    epoch = replay_epoch(config, list(task.train), layout, spec.batch_instances)
+    assert run.epoch_counts == [Counts(epoch.flops, epoch.bytes_read, epoch.bytes_written)]
 
-    monkeypatch.setattr(kernels, "attention", recorded)
-    monkeypatch.setattr(kernels, "softmax_rows", loss_softmax)
-    sink = CounterSink()
-    training_forward_backward(GRAD_CONFIG, init_weights(GRAD_CONFIG, seed=0), batch, sink)
-    step = sink.kind_totals()
-    for comp in ("encoder_self", "decoder_self", "decoder_cross"):
-        assert step[comp, "softmax"] == tuple(2 * c for c in forward[comp, "softmax"])
-        assert step[comp, "matmul"][0] == 3 * forward[comp, "matmul"][0] + score_flops[comp]
+
+class _Dropping:
+    """A sink front that records every count but one kernel kind's."""
+
+    def __init__(self, sink, kind):
+        self.sink, self.kind = sink, kind
+
+    def add(self, kind, *counts):
+        if kind != self.kind:
+            self.sink.add(kind, *counts)
+
+
+@pytest.mark.parametrize("layout", ["pie", "pid"])
+def test_a_replay_without_the_recomputed_softmax_fails_on_each_attention_softmax(
+    layout, monkeypatch
+):
+    config, batch, measured = _measured_step("perfbench", layout)
+    monkeypatch.setattr(
+        cm, "count_attention_backward",
+        lambda sink, *shape: kernels.count_attention_backward(_Dropping(sink, "softmax"), *shape),
+    )
+    assert _mismatched(measured, _replayed(config, batch)) == {
+        (component, "softmax") for component in ("encoder_self", "decoder_self", "decoder_cross")
+    }
+
+
+@pytest.mark.parametrize("layout", ["pie", "pid"])
+def test_a_replay_with_cross_kv_gradient_adds_at_the_decoder_rows_fails_only_there(
+    layout, monkeypatch
+):
+    """Cross-attention adds its K and V shares of the memory gradient at the
+    ``owners·m`` encoder rows; sized at the ``S·T`` decoder rows instead, the
+    replay differs in that one cell."""
+    config, batch, measured = _measured_step("perfbench", layout)
+    encoder_size = batch.enc_inputs.size * config.d_model
+    decoder_size = len(batch.streams) * batch.streams[0].tokens.size * config.d_model
+    assert encoder_size != decoder_size
+    elementwise = cm.count_elementwise
+
+    def at_decoder_rows(sink, kind, size, inputs):
+        if (sink.current_component, kind, size) == ("decoder_cross", "add", encoder_size):
+            size = decoder_size
+        elementwise(sink, kind, size, inputs)
+
+    monkeypatch.setattr(cm, "count_elementwise", at_decoder_rows)
+    assert _mismatched(measured, _replayed(config, batch)) == {("decoder_cross", "add")}
+
+
+@pytest.mark.parametrize("layout", ["pie", "pid"])
+def test_a_replay_one_decoder_position_short_fails(layout):
+    config, batch, measured = _measured_step("perfbench", layout)
+    assert _replayed(config, batch, batch.streams[0].tokens.size - 1) != measured
 
 
 # -- glibc keeps a train step's freed arrays for the next one ---------------------------
