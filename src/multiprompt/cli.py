@@ -21,7 +21,7 @@ from . import costmodel as cm
 from . import report as rep
 from .bench import BenchConfig, run_bench
 from .engines import ENGINES, PID, PIE
-from .errors import ConfigError, ResourceLimitError
+from .errors import ConfigError, LengthError, ResourceLimitError
 from .training import ToyTrainingSpec, replay_epoch, run_toy_training
 from .verify import FAULT_CORRUPT_SHARED_KV, run_checks
 
@@ -198,6 +198,8 @@ def cmd_bench(parser, args) -> int:
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except LengthError as exc:  # the shape does not fit the model's max_len
+        parser.error(str(exc))
     run_id = f"{stem}-s{args.seed}"
     doc = rep.make_document(
         "bench", run_id, args.seed,

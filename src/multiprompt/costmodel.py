@@ -444,10 +444,10 @@ def predict_run_counters(
     """Exact counts of a full engine run: ``(encode phase, whole run)``.
 
     Replays every kernel call ``engines.infer`` makes (:func:`replay_forward`
-    in the engine's layout), assuming all streams decode the full ``n_t``
-    tokens (no early stop); pie's encoder inputs carry the separator token.
-    Flops, bytes read and bytes written equal the instrumented counters
-    per component and kernel kind.
+    in the engine's layout) for ``n_t`` steps; the checks replay a run's own
+    ``steps_taken``, fewer if every stream stops early.  pie's encoder inputs
+    carry the separator token.  Flops, bytes read and bytes written equal
+    the instrumented counters per component and kernel kind.
     """
     if engine not in (PIE, PID):
         raise ConfigError(f"unknown engine {engine!r}")

@@ -309,8 +309,7 @@ def _ffn_sublayer(
     """Pre-norm feed-forward sublayer ``x + relu(LN(x) W_in) W_out``."""
     with sink.scope("feed_forward"):
         normed = kernels.layer_norm(x, ffn.gain, sink)
-        pre = kernels.matmul(normed, ffn.w_in, sink)
-        hid = kernels.relu(pre, sink)
+        hid = kernels.relu(kernels.matmul(normed, ffn.w_in, sink), sink)
         out = kernels.matmul(hid, ffn.w_out, sink, residual=x)
     if tape is not None:
         tape.append(dict(x_in=x, normed=normed, hid=hid))

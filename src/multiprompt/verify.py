@@ -10,14 +10,15 @@ criteria in ``tests/test_acceptance.py`` call these functions.  The
 checks over random cases (``broadcast_equivalence``,
 ``incremental_vs_reference``) draw case ``i`` from ``default_rng(seed + i)``,
 so a criterion that wants more cases calls the check at consecutive
-blocks of seeds instead of passing a case count.
+blocks of seeds instead of passing a case count.  Counted counts meet
+replayed ones in one place, :func:`cell_mismatches`, cell by cell.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -57,39 +58,33 @@ def _toy_model(d=64, h=4, layers=2, vocab=96, max_len=640) -> ModelConfig:
     )
 
 
-def _full_length_run(config, shape: cm.ShapeParams, engine: str, base_seed, tries=40):
-    for offset in range(tries):
-        rng = np.random.default_rng(base_seed + 1000 + offset)
-        weights = init_weights(config, seed=base_seed + offset)
-        wl = random_workload(
-            rng, config.vocab_size, shape.U, shape.b, shape.n_s, shape.n_p, shape.n_t
-        )
-        res = infer(engine, config, weights, wl)
-        if all(len(seq) == shape.n_t for seq in res.flat_outputs()):
-            return res
-    raise RuntimeError("no seed produced a full-length decode")
+def cell_mismatches(measured: CounterSink, replayed: CounterSink) -> dict[str, list[list[int]]]:
+    """Where two sinks differ: ``"component/kind"`` -> ``[measured, replayed]``, each
+    cell's (flops, bytes read, bytes written); an absent cell counts as zeros."""
+    got, want = measured.kind_totals(), replayed.kind_totals()
+    out = {}
+    for key in sorted(got.keys() | want.keys()):
+        pair = [list(got.get(key, (0, 0, 0))), list(want.get(key, (0, 0, 0)))]
+        if pair[0] != pair[1]:
+            out["/".join(key)] = pair
+    return out
 
 
 def mirror_mismatches(
-    res: DecodeResult, predicted: tuple[CounterSink, CounterSink]
+    res: DecodeResult, config: ModelConfig, shape: cm.ShapeParams, engine: str
 ) -> dict[str, dict[str, list[list[int]]]]:
-    """Where a run's counts differ from the mirror: phase -> label -> [measured, predicted].
+    """Where a run's counts differ from the replay of the steps it took.
 
-    ``predicted`` is ``(encode, run)``.  The whole run (``res.counters``) is
-    held to ``run`` and the encode phase (``res.encode_counters``) to
-    ``encode``, each component on flops, bytes read and bytes written; a
-    label missing on one side counts as zero.  Both phases empty means the
-    mirror is exact.
+    ``predict_run_counters`` replays ``shape`` at ``n_t = res.steps_taken``;
+    the encode phase (``res.encode_counters``) is held to its encode half
+    and the whole run (``res.counters``) to its run half, each by
+    :func:`cell_mismatches`.  Both phases empty means the mirror is exact.
     """
-    encode, run = predicted
-    out = {}
-    for phase, counters, want in (
-        ("by_component", res.counters, run), ("encode", res.encode_counters, encode)
-    ):
-        labels = sorted(counters.component_totals().keys() | want.component_totals().keys())
-        pairs = {label: [counters.component(label), want.component(label)] for label in labels}
-        out[phase] = {label: list(map(list, p)) for label, p in pairs.items() if p[0] != p[1]}
-    return out
+    encode, run = cm.predict_run_counters(config, replace(shape, n_t=res.steps_taken), engine)
+    return {
+        "encode": cell_mismatches(res.encode_counters, encode),
+        "run": cell_mismatches(res.counters, run),
+    }
 
 
 # -- individual checks ---------------------------------------------------------
@@ -147,7 +142,7 @@ def check_broadcast_equivalence(seed: int, fault: str | None = None) -> CheckRes
 
 
 def check_encoder_sharing(seed: int) -> CheckResult:
-    """Measured encode flops equal ``predict_run_flops``; exactly U-fold without prompts."""
+    """Encode counts equal the replay in every cell; flops exactly U-fold without prompts."""
     config = _toy_model(max_len=512)
     weights = init_weights(config, seed=seed)
     rng = np.random.default_rng(seed)
@@ -157,14 +152,12 @@ def check_encoder_sharing(seed: int) -> CheckResult:
         for n_p in (0, 6):
             wl = random_workload(rng, config.vocab_size, u, 1, n_s, n_p, n_t=1)
             shape = cm.ShapeParams(U=u, b=1, n_s=n_s, n_t=1, n_p=n_p, d=64, h=4)
-            flops = {
-                engine: infer(engine, config, weights, wl).encode_counters.flops
-                for engine in ENGINES
-            }
-            passed = all(
-                measured == cm.predict_run_flops(config, shape, engine)["encode_total"]
-                for engine, measured in flops.items()
+            runs = {engine: infer(engine, config, weights, wl) for engine in ENGINES}
+            passed = not any(
+                mirror_mismatches(res, config, shape, engine)["encode"]
+                for engine, res in runs.items()
             )
+            flops = {engine: res.encode_counters.flops for engine, res in runs.items()}
             if n_p == 0:
                 passed = passed and flops["pie"] == u * flops["pid"]
             rows.append({"U": u, "n_p": n_p, "ratio": flops["pie"] / flops["pid"], "passed": passed})
@@ -275,17 +268,21 @@ def check_incremental_vs_reference(seed: int) -> CheckResult:
 
 
 def check_analytic_vs_measured(seed: int) -> CheckResult:
-    """Measured per-component flops and bytes equal ``predict_run_counters`` exactly."""
+    """Both phases of each engine's run equal the replay of its steps in every cell."""
     config = _toy_model(d=128, h=8, vocab=512, max_len=512)
     shape = cm.ShapeParams(U=8, b=1, n_s=256, n_t=16, n_p=0, d=128, h=8)
+    weights = init_weights(config, seed=seed)
+    rng = np.random.default_rng(seed)
+    wl = random_workload(rng, config.vocab_size, shape.U, shape.b, shape.n_s, shape.n_p, shape.n_t)
     rows = []
-    ok = True
     for engine in ENGINES:
-        res = _full_length_run(config, shape, engine, seed)
-        mismatches = mirror_mismatches(res, cm.predict_run_counters(config, shape, engine))
-        ok = ok and not any(mismatches.values())
-        rows.append({"engine": engine, "flops": res.counters.flops, "mismatches": mismatches})
-    return CheckResult("analytic_vs_measured", passed=ok, details={"rows": rows})
+        res = infer(engine, config, weights, wl)
+        rows.append({
+            "engine": engine, "steps_taken": res.steps_taken, "flops": res.counters.flops,
+            "mismatches": mirror_mismatches(res, config, shape, engine),
+        })
+    passed = not any(any(r["mismatches"].values()) for r in rows)
+    return CheckResult("analytic_vs_measured", passed=passed, details={"rows": rows})
 
 
 def check_gradient(seed: int) -> CheckResult:
@@ -351,14 +348,9 @@ def check_counter_additivity(seed: int) -> CheckResult:
     infer(PIE, config, weights, wl_a, sink=sink)
     infer(PIE, config, weights, wl_b, sink=sink)
     merged = ra.counters.merge(rb.counters)
-    passed = (
-        merged.flops == sink.flops
-        and merged.bytes_read == sink.bytes_read
-        and merged.bytes_written == sink.bytes_written
-    )
     return CheckResult(
         "counter_additivity",
-        passed=passed,
+        passed=not cell_mismatches(sink, merged),
         details={"merged_flops": merged.flops, "combined_flops": sink.flops},
     )
 

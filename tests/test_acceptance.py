@@ -54,12 +54,12 @@ def test_criterion_2_encoder_sharing_count_law():
 def test_criterion_2_detects_a_mirror_built_for_one_prompt_token_less(monkeypatch):
     # negative control: pie's prompt rows encode n_s + 1 + n_p tokens, so a
     # mirror built for n_p - 1 must miss them
-    exact = cm.predict_run_flops
+    exact = cm.predict_run_counters
 
     def off_by_one(config, shape, engine):
         return exact(config, replace(shape, n_p=max(shape.n_p - 1, 0)), engine)
 
-    monkeypatch.setattr(verify.cm, "predict_run_flops", off_by_one)
+    monkeypatch.setattr(verify.cm, "predict_run_counters", off_by_one)
     result = verify.check_encoder_sharing(0)
     assert not result.passed
     assert [r["passed"] for r in result.details["rows"]] == [n_p == 0 for n_p in (0, 6) * 3]
@@ -127,7 +127,7 @@ def test_criterion_6_analytic_vs_measured_deviation():
     result = verify.check_analytic_vs_measured(0)
     conclude(
         6, "analytic counts match instrumented counters", result.passed,
-        "per-component flops and bytes equal predict_run_counters exactly" if result.passed
+        "every (component, kind) cell's flops and bytes equal the replay exactly" if result.passed
         else f"{result.details['rows']}",
     )
 
@@ -143,7 +143,28 @@ def test_criterion_6_detects_a_mirror_built_for_the_wrong_shape(monkeypatch):
     result = verify.check_analytic_vs_measured(0)
     assert not result.passed
     for row in result.details["rows"]:
-        assert row["mismatches"]["by_component"] and row["mismatches"]["encode"]
+        assert row["mismatches"]["run"] and row["mismatches"]["encode"]
+
+
+def test_criterion_6_detects_a_q_scale_booked_as_matmul(monkeypatch):
+    # negative control for the cell grain: a replay that files each
+    # attention sublayer's Q-scale epilogue under matmul keeps every
+    # component's totals, so only a per-kind comparison can see it
+    elementwise = cm.count_elementwise
+    attention = ("encoder_self", "decoder_self", "decoder_cross")
+
+    def scale_as_matmul(sink, kind, size, inputs):
+        if kind == "scale" and sink.current_component in attention:
+            kind = "matmul"
+        elementwise(sink, kind, size, inputs)
+
+    monkeypatch.setattr(cm, "count_elementwise", scale_as_matmul)
+    result = verify.check_analytic_vs_measured(0)
+    assert not result.passed
+    for row in result.details["rows"]:
+        mismatches = row["mismatches"]
+        assert set(mismatches["encode"]) == {"encoder_self/matmul", "encoder_self/scale"}
+        assert set(mismatches["run"]) == {f"{c}/{k}" for c in attention for k in ("matmul", "scale")}
 
 
 def test_criterion_6_detects_repeated_cross_kv_copies_on_bytes_alone(monkeypatch):
@@ -168,8 +189,8 @@ def test_criterion_6_detects_repeated_cross_kv_copies_on_bytes_alone(monkeypatch
     pie, pid = result.details["rows"]
     assert not any(pie["mismatches"].values())  # pie owns one slice per stream already
     assert pid["mismatches"]["encode"] == {}
-    assert list(pid["mismatches"]["by_component"]) == ["decoder_cross"]
-    measured, predicted = pid["mismatches"]["by_component"]["decoder_cross"]
+    assert list(pid["mismatches"]["run"]) == ["decoder_cross/matmul"]
+    measured, predicted = pid["mismatches"]["run"]["decoder_cross/matmul"]
     assert measured[0] == predicted[0] and measured[2] == predicted[2]
     assert measured[1] > predicted[1]
 

@@ -438,3 +438,19 @@ def test_bench_rejects_model_shape_mismatch():
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--shape", "U=2,b=1,n_s=16,n_t=3,n_p=0,d=16,h=2", "--model", "toy"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "shape,message",
+    [
+        ("U=1,b=1,n_s=700,n_t=1,n_p=0,d=64,h=4", "encoder block has shape (1, 700); max_len is 640"),
+        ("U=1,b=1,n_s=8,n_t=700,n_p=0,d=64,h=4", "decoder needs 700 positions, max_len is 640"),
+    ],
+    ids=["encoder", "decoder"],
+)
+def test_bench_on_a_shape_longer_than_max_len_is_a_usage_error(capsys, shape, message):
+    # the engines reject the lengths before any kernel runs
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--shape", shape, "--reps", "3", "--warmup", "0"])
+    assert exc.value.code == 2
+    assert f"error: {message}" in capsys.readouterr().err

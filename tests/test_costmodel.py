@@ -8,6 +8,8 @@ import pytest
 
 from multiprompt import costmodel as cm
 from multiprompt import verify
+from multiprompt.bench import random_workload
+from multiprompt.engines import infer
 from multiprompt.errors import ConfigError
 from multiprompt.kernels import CounterSink
 from multiprompt.model import (
@@ -286,11 +288,12 @@ SWEEP = [
     ] + [(engine, s) for s in SWEEP for engine in ("pie", "pid")],
 )
 def test_predictor_matches_measured_counters_exactly(engine_name, s):
-    res = verify._full_length_run(CALIBRATION_CONFIG, s, engine_name, 0)
-    predicted = cm.predict_run_counters(CALIBRATION_CONFIG, s, engine_name)
-    assert not any(verify.mirror_mismatches(res, predicted).values())
-    # the replay records the kernels' own kinds, so it matches per kind too
-    assert res.counters.kind_totals() == predicted[1].kind_totals()
+    config = CALIBRATION_CONFIG
+    wl = random_workload(
+        np.random.default_rng(0), config.vocab_size, s.U, s.b, s.n_s, s.n_p, s.n_t
+    )
+    res = infer(engine_name, config, init_weights(config, seed=0), wl)
+    assert verify.mirror_mismatches(res, config, s, engine_name) == {"encode": {}, "run": {}}
 
 
 @pytest.mark.parametrize("build", [pie_batches, pid_batches])
@@ -309,4 +312,4 @@ def test_all_positions_forward_matches_mirror_exactly(build):
     tokens = np.stack([st.tokens for st in batch.streams])
     decoder_prefill(config, weights, state, tokens, sink, return_all_logits=True)
     _, predicted = cm.replay_forward(config, owners, m, batch.group_size, t_dec, 1, all_logits=True)
-    assert sink.kind_totals() == predicted.kind_totals()
+    assert verify.cell_mismatches(sink, predicted) == {}

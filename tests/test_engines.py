@@ -1,12 +1,11 @@
 """Engine contracts: sharing equivalence, counters, lifecycle, determinism."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
+from multiprompt import costmodel as cm
 from multiprompt.bench import random_workload
-from multiprompt.costmodel import MODEL_PRESETS, ShapeParams, predict_run_counters
+from multiprompt.costmodel import MODEL_PRESETS, ShapeParams
 from multiprompt.engines import (
     ENGINES,
     PID,
@@ -428,32 +427,70 @@ def bench_runs(request):
     return toy, weights, wl, ShapeParams(d=toy.d_model, h=toy.n_heads, **s), runs
 
 
-def _mirror(config, shape, engine, res):
-    # the mirror replays a run to its last step, however early the streams stopped
-    return predict_run_counters(config, replace(shape, n_t=res.steps_taken), engine)
-
-
 def test_benchmark_shapes_decode_the_oracle_tokens_under_an_exact_mirror(bench_runs):
     # the benchmark's gate holds tokens and flops; this also holds both byte counts
     toy, weights, wl, shape, runs = bench_runs
     for engine, res in runs.items():
         assert res.outputs == reference_decode(toy, weights, wl, engine).outputs
-        mismatches = mirror_mismatches(res, _mirror(toy, shape, engine, res))
-        assert mismatches == {"by_component": {}, "encode": {}}
+        assert mirror_mismatches(res, toy, shape, engine) == {"encode": {}, "run": {}}
 
 
-def test_a_mirror_counting_a_one_position_mask_fails_on_bytes_read_only(bench_runs):
+def test_a_mirror_counting_a_one_position_mask_fails_on_bytes_read_only(bench_runs, monkeypatch):
     # negative control for the mask rule: a pie prefill has one position per
     # stream, and a mirror that counts its causal mask, S*h bytes per decoder
-    # layer, must disagree on decoder_self bytes read and nothing else
+    # layer, must disagree on decoder_self softmax bytes read and nothing else
     toy, _, _, shape, runs = bench_runs
     res = runs[PIE]
-    encode, run = _mirror(toy, shape, PIE, res)
     mask_bytes = shape.U * shape.b * shape.h * toy.n_dec_layers
-    with run.scope("decoder_self"):
-        run.add("softmax", 0, mask_bytes, 0)
-    mismatches = mirror_mismatches(res, (encode, run))
+    exact = cm.predict_run_counters
+
+    def with_mask_bytes(config, shape, engine):
+        encode, run = exact(config, shape, engine)
+        with run.scope("decoder_self"):
+            run.add("softmax", 0, mask_bytes, 0)
+        return encode, run
+
+    monkeypatch.setattr(cm, "predict_run_counters", with_mask_bytes)
+    mismatches = mirror_mismatches(res, toy, shape, PIE)
     assert mismatches["encode"] == {}
-    assert list(mismatches["by_component"]) == ["decoder_self"]
-    (flops, read, written), want = mismatches["by_component"]["decoder_self"]
+    assert list(mismatches["run"]) == ["decoder_self/softmax"]
+    (flops, read, written), want = mismatches["run"]["decoder_self/softmax"]
     assert want == [flops, read + mask_bytes, written]
+
+
+# -- a run that stops early --------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def early_stop():
+    """Both engines on a case whose streams all stop after 3 of 8 steps."""
+    config = ModelConfig(
+        d_model=16, n_heads=2, n_enc_layers=1, n_dec_layers=1,
+        d_ff=32, vocab_size=7, max_len=64,
+    )
+    shape = ShapeParams(U=4, b=1, n_s=8, n_t=8, n_p=1, d=16, h=2)
+    weights = init_weights(config, seed=2)
+    wl = random_workload(
+        np.random.default_rng(2), config.vocab_size, shape.U, shape.b, shape.n_s, shape.n_p, shape.n_t
+    )
+    return config, shape, {engine: infer(engine, config, weights, wl) for engine in ENGINES}
+
+
+def test_a_run_that_stops_early_equals_the_replay_of_its_steps(early_stop):
+    config, shape, runs = early_stop
+    for engine, res in runs.items():
+        assert res.steps_taken == 3 < shape.n_t
+        assert mirror_mismatches(res, config, shape, engine) == {"encode": {}, "run": {}}
+
+
+def test_a_replay_of_all_n_t_steps_fails_an_early_stopped_run(early_stop, monkeypatch):
+    # negative control: the replay of the shape's n_t steps, not the steps
+    # the run took, must miss the decode steps it never ran
+    config, shape, runs = early_stop
+    exact = cm.predict_run_counters
+    monkeypatch.setattr(
+        cm, "predict_run_counters", lambda config, _, engine: exact(config, shape, engine)
+    )
+    for engine, res in runs.items():
+        mismatches = mirror_mismatches(res, config, shape, engine)
+        assert mismatches["encode"] == {} and mismatches["run"], engine

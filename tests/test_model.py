@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from multiprompt import kernels, reference
+from multiprompt import kernels, model, reference
 from multiprompt.bench import traced_peak_bytes
 from multiprompt.costmodel import MODEL_PRESETS
 from multiprompt.errors import ConfigError, LengthError, MaskError, ShapeError
@@ -210,6 +210,30 @@ def test_taped_encoder_holds_no_layers_scores(monkeypatch):
     held, largest = encode_peak([], 1 << 16, monkeypatch)
     assert held < PEAK_SCORES // 2 and largest < PEAK_SCORES, (held, largest)
     assert encode_peak([], PEAK_SCORES, monkeypatch)[0] > PEAK_SCORES // 2
+
+
+#: one [768, d_ff] float32 feed-forward activation of toy's encoder on 2 x 384 tokens
+FFN_ACTIVATION = 4 * 768 * MODEL_PRESETS["toy"].d_ff
+
+
+def test_taped_encoder_frees_the_feed_forward_pre_activation(monkeypatch):
+    # with one chunk of scores, the pre-activation is the largest transient
+    # besides the tape, which holds relu's output; freed before the output
+    # projection, the encoder holds under 3/4 of one activation
+    assert encode_peak([], 1 << 16, monkeypatch)[0] < 3 * FFN_ACTIVATION // 4
+    # the negative control keeps the pre-activation alive through the
+    # output projection, as the sublayer once did
+    def keeps_pre(ffn, x, sink, tape):
+        with sink.scope("feed_forward"):
+            normed = kernels.layer_norm(x, ffn.gain, sink)
+            pre = kernels.matmul(normed, ffn.w_in, sink)
+            hid = kernels.relu(pre, sink)
+            out = kernels.matmul(hid, ffn.w_out, sink, residual=x)
+        tape.append(dict(x_in=x, normed=normed, hid=hid))
+        return out
+
+    monkeypatch.setattr(model, "_ffn_sublayer", keeps_pre)
+    assert encode_peak([], 1 << 16, monkeypatch)[0] > 3 * FFN_ACTIVATION // 4
 
 
 def test_encoder_matches_float64_reference(tiny_config, tiny_weights):

@@ -29,6 +29,7 @@ from multiprompt.training import (
     train_step,
     training_forward_backward,
 )
+from multiprompt.verify import cell_mismatches
 
 GRAD_CONFIG = ModelConfig(
     d_model=8, n_heads=2, n_enc_layers=1, n_dec_layers=1,
@@ -183,29 +184,24 @@ def _mirror_case(case, layout):
 
 @functools.cache
 def _measured_step(case, layout):
-    """``(config, batch, kind_totals)`` of one ``train_step``."""
+    """``(config, batch, sink)`` of one ``train_step``."""
     config, batch = _mirror_case(case, layout)
     sink = CounterSink()
     train_step(config, init_weights(config, seed=0), batch, 0.1, sink)
-    return config, batch, sink.kind_totals()
+    return config, batch, sink
 
 
 def _replayed(config, batch, t_dec=None):
     groups, enc_len = batch.enc_inputs.shape
     t_dec = batch.streams[0].tokens.size if t_dec is None else t_dec
-    return cm.replay_train_step(config, groups, enc_len, batch.group_size, t_dec).kind_totals()
-
-
-def _mismatched(measured, replayed):
-    """The (component, kind) cells where two ``kind_totals`` differ."""
-    return {key for key in measured.keys() | replayed.keys() if measured.get(key) != replayed.get(key)}
+    return cm.replay_train_step(config, groups, enc_len, batch.group_size, t_dec)
 
 
 @pytest.mark.parametrize("layout", ["pie", "pid"])
 @pytest.mark.parametrize("case", ["perfbench", "toy-spec", "two-decoder-layers"])
 def test_replayed_train_step_equals_the_measured_one_in_every_cell(case, layout):
     config, batch, measured = _measured_step(case, layout)
-    assert _replayed(config, batch) == measured
+    assert cell_mismatches(measured, _replayed(config, batch)) == {}
 
 
 @pytest.mark.parametrize("layout", ["pie", "pid"])
@@ -240,8 +236,8 @@ def test_a_replay_without_the_recomputed_softmax_fails_on_each_attention_softmax
         cm, "count_attention_backward",
         lambda sink, *shape: kernels.count_attention_backward(_Dropping(sink, "softmax"), *shape),
     )
-    assert _mismatched(measured, _replayed(config, batch)) == {
-        (component, "softmax") for component in ("encoder_self", "decoder_self", "decoder_cross")
+    assert set(cell_mismatches(measured, _replayed(config, batch))) == {
+        f"{component}/softmax" for component in ("encoder_self", "decoder_self", "decoder_cross")
     }
 
 
@@ -264,13 +260,13 @@ def test_a_replay_with_cross_kv_gradient_adds_at_the_decoder_rows_fails_only_the
         elementwise(sink, kind, size, inputs)
 
     monkeypatch.setattr(cm, "count_elementwise", at_decoder_rows)
-    assert _mismatched(measured, _replayed(config, batch)) == {("decoder_cross", "add")}
+    assert list(cell_mismatches(measured, _replayed(config, batch))) == ["decoder_cross/add"]
 
 
 @pytest.mark.parametrize("layout", ["pie", "pid"])
 def test_a_replay_one_decoder_position_short_fails(layout):
     config, batch, measured = _measured_step("perfbench", layout)
-    assert _replayed(config, batch, batch.streams[0].tokens.size - 1) != measured
+    assert cell_mismatches(measured, _replayed(config, batch, batch.streams[0].tokens.size - 1))
 
 
 # -- glibc keeps a train step's freed arrays for the next one ---------------------------
