@@ -22,7 +22,7 @@ from . import report as rep
 from .bench import BenchConfig, run_bench
 from .engines import ENGINES, PID, PIE
 from .errors import ConfigError, LengthError, ResourceLimitError
-from .training import ToyTrainingSpec, replay_epoch, run_toy_training
+from .training import ToyTrainingSpec, replay_run, run_toy_training
 from .verify import FAULT_CORRUPT_SHARED_KV, run_checks
 
 EXIT_OK, EXIT_CHECK_FAILURE, EXIT_USAGE, EXIT_RESOURCE = 0, 1, 2, 3
@@ -300,7 +300,7 @@ def cmd_train_toy(parser, args) -> int:
         parser.error(str(exc))
     runs = run_toy_training(spec, seed=args.seed)
     config, examples = spec.model_config(), list(spec.task().train)
-    replayed = {e: replay_epoch(config, examples, e, spec.batch_instances).flops for e in ENGINES}
+    replayed = {e: replay_run(config, examples, e, spec.batch_instances, 1).flops for e in ENGINES}
     predicted = replayed[PIE] / replayed[PID]
     measured = runs[PIE].flops_per_epoch / runs[PID].flops_per_epoch
     body = {
@@ -310,7 +310,10 @@ def cmd_train_toy(parser, args) -> int:
             "n_s": spec.n_s, "vocab_size": spec.vocab_size,
             "n_instances": spec.n_instances, "optimizer": "sgd",
         },
-        "layouts": {layout: asdict(run) for layout, run in runs.items()},
+        "layouts": {
+            layout: {key: getattr(run, key) for key in ("losses", "exact_match", "flops_per_epoch")}
+            for layout, run in runs.items()
+        },
         "measured_epoch_flop_ratio": measured,
         "predicted_epoch_flop_ratio": predicted,
     }
@@ -416,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cost = sub.add_parser("cost", help="analytic cost tables, intensity, whole-run roofline")
     common(p_cost)
     p_cost.add_argument("--hw-profile", help="builtin profile name or key=value file")
-    p_cost.set_defaults(fn=cmd_cost)
+    p_cost.set_defaults(fn=cmd_cost, parser=p_cost)
 
     p_bench = sub.add_parser("bench", help="wall-clock latency, single and batched")
     common(p_bench)
@@ -427,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--mem-cap", type=_int_at_least(1), default=1 << 30, help="memory guard in bytes"
     )
-    p_bench.set_defaults(fn=cmd_bench)
+    p_bench.set_defaults(fn=cmd_bench, parser=p_bench)
 
     p_verify = sub.add_parser("verify", help="run the deterministic check suite")
     common(p_verify, with_workload=False)
@@ -437,27 +440,26 @@ def build_parser() -> argparse.ArgumentParser:
         "--inject-fault", choices=(FAULT_CORRUPT_SHARED_KV,), default=None,
         help="debug fault: corrupt the shared cross-attention cache",
     )
-    p_verify.set_defaults(fn=cmd_verify)
+    p_verify.set_defaults(fn=cmd_verify, parser=p_verify)
 
     p_train = sub.add_parser("train-toy", help="train both layouts on the synthetic task")
     common(p_train, with_workload=False)
     p_train.add_argument("--epochs", type=int, default=ToyTrainingSpec.epochs)
     p_train.add_argument("--lr", type=float, default=ToyTrainingSpec.learning_rate)
     p_train.add_argument("--batch", type=int, default=ToyTrainingSpec.batch_instances)
-    p_train.set_defaults(fn=cmd_train_toy)
+    p_train.set_defaults(fn=cmd_train_toy, parser=p_train)
 
     p_report = sub.add_parser("report", help="join cost/bench/verify documents by run id")
     p_report.add_argument("paths", nargs="+")
     p_report.add_argument("--out-json")
     p_report.add_argument("--out-csv")
-    p_report.set_defaults(fn=cmd_report)
+    p_report.set_defaults(fn=cmd_report, parser=p_report)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(parser, args)
+    args = build_parser().parse_args(argv)
+    return args.fn(args.parser, args)
 
 
 if __name__ == "__main__":

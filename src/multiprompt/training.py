@@ -13,18 +13,19 @@ The forward pass is the inference forward itself: ``encode_batch``,
 :mod:`multiprompt.model`, run with activation tapes.  This module holds
 only the loss and the backward.  The backward pass is exact and runs
 through the same counted kernels as the forward pass (matrix multiplies,
-softmax/layer-norm/relu backward), so per-epoch training counts are
-measured, and :func:`replay_epoch` replays them exactly from shapes
-(``costmodel.replay_train_step`` per batch).  Gradients that fan in from
-several places, such as the encoder memory's from every decoder layer's
-cross-attention, accumulate through counted kernels.  Only the ``+=``
-that adds each weight's gradient into its buffer is plain NumPy and goes
-uncounted; it touches each parameter once per step, which is negligible
-next to the matmul terms.
+softmax/layer-norm/relu backward), so a run's counts are measured, all
+epochs in one sink, and :func:`replay_run` replays them exactly from
+shapes (``costmodel.replay_train_step`` per batch).  Gradients that fan
+in from several places, such as the encoder memory's from every decoder
+layer's cross-attention, accumulate through counted kernels.  Only the
+``+=`` that adds each weight's gradient into its buffer is plain NumPy
+and goes uncounted; it touches each parameter once per step, which is
+negligible next to the matmul terms.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -35,7 +36,7 @@ from . import kernels
 from .costmodel import replay_train_step
 from .engines import PID, PIE, Instance, Workload, _layout, infer
 from .errors import ConfigError, TrainingError
-from .kernels import CounterSink, Counts, F32
+from .kernels import CounterSink, F32
 from .model import (
     EOS,
     AttentionWeights,
@@ -422,13 +423,14 @@ def train_step(
 
 @dataclass
 class TrainingRun:
-    losses: list[float] = field(default_factory=list)
-    epoch_counts: list[Counts] = field(default_factory=list)
+    losses: list[float] = field(default_factory=list)  # mean loss per epoch
+    counters: CounterSink = field(default_factory=CounterSink)  # every epoch's counts
     exact_match: float | None = None
 
     @property
     def flops_per_epoch(self) -> int:
-        return self.epoch_counts[0].flops if self.epoch_counts else 0
+        """Exact: every epoch runs the same batch shapes (:func:`replay_run`)."""
+        return self.counters.flops // len(self.losses) if self.losses else 0
 
 
 def train_layout(
@@ -440,26 +442,22 @@ def train_layout(
     batch_instances: int,
     seed: int,
 ) -> tuple[WeightSet, TrainingRun]:
-    """Train a fresh model with one batch layout; counts measured per epoch."""
+    """Train a fresh model with one batch layout; ``run.counters`` holds every epoch's counts."""
     if layout not in (PIE, PID):
         raise ConfigError(f"unknown layout {layout!r}")
     weights = init_weights(config, seed)
-    sink = CounterSink()
     rng = np.random.default_rng(seed)
     run = TrainingRun()
     laid = _laid_out(layout, list(task.train), batch_instances)
     step = 0
     for _ in range(epochs):
-        before = sink.kind_totals()
         epoch_losses = []
         for batch in _shuffled(laid, rng):
             epoch_losses.append(
-                train_step(config, weights, batch, learning_rate, sink, step_index=step)
+                train_step(config, weights, batch, learning_rate, run.counters, step_index=step)
             )
             step += 1
         run.losses.append(float(np.mean(epoch_losses)))
-        epoch = sink.since(before)
-        run.epoch_counts.append(Counts(epoch.flops, epoch.bytes_read, epoch.bytes_written))
     return weights, run
 
 
@@ -534,7 +532,7 @@ class ToyTrainingSpec:
 
 
 def run_toy_training(spec: ToyTrainingSpec, seed: int) -> dict[str, TrainingRun]:
-    """Train one model per layout and report exact match plus epoch counts."""
+    """Train one model per layout and report exact match plus the run's counts."""
     config = spec.model_config()
     task = spec.task()
     runs: dict[str, TrainingRun] = {}
@@ -548,14 +546,14 @@ def run_toy_training(spec: ToyTrainingSpec, seed: int) -> dict[str, TrainingRun]
     return runs
 
 
-def replay_epoch(
-    config: ModelConfig, examples: list[LabeledInstance], layout: str, batch_instances: int
+def replay_run(
+    config: ModelConfig, examples: list[LabeledInstance], layout: str, batch_instances: int, epochs: int
 ) -> CounterSink:
-    """The counts of one :func:`train_layout` epoch, replayed from shapes.
+    """The counts of an ``epochs``-epoch :func:`train_layout` run, replayed from shapes.
 
-    Every epoch runs the same batch shapes, those of :func:`_laid_out`
-    (the last batch may be partial), and each is one
-    ``costmodel.replay_train_step``.
+    Every epoch runs the same batch shapes, those of :func:`_laid_out` (the
+    last batch may be partial, each is one ``costmodel.replay_train_step``),
+    so the run is one epoch's replay merged ``epochs`` times.
     """
     enc_inputs, streams, kv_group, per_batch = _laid_out(layout, examples, batch_instances)
     epoch = CounterSink()
@@ -564,4 +562,4 @@ def replay_epoch(
         epoch = epoch.merge(
             replay_train_step(config, groups, enc_inputs.shape[1], kv_group, streams[0].tokens.size)
         )
-    return epoch
+    return functools.reduce(CounterSink.merge, [epoch] * epochs, CounterSink())

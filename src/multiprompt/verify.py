@@ -27,14 +27,14 @@ from . import costmodel as cm
 from . import reference
 from .bench import BenchConfig, random_workload, run_bench
 from .engines import ENGINES, PID, PIE, DecodeResult, _layout, greedy_step, infer, reference_decode
-from .kernels import CounterSink, Counts
+from .kernels import CounterSink
 from .model import ModelConfig, init_weights, decoder_prefill, decoder_step, encode_batch, init_decode_state
 from .training import (
     ToyTrainingSpec,
     evaluate_exact_match,
     make_synthetic_task,
     pid_batches,
-    replay_epoch,
+    replay_run,
     train_layout,
     training_forward_backward,
 )
@@ -407,8 +407,9 @@ def check_train_toy(seed: int) -> CheckResult:
     """Slow (full toy training); only in the full suite.
 
     pid trains for the spec's epochs and must reach 0.95 held-out exact
-    match; pie trains for one.  Each layout's first epoch must equal
-    :func:`replay_epoch` on flops, bytes read and bytes written.
+    match; pie trains for one.  Each run's counters, every epoch of it,
+    must equal :func:`replay_run` of as many epochs in every
+    (component, kind) cell (:func:`cell_mismatches`).
     """
     spec = ToyTrainingSpec()
     config = spec.model_config()
@@ -418,19 +419,18 @@ def check_train_toy(seed: int) -> CheckResult:
     )
     em = evaluate_exact_match(config, weights, list(task.heldout), PID)
     _, run_pie = train_layout(config, task, PIE, 1, spec.learning_rate, spec.batch_instances, seed)
-    replayed, mismatches = {}, {}
+    replayed_per_epoch, mismatches = {}, {}
     for layout, run in ((PID, run_pid), (PIE, run_pie)):
-        epoch = replay_epoch(config, list(task.train), layout, spec.batch_instances)
-        replayed[layout] = Counts(epoch.flops, epoch.bytes_read, epoch.bytes_written)
-        pairs = zip(Counts._fields, run.epoch_counts[0], replayed[layout])
-        mismatches[layout] = {name: [got, want] for name, got, want in pairs if got != want}
+        replayed = replay_run(config, list(task.train), layout, spec.batch_instances, len(run.losses))
+        replayed_per_epoch[layout] = replayed.flops // len(run.losses)
+        mismatches[layout] = cell_mismatches(run.counters, replayed)
     return CheckResult(
         "train_toy",
         passed=em >= 0.95 and not any(mismatches.values()),
         details={
             "exact_match": em,
             "measured_epoch_flop_ratio": run_pie.flops_per_epoch / run_pid.flops_per_epoch,
-            "predicted_epoch_flop_ratio": replayed[PIE].flops / replayed[PID].flops,
+            "predicted_epoch_flop_ratio": replayed_per_epoch[PIE] / replayed_per_epoch[PID],
             "mismatches": mismatches,
         },
     )

@@ -2,10 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from multiprompt import costmodel as cm
 from multiprompt import verify
+from multiprompt.bench import estimate_run_bytes, random_workload, traced_peak_bytes
 from multiprompt.cli import main
+from multiprompt.engines import ENGINES, PIE, infer
+from multiprompt.model import init_weights
 from multiprompt.report import body_bytes, load_document, merge_documents
 
 
@@ -103,6 +108,28 @@ def test_a_negative_seed_or_a_non_positive_memory_cap_is_a_usage_error(capsys, a
     assert f"argument {argv[-2]}: must be >= " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cost", "--preset", "nope"],
+        ["bench", "--shape", "U=1,b=1,n_s=700,n_t=1,n_p=0,d=64,h=4", "--reps", "3", "--warmup", "0"],
+        ["verify", "--checks", "nope"],
+        ["train-toy", "--lr", "nan"],
+        ["report", "{}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_usage_error_raised_inside_a_command_prints_the_commands_usage(capsys, tmp_path, argv):
+    if argv[0] == "report":
+        (tmp_path / "empty.json").write_text(argv[1])
+        argv = ["report", str(tmp_path / "empty.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"usage: multiprompt {argv[0]}" in err and f"multiprompt {argv[0]}: error:" in err
+
+
 def test_a_malformed_hardware_profile_is_a_usage_error(tmp_path, capsys):
     p = tmp_path / "bad.profile"
     p.write_text("name = x\npeak_flops_per_s = abc\nmem_bytes_per_s = 2e9\n")
@@ -114,6 +141,25 @@ def test_a_malformed_hardware_profile_is_a_usage_error(tmp_path, capsys):
 
 def test_bench_resource_guard_exit_code():
     assert main(["bench", "--preset", "toy", "--mem-cap", "512"]) == 3
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_the_bench_memory_guard_bounds_the_weights_and_an_ops_traced_peak(engine, batch):
+    preset = cm.SHAPE_PRESETS["toy"]
+    config, shape = cm.MODEL_PRESETS[preset.model], preset.shape
+    weights = init_weights(config, seed=0)
+    held = sum(arr.nbytes for _, arr in weights.named_arrays()) + weights.positions.nbytes
+    wl = random_workload(
+        np.random.default_rng(0), config.vocab_size, shape.U, batch, shape.n_s, shape.n_p, shape.n_t
+    )
+    footprint = held + traced_peak_bytes(lambda: infer(engine, config, weights, wl))
+    estimate = estimate_run_bytes(config, shape, batch)
+    assert estimate >= footprint
+    if engine == PIE:
+        # the negative control: without its x3 margin (so also without its
+        # activation term) the estimate falls below pie's footprint
+        assert estimate // 3 < footprint
 
 
 def test_bench_tokens_deterministic_across_runs(capsys, tmp_path):

@@ -15,7 +15,7 @@ import pytest
 from multiprompt import costmodel as cm
 from multiprompt import kernels, reference
 from multiprompt.errors import TrainingError
-from multiprompt.kernels import CounterSink, Counts
+from multiprompt.kernels import CounterSink
 from multiprompt.model import BOS, EOS, ModelConfig, init_weights
 from multiprompt.training import (
     ToyTrainingSpec,
@@ -23,7 +23,7 @@ from multiprompt.training import (
     make_synthetic_task,
     pid_batches,
     pie_batches,
-    replay_epoch,
+    replay_run,
     split_key,
     train_layout,
     train_step,
@@ -156,8 +156,8 @@ def test_training_learns_within_a_few_epochs():
     task = spec.task()
     weights, run = train_layout(config, task, "pid", 3, spec.learning_rate, 8, seed=1)
     assert run.losses[-1] < run.losses[0]
-    assert len(run.epoch_counts) == 3
-    assert run.epoch_counts[0] == run.epoch_counts[1]  # same work every epoch
+    # every epoch's counts, cell for cell
+    assert cell_mismatches(run.counters, replay_run(config, list(task.train), "pid", 8, 3)) == {}
 
 
 # -- the exact mirror of a training step ---------------------------------------------
@@ -212,8 +212,47 @@ def test_a_toy_epoch_equals_its_replay(layout):
     # the last batch is partial in both layouts
     assert len(task.train) % spec.batch_instances
     _, run = train_layout(config, task, layout, 1, spec.learning_rate, spec.batch_instances, 0)
-    epoch = replay_epoch(config, list(task.train), layout, spec.batch_instances)
-    assert run.epoch_counts == [Counts(epoch.flops, epoch.bytes_read, epoch.bytes_written)]
+    replayed = replay_run(config, list(task.train), layout, spec.batch_instances, 1)
+    assert cell_mismatches(run.counters, replayed) == {}
+
+
+@functools.cache
+def _short_run(layout):
+    """``(config, examples, run)``: two epochs of the toy spec on 96 instances."""
+    spec = ToyTrainingSpec(n_instances=96)
+    config = spec.model_config()
+    task = spec.task()
+    _, run = train_layout(config, task, layout, 2, spec.learning_rate, spec.batch_instances, 0)
+    return config, list(task.train), run
+
+
+@pytest.mark.parametrize("layout", ["pie", "pid"])
+def test_a_run_replay_with_the_embedding_gradient_booked_under_other_fails_on_four_cells(
+    layout, monkeypatch
+):
+    """A comparison of run totals passes this replay; the cells name exactly
+    the misfiled ones."""
+    config, examples, run = _short_run(layout)
+
+    def under_other(sink, d, rows):
+        with sink.scope("other"):
+            cm.count_elementwise(sink, "scale", rows * d, 1)
+            cm.count_elementwise(sink, "scatter_add", rows * d, 2)
+
+    monkeypatch.setattr(cm, "_embed_backward", under_other)
+    replayed = replay_run(config, examples, layout, ToyTrainingSpec.batch_instances, 2)
+    assert set(cell_mismatches(run.counters, replayed)) == {
+        f"{component}/{kind}" for component in ("embedding", "other") for kind in ("scale", "scatter_add")
+    }
+
+
+@pytest.mark.parametrize("layout", ["pie", "pid"])
+def test_a_run_replay_one_epoch_short_fails_in_every_cell(layout):
+    config, examples, run = _short_run(layout)
+    replayed = replay_run(config, examples, layout, ToyTrainingSpec.batch_instances, 1)
+    assert set(cell_mismatches(run.counters, replayed)) == {
+        "/".join(key) for key in run.counters.kind_totals()
+    }
 
 
 class _Dropping:
